@@ -11,7 +11,7 @@ from .groebner import (GroebnerBasis, buchberger, normal_form, s_polynomial,
 from .hilbert import (CmResult, FitInstabilityError, HilbertDataset,
                       InconsistentDataError, chern_sign, cm_test,
                       fit_coefficients, hilbert_polynomial_value,
-                      hilbert_samuel)
+                      hilbert_samuel, hilbert_samuel_values)
 from .ideals import (HilbertSeries, Ideal, NotFiniteLengthError, ideal_intersect,
                      ideal_power, ideal_product, ideal_sum, intersect_all,
                      is_mprimary, krull_dimension, monomial_hilbert_series,

@@ -19,11 +19,12 @@ import sys
 
 from .core import ParseError, RingContext, is_prime, parse_polynomial
 from .graded import diagonal_cokernel
-from .hilbert import FitInstabilityError, HilbertDataset, chern_sign, cm_test
+from .hilbert import (FitInstabilityError, HilbertDataset, chern_sign,
+                      cm_test, hilbert_samuel, hilbert_samuel_values,
+                      linear_parameter_rows)
 from .ideals import Ideal, NotFiniteLengthError
 from .resolutions import en_betti
-from .verifier import (ProblemInstance, check_hypotheses, hilbert_samuel,
-                       run_verification)
+from .verifier import ProblemInstance, check_hypotheses, run_verification
 
 __all__ = ["main", "SchemaError", "load_problem", "build_instance"]
 
@@ -111,7 +112,8 @@ def build_instance(problem: dict) -> ProblemInstance:
 
     Inhomogeneous generators or parameters are hypothesis-level failures
     (the graded machinery cannot run on them), reported before any ideal is
-    built.
+    built.  Input nested too deeply for the recursive parser is a schema
+    error.
     """
     try:
         ctx = RingContext(problem["variables"], problem["characteristic"],
@@ -125,6 +127,9 @@ def build_instance(problem: dict) -> ProblemInstance:
                       for text in problem["parameters"]]
     except ParseError as exc:
         raise SchemaError(f"polynomial syntax: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("polynomial syntax: expression nested too "
+                          "deeply") from None
     for block in ideal_polys:
         for g in block:
             if not g.is_homogeneous():
@@ -159,15 +164,16 @@ def _gate_hypotheses(inst, force: bool):
 
 
 def _collect_values(inst, jobs: int) -> dict:
-    if jobs > 1:
+    """H(K, n) for n = 1..max_power.  ``jobs`` only fans out the per-n
+    fallback for non-linear parameters; linear ones need a single basis."""
+    if jobs > 1 and linear_parameter_rows(inst.J) is None:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {n: pool.submit(hilbert_samuel, inst.core, inst.J, n)
                        for n in range(1, inst.max_power + 1)}
             return {n: futures[n].result() for n in sorted(futures)}
-    return {n: hilbert_samuel(inst.core, inst.J, n)
-            for n in range(1, inst.max_power + 1)}
+    return hilbert_samuel_values(inst.core, inst.J, inst.max_power)
 
 
 def _load_and_build(args) -> ProblemInstance:
@@ -229,7 +235,8 @@ def cmd_verify(args) -> int:
             _emit_json(report)
         return gate
     values = _collect_values(inst, args.jobs)
-    report = run_verification(inst, force=args.force, hilbert_values=values)
+    report = run_verification(inst, force=args.force, hilbert_values=values,
+                              hypotheses=fragment)
     if args.json:
         _emit_json(report)
     else:
@@ -288,7 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help="proceed despite hypothesis failures")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel processes for the per-n lengths")
+                       help="parallel processes for the per-n lengths "
+                            "(non-linear parameters only)")
 
     p_hilbert = sub.add_parser("hilbert",
                                help="table of Hilbert-Samuel values H(K, n)")

@@ -98,6 +98,16 @@ def _make_keys(order, r):
         def heap_key(m):
             return (-sum(m[:k]), base_heap(m))
 
+    elif isinstance(order, tuple) and len(order) == 3 and order[0] == "ydeg":
+        k = order[1]
+        base_sort, base_heap = _make_keys(order[2], r)
+
+        def sort_key(m):
+            return (sum(m), -sum(m[:k]), base_sort(m))
+
+        def heap_key(m):
+            return (-sum(m), sum(m[:k]), base_heap(m))
+
     else:
         raise ValueError(f"unknown monomial order {order!r}")
     return sort_key, heap_key
@@ -106,8 +116,14 @@ def _make_keys(order, r):
 class RingContext:
     """A polynomial ring F_p[variables] together with a monomial order.
 
-    Valid order tags: "grevlex" (default), "lex", and the internal
-    ("elim", k, base) block order that eliminates the first k variables.
+    Valid order tags: "grevlex" (default), "lex", and two internal ones:
+    the ("elim", k, base) block order that eliminates the first k variables,
+    and the ("ydeg", k, base) order that compares total degree first, then
+    ranks the *lower* degree in the first k variables higher, then breaks
+    ties by base.  The latter is a global order that picks initial forms of
+    lowest degree in the first k variables inside each total degree, so on
+    homogeneous input its initial ideal is that of the tangent cone along
+    those variables.
     """
 
     __slots__ = ("variables", "characteristic", "order", "sort_key",

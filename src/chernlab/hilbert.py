@@ -13,11 +13,14 @@ non-integral solutions can only come from an internal bug and abort loudly.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
-from .core import binomial
-from .ideals import Ideal, ideal_power, ideal_sum, quotient_length
-from .linalg import solve_fraction_free
+from .core import Polynomial, RingContext, binomial
+from .groebner import _mono_divides, buchberger
+from .ideals import (Ideal, NotFiniteLengthError, ideal_power, ideal_sum,
+                     quotient_length)
+from .linalg import rref_mod_p, solve_fraction_free
 
 __all__ = [
     "FitInstabilityError",
@@ -25,6 +28,8 @@ __all__ = [
     "HilbertDataset",
     "CmResult",
     "hilbert_samuel",
+    "hilbert_samuel_values",
+    "linear_parameter_rows",
     "fit_coefficients",
     "hilbert_polynomial_value",
     "cm_test",
@@ -49,6 +54,102 @@ def hilbert_samuel(core: Ideal, parameters: Ideal, n: int) -> int:
     if n < 1:
         raise ValueError("power must be at least 1")
     return quotient_length(ideal_sum(core, ideal_power(parameters, n)))
+
+
+def linear_parameter_rows(parameters: Ideal):
+    """Coefficient rows of the generators when every one is a linear form,
+    otherwise None."""
+    r = parameters.ctx.nvars
+    rows = []
+    for f in parameters.generators:
+        if f.degree() != 1:
+            return None
+        row = [0] * r
+        for mono, coeff in f.terms.items():
+            row[mono.index(1)] = coeff
+        rows.append(row)
+    return rows
+
+
+def _tangent_cone_leads(ideal: Ideal, rows):
+    """Leading monomials of the ideal after the linear change of coordinates
+    that sends the row space of ``rows`` to (y_1, ..., y_k).
+
+    The new variables are y_i = (rref row i) . x followed by the x_c of the
+    non-pivot columns c, which is invertible with x_c = z_c and
+    x_(pivot i) = y_i - sum_c row_i[c] z_c.  The basis is computed in the
+    ("ydeg", k, base) order.  Returns (k, leads).
+    """
+    ctx = ideal.ctx
+    r = ctx.nvars
+    reduced, pivots = rref_mod_p(rows, ctx.characteristic)
+    k = len(pivots)
+    free = [c for c in range(r) if c not in pivots]
+    names = ([f"y{i}" for i in range(1, k + 1)]
+             + [f"z{i}" for i in range(1, r - k + 1)])
+    gr_ctx = RingContext(names, ctx.characteristic, ("ydeg", k, ctx.order))
+
+    def unit(i):
+        return tuple(1 if j == i else 0 for j in range(r))
+
+    images = [None] * r
+    for t, c in enumerate(free):
+        images[c] = Polynomial(gr_ctx, {unit(k + t): 1})
+    for i, (row, c) in enumerate(zip(reduced, pivots)):
+        terms = {unit(i): 1}
+        for t, f in enumerate(free):
+            terms[unit(k + t)] = -row[f]
+        images[c] = Polynomial(gr_ctx, terms)
+    basis = buchberger([g.substitute(images) for g in ideal.generators],
+                       gr_ctx)
+    return k, basis.lead_monomials()
+
+
+def hilbert_samuel_values(ideal: Ideal, parameters: Ideal,
+                          max_power: int) -> dict:
+    """H(n) = length(S/(ideal + parameters^n)) for n = 1..max_power.
+
+    Linear parameters take the associated-graded route.  After a linear
+    change of coordinates they span J = (y_1, ..., y_k), and the initial
+    ideal of one Groebner basis in the ("ydeg", k, base) order is the
+    initial ideal of the tangent cone, so S/in(ideal) has the Hilbert
+    function of gr_J(S/ideal) (Greuel-Pfister, A Singular Introduction to
+    Commutative Algebra, ch. 5).  H(n) is then the number of standard
+    monomials of y-degree < n, for every n at once; they are enumerated
+    degree by degree.  Other parameters take one hilbert_samuel per n.
+
+    Raises NotFiniteLengthError when S/(ideal + parameters) does not have
+    finite length.
+    """
+    if max_power < 1:
+        raise ValueError("power must be at least 1")
+    rows = linear_parameter_rows(parameters)
+    if rows is None:
+        return {n: hilbert_samuel(ideal, parameters, n)
+                for n in range(1, max_power + 1)}
+    k, leads = _tangent_cone_leads(ideal, rows)
+    r = ideal.ctx.nvars
+    # The count is finite exactly when in(ideal) + (y) is m-primary: some
+    # y-free leading monomial is a pure power of each z variable.
+    for t in range(k, r):
+        if not any(all(e == 0 for j, e in enumerate(m) if j != t)
+                   for m in leads):
+            raise NotFiniteLengthError("quotient does not have finite length")
+    # A monomial of y-degree < max_power has no divisor of higher y-degree.
+    leads = [m for m in leads if sum(m[:k]) < max_power]
+    unit = (0,) * r
+    counts = [0] * max_power
+    current = [] if unit in leads else [unit]
+    while current:
+        candidates = set()
+        for m in current:
+            ydeg = sum(m[:k])
+            counts[ydeg] += 1
+            for u in range(0 if ydeg + 1 < max_power else k, r):
+                candidates.add(m[:u] + (m[u] + 1,) + m[u + 1:])
+        current = [m for m in candidates
+                   if not any(_mono_divides(lm, m) for lm in leads)]
+    return dict(zip(range(1, max_power + 1), accumulate(counts)))
 
 
 def hilbert_polynomial_value(coefficients, n: int) -> int:

@@ -10,7 +10,8 @@ from itertools import combinations
 
 from .core import Polynomial, binomial
 from .graded import CokernelModule, power_colength
-from .ideals import Ideal, ideal_power, ideal_sum, intersect_all, quotient_length
+from .hilbert import hilbert_samuel_values
+from .ideals import Ideal, intersect_all
 
 __all__ = [
     "ENResolutionData",
@@ -185,7 +186,7 @@ def tor1_closed_form(n: int, d: int, module_len: int) -> int:
 
 
 def tor1_via_lengths(ideals, parameters: Ideal, model: CokernelModule,
-                     n: int, core: Ideal = None) -> int:
+                     n: int, core: Ideal = None, tables=None) -> int:
     """Length of Tor_1(L, S/J^n) from the four-term exact sequence
 
         0 -> Tor_1(L, S/J^n) -> R/K^n -> ⊕ S/(I_i + J^n) -> L/J^n L -> 0,
@@ -194,14 +195,17 @@ def tor1_via_lengths(ideals, parameters: Ideal, model: CokernelModule,
     The middle Tor of the components vanishes because the parameters form a
     regular sequence on each Cohen-Macaulay component.
 
-    ``core`` may carry the precomputed intersection of the ideals.
+    ``core`` may carry the precomputed intersection of the ideals, and
+    ``tables`` the precomputed Hilbert-Samuel tables ({n: length}, covering
+    n) as (core table, [table of each ideal]).
     """
     ideals = list(ideals)
-    if core is None:
-        core = intersect_all(ideals) if len(ideals) > 1 else ideals[0]
-    power = ideal_power(parameters, n)
-    total = quotient_length(ideal_sum(core, power))
-    for ideal in ideals:
-        total -= quotient_length(ideal_sum(ideal, power))
-    total += power_colength(model, parameters, n)
-    return total
+    if tables is None:
+        if core is None:
+            core = intersect_all(ideals) if len(ideals) > 1 else ideals[0]
+        tables = (hilbert_samuel_values(core, parameters, n),
+                  [hilbert_samuel_values(ideal, parameters, n)
+                   for ideal in ideals])
+    core_table, component_tables = tables
+    total = core_table[n] - sum(table[n] for table in component_tables)
+    return total + power_colength(model, parameters, n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .core import binomial
 from .graded import annihilates, diagonal_cokernel
 from .hilbert import (HilbertDataset, chern_sign, cm_test, fit_coefficients,
-                      hilbert_samuel)
+                      hilbert_samuel_values)
 from .ideals import (Ideal, ideal_sum, intersect_all, is_mprimary,
                      krull_dimension)
 from .resolutions import tor1_closed_form, tor1_via_lengths
@@ -134,16 +134,23 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
     }
 
 
-def e0_additivity_check(inst: ProblemInstance, fitted_e0: int) -> dict:
+def e0_additivity_check(inst: ProblemInstance, fitted_e0: int,
+                        component_values=None) -> dict:
     """Multiplicity additivity over the components: e_0(K) equals the sum of
     the parameter multiplicities on each S/I_i.  Components are trusted
     Cohen-Macaulay, so their Hilbert-Samuel values stabilize immediately and
-    a window of d + 2 values suffices."""
+    a window of d + 2 values suffices.
+
+    ``component_values`` may carry each component's table {n: length}
+    covering that window (run_verification shares them with the torsion
+    route); otherwise the tables are computed here."""
     window = inst.d + 2
+    if component_values is None:
+        component_values = [hilbert_samuel_values(ideal, inst.J, window)
+                            for ideal in inst.ideals]
     component_e0 = []
-    for ideal in inst.ideals:
-        values = {n: hilbert_samuel(ideal, inst.J, n)
-                  for n in range(1, window + 1)}
+    for table in component_values:
+        values = {n: table[n] for n in range(1, window + 1)}
         coefficients, _ = fit_coefficients(values, inst.d)
         component_e0.append(coefficients[0])
     total = sum(component_e0)
@@ -294,19 +301,22 @@ def negativity_check(inst, coefficients, cm) -> dict:
 
 
 def collect_hilbert_values(inst: ProblemInstance) -> dict:
-    """H(K, n) for n = 1..max_power; each power is computed independently."""
-    return {n: hilbert_samuel(inst.core, inst.J, n)
-            for n in range(1, inst.max_power + 1)}
+    """H(K, n) for n = 1..max_power."""
+    return hilbert_samuel_values(inst.core, inst.J, inst.max_power)
 
 
 def run_verification(inst: ProblemInstance, force: bool = False,
-                     hilbert_values=None) -> dict:
+                     hilbert_values=None, hypotheses=None) -> dict:
     """Full pipeline; returns the JSON-ready report.
 
     When hypotheses fail and force is not set, the report carries only the
     hypothesis fragment with overall status "hypothesis_failure".
-    ``hilbert_values`` may inject precomputed H(K, n) values (the CLI uses
-    this for its parallel fan-out across n).
+    ``hilbert_values`` may inject precomputed H(K, n) values and
+    ``hypotheses`` the fragment of an earlier check_hypotheses(inst) (the
+    CLI has both before it gets here).
+
+    Each length table, of the core and of every component, is computed once
+    and shared by the fit, the torsion route and e_0 additivity.
     """
     report = {
         "characteristic": inst.ctx.characteristic,
@@ -318,7 +328,8 @@ def run_verification(inst: ProblemInstance, force: bool = False,
         "heights": inst.heights,
         "max_power": inst.max_power,
     }
-    hypotheses = check_hypotheses(inst)
+    if hypotheses is None:
+        hypotheses = check_hypotheses(inst)
     report["hypotheses"] = hypotheses
     if not hypotheses["all_pass"] and not force:
         report["overall"] = "hypothesis_failure"
@@ -350,8 +361,12 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     e1 = dataset.coefficients[1] if len(dataset.coefficients) > 1 else 0
     report["chern_sign"] = chern_sign(e1)
 
+    component_values = [
+        hilbert_samuel_values(ideal, inst.J, max(inst.max_power, inst.d + 2))
+        for ideal in inst.ideals]
     torsion_values = {n: tor1_via_lengths(inst.ideals, inst.J, model, n,
-                                          core=inst.core)
+                                          core=inst.core,
+                                          tables=(values, component_values))
                       for n in range(1, inst.max_power + 1)}
     report["torsion_hilbert"] = {
         "values": [{"n": n, "length": _s(torsion_values[n])}
@@ -359,7 +374,7 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     }
 
     identities = [
-        e0_additivity_check(inst, dataset.coefficients[0]),
+        e0_additivity_check(inst, dataset.coefficients[0], component_values),
         verify_torsion_polynomial(inst, dataset.coefficients, dataset.n0,
                                   module_len, torsion_values),
         verify_coefficient_collapse(inst, dataset, module_len, annihilated),

@@ -145,6 +145,14 @@ def test_schema_error_bad_max_power(tmp_path, capsys):
     assert code == 2
 
 
+def test_schema_error_deep_nesting(tmp_path, capsys):
+    deep = "(" * 5000 + "x" + ")" * 5000
+    bad = dict(BASE, parameters=[deep + " + z", "y + w"])
+    code, _, err = run(capsys, "hilbert", _write(tmp_path, "p.json", bad))
+    assert code == 2
+    assert "nested too deeply" in err
+
+
 def test_hypothesis_failure_exit_code(tmp_path, capsys):
     bad = dict(BASE, parameters=["x", "y"])   # vanishes on the z-w plane
     code, _, err = run(capsys, "hilbert", _write(tmp_path, "p.json", bad))
@@ -183,4 +191,17 @@ def test_json_byte_determinism(capsys):
 def test_parallel_jobs_match_sequential(capsys):
     _, sequential, _ = run(capsys, "hilbert", E1, "--json")
     _, parallel, _ = run(capsys, "hilbert", E1, "--json", "--jobs", "2")
+    assert sequential == parallel
+
+
+def test_parallel_jobs_fallback_matches_sequential(tmp_path, capsys):
+    # a quadratic parameter takes the per-n route, which --jobs fans out
+    path = _write(tmp_path, "q.json", dict(BASE, ideals=[["x", "y"]],
+                                           parameters=["z^2", "w"]))
+    _, sequential, _ = run(capsys, "hilbert", path, "--json",
+                           "--max-power", "3")
+    _, parallel, _ = run(capsys, "hilbert", path, "--json",
+                         "--max-power", "3", "--jobs", "2")
+    assert [row["length"] for row in json.loads(sequential)] == \
+        ["2", "6", "12"]
     assert sequential == parallel

@@ -108,7 +108,10 @@ def test_field_axioms_randomized():
         assert (a * (b + c)) % P == (a * b + a * c) % P
 
 
-@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("order", [
+    "grevlex", "lex",
+    pytest.param(("ydeg", 2, "grevlex"), id="ydeg-grevlex"),
+    pytest.param(("ydeg", 2, "lex"), id="ydeg-lex")])
 def test_monomial_order_axioms(order):
     ctx = RingContext(["x", "y", "z", "w"], order=order)
     key = ctx.sort_key

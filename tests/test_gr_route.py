@@ -1,0 +1,124 @@
+"""Differential tests of the associated-graded route: hilbert_samuel_values
+(one Groebner basis in the ("ydeg", k, base) order for all n) against the
+per-n hilbert_samuel oracle, which computes a fresh colength for each n."""
+
+import random
+
+import pytest
+
+import chernlab.hilbert as hilbert_module
+from chernlab import (Ideal, NotFiniteLengthError, RingContext, binomial,
+                      hilbert_samuel, hilbert_samuel_values, ideal_intersect,
+                      intersect_all)
+from chernlab.cli import build_instance, load_problem
+from conftest import PROBLEM_DIR
+from helpers import (PRIME_POOL, e1_family, e2_family, e3_family,
+                     transformed_planes)
+
+
+def per_n(ideal, parameters, max_power):
+    return {n: hilbert_samuel(ideal, parameters, n)
+            for n in range(1, max_power + 1)}
+
+
+def assert_routes_agree(ideals, parameters, max_power):
+    core = intersect_all(ideals) if len(ideals) > 1 else ideals[0]
+    for ideal in [core] + list(ideals):
+        assert hilbert_samuel_values(ideal, parameters, max_power) == \
+            per_n(ideal, parameters, max_power)
+
+
+@pytest.mark.parametrize("name", ["e1_two_planes", "e2_two_3planes",
+                                  "e3_cm_baseline", "e4_three_planes"])
+def test_shipped_problems(name):
+    inst = build_instance(load_problem(str(PROBLEM_DIR / f"{name}.json")))
+    window = inst.max_power if inst.d < 3 else 7
+    assert_routes_agree(inst.ideals, inst.J, window)
+
+
+def test_coordinate_changes_and_primes():
+    rng = random.Random(211)
+    for family, window in ((e1_family, 6), (e2_family, 4), (e3_family, 6)):
+        for _ in range(2):
+            p = rng.choice(PRIME_POOL)
+            _, ideals, j = family(rng, p)
+            assert_routes_agree(ideals, j, window)
+
+
+def test_small_prime_and_lex_base():
+    rng = random.Random(223)
+    ctx, ideals, j = e1_family(rng, 7)
+    assert_routes_agree(ideals, j, 5)
+    lex = RingContext(["x", "y", "z", "w"], order="lex")
+    ideals = [Ideal.from_strings(lex, ["x", "y"]),
+              Ideal.from_strings(lex, ["z", "w"])]
+    assert_routes_agree(ideals, Ideal.from_strings(lex, ["x + z", "y + w"]),
+                        5)
+
+
+def test_dependent_linear_parameters(e1):
+    ctx, ideals, _ = e1
+    for texts in (["x + z", "y + w", "2*x + 3*y + 2*z + 3*w"],
+                  ["x + z", "x + z", "y + w"]):
+        j = Ideal.from_strings(ctx, texts)
+        assert_routes_agree(ideals, j, 5)
+        # the parameter ideal is the same, so H(K, n) = 2 C(n+1, 2) + n
+        core = ideal_intersect(*ideals)
+        assert hilbert_samuel_values(core, j, 5) == \
+            {n: 2 * binomial(n + 1, 2) + n for n in range(1, 6)}
+
+
+def test_parameter_in_special_position():
+    # x + y is nilpotent on R = S/((x+y)^2) and x - y is a parameter, so a
+    # coordinate change that confused the two would not reach finite length
+    ctx = RingContext(["x", "y"])
+    ideal = Ideal.from_strings(ctx, ["(x + y)^2"])
+    j = Ideal.from_strings(ctx, ["x - y"])
+    assert hilbert_samuel_values(ideal, j, 6) == per_n(ideal, j, 6) == \
+        {n: 2 * n for n in range(1, 7)}
+
+
+def test_two_4_planes_d4():
+    rng = random.Random(227)
+    names = [f"x{i}" for i in range(1, 9)]
+    _, ideals, j = transformed_planes(
+        rng, 32003, names, [names[:4], names[4:]],
+        [f"{a} + {b}" for a, b in zip(names[:4], names[4:])])
+    assert_routes_agree(ideals, j, 3)
+
+
+def test_quadratic_parameter_takes_per_n_fallback(ctx4, monkeypatch):
+    core = Ideal.from_strings(ctx4, ["x", "y"])
+    j = Ideal.from_strings(ctx4, ["z^2", "w"])
+    expected = per_n(core, j, 4)
+    # (z^2, w) is a parameter ideal of multiplicity 2 in F[z, w]
+    assert expected == {n: 2 * binomial(n + 1, 2) for n in range(1, 5)}
+    calls = []
+
+    def counting(ideal, parameters, n):
+        calls.append(n)
+        return hilbert_samuel(ideal, parameters, n)
+
+    monkeypatch.setattr(hilbert_module, "hilbert_samuel", counting)
+    assert hilbert_samuel_values(core, j, 4) == expected
+    assert calls == [1, 2, 3, 4]
+
+
+def test_positive_dimensional_quotient_raises(e1):
+    ctx, ideals, _ = e1
+    core = ideal_intersect(*ideals)
+    j = Ideal.from_strings(ctx, ["x", "y"])   # vanishes on the z-w plane
+    with pytest.raises(NotFiniteLengthError):
+        hilbert_samuel_values(core, j, 400)
+
+
+def test_ydeg_keys_are_mutually_reverse():
+    rng = random.Random(229)
+    for base in ("grevlex", "lex"):
+        ctx = RingContext([f"v{i}" for i in range(5)],
+                          order=("ydeg", 2, base))
+        monos = [tuple(rng.randrange(4) for _ in range(5)) for _ in range(40)]
+        for a in monos:
+            for b in monos:
+                assert (ctx.sort_key(a) < ctx.sort_key(b)) == \
+                    (ctx.heap_key(a) > ctx.heap_key(b))
