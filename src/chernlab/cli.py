@@ -20,11 +20,11 @@ import sys
 from .core import ParseError, RingContext, is_prime, parse_polynomial
 from .graded import diagonal_cokernel
 from .hilbert import (FitInstabilityError, HilbertDataset, chern_sign,
-                      cm_test, hilbert_samuel, hilbert_samuel_values,
-                      linear_parameter_rows)
+                      cm_test, hilbert_samuel, linear_parameter_rows)
 from .ideals import Ideal, NotFiniteLengthError
 from .resolutions import en_betti
-from .verifier import ProblemInstance, check_hypotheses, run_verification
+from .verifier import (ProblemInstance, check_hypotheses,
+                       collect_hilbert_values, run_verification)
 
 __all__ = ["main", "SchemaError", "load_problem", "build_instance"]
 
@@ -173,7 +173,7 @@ def _collect_values(inst, jobs: int) -> dict:
             futures = {n: pool.submit(hilbert_samuel, inst.core, inst.J, n)
                        for n in range(1, inst.max_power + 1)}
             return {n: futures[n].result() for n in sorted(futures)}
-    return hilbert_samuel_values(inst.core, inst.J, inst.max_power)
+    return collect_hilbert_values(inst)
 
 
 def _load_and_build(args) -> ProblemInstance:

@@ -29,7 +29,6 @@ __all__ = [
     "CmResult",
     "hilbert_samuel",
     "hilbert_samuel_values",
-    "linear_parameter_rows",
     "fit_coefficients",
     "hilbert_polynomial_value",
     "cm_test",

@@ -135,19 +135,16 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
 
 
 def e0_additivity_check(inst: ProblemInstance, fitted_e0: int,
-                        component_values=None) -> dict:
+                        component_values) -> dict:
     """Multiplicity additivity over the components: e_0(K) equals the sum of
     the parameter multiplicities on each S/I_i.  Components are trusted
     Cohen-Macaulay, so their Hilbert-Samuel values stabilize immediately and
     a window of d + 2 values suffices.
 
-    ``component_values`` may carry each component's table {n: length}
+    ``component_values`` carries each component's table {n: length}
     covering that window (run_verification shares them with the torsion
-    route); otherwise the tables are computed here."""
+    route)."""
     window = inst.d + 2
-    if component_values is None:
-        component_values = [hilbert_samuel_values(ideal, inst.J, window)
-                            for ideal in inst.ideals]
     component_e0 = []
     for table in component_values:
         values = {n: table[n] for n in range(1, window + 1)}
@@ -365,7 +362,6 @@ def run_verification(inst: ProblemInstance, force: bool = False,
         hilbert_samuel_values(ideal, inst.J, max(inst.max_power, inst.d + 2))
         for ideal in inst.ideals]
     torsion_values = {n: tor1_via_lengths(inst.ideals, inst.J, model, n,
-                                          core=inst.core,
                                           tables=(values, component_values))
                       for n in range(1, inst.max_power + 1)}
     report["torsion_hilbert"] = {
