@@ -20,11 +20,10 @@ import sys
 from .core import ParseError, RingContext, is_prime, parse_polynomial
 from .graded import diagonal_cokernel
 from .hilbert import (FitInstabilityError, HilbertDataset, chern_sign,
-                      cm_test, hilbert_samuel, linear_parameter_rows)
+                      cm_test, hilbert_samuel_values)
 from .ideals import Ideal, NotFiniteLengthError
 from .resolutions import en_betti
-from .verifier import (ProblemInstance, check_hypotheses,
-                       collect_hilbert_values, run_verification)
+from .verifier import ProblemInstance, check_hypotheses, run_verification
 
 __all__ = ["main", "SchemaError", "load_problem", "build_instance"]
 
@@ -90,6 +89,7 @@ def load_problem(path: str) -> dict:
 
     max_power = raw.get("max_power")
     if max_power is not None and (not isinstance(max_power, int)
+                                  or isinstance(max_power, bool)
                                   or max_power < 1):
         raise SchemaError("max_power must be a positive integer")
 
@@ -163,19 +163,6 @@ def _gate_hypotheses(inst, force: bool):
     return fragment, EXIT_HYPOTHESIS
 
 
-def _collect_values(inst, jobs: int) -> dict:
-    """H(K, n) for n = 1..max_power.  ``jobs`` only fans out the per-n
-    fallback for non-linear parameters; linear ones need a single basis."""
-    if jobs > 1 and linear_parameter_rows(inst.J) is None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {n: pool.submit(hilbert_samuel, inst.core, inst.J, n)
-                       for n in range(1, inst.max_power + 1)}
-            return {n: futures[n].result() for n in sorted(futures)}
-    return collect_hilbert_values(inst)
-
-
 def _load_and_build(args) -> ProblemInstance:
     problem = load_problem(args.file)
     if args.max_power is not None:
@@ -188,7 +175,7 @@ def cmd_hilbert(args) -> int:
     _, gate = _gate_hypotheses(inst, args.force)
     if gate is not None:
         return gate
-    values = _collect_values(inst, args.jobs)
+    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
     if args.json:
         _emit_json([{"n": n, "length": str(values[n])} for n in sorted(values)])
     else:
@@ -203,9 +190,9 @@ def cmd_coeffs(args) -> int:
     _, gate = _gate_hypotheses(inst, args.force)
     if gate is not None:
         return gate
-    values = _collect_values(inst, args.jobs)
+    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
     dataset = HilbertDataset.fit(values, inst.d)
-    model = diagonal_cokernel(inst.ideals)
+    model = diagonal_cokernel(inst.ideals, inst.core)
     cm = cm_test(dataset.coefficients[0], values[1])
     e1 = dataset.coefficients[1] if len(dataset.coefficients) > 1 else 0
     payload = {
@@ -234,9 +221,7 @@ def cmd_verify(args) -> int:
         if args.json:
             _emit_json(report)
         return gate
-    values = _collect_values(inst, args.jobs)
-    report = run_verification(inst, force=args.force, hilbert_values=values,
-                              hypotheses=fragment)
+    report = run_verification(inst, force=args.force, hypotheses=fragment)
     if args.json:
         _emit_json(report)
     else:
@@ -295,8 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help="proceed despite hypothesis failures")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel processes for the per-n lengths "
-                            "(non-linear parameters only)")
+                       help="accepted for compatibility; has no effect")
 
     p_hilbert = sub.add_parser("hilbert",
                                help="table of Hilbert-Samuel values H(K, n)")

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from .core import Polynomial
 from .groebner import normal_form, standard_monomials
-from .ideals import (Ideal, NotFiniteLengthError, intersect_all,
-                     quotient_hilbert_series)
+from .ideals import Ideal, NotFiniteLengthError, quotient_hilbert_series
 from .linalg import RowSpan, mat_mul, mat_vec, rref_mod_p
 
 __all__ = [
@@ -107,8 +106,11 @@ def _project(vector, rref_rows, pivot_cols, free_cols, p):
     return [v[j] % p for j in free_cols]
 
 
-def diagonal_cokernel(ideals) -> CokernelModule:
+def diagonal_cokernel(ideals, core: Ideal) -> CokernelModule:
     """Build the graded model of L = (⊕ S/I_i) / S/(∩ I_i).
+
+    ``core`` is the intersection of the ideals, computed once by the caller
+    (``ProblemInstance.core`` holds it).
 
     Raises NotFiniteLengthError when the Hilbert series difference is not a
     polynomial, which signals that some pairwise sum I_i + I_j fails to be
@@ -123,7 +125,6 @@ def diagonal_cokernel(ideals) -> CokernelModule:
             raise ValueError("ideals come from different ring contexts")
     p = ctx.characteristic
 
-    core = intersect_all(ideals) if len(ideals) > 1 else ideals[0]
     series = quotient_hilbert_series(ideals[0])
     for ideal in ideals[1:]:
         series = series + quotient_hilbert_series(ideal)

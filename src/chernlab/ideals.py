@@ -9,7 +9,7 @@ standard monomials.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .core import ContextMismatchError, Polynomial, RingContext, parse_polynomial
 from .groebner import (GroebnerBasis, _Engine, _mono_divides,
@@ -39,8 +39,7 @@ class NotFiniteLengthError(ValueError):
 class Ideal:
     """A homogeneous ideal: generator list plus a cached reduced Groebner basis.
 
-    The cache is filled on first use; computation is deterministic, so a
-    benign race between threads can only recompute the same value.
+    The cache is filled on first use.
     """
 
     __slots__ = ("ctx", "generators", "_gb")
@@ -161,23 +160,11 @@ def intersect_all(ideals) -> Ideal:
     return acc
 
 
-def _dimension_from_leads(lead_monomials, r) -> int:
-    """Dimension of a monomial ideal's quotient: the largest variable subset U
-    such that no generator is supported inside U.  Returns -1 for the unit
-    ideal (every subset, including the empty one, contains the support of 1).
-    """
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lead_monomials]
-    for size in range(r, -1, -1):
-        for subset in combinations(range(r), size):
-            u = frozenset(subset)
-            if not any(s <= u for s in supports):
-                return size
-    return -1
-
-
 def krull_dimension(a: Ideal) -> int:
-    """dim S/a, computed from the initial ideal of the cached basis."""
-    return _dimension_from_leads(a.lead_monomials(), a.ctx.nvars)
+    """dim S/a: the pole order at t = 1 of its Hilbert series, or -1 for the
+    unit ideal (whose quotient is zero)."""
+    series = quotient_hilbert_series(a)
+    return series.denominator_exponent if series.numerator else -1
 
 
 def is_mprimary(a: Ideal) -> bool:
@@ -372,11 +359,6 @@ def quotient_length(a: Ideal) -> int:
     NotFiniteLengthError when dim S/a > 0.
     """
     ctx = a.ctx
-    if a._gb is not None:
-        series = quotient_hilbert_series(a)
-        if not series.is_polynomial():
-            raise NotFiniteLengthError("quotient does not have finite length")
-        return series.total()
     if not a.generators:
         raise NotFiniteLengthError("quotient does not have finite length")
     engine = _Engine(a.generators, ctx)
@@ -397,7 +379,7 @@ def quotient_length(a: Ideal) -> int:
         total += len(std)
         if engine.exhausted and not dimension_checked:
             dimension_checked = True
-            if _dimension_from_leads(leads, ctx.nvars) > 0:
+            if not monomial_hilbert_series(leads, ctx).is_polynomial():
                 raise NotFiniteLengthError(
                     "quotient does not have finite length")
         degree += 1

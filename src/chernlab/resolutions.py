@@ -10,8 +10,7 @@ from itertools import combinations
 
 from .core import Polynomial, binomial
 from .graded import CokernelModule, power_colength
-from .hilbert import hilbert_samuel_values
-from .ideals import Ideal, intersect_all
+from .ideals import Ideal
 
 __all__ = [
     "ENResolutionData",
@@ -185,8 +184,8 @@ def tor1_closed_form(n: int, d: int, module_len: int) -> int:
     return binomial(n + d - 1, d - 1) * module_len
 
 
-def tor1_via_lengths(ideals, parameters: Ideal, model: CokernelModule,
-                     n: int, core: Ideal = None, tables=None) -> int:
+def tor1_via_lengths(core_values, component_values, parameters: Ideal,
+                     model: CokernelModule, n: int) -> int:
     """Length of Tor_1(L, S/J^n) from the four-term exact sequence
 
         0 -> Tor_1(L, S/J^n) -> R/K^n -> ⊕ S/(I_i + J^n) -> L/J^n L -> 0,
@@ -195,17 +194,9 @@ def tor1_via_lengths(ideals, parameters: Ideal, model: CokernelModule,
     The middle Tor of the components vanishes because the parameters form a
     regular sequence on each Cohen-Macaulay component.
 
-    ``core`` may carry the precomputed intersection of the ideals, and
-    ``tables`` the precomputed Hilbert-Samuel tables ({n: length}, covering
-    n) as (core table, [table of each ideal]).
+    ``core_values`` is the Hilbert-Samuel table {n: length(R/K^n)} and
+    ``component_values`` holds one table {n: length(S/(I_i + J^n))} per
+    component (``hilbert_samuel_values`` gives both); each covers n.
     """
-    ideals = list(ideals)
-    if tables is None:
-        if core is None:
-            core = intersect_all(ideals) if len(ideals) > 1 else ideals[0]
-        tables = (hilbert_samuel_values(core, parameters, n),
-                  [hilbert_samuel_values(ideal, parameters, n)
-                   for ideal in ideals])
-    core_table, component_tables = tables
-    total = core_table[n] - sum(table[n] for table in component_tables)
+    total = core_values[n] - sum(table[n] for table in component_values)
     return total + power_colength(model, parameters, n)

@@ -33,8 +33,9 @@ __all__ = [
 class ProblemInstance:
     """A quotient ring presented by component ideals plus parameter elements.
 
-    Derived data (intersection, dimension, heights) is computed eagerly; the
-    default window size for Hilbert-Samuel sampling is 2d + 4.
+    Derived data (intersection, dimension, heights) is computed eagerly and
+    once: consumers take ``core`` instead of intersecting the ideals again.
+    The default window size for Hilbert-Samuel sampling is 2d + 4.
     """
 
     __slots__ = ("ctx", "ideals", "parameters", "J", "core", "g", "r", "d",
@@ -55,7 +56,7 @@ class ProblemInstance:
         self.ideals = ideals
         self.parameters = parameters
         self.J = Ideal(ctx, parameters)
-        self.core = intersect_all(ideals) if len(ideals) > 1 else ideals[0]
+        self.core = intersect_all(ideals)
         self.g = len(ideals)
         self.r = ctx.nvars
         self.d = krull_dimension(self.core)
@@ -297,20 +298,14 @@ def negativity_check(inst, coefficients, cm) -> dict:
     }
 
 
-def collect_hilbert_values(inst: ProblemInstance) -> dict:
-    """H(K, n) for n = 1..max_power."""
-    return hilbert_samuel_values(inst.core, inst.J, inst.max_power)
-
-
 def run_verification(inst: ProblemInstance, force: bool = False,
-                     hilbert_values=None, hypotheses=None) -> dict:
+                     hypotheses=None) -> dict:
     """Full pipeline; returns the JSON-ready report.
 
     When hypotheses fail and force is not set, the report carries only the
     hypothesis fragment with overall status "hypothesis_failure".
-    ``hilbert_values`` may inject precomputed H(K, n) values and
-    ``hypotheses`` the fragment of an earlier check_hypotheses(inst) (the
-    CLI has both before it gets here).
+    ``hypotheses`` may carry the fragment of an earlier
+    check_hypotheses(inst) (the CLI has it before it gets here).
 
     Each length table, of the core and of every component, is computed once
     and shared by the fit, the torsion route and e_0 additivity.
@@ -332,15 +327,14 @@ def run_verification(inst: ProblemInstance, force: bool = False,
         report["overall"] = "hypothesis_failure"
         return report
 
-    model = diagonal_cokernel(inst.ideals)
+    model = diagonal_cokernel(inst.ideals, inst.core)
     module_len = model.length
     annihilated = annihilates(inst.J, model)
     report["lambda_L"] = _s(module_len)
     report["top_degree"] = model.top_degree
     report["annihilates"] = annihilated
 
-    values = hilbert_values if hilbert_values is not None \
-        else collect_hilbert_values(inst)
+    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
     dataset = HilbertDataset.fit(values, inst.d)
     report["hilbert"] = {
         "values": [{"n": n, "length": _s(values[n])} for n in sorted(values)],
@@ -361,8 +355,8 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     component_values = [
         hilbert_samuel_values(ideal, inst.J, max(inst.max_power, inst.d + 2))
         for ideal in inst.ideals]
-    torsion_values = {n: tor1_via_lengths(inst.ideals, inst.J, model, n,
-                                          tables=(values, component_values))
+    torsion_values = {n: tor1_via_lengths(values, component_values, inst.J,
+                                          model, n)
                       for n in range(1, inst.max_power + 1)}
     report["torsion_hilbert"] = {
         "values": [{"n": n, "length": _s(torsion_values[n])}

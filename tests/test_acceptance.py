@@ -13,9 +13,9 @@ import pytest
 from chernlab import (Ideal, RingContext, binomial,
                       buchberger, diagonal_cokernel, en_betti, en_matrix,
                       fit_coefficients, hilbert_samuel,
-                      ideal_power, intersect_all, koszul_complex,
-                      koszul_composes_to_zero, maximal_minors, normal_form,
-                      parse_polynomial, quotient_hilbert_series,
+                      hilbert_samuel_values, ideal_power, intersect_all,
+                      koszul_complex, koszul_composes_to_zero, maximal_minors,
+                      normal_form, parse_polynomial, quotient_hilbert_series,
                       run_verification, s_polynomial, standard_monomials,
                       tor1_closed_form, tor1_via_lengths)
 from chernlab.cli import main
@@ -94,11 +94,16 @@ def test_criterion_4_tor1_equivalence():
     with criterion(4, "tor1 routes agree on E1 and E2 for every n"):
         for path in (E1, E2):
             inst = _load_instance(path)
-            model = diagonal_cokernel(inst.ideals)
+            model = diagonal_cokernel(inst.ideals, inst.core)
             lam = model.length
+            core_values = hilbert_samuel_values(inst.core, inst.J,
+                                                inst.max_power)
+            component_values = [
+                hilbert_samuel_values(ideal, inst.J, inst.max_power)
+                for ideal in inst.ideals]
             for n in range(1, inst.max_power + 1):
-                via = tor1_via_lengths(inst.ideals, inst.J, model, n,
-                                       core=inst.core)
+                via = tor1_via_lengths(core_values, component_values, inst.J,
+                                       model, n)
                 assert via == tor1_closed_form(n, inst.d, lam) \
                     == binomial(n + inst.d - 1, inst.d - 1) * lam
 

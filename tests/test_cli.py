@@ -140,9 +140,12 @@ def test_schema_error_missing_key(tmp_path, capsys):
 
 
 def test_schema_error_bad_max_power(tmp_path, capsys):
-    bad = dict(BASE, max_power=0)
-    code, _, err = run(capsys, "hilbert", _write(tmp_path, "p.json", bad))
-    assert code == 2
+    # a JSON boolean is not an integer, although Python's bool is an int
+    for value in (0, True):
+        bad = dict(BASE, max_power=value)
+        code, _, err = run(capsys, "hilbert", _write(tmp_path, "p.json", bad))
+        assert code == 2
+        assert "max_power" in err
 
 
 def test_schema_error_deep_nesting(tmp_path, capsys):
@@ -186,6 +189,26 @@ def test_json_byte_determinism(capsys):
     _, first, _ = run(capsys, "coeffs", E1, "--json")
     _, second, _ = run(capsys, "coeffs", E1, "--json")
     assert first == second
+
+
+def test_one_intersection_per_command(monkeypatch, capsys):
+    # g = 3: intersect_all makes two pairwise intersections, and every
+    # consumer takes the instance's core instead of intersecting again
+    import chernlab.ideals as ideals_module
+
+    calls = []
+    original = ideals_module.ideal_intersect
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(ideals_module, "ideal_intersect", counting)
+    for command in ("coeffs", "verify"):
+        calls.clear()
+        code, _, _ = run(capsys, command, E4, "--json")
+        assert code == 0
+        assert len(calls) == 2, command
 
 
 def test_parallel_jobs_match_sequential(capsys):

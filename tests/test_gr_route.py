@@ -22,7 +22,7 @@ def per_n(ideal, parameters, max_power):
 
 
 def assert_routes_agree(ideals, parameters, max_power):
-    core = intersect_all(ideals) if len(ideals) > 1 else ideals[0]
+    core = intersect_all(ideals)
     for ideal in [core] + list(ideals):
         assert hilbert_samuel_values(ideal, parameters, max_power) == \
             per_n(ideal, parameters, max_power)

@@ -12,7 +12,8 @@ def I(ctx, *texts):
 
 
 def test_single_component_gives_zero_module(ctx4):
-    model = diagonal_cokernel([I(ctx4, "x", "y")])
+    ideal = I(ctx4, "x", "y")
+    model = diagonal_cokernel([ideal], ideal)
     assert model.length == 0
     assert model.top_degree is None
     assert module_length(model) == 0
@@ -22,7 +23,7 @@ def test_single_component_gives_zero_module(ctx4):
 
 def test_e1_cokernel(e1):
     ctx, ideals, j = e1
-    model = diagonal_cokernel(ideals)
+    model = diagonal_cokernel(ideals, intersect_all(ideals))
     assert model.length == 1
     assert model.top_degree == 0
     assert model.dims == (1,)
@@ -31,22 +32,24 @@ def test_e1_cokernel(e1):
 
 def test_e2_cokernel(e2):
     ctx, ideals, j = e2
-    model = diagonal_cokernel(ideals)
+    model = diagonal_cokernel(ideals, intersect_all(ideals))
     assert model.length == 1
     assert annihilates(j, model)
 
 
 def test_infinite_length_detected(ctx4):
+    ideals = [I(ctx4, "x", "y"), I(ctx4, "x", "z")]
+    core = intersect_all(ideals)
     with pytest.raises(NotFiniteLengthError):
-        diagonal_cokernel([I(ctx4, "x", "y"), I(ctx4, "x", "z")])
+        diagonal_cokernel(ideals, core)
 
 
 def test_e4_dimensions_against_rank_oracle(e4):
     """Independent route: per-degree cokernel dimension by explicit rank
     computation must match the Hilbert-series route used by the model."""
     ctx, ideals, j = e4
-    model = diagonal_cokernel(ideals)
     core = intersect_all(ideals)
+    model = diagonal_cokernel(ideals, core)
     gbs = [ideal.groebner() for ideal in ideals]
     top = model.top_degree
     core_std = standard_monomials(core.groebner(), top)
@@ -72,7 +75,7 @@ def test_e4_dimensions_against_rank_oracle(e4):
 def test_e4_length_engine_value(e4):
     # no hand value asserted upstream: freeze the doubly-checked engine value
     ctx, ideals, j = e4
-    model = diagonal_cokernel(ideals)
+    model = diagonal_cokernel(ideals, intersect_all(ideals))
     assert model.length == 4
     assert model.dims == (2, 2)
     assert not annihilates(j, model)
@@ -83,7 +86,7 @@ def staircase_model(ctx4):
     """I1 = (x, y^3), I2 = (z, w): the cokernel has dimension 1 in each of
     degrees 0, 1, 2 and multiplication by y walks up the chain."""
     ideals = [I(ctx4, "x", "y^3"), I(ctx4, "z", "w")]
-    return diagonal_cokernel(ideals)
+    return diagonal_cokernel(ideals, intersect_all(ideals))
 
 
 def test_staircase_dimensions(staircase_model):
@@ -96,7 +99,7 @@ def test_annihilates_by_hand_linear_algebra(ctx4):
     # I1 = (x, y^2), I2 = (z, w): L has dims (1, 1); x, z, w act as zero
     # while y carries degree 0 onto degree 1.
     ideals = [I(ctx4, "x", "y^2"), I(ctx4, "z", "w")]
-    model = diagonal_cokernel(ideals)
+    model = diagonal_cokernel(ideals, intersect_all(ideals))
     assert model.dims == (1, 1)
     y_index = ctx4.variable_index("y")
     assert model.variable_map(y_index, 0) == [[1]]
@@ -123,18 +126,19 @@ def test_variable_actions_commute(staircase_model):
 
 def test_dims_match_series(e4):
     ctx, ideals, _ = e4
-    model = diagonal_cokernel(ideals)
+    core = intersect_all(ideals)
+    model = diagonal_cokernel(ideals, core)
     series = quotient_hilbert_series(ideals[0])
     for ideal in ideals[1:]:
         series = series + quotient_hilbert_series(ideal)
-    series = series - quotient_hilbert_series(intersect_all(ideals))
+    series = series - quotient_hilbert_series(core)
     assert series.is_polynomial()
     assert tuple(series.numerator) == model.dims
 
 
 def test_power_colength_basics(e1, ctx4):
     _, ideals, j = e1
-    model = diagonal_cokernel(ideals)
+    model = diagonal_cokernel(ideals, intersect_all(ideals))
     assert power_colength(model, j, 0) == 0
     assert power_colength(model, j, 1) == 1      # J annihilates L
     assert power_colength(model, j, model.top_degree + 2) == model.length

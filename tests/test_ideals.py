@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -88,6 +89,35 @@ def test_krull_dimension(ctx4):
     assert krull_dimension(I(ctx4, "1")) == -1
     assert krull_dimension(Ideal(ctx4, [])) == 4
     assert krull_dimension(I(ctx4, "x", "y", "z", "w")) == 0
+
+
+def subset_scan_dimension(leads, r):
+    """dim S/(monomial ideal): the size of the largest variable subset that
+    contains the support of no generator, or -1 when even the empty subset
+    contains one (the unit ideal)."""
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
+    for size in range(r, -1, -1):
+        for subset in combinations(range(r), size):
+            if not any(s <= frozenset(subset) for s in supports):
+                return size
+    return -1
+
+
+def test_krull_dimension_against_subset_scan():
+    rng = random.Random(97)
+    for trial in range(120):
+        r = rng.randint(1, 8)
+        ctx = RingContext([f"x{i}" for i in range(1, r + 1)])
+        monos = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(r))
+                 for _ in range(rng.randint(0, 5))]
+        if trial % 20 == 0:
+            monos.append((0,) * r)                  # the unit ideal
+        ideal = Ideal(ctx, [Polynomial(ctx, {m: 1}) for m in monos])
+        assert krull_dimension(ideal) == subset_scan_dimension(monos, r)
+    ctx8 = RingContext([f"x{i}" for i in range(1, 9)])
+    assert krull_dimension(Ideal(ctx8, [])) == 8
+    assert krull_dimension(Ideal(ctx8, [Polynomial(ctx8, {(0,) * 8: 1})])) \
+        == -1
 
 
 def test_is_mprimary(ctx4):
