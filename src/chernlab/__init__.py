@@ -2,10 +2,10 @@
 numbers of parameter ideals in quotients by intersections of Cohen-Macaulay
 ideals, over prime fields."""
 
-from .core import (ContextMismatchError, ParseError, Polynomial, RingContext,
-                   binomial, is_prime, parse_polynomial)
+from .core import (PRIME_LIMIT, ContextMismatchError, ParseError, Polynomial,
+                   RingContext, binomial, is_prime, parse_polynomial)
 from .graded import (CokernelModule, annihilates, diagonal_cokernel,
-                     module_length, power_colength)
+                     power_colength)
 from .groebner import (GroebnerBasis, buchberger, normal_form, s_polynomial,
                        standard_monomials)
 from .hilbert import (CmResult, FitInstabilityError, HilbertDataset,
@@ -17,9 +17,8 @@ from .ideals import (HilbertSeries, Ideal, NotFiniteLengthError, ideal_intersect
                      is_mprimary, krull_dimension, monomial_hilbert_series,
                      quotient_hilbert_series, quotient_length)
 from .resolutions import (ENResolutionData, KoszulData, en_betti, en_matrix,
-                          en_resolution, koszul_complex,
-                          koszul_composes_to_zero, maximal_minors,
-                          tor1_closed_form, tor1_via_lengths)
+                          koszul_complex, koszul_composes_to_zero,
+                          maximal_minors, tor1_closed_form, tor1_via_lengths)
 from .verifier import (ProblemInstance, check_hypotheses, e0_additivity_check,
                        negativity_check, run_verification,
                        tor1_consistency_check, verify_coefficient_collapse,

@@ -17,7 +17,8 @@ import argparse
 import json
 import sys
 
-from .core import ParseError, RingContext, is_prime, parse_polynomial
+from .core import (PRIME_LIMIT, ParseError, RingContext, is_prime,
+                   parse_polynomial)
 from .graded import diagonal_cokernel
 from .hilbert import (FitInstabilityError, HilbertDataset, chern_sign,
                       cm_test, hilbert_samuel_values)
@@ -61,8 +62,9 @@ def load_problem(path: str) -> dict:
             raise SchemaError(f"missing required key {key!r}")
 
     characteristic = raw.get("characteristic", 32003)
-    if not isinstance(characteristic, int) or not is_prime(characteristic):
-        raise SchemaError("characteristic must be a prime integer")
+    if (not isinstance(characteristic, int) or characteristic >= PRIME_LIMIT
+            or not is_prime(characteristic)):
+        raise SchemaError(f"characteristic must be prime below {PRIME_LIMIT}")
 
     variables = raw["variables"]
     if (not isinstance(variables, list) or not variables

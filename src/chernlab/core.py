@@ -14,6 +14,7 @@ import math
 import re
 
 __all__ = [
+    "PRIME_LIMIT",
     "RingContext",
     "Polynomial",
     "ContextMismatchError",
@@ -25,7 +26,10 @@ __all__ = [
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_13, the least strong pseudoprime to every base in _MR_BASES
+PRIME_LIMIT = 3317044064679887385961981
 
 
 class ContextMismatchError(ValueError):
@@ -37,7 +41,7 @@ class ParseError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test, exact below PRIME_LIMIT."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -138,8 +142,9 @@ class RingContext:
         for name in variables:
             if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"invalid variable name {name!r}")
-        if not is_prime(characteristic):
-            raise ValueError(f"characteristic {characteristic} is not prime")
+        if characteristic >= PRIME_LIMIT or not is_prime(characteristic):
+            raise ValueError(f"characteristic {characteristic} is not a prime "
+                             f"below {PRIME_LIMIT}")
         self.variables = variables
         self.characteristic = characteristic
         self.order = order
@@ -168,9 +173,6 @@ class RingContext:
 
     def __hash__(self):
         return hash((self.variables, self.characteristic, self.order))
-
-    def __reduce__(self):
-        return (RingContext, (self.variables, self.characteristic, self.order))
 
     def __repr__(self):
         return (f"RingContext({list(self.variables)}, "
@@ -348,9 +350,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms
-
-    def __reduce__(self):
-        return (Polynomial, (self.ctx, self.terms))
 
     def __str__(self):
         if not self.terms:

@@ -21,7 +21,6 @@ from .linalg import RowSpan, mat_mul, mat_vec, rref_mod_p
 __all__ = [
     "CokernelModule",
     "diagonal_cokernel",
-    "module_length",
     "annihilates",
     "power_colength",
 ]
@@ -192,11 +191,6 @@ def diagonal_cokernel(ideals, core: Ideal) -> CokernelModule:
             var_maps[u][s] = matrix
 
     return CokernelModule(ctx, length, top, dims, bases, var_maps)
-
-
-def module_length(model: CokernelModule) -> int:
-    """Total length of the module (sum of the per-degree dimensions)."""
-    return model.length
 
 
 def annihilates(ideal: Ideal, model: CokernelModule) -> bool:

@@ -7,8 +7,8 @@ pruned with the coprime (product) criterion and the chain criterion; the
 Buchberger S-polynomial property test in the suite guards both.
 
 For homogeneous input the degree-ordered schedule makes the basis exact
-degree by degree, which supports truncated computation: once every pair of
-S-degree <= s has been processed, the leading terms of degree <= s are final.
+degree by degree: once every pair of S-degree <= s has been processed, the
+leading terms of degree <= s are final (``ideals.quotient_length`` uses this).
 """
 
 from __future__ import annotations
@@ -128,9 +128,6 @@ class _Engine:
     def exhausted(self):
         return not self.pairs
 
-    def next_degree(self):
-        return self.pairs[0][0][0] if self.pairs else None
-
     def run(self, limit=None):
         pairs = self.pairs
         pending = self.pending
@@ -217,18 +214,13 @@ def _interreduce(term_dicts, ctx):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic elements sorted by leading monomial.
+    """A reduced Groebner basis: monic elements sorted by leading monomial."""
 
-    When ``degree_bound`` is set the basis is only guaranteed to determine the
-    ideal's leading terms up to that degree (homogeneous input only).
-    """
+    __slots__ = ("ctx", "elements", "_lead")
 
-    __slots__ = ("ctx", "elements", "degree_bound", "_lead")
-
-    def __init__(self, ctx, elements, degree_bound=None):
+    def __init__(self, ctx, elements):
         self.ctx = ctx
         self.elements = tuple(elements)
-        self.degree_bound = degree_bound
         self._lead = tuple(g.leading_monomial() for g in self.elements)
 
     def lead_monomials(self):
@@ -250,13 +242,8 @@ class GroebnerBasis:
         return f"GroebnerBasis([{gens}])"
 
 
-def buchberger(gens, ctx=None, degree_bound=None) -> GroebnerBasis:
-    """Compute the reduced Groebner basis of the ideal generated by gens.
-
-    With ``degree_bound`` set, only pairs of S-degree <= bound are processed
-    and only elements of degree <= bound are returned; this requires all
-    generators to be homogeneous.
-    """
+def buchberger(gens, ctx=None) -> GroebnerBasis:
+    """Compute the reduced Groebner basis of the ideal generated by gens."""
     gens = list(gens)
     if ctx is None:
         if not gens:
@@ -265,16 +252,11 @@ def buchberger(gens, ctx=None, degree_bound=None) -> GroebnerBasis:
     for g in gens:
         if g.ctx != ctx:
             raise ContextMismatchError("generator from a different ring context")
-    if degree_bound is not None and any(not g.is_homogeneous() for g in gens):
-        raise ValueError("degree-truncated computation requires homogeneous input")
     engine = _Engine(gens, ctx)
-    engine.run(degree_bound)
-    dicts = engine.polys
-    if degree_bound is not None:
-        dicts = [t for t, d in zip(engine.polys, engine.degs) if d <= degree_bound]
-    reduced = _interreduce(dicts, ctx)
+    engine.run()
+    reduced = _interreduce(engine.polys, ctx)
     elements = [Polynomial(ctx, t) for t in reduced]
-    return GroebnerBasis(ctx, elements, degree_bound)
+    return GroebnerBasis(ctx, elements)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -348,8 +330,6 @@ def standard_monomials(basis: GroebnerBasis, max_degree: int):
     monomial of the basis: a vector-space basis of the quotient per degree."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    if basis.degree_bound is not None and basis.degree_bound < max_degree:
-        raise ValueError("basis was truncated below the requested degree")
     ctx = basis.ctx
     lead = basis.lead_monomials()
     unit = ctx.unit_monomial()

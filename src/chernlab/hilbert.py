@@ -236,9 +236,6 @@ class HilbertDataset:
         coefficients, n0 = fit_coefficients(values, d)
         return cls(d, values, coefficients, n0)
 
-    def polynomial_value(self, n: int) -> int:
-        return hilbert_polynomial_value(self.coefficients, n)
-
     def __repr__(self):
         return (f"HilbertDataset(d={self.d}, e={list(self.coefficients)}, "
                 f"n0={self.n0})")

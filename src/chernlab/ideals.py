@@ -79,9 +79,6 @@ class Ideal:
             return False
         return self.groebner() == other.groebner()
 
-    def __reduce__(self):
-        return (Ideal, (self.ctx, self.generators))
-
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
         return f"Ideal({gens})"
@@ -270,12 +267,6 @@ class HilbertSeries:
 
     def is_polynomial(self) -> bool:
         return self.denominator_exponent == 0
-
-    def degree(self):
-        """Degree of a polynomial series (None for 0)."""
-        if not self.is_polynomial():
-            raise ValueError("series has a pole at t = 1")
-        return len(self.numerator) - 1 if self.numerator else None
 
     def total(self) -> int:
         if not self.is_polynomial():

@@ -17,7 +17,6 @@ __all__ = [
     "KoszulData",
     "en_matrix",
     "en_betti",
-    "en_resolution",
     "maximal_minors",
     "koszul_complex",
     "koszul_composes_to_zero",
@@ -104,10 +103,6 @@ class ENResolutionData:
 
     def euler_characteristic(self) -> int:
         return sum(b if i % 2 == 0 else -b for i, b in enumerate(self.betti))
-
-
-def en_resolution(generators, n: int) -> ENResolutionData:
-    return ENResolutionData(generators, n)
 
 
 class KoszulData:

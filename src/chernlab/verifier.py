@@ -13,7 +13,7 @@ from __future__ import annotations
 from .core import binomial
 from .graded import annihilates, diagonal_cokernel
 from .hilbert import (HilbertDataset, chern_sign, cm_test, fit_coefficients,
-                      hilbert_samuel_values)
+                      hilbert_polynomial_value, hilbert_samuel_values)
 from .ideals import (Ideal, ideal_sum, intersect_all, is_mprimary,
                      krull_dimension)
 from .resolutions import tor1_closed_form, tor1_via_lengths
@@ -163,28 +163,20 @@ def e0_additivity_check(inst: ProblemInstance, fitted_e0: int,
     }
 
 
-def _torsion_rhs(coefficients, module_len, n):
-    """-e_1 C(n+d-2, d-1) + e_2 C(n+d-3, d-2) - ... + (-1)^d e_d + len(L)."""
-    d = len(coefficients) - 1
-    total = module_len
-    for i in range(1, d + 1):
-        term = coefficients[i] * binomial(n + d - 1 - i, d - i)
-        total += -term if i % 2 else term
-    return total
-
-
 def verify_torsion_polynomial(inst, coefficients, n0_k, module_len,
                               torsion_values) -> dict:
     """The torsion Hilbert polynomial identity: the fitted polynomial of
     H_J(L, n) = length(J^n ⊗ L) must equal the alternating tail of the
-    Hilbert coefficients of K plus length(L), pointwise on the stable range.
+    Hilbert coefficients of K plus length(L), pointwise on the stable range:
+    -e_1 C(n+d-2, d-1) + e_2 C(n+d-3, d-2) - ... + (-1)^d e_d + len(L).
     """
     d = inst.d
     fit, n0_j = fit_coefficients(torsion_values, d - 1) if d >= 1 else ((), 1)
     start = max(n0_k, n0_j)
     mismatches = []
     for n in range(start, inst.max_power + 1):
-        rhs = _torsion_rhs(coefficients, module_len, n)
+        rhs = (hilbert_polynomial_value(coefficients, n)
+               - coefficients[0] * binomial(n + d - 1, d) + module_len)
         if torsion_values[n] != rhs:
             mismatches.append({"n": n, "lhs": _s(torsion_values[n]),
                                "rhs": _s(rhs)})

@@ -75,6 +75,25 @@ def test_verify_e1(capsys):
                      "coefficient_collapse", "tor1_two_routes", "negativity"}
 
 
+def test_coeffs_e1_table(capsys):
+    code, out, _ = run(capsys, "coeffs", E1)
+    assert code == 0
+    lines = out.splitlines()
+    assert "e:          2, -1, 0" in lines
+    assert "lambda_L:   1" in lines
+
+
+def test_verify_e1_report(capsys):
+    code, out, _ = run(capsys, "verify", E1)
+    assert code == 0
+    lines = out.splitlines()
+    identities = [line.split() for line in lines if line.startswith("  ")]
+    assert identities == [[name, "pass"] for name in (
+        "e0_additivity", "torsion_polynomial", "coefficient_collapse",
+        "tor1_two_routes", "negativity")]
+    assert lines[-1] == "overall: pass"
+
+
 def test_verify_e4_part2_not_applicable(capsys):
     code, out, _ = run(capsys, "verify", E4, "--json")
     assert code == 0
@@ -113,10 +132,15 @@ BASE = {
 
 
 def test_schema_error_nonprime(tmp_path, capsys):
-    bad = dict(BASE, characteristic=32001)
-    code, _, err = run(capsys, "hilbert", _write(tmp_path, "p.json", bad))
-    assert code == 2
-    assert "prime" in err
+    # 32001 = 3 * 10667; psi_12 is composite but a strong pseudoprime to the
+    # bases 2..37; psi_13 is the first input the primality test is not exact on
+    for p in (32001, 318665857834031151167461, 3317044064679887385961981):
+        path = _write(tmp_path, "p.json", dict(BASE, characteristic=p))
+        for command in ("hilbert", "coeffs", "verify"):
+            code, out, err = run(capsys, command, path)
+            assert code == 2
+            assert "prime" in err
+            assert out == ""
 
 
 def test_schema_error_unknown_key(tmp_path, capsys):
@@ -218,7 +242,7 @@ def test_parallel_jobs_match_sequential(capsys):
 
 
 def test_parallel_jobs_fallback_matches_sequential(tmp_path, capsys):
-    # a quadratic parameter takes the per-n route, which --jobs fans out
+    # a quadratic parameter takes the per-n route; --jobs has no effect on it
     path = _write(tmp_path, "q.json", dict(BASE, ideals=[["x", "y"]],
                                            parameters=["z^2", "w"]))
     _, sequential, _ = run(capsys, "hilbert", path, "--json",

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from chernlab import (ContextMismatchError, ParseError, Polynomial,
-                      RingContext, binomial, is_prime, parse_polynomial)
+from chernlab import (PRIME_LIMIT, ContextMismatchError, ParseError,
+                      Polynomial, RingContext, binomial, is_prime,
+                      parse_polynomial)
 
 P = 32003
 
@@ -142,6 +143,9 @@ def test_parser_round_trip(ctx4):
 def test_is_prime():
     assert is_prime(2) and is_prime(32003) and is_prime(10007)
     assert not is_prime(1) and not is_prime(32001) and not is_prime(0)
+    assert is_prime(2 ** 61 - 1)
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to 2..37
+    assert not is_prime(318665857834031151167461)
 
 
 def test_ring_context_validation():
@@ -151,6 +155,8 @@ def test_ring_context_validation():
         RingContext(["x", "x"])
     with pytest.raises(ValueError):
         RingContext(["x"], characteristic=32001)
+    with pytest.raises(ValueError):
+        RingContext(["x"], characteristic=PRIME_LIMIT)
     with pytest.raises(ValueError):
         RingContext(["2bad"])
 

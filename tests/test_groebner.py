@@ -130,20 +130,6 @@ def test_determinism(ctx4):
     assert [str(p) for p in a] == [str(p) for p in b]
 
 
-def test_truncated_basis_matches_full(ctx4):
-    gens = _polys(ctx4, "x*z", "x*w", "y*z", "y*w", "x^2 + y^2")
-    full = buchberger(gens, ctx4)
-    for bound in (2, 3, 4):
-        truncated = buchberger(gens, ctx4, degree_bound=bound)
-        expected = sorted(m for m in full.lead_monomials() if sum(m) <= bound)
-        assert sorted(truncated.lead_monomials()) == expected
-
-
-def test_truncation_requires_homogeneous(ctx4):
-    with pytest.raises(ValueError):
-        buchberger(_polys(ctx4, "x^2 - y"), ctx4, degree_bound=3)
-
-
 def _random_poly(ctx, rng, max_degree):
     terms = {}
     for _ in range(rng.randrange(5)):

@@ -100,7 +100,7 @@ def test_finite_differences_vanish(e1):
 def test_dataset_invariants():
     values = {1: 3, 2: 8, 3: 15, 4: 24}
     dataset = HilbertDataset.fit(values, 2)
-    assert all(dataset.polynomial_value(n) == values[n]
+    assert all(hilbert_polynomial_value(dataset.coefficients, n) == values[n]
                for n in values if n >= dataset.n0)
     with pytest.raises(InconsistentDataError):
         HilbertDataset(2, values, (0, 1, 1), 1)

@@ -2,8 +2,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from chernlab import (Ideal, RingContext, binomial, diagonal_cokernel,
-                      en_betti, en_matrix, en_resolution,
+from chernlab import (ENResolutionData, Ideal, RingContext, binomial,
+                      diagonal_cokernel, en_betti, en_matrix,
                       hilbert_samuel_values, ideal_intersect, ideal_power,
                       koszul_complex, koszul_composes_to_zero,
                       maximal_minors, parse_polynomial, tor1_closed_form,
@@ -81,7 +81,7 @@ def test_minor_ideal_equals_power(ctx4, names, n):
 
 
 def test_resolution_data_bundles_betti(ctx4):
-    data = en_resolution(_vars(ctx4, "x", "y", "z"), 2)
+    data = ENResolutionData(_vars(ctx4, "x", "y", "z"), 2)
     assert data.betti == (1, 6, 8, 3)
     assert data.euler_characteristic() == 0
 
