@@ -203,15 +203,7 @@ class Polynomial:
                     raise ValueError("monomial length does not match ring")
                 c = coeff % p
                 if c:
-                    prev = clean.get(mono)
-                    if prev is None:
-                        clean[mono] = c
-                    else:
-                        merged = (prev + c) % p
-                        if merged:
-                            clean[mono] = merged
-                        else:
-                            del clean[mono]
+                    clean[mono] = c
         self.ctx = ctx
         self.terms = clean
 

@@ -6,9 +6,11 @@ When the pairwise sums I_i + I_j are m-primary this cokernel has finite
 length; its Hilbert series is the difference of the component series and the
 series of the intersection, and that difference being a polynomial certifies
 the exact top degree.  The model carries explicit bases (tuples of standard
-monomials) and multiplication matrices for each ring variable, which is
-enough to decide annihilation by an ideal and to measure colengths of power
-actions by plain dense linear algebra over F_p.
+monomials) per degree.  Multiplication by a homogeneous element acts the way
+the model is built: by normal forms against the component Groebner bases,
+projected onto the cokernel coordinates.  That is enough to decide
+annihilation by an ideal and to measure colengths of power actions by plain
+dense linear algebra over F_p.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from .core import Polynomial
 from .groebner import normal_form, standard_monomials
 from .ideals import Ideal, NotFiniteLengthError, quotient_hilbert_series
-from .linalg import RowSpan, mat_mul, mat_vec, rref_mod_p
+from .linalg import RowSpan, mat_vec, rref_mod_p
 
 __all__ = [
     "CokernelModule",
@@ -27,72 +29,61 @@ __all__ = [
 
 
 class CokernelModule:
-    """Finite-length graded module with per-degree bases and variable actions.
+    """Finite-length graded module with per-degree bases.
 
     dims[s] is the dimension in degree s (s = 0..top_degree); bases[s] lists
     the coordinate labels (component index, standard monomial) chosen for
-    degree s; var_maps[u][s] is the matrix of multiplication by variable u
-    from degree s to s+1 (maps out of top_degree are zero and not stored).
-    top_degree is None exactly when the module is zero.
+    degree s.  top_degree is None exactly when the module is zero.  Actions
+    are computed on demand from what the model was built with: the component
+    Groebner bases, the per-degree coordinate index and the per-degree
+    reduced row echelon form of the diagonal image.
     """
 
-    __slots__ = ("ctx", "length", "top_degree", "dims", "bases", "var_maps")
+    __slots__ = ("ctx", "length", "top_degree", "dims", "bases",
+                 "_gbs", "_index", "_rrefs")
 
-    def __init__(self, ctx, length, top_degree, dims, bases, var_maps):
+    def __init__(self, ctx, length, top_degree, dims, bases,
+                 gbs=(), index=(), rrefs=()):
         self.ctx = ctx
         self.length = length
         self.top_degree = top_degree
         self.dims = tuple(dims)
         self.bases = tuple(tuple(b) for b in bases)
-        self.var_maps = var_maps
+        self._gbs = gbs
+        self._index = index
+        self._rrefs = rrefs
 
     def dim(self, s: int) -> int:
         if self.top_degree is None or s < 0 or s > self.top_degree:
             return 0
         return self.dims[s]
 
-    def variable_map(self, u: int, s: int):
-        """Matrix of multiplication by variable u, degree s -> s+1."""
-        if self.top_degree is None or s < 0 or s >= self.top_degree:
-            return []
-        return self.var_maps[u][s]
+    def polynomial_action(self, f: Polynomial, s: int):
+        """Matrix of multiplication by a homogeneous polynomial at degree s.
 
-    def monomial_action(self, mono, s: int):
-        """Matrix of multiplication by a monomial from degree s upward,
-        composing variable maps in ascending variable order."""
-        e = sum(mono)
-        target = self.dim(s + e)
+        Column b = (i, mono) of bases[s] is the normal form of f * mono
+        against the i-th component basis, projected onto the free
+        coordinates of degree s + deg f.
+        """
+        if f.is_zero() or not f.is_homogeneous():
+            raise ValueError("action needs a nonzero homogeneous element")
+        t = s + f.degree()
+        target = self.dim(t)
         source = self.dim(s)
         if target == 0 or source == 0:
             return [[0] * source for _ in range(target)]
-        p = self.ctx.characteristic
-        mat = [[1 if i == j else 0 for j in range(source)] for i in range(source)]
-        level = s
-        for u, exp in enumerate(mono):
-            for _ in range(exp):
-                mat = mat_mul(self.variable_map(u, level), mat, p)
-                level += 1
-                if not mat:
-                    return [[0] * source for _ in range(target)]
-        return mat
-
-    def polynomial_action(self, f: Polynomial, s: int):
-        """Matrix of multiplication by a homogeneous polynomial at degree s."""
-        if f.is_zero() or not f.is_homogeneous():
-            raise ValueError("action needs a nonzero homogeneous element")
-        e = f.degree()
-        p = self.ctx.characteristic
-        target = self.dim(s + e)
-        source = self.dim(s)
-        acc = [[0] * source for _ in range(target)]
-        for mono, coeff in sorted(f.terms.items(), key=lambda t: self.ctx.sort_key(t[0])):
-            mat = self.monomial_action(mono, s)
-            for i in range(target):
-                row = mat[i]
-                arow = acc[i]
-                for j in range(source):
-                    arow[j] = (arow[j] + coeff * row[j]) % p
-        return acc
+        ctx = self.ctx
+        index = self._index[t]
+        rref_rows, pivots, free = self._rrefs[t]
+        columns = []
+        for i, mono in self.bases[s]:
+            nf = normal_form(f * Polynomial(ctx, {mono: 1}), self._gbs[i])
+            vec = [0] * len(index)
+            for m, c in nf.terms.items():
+                vec[index[(i, m)]] = c
+            columns.append(_project(vec, rref_rows, pivots, free,
+                                    ctx.characteristic))
+        return [list(row) for row in zip(*columns)]
 
 
 def _project(vector, rref_rows, pivot_cols, free_cols, p):
@@ -136,7 +127,7 @@ def diagonal_cokernel(ideals, core: Ideal) -> CokernelModule:
     dims = list(series.numerator)
     length = sum(dims)
     if length == 0:
-        return CokernelModule(ctx, 0, None, [], [], [])
+        return CokernelModule(ctx, 0, None, [], [])
     top = len(dims) - 1
 
     component_gbs = [ideal.groebner() for ideal in ideals]
@@ -173,24 +164,8 @@ def diagonal_cokernel(ideals, core: Ideal) -> CokernelModule:
         rrefs.append((rref_rows, pivots, free))
         bases.append([coords[s][j] for j in free])
 
-    nvars = ctx.nvars
-    var_maps = [[None] * top for _ in range(nvars)]
-    for s in range(top):
-        rref_rows, pivots, free = rrefs[s + 1]
-        for u in range(nvars):
-            columns = []
-            for (i, mono) in bases[s]:
-                shifted = tuple(e + 1 if v == u else e for v, e in enumerate(mono))
-                nf = normal_form(Polynomial(ctx, {shifted: 1}), component_gbs[i])
-                vec = [0] * len(coords[s + 1])
-                for m, c in nf.terms.items():
-                    vec[coord_index[s + 1][(i, m)]] = c
-                columns.append(_project(vec, rref_rows, pivots, free, p))
-            matrix = [[columns[j][i] for j in range(len(columns))]
-                      for i in range(dims[s + 1])]
-            var_maps[u][s] = matrix
-
-    return CokernelModule(ctx, length, top, dims, bases, var_maps)
+    return CokernelModule(ctx, length, top, dims, bases,
+                          component_gbs, coord_index, rrefs)
 
 
 def annihilates(ideal: Ideal, model: CokernelModule) -> bool:

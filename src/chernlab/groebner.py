@@ -37,7 +37,13 @@ def _mono_divides(a, b):
     return True
 
 
-def _reduce_terms(terms, lms, degs, tails, p, heap_key, nb):
+def _tail(terms, lm, key):
+    """Non-leading terms of a reducer, largest first."""
+    return sorted(((m, c) for m, c in terms.items() if m != lm),
+                  key=lambda t: key(t[0]), reverse=True)
+
+
+def _reduce_terms(terms, lms, degs, tails, p, heap_key):
     """Full normal form of a term dict against monic reducers.
 
     Monomials are processed from largest to smallest via a heap; each
@@ -56,8 +62,8 @@ def _reduce_terms(terms, lms, degs, tails, p, heap_key, nb):
             continue
         mdeg = sum(m)
         red = -1
-        for idx in range(nb):
-            if degs[idx] <= mdeg and _mono_divides(lms[idx], m):
+        for idx, lm in enumerate(lms):
+            if degs[idx] <= mdeg and _mono_divides(lm, m):
                 red = idx
                 break
         if red < 0:
@@ -112,11 +118,9 @@ class _Engine:
             inv = pow(lc, -1, self.p)
             terms = {m: c * inv % self.p for m, c in terms.items()}
         j = len(self.lms)
-        tail = sorted(((m, c) for m, c in terms.items() if m != lm),
-                      key=lambda t: key(t[0]), reverse=True)
         self.lms.append(lm)
         self.degs.append(sum(lm))
-        self.tails.append(tail)
+        self.tails.append(_tail(terms, lm, key))
         self.polys.append(terms)
         for i in range(j):
             lcm = _mono_lcm(self.lms[i], lm)
@@ -158,7 +162,7 @@ class _Engine:
             if not s_terms:
                 continue
             reduced = _reduce_terms(s_terms, self.lms, self.degs, self.tails,
-                                    self.p, self.heap_key, len(self.lms))
+                                    self.p, self.heap_key)
             if reduced:
                 self._append(reduced)
 
@@ -179,49 +183,40 @@ class _Engine:
         return out
 
 
-def _interreduce(term_dicts, ctx):
-    """Turn a generating set with the Groebner property into the reduced basis."""
-    key = ctx.sort_key
-    p = ctx.characteristic
-    items = []
-    for terms in term_dicts:
-        if terms:
-            items.append((max(terms, key=key), terms))
-    items.sort(key=lambda t: key(t[0]))
+def _interreduce(engine):
+    """Turn the engine's basis, which has the Groebner property, into the
+    reduced basis.
+
+    Only elements with minimal leading monomials are kept.  Each kept tail is
+    reduced against all kept elements: a tail term lies below its own leading
+    monomial, so the element itself never applies.  Engine elements are
+    already monic.
+    """
+    key = engine.sort_key
     kept = []
-    for lm, terms in items:
-        if any(_mono_divides(klm, lm) for klm, _ in kept):
-            continue
-        kept.append((lm, terms))
-    heap_key = ctx.heap_key
-    reduced = []
-    for idx, (lm, terms) in enumerate(kept):
-        lms = [k for i, (k, _) in enumerate(kept) if i != idx]
-        degs = [sum(k) for k in lms]
-        tails = []
-        for i, (klm, kterms) in enumerate(kept):
-            if i != idx:
-                tail = sorted(((m, c) for m, c in kterms.items() if m != klm),
-                              key=lambda t: key(t[0]), reverse=True)
-                tails.append(tail)
-        out = _reduce_terms(terms, lms, degs, tails, p, heap_key, len(lms))
-        lc = out[lm]
-        if lc != 1:
-            inv = pow(lc, -1, p)
-            out = {m: c * inv % p for m, c in out.items()}
-        reduced.append(out)
-    return reduced
+    for i in sorted(range(len(engine.lms)), key=lambda k: key(engine.lms[k])):
+        lm = engine.lms[i]
+        if not any(_mono_divides(engine.lms[k], lm) for k in kept):
+            kept.append(i)
+    lms = [engine.lms[i] for i in kept]
+    degs = [engine.degs[i] for i in kept]
+    tails = [engine.tails[i] for i in kept]
+    return [{lm: 1, **_reduce_terms(dict(tail), lms, degs, tails, engine.p,
+                                    engine.heap_key)}
+            for lm, tail in zip(lms, tails)]
 
 
 class GroebnerBasis:
     """A reduced Groebner basis: monic elements sorted by leading monomial."""
 
-    __slots__ = ("ctx", "elements", "_lead")
+    __slots__ = ("ctx", "elements", "_lead", "_tails")
 
     def __init__(self, ctx, elements):
         self.ctx = ctx
         self.elements = tuple(elements)
         self._lead = tuple(g.leading_monomial() for g in self.elements)
+        self._tails = tuple(_tail(g.terms, lm, ctx.sort_key)
+                            for g, lm in zip(self.elements, self._lead))
 
     def lead_monomials(self):
         return self._lead
@@ -254,7 +249,7 @@ def buchberger(gens, ctx=None) -> GroebnerBasis:
             raise ContextMismatchError("generator from a different ring context")
     engine = _Engine(gens, ctx)
     engine.run()
-    reduced = _interreduce(engine.polys, ctx)
+    reduced = _interreduce(engine)
     elements = [Polynomial(ctx, t) for t in reduced]
     return GroebnerBasis(ctx, elements)
 
@@ -290,16 +285,10 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     if f.is_zero() or not basis.elements:
         return f
     ctx = basis.ctx
-    key = ctx.sort_key
-    lms = list(basis.lead_monomials())
+    lms = basis._lead
     degs = [sum(m) for m in lms]
-    tails = []
-    for g, lm in zip(basis.elements, lms):
-        tail = sorted(((m, c) for m, c in g.terms.items() if m != lm),
-                      key=lambda t: key(t[0]), reverse=True)
-        tails.append(tail)
-    out = _reduce_terms(f.terms, lms, degs, tails, ctx.characteristic,
-                        ctx.heap_key, len(lms))
+    out = _reduce_terms(f.terms, lms, degs, basis._tails, ctx.characteristic,
+                        ctx.heap_key)
     res = Polynomial.__new__(Polynomial)
     res.ctx = ctx
     res.terms = out

@@ -5,10 +5,11 @@ The fitted polynomial has the shape
 
     P(n) = e_0 C(n+d-1, d) - e_1 C(n+d-2, d-1) + ... + (-1)^d e_d
 
-and the fit is exact: windows of d+1 consecutive values are solved over the
-rationals and two consecutive windows must agree before the coefficients are
-accepted.  The collocation matrix on consecutive integers is unimodular, so
-non-integral solutions can only come from an internal bug and abort loudly.
+and the fit is exact: the top window of d+1 consecutive values is solved over
+the rationals, and the solution must also reproduce the value just below that
+window before the coefficients are accepted.  The collocation matrix on
+consecutive integers is unimodular, so non-integral solutions can only come
+from an internal bug and abort loudly.
 """
 
 from __future__ import annotations
@@ -181,10 +182,9 @@ def _solve_window(values, start, d):
 def fit_coefficients(values, d: int):
     """Fit (e_0, ..., e_d) to a contiguous window of (n, H(n)) values.
 
-    Sliding windows of width d+1 are solved from the largest n downward; the
-    fit is accepted at the first pair of consecutive windows with identical
-    coefficient vectors whose polynomial also reproduces every recorded value
-    above the window.  Returns (coefficients, n0) where n0 is the smallest n
+    The top window [n_max - d, n_max] of width d+1 is solved once, and the
+    fit is accepted only when its polynomial also reproduces the value at
+    n_max - d - 1.  Returns (coefficients, n0) where n0 is the smallest n
     such that all recorded values from n0 upward match the polynomial.
     """
     if d < 0:
@@ -196,18 +196,9 @@ def fit_coefficients(values, d: int):
     n_min, n_max = ns[0], ns[-1]
     if n_max - n_min + 1 < d + 2:
         raise FitInstabilityError("window too short - increase max_power")
-    previous = None
-    accepted = None
-    for start in range(n_max - d, n_min - 1, -1):
-        solution = _solve_window(values, start, d)
-        if previous is not None and solution == previous:
-            matches = all(values[n] == hilbert_polynomial_value(solution, n)
-                          for n in range(start, n_max + 1))
-            if matches:
-                accepted = solution
-                break
-        previous = solution
-    if accepted is None:
+    accepted = _solve_window(values, n_max - d, d)
+    below = n_max - d - 1
+    if values[below] != hilbert_polynomial_value(accepted, below):
         raise FitInstabilityError("window too short - increase max_power")
     n0 = n_min
     for n in range(n_max, n_min - 1, -1):

@@ -100,27 +100,28 @@ def test_annihilates_by_hand_linear_algebra(ctx4):
     ideals = [I(ctx4, "x", "y^2"), I(ctx4, "z", "w")]
     model = diagonal_cokernel(ideals, intersect_all(ideals))
     assert model.dims == (1, 1)
-    y_index = ctx4.variable_index("y")
-    assert model.variable_map(y_index, 0) == [[1]]
+    def action(name):
+        return model.polynomial_action(Polynomial.variable(ctx4, name), 0)
+    assert action("y") == [[1]]
     for name in ("x", "z", "w"):
-        assert model.variable_map(ctx4.variable_index(name), 0) == [[0]]
+        assert action(name) == [[0]]
     assert annihilates(I(ctx4, "x", "z", "w"), model)
     assert not annihilates(I(ctx4, "y"), model)
     assert not annihilates(I(ctx4, "x + y"), model)
 
 
 def test_variable_actions_commute(staircase_model):
+    # acting by a, then by b, is acting by the product a*b = b*a
     model = staircase_model
-    p = model.ctx.characteristic
-    top = model.top_degree
-    for s in range(top - 1):
-        for u in range(model.ctx.nvars):
-            for v in range(u + 1, model.ctx.nvars):
-                uv = mat_mul(model.variable_map(v, s + 1),
-                             model.variable_map(u, s), p)
-                vu = mat_mul(model.variable_map(u, s + 1),
-                             model.variable_map(v, s), p)
-                assert uv == vu
+    ctx = model.ctx
+    p = ctx.characteristic
+    variables = [Polynomial.variable(ctx, name) for name in ctx.variables]
+    for s in range(model.top_degree - 1):
+        for a in variables:
+            for b in variables:
+                composed = mat_mul(model.polynomial_action(b, s + 1),
+                                   model.polynomial_action(a, s), p)
+                assert composed == model.polynomial_action(a * b, s)
 
 
 def test_dims_match_series(e4):
@@ -144,8 +145,11 @@ def test_power_colength_basics(e1, ctx4):
 
 
 def test_power_colength_monotone(staircase_model, ctx4):
-    j = I(ctx4, "y")
-    values = [power_colength(staircase_model, j, n) for n in range(6)]
-    assert values == [0, 1, 2, 3, 3, 3]
-    assert all(a <= b for a, b in zip(values, values[1:]))
-    assert values[-1] == staircase_model.length
+    cases = [("y", [0, 1, 2, 3, 3, 3]),
+             ("y^2", [0, 2, 3, 3, 3, 3])]     # y^2 is a degree-2 action
+    for gen, expected in cases:
+        j = I(ctx4, gen)
+        values = [power_colength(staircase_model, j, n) for n in range(6)]
+        assert values == expected
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        assert values[-1] == staircase_model.length

@@ -62,6 +62,20 @@ def test_fit_detects_stabilization_index():
     assert n0 == 3
 
 
+def test_fit_solves_one_window(monkeypatch):
+    import chernlab.hilbert as hilbert_module
+    calls = []
+
+    def counting(matrix, rhs):
+        calls.append(len(rhs))
+        return solve_fraction_free(matrix, rhs)
+
+    monkeypatch.setattr(hilbert_module, "solve_fraction_free", counting)
+    values = {n: hilbert_polynomial_value((2, -1, 0), n) for n in range(1, 9)}
+    assert fit_coefficients(values, 2) == ((2, -1, 0), 1)
+    assert calls == [3]
+
+
 def test_fit_window_too_short():
     with pytest.raises(FitInstabilityError):
         fit_coefficients({1: 3, 2: 8, 3: 15}, 2)
