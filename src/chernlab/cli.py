@@ -281,8 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="emit machine-readable JSON")
         p.add_argument("--force", action="store_true",
                        help="proceed despite hypothesis failures")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
 
     p_hilbert = sub.add_parser("hilbert",
                                help="table of Hilbert-Samuel values H(K, n)")

@@ -9,11 +9,27 @@ Buchberger S-polynomial property test in the suite guards both.
 For homogeneous input the degree-ordered schedule makes the basis exact
 degree by degree: once every pair of S-degree <= s has been processed, the
 leading terms of degree <= s are final (``ideals.quotient_length`` uses this).
+
+Hilbert-driven stop (Traverso, "Hilbert functions and the Buchberger
+algorithm", J. Symbolic Comput. 22, 1996).  ``buchberger`` may be given the
+Hilbert series of S/I, known in advance.  After each new basis element G the
+engine compares HS(S/in(G)) with it and, once they are equal, drops the
+pairs still queued.  This is exact for homogeneous I, which ``Ideal``
+enforces: in(G) is contained in in(I), both are monomial ideals, and
+dim S_s/in(I)_s = dim S_s/I_s in every degree s, so equal series force
+in(G) = in(I) degree by degree.  G is then already a Groebner basis, every
+dropped pair would have reduced to zero, and the reduced basis is the same.
+For an ("elim", k, base) order the series is that of the elimination ideal
+I ∩ F[x_(k+1), ...], which must be homogeneous (I need not be), and only the
+leading monomials free of the first k variables count: they are those of
+the basis elements lying in that ideal, so the same argument applies to
+them, and only those elements of the result are guaranteed.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 
 from .core import ContextMismatchError, Polynomial
 
@@ -27,14 +43,11 @@ __all__ = [
 
 
 def _mono_lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mono_divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return all(map(le, a, b))
 
 
 def _tail(terms, lm, key):
@@ -43,42 +56,64 @@ def _tail(terms, lm, key):
                   key=lambda t: key(t[0]), reverse=True)
 
 
-def _reduce_terms(terms, lms, degs, tails, p, heap_key):
+class _KeyMemo(dict):
+    """Heap keys by monomial, computed on first use."""
+
+    __slots__ = ("heap_key",)
+
+    def __init__(self, heap_key):
+        super().__init__()
+        self.heap_key = heap_key
+
+    def __missing__(self, m):
+        key = self[m] = self.heap_key(m)
+        return key
+
+
+def _reduce_terms(terms, lms, degs, tails, p, keys, reducer_of):
     """Full normal form of a term dict against monic reducers.
 
     Monomials are processed from largest to smallest via a heap; each
     reduction step can only introduce strictly smaller monomials, so the loop
     terminates with a remainder none of whose terms is divisible by any
     reducer leading monomial.
+
+    ``keys`` maps a monomial to its heap key.  ``reducer_of`` caches the
+    first reducer whose leading monomial divides a monomial, or ~n when none
+    of the first n does; it stays valid while reducers are only appended.
     """
     work = dict(terms)
-    heap = [(heap_key(m), m) for m in work]
+    heap = [(keys[m], m) for m in work]
     heapify(heap)
     out = {}
+    nred = len(lms)
     while heap:
         _, m = heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
-        mdeg = sum(m)
-        red = -1
-        for idx, lm in enumerate(lms):
-            if degs[idx] <= mdeg and _mono_divides(lm, m):
-                red = idx
-                break
+        red = reducer_of.get(m, -1)
+        if red < 0 and ~red < nred:
+            mdeg = sum(m)
+            for idx in range(~red, nred):
+                if degs[idx] <= mdeg and all(map(le, lms[idx], m)):
+                    red = idx
+                    break
+            else:
+                red = ~nred
+            reducer_of[m] = red
         if red < 0:
             out[m] = c
             continue
-        lt = lms[red]
-        q = tuple(y - x for x, y in zip(lt, m))
+        q = tuple(map(sub, m, lms[red]))
         for tm, tc in tails[red]:
-            mm = tuple(x + y for x, y in zip(q, tm))
+            mm = tuple(map(add, q, tm))
             prev = work.get(mm)
             if prev is None:
                 v = (-c * tc) % p
                 if v:
                     work[mm] = v
-                    heappush(heap, (heap_key(mm), mm))
+                    heappush(heap, (keys[mm], mm))
             else:
                 v = (prev - c * tc) % p
                 if v:
@@ -92,20 +127,43 @@ class _Engine:
     """Incremental Buchberger run over term dicts.
 
     Basis elements are stored monic.  ``run(limit)`` processes every queued
-    pair of S-degree <= limit (all pairs when limit is None).
+    pair of S-degree <= limit (all pairs when limit is None).  With a target
+    ``series`` the queue is dropped as soon as HS(S/in(G)) reaches it (see
+    the module docstring).
+
+    The counters are plain ints for tests and profiling: pairs popped, pairs
+    skipped by the coprime and chain criteria, pairs whose S-polynomial
+    reduced to zero, and whether the series stop dropped queued pairs.
     """
 
-    def __init__(self, gens, ctx):
+    def __init__(self, gens, ctx, series=None):
         self.ctx = ctx
         self.p = ctx.characteristic
         self.sort_key = ctx.sort_key
-        self.heap_key = ctx.heap_key
+        self.keys = _KeyMemo(ctx.heap_key)
+        self.reducer_of = {}
         self.lms = []
+        self.lead_keys = []
         self.degs = []
         self.tails = []
         self.polys = []
         self.pairs = []
         self.pending = set()
+        self.pairs_popped = 0
+        self.coprime_skips = 0
+        self.chain_skips = 0
+        self.zero_reductions = 0
+        self.series_stop = False
+        self.series = series
+        self.reached = False
+        if series is not None:
+            order = ctx.order
+            self.eliminated = (order[1] if isinstance(order, tuple)
+                               and order[0] == "elim" else 0)
+            # leading monomials free of the eliminated variables, without
+            # them, and the numerator of their quotient's Hilbert series
+            self.free_leads = []
+            self.numerator = [1]
         for g in gens:
             if g.terms:
                 self._append(dict(g.terms))
@@ -118,15 +176,41 @@ class _Engine:
             inv = pow(lc, -1, self.p)
             terms = {m: c * inv % self.p for m, c in terms.items()}
         j = len(self.lms)
+        lm_key = key(lm)
         self.lms.append(lm)
+        self.lead_keys.append(lm_key)
         self.degs.append(sum(lm))
         self.tails.append(_tail(terms, lm, key))
         self.polys.append(terms)
         for i in range(j):
             lcm = _mono_lcm(self.lms[i], lm)
-            entry = ((sum(lcm), key(lcm), key(self.lms[i]), key(lm)), i, j)
+            entry = ((sum(lcm), key(lcm), self.lead_keys[i], lm_key), i, j)
             heappush(self.pairs, entry)
             self.pending.add((i, j))
+        if self.series is not None:
+            self._add_to_series(lm)
+
+    def _add_to_series(self, lm):
+        """Update HS(S'/in(G)), S' the ring of the variables that are kept,
+        for a new leading monomial m: N(M + (m)) = N(M) - t^deg(m) N(M : m)
+        for the numerators over (1-t)^nvars(S')."""
+        k = self.eliminated
+        if any(lm[:k]):
+            return
+        # ideals imports this module, so import from it at run time
+        from .ideals import HilbertSeries, _minimalize, _series_numerator
+
+        m = lm[k:]
+        colon = _minimalize([tuple(map(sub, _mono_lcm(g, m), m))
+                             for g in self.free_leads])
+        self.free_leads.append(m)
+        colon_num = _series_numerator(colon, len(m))
+        shift = sum(m)
+        num = self.numerator
+        num += [0] * (shift + len(colon_num) - len(num))
+        for i, c in enumerate(colon_num):
+            num[i + shift] -= c
+        self.reached = HilbertSeries(num, len(m)) == self.series
 
     @property
     def exhausted(self):
@@ -137,44 +221,51 @@ class _Engine:
         pending = self.pending
         lms = self.lms
         while pairs and (limit is None or pairs[0][0][0] <= limit):
+            if self.reached:
+                self.series_stop = True
+                pairs.clear()
+                pending.clear()
+                break
             _, i, j = heappop(pairs)
+            self.pairs_popped += 1
             pending.discard((i, j))
             lm_i = lms[i]
             lm_j = lms[j]
-            lcm = _mono_lcm(lm_i, lm_j)
-            # coprime criterion
-            if all(x + y == z for x, y, z in zip(lm_i, lm_j, lcm)):
+            if not any(map(min, lm_i, lm_j)):
+                self.coprime_skips += 1
                 continue
+            lcm = _mono_lcm(lm_i, lm_j)
             # chain criterion
             skip = False
             for k in range(len(lms)):
                 if k == i or k == j:
                     continue
-                if _mono_divides(lms[k], lcm):
+                if all(map(le, lms[k], lcm)):
                     a = (i, k) if i < k else (k, i)
                     b = (j, k) if j < k else (k, j)
                     if a not in pending and b not in pending:
                         skip = True
                         break
             if skip:
+                self.chain_skips += 1
                 continue
             s_terms = self._spair_terms(i, j, lcm)
-            if not s_terms:
-                continue
-            reduced = _reduce_terms(s_terms, self.lms, self.degs, self.tails,
-                                    self.p, self.heap_key)
+            reduced = _reduce_terms(s_terms, lms, self.degs, self.tails,
+                                    self.p, self.keys, self.reducer_of)
             if reduced:
                 self._append(reduced)
+            else:
+                self.zero_reductions += 1
 
     def _spair_terms(self, i, j, lcm):
         p = self.p
-        qi = tuple(a - b for a, b in zip(lcm, self.lms[i]))
-        qj = tuple(a - b for a, b in zip(lcm, self.lms[j]))
+        qi = tuple(map(sub, lcm, self.lms[i]))
+        qj = tuple(map(sub, lcm, self.lms[j]))
         out = {}
         for m, c in self.polys[i].items():
-            out[tuple(a + b for a, b in zip(qi, m))] = c
+            out[tuple(map(add, qi, m))] = c
         for m, c in self.polys[j].items():
-            mm = tuple(a + b for a, b in zip(qj, m))
+            mm = tuple(map(add, qj, m))
             v = (out.get(mm, 0) - c) % p
             if v:
                 out[mm] = v
@@ -201,8 +292,9 @@ def _interreduce(engine):
     lms = [engine.lms[i] for i in kept]
     degs = [engine.degs[i] for i in kept]
     tails = [engine.tails[i] for i in kept]
+    reducer_of = {}
     return [{lm: 1, **_reduce_terms(dict(tail), lms, degs, tails, engine.p,
-                                    engine.heap_key)}
+                                    engine.keys, reducer_of)}
             for lm, tail in zip(lms, tails)]
 
 
@@ -237,8 +329,14 @@ class GroebnerBasis:
         return f"GroebnerBasis([{gens}])"
 
 
-def buchberger(gens, ctx=None) -> GroebnerBasis:
-    """Compute the reduced Groebner basis of the ideal generated by gens."""
+def buchberger(gens, ctx=None, series=None) -> GroebnerBasis:
+    """Compute the reduced Groebner basis of the ideal generated by gens.
+
+    ``series``, when given, is the HilbertSeries of S/I for the homogeneous
+    ideal I = (gens); for an ("elim", k, base) order it is the series of the
+    elimination ideal's quotient in the remaining variables.  The run then
+    stops once the leading monomials reach it (see the module docstring).
+    """
     gens = list(gens)
     if ctx is None:
         if not gens:
@@ -247,7 +345,7 @@ def buchberger(gens, ctx=None) -> GroebnerBasis:
     for g in gens:
         if g.ctx != ctx:
             raise ContextMismatchError("generator from a different ring context")
-    engine = _Engine(gens, ctx)
+    engine = _Engine(gens, ctx, series)
     engine.run()
     reduced = _interreduce(engine)
     elements = [Polynomial(ctx, t) for t in reduced]
@@ -288,7 +386,7 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     lms = basis._lead
     degs = [sum(m) for m in lms]
     out = _reduce_terms(f.terms, lms, degs, basis._tails, ctx.characteristic,
-                        ctx.heap_key)
+                        _KeyMemo(ctx.heap_key), {})
     res = Polynomial.__new__(Polynomial)
     res.ctx = ctx
     res.terms = out

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .core import Polynomial, RingContext, binomial
 from .groebner import _mono_divides, buchberger
 from .ideals import (Ideal, NotFiniteLengthError, ideal_power, ideal_sum,
-                     quotient_length)
+                     quotient_hilbert_series, quotient_length)
 from .linalg import rref_mod_p, solve_fraction_free
 
 __all__ = [
@@ -78,7 +78,9 @@ def _tangent_cone_leads(ideal: Ideal, rows):
     The new variables are y_i = (rref row i) . x followed by the x_c of the
     non-pivot columns c, which is invertible with x_c = z_c and
     x_(pivot i) = y_i - sum_c row_i[c] z_c.  The basis is computed in the
-    ("ydeg", k, base) order.  Returns (k, leads).
+    ("ydeg", k, base) order, with the Hilbert series of S/ideal as its
+    target: a linear change of coordinates keeps the series.  Returns
+    (k, leads).
     """
     ctx = ideal.ctx
     r = ctx.nvars
@@ -101,7 +103,7 @@ def _tangent_cone_leads(ideal: Ideal, rows):
             terms[unit(k + t)] = -row[f]
         images[c] = Polynomial(gr_ctx, terms)
     basis = buchberger([g.substitute(images) for g in ideal.generators],
-                       gr_ctx)
+                       gr_ctx, quotient_hilbert_series(ideal))
     return k, basis.lead_monomials()
 
 
@@ -116,7 +118,11 @@ def hilbert_samuel_values(ideal: Ideal, parameters: Ideal,
     function of gr_J(S/ideal) (Greuel-Pfister, A Singular Introduction to
     Commutative Algebra, ch. 5).  H(n) is then the number of standard
     monomials of y-degree < n, for every n at once; they are enumerated
-    degree by degree.  Other parameters take one hilbert_samuel per n.
+    degree by degree.  The basis run has HS(S/ideal) as its target series,
+    read off the ideal's own basis (for the core it comes from
+    ideal_intersect, for a component from its Krull dimension), and stops
+    once its leading monomials reach it.  Other parameters take one
+    hilbert_samuel per n.
 
     Raises NotFiniteLengthError when S/(ideal + parameters) does not have
     finite length.

@@ -120,6 +120,11 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
     A ∩ B = (t*A + (1-t)*B) ∩ k[x], computed with a block order eliminating
     t.  Ties inside each block follow the base context order, so the t-free
     part of the elimination basis is already the reduced basis of A ∩ B.
+
+    The elimination run has the target series
+    HS(S/(A ∩ B)) = HS(S/A) + HS(S/B) - HS(S/(A + B)), from the exact
+    sequence 0 -> S/(A ∩ B) -> S/A ⊕ S/B -> S/(A + B) -> 0, and stops once
+    its t-free leading monomials reach it.  This costs one basis of A + B.
     """
     _check_pair(a, b)
     ctx = a.ctx
@@ -137,7 +142,9 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
     for g in b.generators:
         gens.append(lift(g, 0) + lift(g, 1, -1))
 
-    eliminated = buchberger(gens, ectx)
+    series = (quotient_hilbert_series(a) + quotient_hilbert_series(b)
+              - quotient_hilbert_series(ideal_sum(a, b)))
+    eliminated = buchberger(gens, ectx, series)
     kept = []
     for g in eliminated:
         if all(m[0] == 0 for m in g.terms):

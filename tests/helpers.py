@@ -29,13 +29,13 @@ def variable_images(ctx, matrix):
     return images
 
 
-def transformed_planes(rng, p, names, blocks, parameters):
+def transformed_planes(rng, p, names, blocks, parameters, order="grevlex"):
     """Apply a random invertible coordinate change to a plane configuration.
 
     ``blocks`` lists the generator strings per component; ``parameters`` the
     sop strings.  Returns (ctx, ideals, parameter ideal).
     """
-    ctx = RingContext(names, p)
+    ctx = RingContext(names, p, order)
     images = variable_images(ctx, random_invertible_matrix(rng, ctx.nvars, p))
 
     def phi(text):
