@@ -5,13 +5,13 @@ ideals, over prime fields."""
 from .core import (PRIME_LIMIT, ContextMismatchError, ParseError, Polynomial,
                    RingContext, binomial, is_prime, parse_polynomial)
 from .graded import (CokernelModule, annihilates, diagonal_cokernel,
-                     power_colength)
+                     power_colength, power_colengths)
 from .groebner import (GroebnerBasis, buchberger, normal_form, s_polynomial,
                        standard_monomials)
 from .hilbert import (CmResult, FitInstabilityError, HilbertDataset,
                       InconsistentDataError, chern_sign, cm_test,
                       fit_coefficients, hilbert_polynomial_value,
-                      hilbert_samuel, hilbert_samuel_values)
+                      hilbert_samuel, hilbert_samuel_values, tangent_cone)
 from .ideals import (HilbertSeries, Ideal, NotFiniteLengthError, ideal_intersect,
                      ideal_power, ideal_product, ideal_sum, intersect_all,
                      is_mprimary, krull_dimension, monomial_hilbert_series,

@@ -8,7 +8,8 @@ decimal strings.
 
 Exit codes: 0 success (verify: overall pass), 1 internal inconsistency,
 2 schema error, 3 hypothesis failure (suppressed by --force), 4 fit
-instability.
+instability or, for verify, an inconclusive identity (both: the window is
+too short, increase --max-power).
 """
 
 from __future__ import annotations
@@ -177,7 +178,8 @@ def cmd_hilbert(args) -> int:
     _, gate = _gate_hypotheses(inst, args.force)
     if gate is not None:
         return gate
-    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
+    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power,
+                                   inst.cone)
     if args.json:
         _emit_json([{"n": n, "length": str(values[n])} for n in sorted(values)])
     else:
@@ -192,7 +194,8 @@ def cmd_coeffs(args) -> int:
     _, gate = _gate_hypotheses(inst, args.force)
     if gate is not None:
         return gate
-    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
+    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power,
+                                   inst.cone)
     dataset = HilbertDataset.fit(values, inst.d)
     model = diagonal_cokernel(inst.ideals, inst.core)
     cm = cm_test(dataset.coefficients[0], values[1])
@@ -228,7 +231,18 @@ def cmd_verify(args) -> int:
         _emit_json(report)
     else:
         _print_report(report)
-    return EXIT_OK if report.get("overall") == "pass" else EXIT_INTERNAL
+    overall = report.get("overall")
+    if overall == "inconclusive":
+        # only the torsion identity can be inconclusive; it then starts
+        # its comparison at nu
+        nu = next(i["witness"]["compared_from"] for i in report["identities"]
+                  if i["status"] == "inconclusive")
+        print(f"inconclusive: torsion_polynomial holds from "
+              f"nu = min{{n : J^n L = 0}} = {nu} on, beyond max_power "
+              f"{report['max_power']}; increase max_power to at least {nu}",
+              file=sys.stderr)
+        return EXIT_FIT
+    return EXIT_OK if overall == "pass" else EXIT_INTERNAL
 
 
 def _print_report(report: dict) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import add
 
 __all__ = [
     "PRIME_LIMIT",
@@ -73,11 +74,14 @@ def binomial(a: int, b: int) -> int:
 
 
 def _make_keys(order, r):
-    """Return (sort_key, heap_key) for an order tag.
+    """Return (sort_key, heap_key, degree) for an order tag.
 
     sort_key is ascending in the monomial order; heap_key is its negation so
-    a min-heap pops the largest monomial first.
+    a min-heap pops the largest monomial first.  degree is the grading the
+    Buchberger engine queues critical pairs by: the total degree, except for
+    ("elim", k, base), where it is the degree in the kept variables.
     """
+    degree = sum
     if order == "grevlex":
         def sort_key(m):
             return (sum(m), tuple(-e for e in reversed(m)))
@@ -94,17 +98,20 @@ def _make_keys(order, r):
 
     elif isinstance(order, tuple) and len(order) == 3 and order[0] == "elim":
         k = order[1]
-        base_sort, base_heap = _make_keys(order[2], r)
+        base_sort, base_heap, _ = _make_keys(order[2], r)
 
         def sort_key(m):
-            return (sum(m[:k]), base_sort(m))
+            return (sum(m[k:]), sum(m[:k]), base_sort(m))
 
         def heap_key(m):
-            return (-sum(m[:k]), base_heap(m))
+            return (-sum(m[k:]), -sum(m[:k]), base_heap(m))
+
+        def degree(m):
+            return sum(m[k:])
 
     elif isinstance(order, tuple) and len(order) == 3 and order[0] == "ydeg":
         k = order[1]
-        base_sort, base_heap = _make_keys(order[2], r)
+        base_sort, base_heap, _ = _make_keys(order[2], r)
 
         def sort_key(m):
             return (sum(m), -sum(m[:k]), base_sort(m))
@@ -114,24 +121,33 @@ def _make_keys(order, r):
 
     else:
         raise ValueError(f"unknown monomial order {order!r}")
-    return sort_key, heap_key
+    return sort_key, heap_key, degree
 
 
 class RingContext:
     """A polynomial ring F_p[variables] together with a monomial order.
 
-    Valid order tags: "grevlex" (default), "lex", and two internal ones:
-    the ("elim", k, base) block order that eliminates the first k variables,
-    and the ("ydeg", k, base) order that compares total degree first, then
-    ranks the *lower* degree in the first k variables higher, then breaks
-    ties by base.  The latter is a global order that picks initial forms of
-    lowest degree in the first k variables inside each total degree, so on
-    homogeneous input its initial ideal is that of the tangent cone along
-    those variables.
+    Valid order tags: "grevlex" (default), "lex", and two internal ones.
+
+    ("elim", k, base) gives the first k variables weight 0: it compares the
+    degree in the kept variables first, then the degree in the first k,
+    then base.  It eliminates the first k variables only for ideals
+    homogeneous in the kept variables: such an ideal has a basis of such
+    polynomials, and one whose leading monomial is free of the first k
+    variables is free of them altogether.  ``ideals.ideal_intersect`` is its
+    only caller.  ``degree`` is the degree in the kept variables, which the
+    Buchberger engine queues pairs by, so the run is graded.
+
+    ("ydeg", k, base) compares total degree first, then ranks the *lower*
+    degree in the first k variables higher, then breaks ties by base.  It is
+    a global order that picks initial forms of lowest degree in the first k
+    variables inside each total degree, so on homogeneous input its initial
+    ideal is that of the tangent cone along those variables.  For it and
+    the two public orders ``degree`` is the total degree.
     """
 
     __slots__ = ("variables", "characteristic", "order", "sort_key",
-                 "heap_key", "_var_index")
+                 "heap_key", "degree", "_var_index")
 
     def __init__(self, variables, characteristic=32003, order="grevlex"):
         variables = tuple(variables)
@@ -148,7 +164,8 @@ class RingContext:
         self.variables = variables
         self.characteristic = characteristic
         self.order = order
-        self.sort_key, self.heap_key = _make_keys(order, len(variables))
+        self.sort_key, self.heap_key, self.degree = _make_keys(
+            order, len(variables))
         self._var_index = {name: i for i, name in enumerate(variables)}
 
     @property
@@ -177,6 +194,20 @@ class RingContext:
     def __repr__(self):
         return (f"RingContext({list(self.variables)}, "
                 f"p={self.characteristic}, order={self.order!r})")
+
+
+def _mul_terms(a, b, p):
+    """Product of two term dicts over F_p."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            v = (out.get(m, 0) + c1 * c2) % p
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    return out
 
 
 def _check_ctx(a: "Polynomial", b: "Polynomial"):
@@ -293,19 +324,10 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_ctx(self, other)
-        p = self.ctx.characteristic
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                v = (out.get(m, 0) + c1 * c2) % p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
         res = Polynomial.__new__(Polynomial)
         res.ctx = self.ctx
-        res.terms = out
+        res.terms = _mul_terms(self.terms, other.terms,
+                               self.ctx.characteristic)
         return res
 
     __rmul__ = __mul__
@@ -323,20 +345,37 @@ class Polynomial:
         return result
 
     def substitute(self, images) -> "Polynomial":
-        """Evaluate at variable images (a list of polynomials, one per variable)."""
+        """Evaluate at variable images (a list of polynomials, one per variable).
+
+        Every term's image goes into one dict, and each power of an image is
+        computed once, from the power below it.
+        """
         if len(images) != self.ctx.nvars:
             raise ValueError("need one image per variable")
         for g in images:
             _check_ctx(images[0], g)
         target = images[0].ctx
-        out = Polynomial.zero(target)
-        for mono, coeff in sorted(self.terms.items(), key=lambda t: self.ctx.sort_key(t[0])):
-            prod = Polynomial.constant(target, coeff)
-            for i, e in enumerate(mono):
+        p = target.characteristic
+        unit = target.unit_monomial()
+        powers = [[{unit: 1}] for _ in images]
+        out = {}
+        for mono, coeff in self.terms.items():
+            prod = {unit: coeff}
+            for image, cache, e in zip(images, powers, mono):
                 if e:
-                    prod = prod * images[i] ** e
-            out = out + prod
-        return out
+                    while len(cache) <= e:
+                        cache.append(_mul_terms(cache[-1], image.terms, p))
+                    prod = _mul_terms(prod, cache[e], p)
+            for m, c in prod.items():
+                v = (out.get(m, 0) + c) % p
+                if v:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
+        res = Polynomial.__new__(Polynomial)
+        res.ctx = target
+        res.terms = out
+        return res
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

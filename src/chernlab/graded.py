@@ -25,6 +25,7 @@ __all__ = [
     "diagonal_cokernel",
     "annihilates",
     "power_colength",
+    "power_colengths",
 ]
 
 
@@ -184,17 +185,21 @@ def annihilates(ideal: Ideal, model: CokernelModule) -> bool:
     return True
 
 
-def power_colength(model: CokernelModule, ideal: Ideal, n: int) -> int:
-    """Colength of the n-th power action: length(L / ideal^n L).
+def power_colengths(model: CokernelModule, ideal: Ideal, max_power: int):
+    """[length(L / ideal^n L) for n = 0..max(max_power, nu)], from one span
+    walk, where nu = min{n : ideal^n L = 0}.
 
-    Spans are propagated degreewise by multiplying with the generators n
-    times; equals the full length once n exceeds top_degree because every
-    generator has positive degree.
+    nu is also the least n whose colength is length(L), so a caller reads
+    it as ``colengths.index(model.length)``.  The walk starts from the full
+    graded pieces and multiplies the spans by every generator once per
+    step, with each generator's action at each degree computed once; it
+    ends at nu, within top_degree + 1 steps because every generator has
+    positive degree, and the entries past nu are length(L).
     """
-    if n < 0:
+    if max_power < 0:
         raise ValueError("power must be nonnegative")
-    if model.top_degree is None or n == 0:
-        return 0
+    if model.top_degree is None:
+        return [0] * (max_power + 1)
     p = model.ctx.characteristic
     top = model.top_degree
 
@@ -210,7 +215,8 @@ def power_colength(model: CokernelModule, ideal: Ideal, n: int) -> int:
     spans = {s: [[1 if i == j else 0 for j in range(model.dim(s))]
                  for i in range(model.dim(s))]
              for s in range(top + 1) if model.dim(s)}
-    for _ in range(n):
+    colengths = [0]
+    while spans:
         collected = {}
         for e, per_degree in actions:
             for s, matrix in per_degree.items():
@@ -220,7 +226,11 @@ def power_colength(model: CokernelModule, ideal: Ideal, n: int) -> int:
                 for vec in spans[s]:
                     bucket.add(mat_vec(matrix, vec, p))
         spans = {t: span.rows for t, span in collected.items() if span.rank}
-        if not spans:
-            break
-    submodule = sum(len(rows) for rows in spans.values())
-    return model.length - submodule
+        colengths.append(model.length
+                         - sum(len(rows) for rows in spans.values()))
+    return colengths + [model.length] * (max_power + 1 - len(colengths))
+
+
+def power_colength(model: CokernelModule, ideal: Ideal, n: int) -> int:
+    """Colength of the n-th power action: length(L / ideal^n L)."""
+    return power_colengths(model, ideal, n)[n]

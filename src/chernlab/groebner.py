@@ -1,14 +1,18 @@
 """Reduced Groebner bases via Buchberger's algorithm.
 
-The engine processes critical pairs in nondecreasing S-degree (degree of the
-pair's lcm), with ties broken by the monomial order on the lcm and then on the
-two leading monomials, so output is deterministic for fixed input.  Pairs are
-pruned with the coprime (product) criterion and the chain criterion; the
+The engine processes critical pairs in nondecreasing S-degree, the degree
+``ctx.degree`` of the pair's lcm, with ties broken by the monomial order on
+the lcm and then on the two leading monomials, so output is deterministic
+for fixed input.  ``ctx.degree`` is the total degree, except for the
+("elim", k, base) order, where it is the degree in the kept variables: the
+first k variables have weight 0 (see ``RingContext``).  Pairs are pruned
+with the coprime (product) criterion and the chain criterion; the
 Buchberger S-polynomial property test in the suite guards both.
 
-For homogeneous input the degree-ordered schedule makes the basis exact
+For input homogeneous in that degree the schedule makes the basis exact
 degree by degree: once every pair of S-degree <= s has been processed, the
-leading terms of degree <= s are final (``ideals.quotient_length`` uses this).
+leading terms of degree <= s are final (``ideals.quotient_length`` uses
+this).
 
 Hilbert-driven stop (Traverso, "Hilbert functions and the Buchberger
 algorithm", J. Symbolic Comput. 22, 1996).  ``buchberger`` may be given the
@@ -20,10 +24,11 @@ dim S_s/in(I)_s = dim S_s/I_s in every degree s, so equal series force
 in(G) = in(I) degree by degree.  G is then already a Groebner basis, every
 dropped pair would have reduced to zero, and the reduced basis is the same.
 For an ("elim", k, base) order the series is that of the elimination ideal
-I ∩ F[x_(k+1), ...], which must be homogeneous (I need not be), and only the
-leading monomials free of the first k variables count: they are those of
-the basis elements lying in that ideal, so the same argument applies to
-them, and only those elements of the result are guaranteed.
+I ∩ F[x_(k+1), ...], which must be homogeneous (I is homogeneous in the
+kept variables only), and only the leading monomials free of the first k
+variables count: they are those of the basis elements lying in that ideal,
+so the same argument applies to them, and only those elements of the
+result are guaranteed.
 """
 
 from __future__ import annotations
@@ -140,6 +145,7 @@ class _Engine:
         self.ctx = ctx
         self.p = ctx.characteristic
         self.sort_key = ctx.sort_key
+        self.degree = ctx.degree
         self.keys = _KeyMemo(ctx.heap_key)
         self.reducer_of = {}
         self.lms = []
@@ -184,7 +190,8 @@ class _Engine:
         self.polys.append(terms)
         for i in range(j):
             lcm = _mono_lcm(self.lms[i], lm)
-            entry = ((sum(lcm), key(lcm), self.lead_keys[i], lm_key), i, j)
+            entry = ((self.degree(lcm), key(lcm), self.lead_keys[i], lm_key),
+                     i, j)
             heappush(self.pairs, entry)
             self.pending.add((i, j))
         if self.series is not None:

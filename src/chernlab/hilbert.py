@@ -20,7 +20,8 @@ from typing import NamedTuple
 from .core import Polynomial, RingContext, binomial
 from .groebner import _mono_divides, buchberger
 from .ideals import (Ideal, NotFiniteLengthError, ideal_power, ideal_sum,
-                     quotient_hilbert_series, quotient_length)
+                     monomial_hilbert_series, quotient_hilbert_series,
+                     quotient_length)
 from .linalg import rref_mod_p, solve_fraction_free
 
 __all__ = [
@@ -30,6 +31,8 @@ __all__ = [
     "CmResult",
     "hilbert_samuel",
     "hilbert_samuel_values",
+    "TangentCone",
+    "tangent_cone",
     "fit_coefficients",
     "hilbert_polynomial_value",
     "cm_test",
@@ -71,17 +74,86 @@ def linear_parameter_rows(parameters: Ideal):
     return rows
 
 
-def _tangent_cone_leads(ideal: Ideal, rows):
-    """Leading monomials of the ideal after the linear change of coordinates
-    that sends the row space of ``rows`` to (y_1, ..., y_k).
+class TangentCone:
+    """Leading monomials of an ideal's tangent cone along linear parameters.
+
+    After the linear change of coordinates of ``tangent_cone`` the
+    parameters span J = (y_1, ..., y_k) and the other variables are
+    z_1, ..., z_(r-k).  ``leads`` are the leading monomials, in those
+    coordinates, of the ideal's Groebner basis in the ("ydeg", k, base)
+    order ``ctx`` carries: on homogeneous input they generate the initial
+    ideal of the tangent cone.
+    """
+
+    __slots__ = ("ctx", "k", "leads")
+
+    def __init__(self, ctx, k, leads):
+        self.ctx = ctx
+        self.k = k
+        self.leads = tuple(leads)
+
+    def dimension_mod_parameters(self) -> int:
+        """dim S/(ideal + J), or -1 when that quotient is zero.
+
+        in_ydeg(ideal) ∩ k[z] = in(ideal|_(y=0)), so this is the dimension
+        of k[z] modulo the y-free leading monomials, read off the quotient
+        of S by them and the y variables.
+        """
+        k = self.k
+        r = self.ctx.nvars
+        gens = [m for m in self.leads if not any(m[:k])]
+        gens += [tuple(int(j == i) for j in range(r)) for i in range(k)]
+        return monomial_hilbert_series(gens, self.ctx).dimension()
+
+    def values(self, max_power: int) -> dict:
+        """H(n) = length(S/(ideal + J^n)) for n = 1..max_power: the number
+        of standard monomials of y-degree < n, enumerated degree by degree.
+
+        Raises NotFiniteLengthError when S/(ideal + J) does not have finite
+        length.
+        """
+        k = self.k
+        r = self.ctx.nvars
+        leads = self.leads
+        # The count is finite exactly when in(ideal) + (y) is m-primary: some
+        # y-free leading monomial is a pure power of each z variable.
+        for t in range(k, r):
+            if not any(all(e == 0 for j, e in enumerate(m) if j != t)
+                       for m in leads):
+                raise NotFiniteLengthError(
+                    "quotient does not have finite length")
+        # A monomial of y-degree < max_power has no divisor of higher
+        # y-degree.
+        leads = [m for m in leads if sum(m[:k]) < max_power]
+        unit = (0,) * r
+        counts = [0] * max_power
+        current = [] if unit in leads else [unit]
+        while current:
+            candidates = set()
+            for m in current:
+                ydeg = sum(m[:k])
+                counts[ydeg] += 1
+                for u in range(0 if ydeg + 1 < max_power else k, r):
+                    candidates.add(m[:u] + (m[u] + 1,) + m[u + 1:])
+            current = [m for m in candidates
+                       if not any(_mono_divides(lm, m) for lm in leads)]
+        return dict(zip(range(1, max_power + 1), accumulate(counts)))
+
+
+def tangent_cone(ideal: Ideal, parameters: Ideal):
+    """The ideal's TangentCone along the parameters, or None when some
+    parameter is not a linear form.
 
     The new variables are y_i = (rref row i) . x followed by the x_c of the
     non-pivot columns c, which is invertible with x_c = z_c and
-    x_(pivot i) = y_i - sum_c row_i[c] z_c.  The basis is computed in the
-    ("ydeg", k, base) order, with the Hilbert series of S/ideal as its
-    target: a linear change of coordinates keeps the series.  Returns
-    (k, leads).
+    x_(pivot i) = y_i - sum_c row_i[c] z_c, so k is the rank of the
+    parameters and dependent parameters are handled too.  The basis is
+    computed in the ("ydeg", k, base) order, with the Hilbert series of
+    S/ideal as its target: a linear change of coordinates keeps the series.
     """
+    rows = linear_parameter_rows(parameters)
+    if rows is None:
+        return None
     ctx = ideal.ctx
     r = ctx.nvars
     reduced, pivots = rref_mod_p(rows, ctx.characteristic)
@@ -104,11 +176,11 @@ def _tangent_cone_leads(ideal: Ideal, rows):
         images[c] = Polynomial(gr_ctx, terms)
     basis = buchberger([g.substitute(images) for g in ideal.generators],
                        gr_ctx, quotient_hilbert_series(ideal))
-    return k, basis.lead_monomials()
+    return TangentCone(gr_ctx, k, basis.lead_monomials())
 
 
-def hilbert_samuel_values(ideal: Ideal, parameters: Ideal,
-                          max_power: int) -> dict:
+def hilbert_samuel_values(ideal: Ideal, parameters: Ideal, max_power: int,
+                          cone=None) -> dict:
     """H(n) = length(S/(ideal + parameters^n)) for n = 1..max_power.
 
     Linear parameters take the associated-graded route.  After a linear
@@ -117,8 +189,12 @@ def hilbert_samuel_values(ideal: Ideal, parameters: Ideal,
     initial ideal of the tangent cone, so S/in(ideal) has the Hilbert
     function of gr_J(S/ideal) (Greuel-Pfister, A Singular Introduction to
     Commutative Algebra, ch. 5).  H(n) is then the number of standard
-    monomials of y-degree < n, for every n at once; they are enumerated
-    degree by degree.  The basis run has HS(S/ideal) as its target series,
+    monomials of y-degree < n, for every n at once (``TangentCone.values``).
+
+    The leading monomials come from ``cone`` when the caller holds the
+    ideal's tangent cone already (``ProblemInstance.cone`` is the core's,
+    which ``check_hypotheses`` also reads), and otherwise from one
+    ``tangent_cone`` run.  That run has HS(S/ideal) as its target series,
     read off the ideal's own basis (for the core it comes from
     ideal_intersect, for a component from its Krull dimension), and stops
     once its leading monomials reach it.  Other parameters take one
@@ -129,33 +205,12 @@ def hilbert_samuel_values(ideal: Ideal, parameters: Ideal,
     """
     if max_power < 1:
         raise ValueError("power must be at least 1")
-    rows = linear_parameter_rows(parameters)
-    if rows is None:
+    if cone is None:
+        cone = tangent_cone(ideal, parameters)
+    if cone is None:
         return {n: hilbert_samuel(ideal, parameters, n)
                 for n in range(1, max_power + 1)}
-    k, leads = _tangent_cone_leads(ideal, rows)
-    r = ideal.ctx.nvars
-    # The count is finite exactly when in(ideal) + (y) is m-primary: some
-    # y-free leading monomial is a pure power of each z variable.
-    for t in range(k, r):
-        if not any(all(e == 0 for j, e in enumerate(m) if j != t)
-                   for m in leads):
-            raise NotFiniteLengthError("quotient does not have finite length")
-    # A monomial of y-degree < max_power has no divisor of higher y-degree.
-    leads = [m for m in leads if sum(m[:k]) < max_power]
-    unit = (0,) * r
-    counts = [0] * max_power
-    current = [] if unit in leads else [unit]
-    while current:
-        candidates = set()
-        for m in current:
-            ydeg = sum(m[:k])
-            counts[ydeg] += 1
-            for u in range(0 if ydeg + 1 < max_power else k, r):
-                candidates.add(m[:u] + (m[u] + 1,) + m[u + 1:])
-        current = [m for m in candidates
-                   if not any(_mono_divides(lm, m) for lm in leads)]
-    return dict(zip(range(1, max_power + 1), accumulate(counts)))
+    return cone.values(max_power)
 
 
 def hilbert_polynomial_value(coefficients, n: int) -> int:

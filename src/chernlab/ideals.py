@@ -114,17 +114,27 @@ def ideal_power(a: Ideal, n: int) -> Ideal:
     return Ideal(a.ctx, gens)
 
 
-def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
+def ideal_intersect(a: Ideal, b: Ideal, total=None) -> Ideal:
     """Intersection via the single auxiliary variable t:
 
-    A ∩ B = (t*A + (1-t)*B) ∩ k[x], computed with a block order eliminating
-    t.  Ties inside each block follow the base context order, so the t-free
-    part of the elimination basis is already the reduced basis of A ∩ B.
+    A ∩ B = (t*A + (1-t)*B) ∩ k[x], computed in the ("elim", 1, base)
+    order.  t has weight 0 there, so the generators t*a and (1-t)*b are
+    homogeneous in x, the order compares the x-degree first, then the
+    t-degree, then base, and the engine runs degree by degree in x.  A
+    basis element whose leading monomial is free of t is then free of t, so
+    the t-free part of the basis is a basis of A ∩ B.  On t-free monomials
+    of one degree the order is base, so that part is the reduced base basis
+    of A ∩ B, for lex too: A ∩ B is homogeneous, and on homogeneous
+    polynomials degree-then-lex and lex pick the same leading terms.
 
     The elimination run has the target series
     HS(S/(A ∩ B)) = HS(S/A) + HS(S/B) - HS(S/(A + B)), from the exact
     sequence 0 -> S/(A ∩ B) -> S/A ⊕ S/B -> S/(A + B) -> 0, and stops once
-    its t-free leading monomials reach it.  This costs one basis of A + B.
+    its t-free leading monomials reach it.  HS(S/A) and HS(S/B) come from
+    the bases of A and B, and HS(S/(A + B)) from the basis of ``total``, the
+    ideal A + B, which a caller that holds it already passes so that one
+    basis serves both (``ProblemInstance.pair_sums``); without it a fresh
+    A + B is built.
     """
     _check_pair(a, b)
     ctx = a.ctx
@@ -142,33 +152,40 @@ def ideal_intersect(a: Ideal, b: Ideal) -> Ideal:
     for g in b.generators:
         gens.append(lift(g, 0) + lift(g, 1, -1))
 
+    if total is None:
+        total = ideal_sum(a, b)
     series = (quotient_hilbert_series(a) + quotient_hilbert_series(b)
-              - quotient_hilbert_series(ideal_sum(a, b)))
+              - quotient_hilbert_series(total))
     eliminated = buchberger(gens, ectx, series)
     kept = []
     for g in eliminated:
         if all(m[0] == 0 for m in g.terms):
             kept.append(Polynomial(ctx, {m[1:]: c for m, c in g.terms.items()}))
+    # the same leading monomials, sorted in the base order (the elimination
+    # order sorts by degree first, which differs for lex)
+    kept.sort(key=lambda g: ctx.sort_key(g.leading_monomial()))
     result = Ideal(ctx, kept)
     result._gb = GroebnerBasis(ctx, kept)
     return result
 
 
-def intersect_all(ideals) -> Ideal:
+def intersect_all(ideals, first_sum=None) -> Ideal:
+    """I_1 ∩ ... ∩ I_g, one pairwise intersection at a time.  ``first_sum``
+    is I_1 + I_2 when the caller holds it (see ``ideal_intersect``)."""
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
     acc = ideals[0]
     for other in ideals[1:]:
-        acc = ideal_intersect(acc, other)
+        acc = ideal_intersect(acc, other, first_sum)
+        first_sum = None
     return acc
 
 
 def krull_dimension(a: Ideal) -> int:
     """dim S/a: the pole order at t = 1 of its Hilbert series, or -1 for the
     unit ideal (whose quotient is zero)."""
-    series = quotient_hilbert_series(a)
-    return series.denominator_exponent if series.numerator else -1
+    return quotient_hilbert_series(a).dimension()
 
 
 def is_mprimary(a: Ideal) -> bool:
@@ -274,6 +291,11 @@ class HilbertSeries:
 
     def is_polynomial(self) -> bool:
         return self.denominator_exponent == 0
+
+    def dimension(self) -> int:
+        """Krull dimension of the quotient: the pole order at t = 1, or -1
+        when the quotient is zero."""
+        return self.denominator_exponent if self.numerator else -1
 
     def total(self) -> int:
         if not self.is_polynomial():

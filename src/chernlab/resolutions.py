@@ -9,8 +9,6 @@ from __future__ import annotations
 from itertools import combinations
 
 from .core import Polynomial, binomial
-from .graded import CokernelModule, power_colength
-from .ideals import Ideal
 
 __all__ = [
     "ENResolutionData",
@@ -179,8 +177,7 @@ def tor1_closed_form(n: int, d: int, module_len: int) -> int:
     return binomial(n + d - 1, d - 1) * module_len
 
 
-def tor1_via_lengths(core_values, component_values, parameters: Ideal,
-                     model: CokernelModule, n: int) -> int:
+def tor1_via_lengths(core_values, component_values, colengths, n: int) -> int:
     """Length of Tor_1(L, S/J^n) from the four-term exact sequence
 
         0 -> Tor_1(L, S/J^n) -> R/K^n -> ⊕ S/(I_i + J^n) -> L/J^n L -> 0,
@@ -192,6 +189,8 @@ def tor1_via_lengths(core_values, component_values, parameters: Ideal,
     ``core_values`` is the Hilbert-Samuel table {n: length(R/K^n)} and
     ``component_values`` holds one table {n: length(S/(I_i + J^n))} per
     component (``hilbert_samuel_values`` gives both); each covers n.
+    ``colengths`` is the list {m: length(L/J^m L)} that
+    ``graded.power_colengths`` gives; it covers n too.
     """
     total = core_values[n] - sum(table[n] for table in component_values)
-    return total + power_colength(model, parameters, n)
+    return total + colengths[n]

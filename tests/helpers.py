@@ -66,3 +66,20 @@ def e3_family(rng, p):
         rng, p, ["x", "y", "z", "w"],
         [["x", "y"]],
         ["z", "w"])
+
+
+def random_homogeneous_ideal(rng, ctx):
+    """One to three random homogeneous generators of degree 1 to 3 with up
+    to three terms each."""
+    r = ctx.nvars
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        degree = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = [0] * r
+            for _ in range(degree):
+                mono[rng.randrange(r)] += 1
+            terms[tuple(mono)] = rng.randrange(1, ctx.characteristic)
+        gens.append(Polynomial(ctx, terms))
+    return Ideal(ctx, gens)

@@ -15,7 +15,8 @@ from chernlab import (Ideal, RingContext, binomial,
                       fit_coefficients, hilbert_samuel,
                       hilbert_samuel_values, ideal_power, intersect_all,
                       koszul_complex, koszul_composes_to_zero, maximal_minors,
-                      normal_form, parse_polynomial, quotient_hilbert_series,
+                      normal_form, parse_polynomial, power_colengths,
+                      quotient_hilbert_series,
                       run_verification, s_polynomial, standard_monomials,
                       tor1_closed_form, tor1_via_lengths)
 from chernlab.cli import main
@@ -101,9 +102,10 @@ def test_criterion_4_tor1_equivalence():
             component_values = [
                 hilbert_samuel_values(ideal, inst.J, inst.max_power)
                 for ideal in inst.ideals]
+            colengths = power_colengths(model, inst.J, inst.max_power)
             for n in range(1, inst.max_power + 1):
-                via = tor1_via_lengths(core_values, component_values, inst.J,
-                                       model, n)
+                via = tor1_via_lengths(core_values, component_values,
+                                       colengths, n)
                 assert via == tor1_closed_form(n, inst.d, lam) \
                     == binomial(n + inst.d - 1, inst.d - 1) * lam
 

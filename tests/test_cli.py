@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chernlab.cli import main
 from conftest import PROBLEM_DIR
 
@@ -223,9 +225,9 @@ def test_one_intersection_per_command(monkeypatch, capsys):
     calls = []
     original = ideals_module.ideal_intersect
 
-    def counting(a, b):
+    def counting(*args):
         calls.append(1)
-        return original(a, b)
+        return original(*args)
 
     monkeypatch.setattr(ideals_module, "ideal_intersect", counting)
     for command in ("coeffs", "verify"):
@@ -242,3 +244,93 @@ def test_hilbert_quadratic_parameter(tmp_path, capsys):
     code, out, _ = run(capsys, "hilbert", path, "--json", "--max-power", "3")
     assert code == 0
     assert [row["length"] for row in json.loads(out)] == ["2", "6", "12"]
+
+
+def _staircase_pair(tmp_path, a, b):
+    """(x, y^a) ∩ (z^b, w) with J = (x + w, y + z).  L is k[y, z]/(y^a, z^b)
+    with J acting as y + z, so length(L) = ab and J^n L = 0 exactly from
+    nu = a + b - 1 on."""
+    return _write(tmp_path, f"staircase_{a}_{b}.json",
+                  dict(BASE, ideals=[["x", f"y^{a}"], [f"z^{b}", "w"]],
+                       parameters=["x + w", "y + z"]))
+
+
+def _identity(report, name):
+    return next(i for i in report["identities"] if i["name"] == name)
+
+
+@pytest.mark.parametrize("a, b", [(30, 1), (6, 5)])
+def test_verify_inconclusive_below_nu(tmp_path, capsys, a, b):
+    # the default window 2d + 4 = 8 ends before nu; the sampled torsion
+    # values are pre-stable, so the identity can be neither passed nor failed
+    nu = a + b - 1
+    code, out, err = run(capsys, "verify", _staircase_pair(tmp_path, a, b),
+                         "--json")
+    assert code == 4
+    assert f"= {nu} on" in err and "max_power 8" in err
+    report = json.loads(out)
+    assert report["lambda_L"] == str(a * b)
+    assert report["overall"] == "inconclusive"
+    torsion = _identity(report, "torsion_polynomial")
+    assert torsion["status"] == "inconclusive"
+    assert torsion["witness"]["compared_from"] == nu
+    assert all(i["status"] != "fail" for i in report["identities"])
+
+
+def test_verify_computes_each_action_once(monkeypatch, tmp_path, capsys):
+    # one span walk gives every length(L / J^n L), nu and the annihilation
+    # verdict, with each (generator, degree) action computed once
+    from chernlab.graded import CokernelModule
+
+    calls = []
+    original = CokernelModule.polynomial_action
+
+    def recording(self, f, s):
+        calls.append((frozenset(f.terms.items()), s))
+        return original(self, f, s)
+
+    monkeypatch.setattr(CokernelModule, "polynomial_action", recording)
+    code, _, _ = run(capsys, "verify", _staircase_pair(tmp_path, 6, 5),
+                     "--json")
+    assert code == 4
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def test_verify_passes_once_window_reaches_nu(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", _staircase_pair(tmp_path, 30, 1),
+                       "--json", "--max-power", "34")
+    assert code == 0
+    report = json.loads(out)
+    assert report["overall"] == "pass"
+    torsion = _identity(report, "torsion_polynomial")
+    assert torsion["status"] == "pass"
+    assert torsion["witness"]["compared_from"] >= 30
+
+
+@pytest.mark.parametrize("name", ["e1_two_planes", "e2_two_3planes",
+                                  "e3_cm_baseline", "e4_three_planes"])
+def test_verify_computes_each_basis_once(monkeypatch, capsys, name):
+    # one basis per distinct (ring, generator set): the intersection shares
+    # the pairwise sums with the hypotheses, and one component's core
+    # shares its tangent cone
+    import chernlab.groebner as groebner_module
+    import chernlab.hilbert as hilbert_module
+    import chernlab.ideals as ideals_module
+
+    inputs = []
+    original = groebner_module.buchberger
+
+    def recording(gens, ctx=None, series=None):
+        gens = list(gens)
+        inputs.append((ctx or gens[0].ctx,
+                       frozenset(frozenset(g.terms.items()) for g in gens)))
+        return original(gens, ctx, series)
+
+    for module in (ideals_module, hilbert_module):
+        monkeypatch.setattr(module, "buchberger", recording)
+    code, _, _ = run(capsys, "verify", str(PROBLEM_DIR / f"{name}.json"),
+                     "--json")
+    assert code == 0
+    assert inputs
+    assert len(inputs) == len(set(inputs))

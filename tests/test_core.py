@@ -169,3 +169,31 @@ def _random_poly(ctx, rng, max_degree):
             mono[rng.randrange(ctx.nvars)] += 1
         terms[tuple(mono)] = rng.randrange(ctx.characteristic)
     return Polynomial(ctx, terms)
+
+
+def _random_polynomial(rng, ctx, terms, max_exp):
+    return Polynomial(ctx, {tuple(rng.randint(0, max_exp)
+                                  for _ in range(ctx.nvars)):
+                            rng.randrange(ctx.characteristic)
+                            for _ in range(terms)})
+
+
+def test_substitute_matches_term_by_term_evaluation():
+    # reference: each term's image built from ring operations and summed
+    rng = random.Random(71)
+    for p in (7, P):
+        source = RingContext(["a", "b", "c"], p)
+        target = RingContext(["x", "y", "z", "w"], p, "lex")
+        for trial in range(30):
+            f = _random_polynomial(rng, source, rng.randint(0, 6), 4)
+            images = [_random_polynomial(rng, target, rng.randint(0, 3), 2)
+                      for _ in range(source.nvars)]
+            if trial % 5 == 0:
+                images[rng.randrange(3)] = Polynomial.zero(target)
+            expected = Polynomial.zero(target)
+            for mono, coeff in f.terms.items():
+                term = Polynomial.constant(target, coeff)
+                for image, e in zip(images, mono):
+                    term = term * image ** e
+                expected = expected + term
+            assert f.substitute(images) == expected

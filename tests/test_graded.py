@@ -2,8 +2,8 @@ import pytest
 
 from chernlab import (Ideal, NotFiniteLengthError, Polynomial, annihilates,
                       diagonal_cokernel, intersect_all, normal_form,
-                      power_colength, quotient_hilbert_series,
-                      standard_monomials)
+                      power_colength, power_colengths,
+                      quotient_hilbert_series, standard_monomials)
 from chernlab.linalg import mat_mul, rref_mod_p
 
 
@@ -153,3 +153,32 @@ def test_power_colength_monotone(staircase_model, ctx4):
         assert values == expected
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] == staircase_model.length
+
+
+@pytest.mark.parametrize("a, b", [(30, 1), (6, 5), (2, 3), (1, 1)])
+def test_power_colengths_one_walk(monkeypatch, ctx4, a, b):
+    # (x, y^a) ∩ (z^b, w): L = k[y, z]/(y^a, z^b), on which J = (x + w, y + z)
+    # acts as y + z, so length(L) = ab and nu = min{n : J^n L = 0} = a + b - 1
+    ideals = [I(ctx4, "x", f"y^{a}"), I(ctx4, f"z^{b}", "w")]
+    model = diagonal_cokernel(ideals, intersect_all(ideals))
+    j = I(ctx4, "x + w", "y + z")
+    calls = []
+    original = type(model).polynomial_action
+
+    def recording(self, f, s):
+        calls.append((frozenset(f.terms.items()), s))
+        return original(self, f, s)
+
+    monkeypatch.setattr(type(model), "polynomial_action", recording)
+    colengths = power_colengths(model, j, 8)
+    assert len(calls) == len(set(calls))      # each action computed once
+    nu = a + b - 1
+    assert model.length == a * b
+    assert len(colengths) == max(9, nu + 1)
+    assert colengths.index(model.length) == nu
+    assert colengths[nu:] == [a * b] * (len(colengths) - nu)
+    assert all(u < v for u, v in zip(colengths[:nu], colengths[1:nu + 1]))
+    assert [power_colength(model, j, n) for n in (0, 1, 8)] == \
+        [colengths[0], colengths[1], colengths[8]]
+    # verify reads annihilation off the walk; annihilates is the second route
+    assert annihilates(j, model) == (nu <= 1)

@@ -6,8 +6,8 @@ from chernlab import (ENResolutionData, Ideal, RingContext, binomial,
                       diagonal_cokernel, en_betti, en_matrix,
                       hilbert_samuel_values, ideal_intersect, ideal_power,
                       koszul_complex, koszul_composes_to_zero,
-                      maximal_minors, parse_polynomial, tor1_closed_form,
-                      tor1_via_lengths)
+                      maximal_minors, parse_polynomial, power_colengths,
+                      tor1_closed_form, tor1_via_lengths)
 from chernlab.resolutions import poly_mat_mul
 
 
@@ -133,9 +133,10 @@ def test_tor1_via_lengths_e1(e1):
     model = diagonal_cokernel(ideals, core)
     core_values = hilbert_samuel_values(core, j, 3)
     component_values = [hilbert_samuel_values(i, j, 3) for i in ideals]
+    colengths = power_colengths(model, j, 3)
     # n = 1: 3 - 1 - 1 + 1, agreeing with the closed form C(2, 1)
-    assert tor1_via_lengths(core_values, component_values, j, model, 1) == 2
-    assert tor1_via_lengths(core_values, component_values, j, model, 3) == 4
+    assert tor1_via_lengths(core_values, component_values, colengths, 1) == 2
+    assert tor1_via_lengths(core_values, component_values, colengths, 3) == 4
 
 
 def test_tor1_vanishes_for_single_component(ctx4):
@@ -143,5 +144,6 @@ def test_tor1_vanishes_for_single_component(ctx4):
     j = Ideal.from_strings(ctx4, ["z", "w"])
     model = diagonal_cokernel(ideals, ideals[0])
     values = hilbert_samuel_values(ideals[0], j, 5)
+    colengths = power_colengths(model, j, 5)
     for n in range(1, 6):
-        assert tor1_via_lengths(values, [values], j, model, n) == 0
+        assert tor1_via_lengths(values, [values], colengths, n) == 0

@@ -4,16 +4,21 @@ monomials reach that series.  The stop must change no result, and on the
 dense 4-planes it must remove every zero reduction of the tangent-cone
 basis."""
 
+import json
 import random
 from contextlib import contextmanager
 
 import pytest
 
 import chernlab.groebner as groebner_module
+import chernlab.hilbert as hilbert_module
+import chernlab.ideals as ideals_module
 from chernlab import (Ideal, Polynomial, RingContext, buchberger,
-                      hilbert_samuel_values, ideal_intersect, intersect_all,
+                      hilbert_polynomial_value, hilbert_samuel_values,
+                      ideal_intersect, ideal_sum, intersect_all,
                       quotient_hilbert_series)
-from helpers import transformed_planes
+from chernlab.cli import main
+from helpers import random_homogeneous_ideal, transformed_planes
 
 
 def record_targeted_runs(monkeypatch, compute):
@@ -68,15 +73,51 @@ def test_dense_4_planes_zero_reductions(monkeypatch):
     assert (stopped.zero_reductions, full.zero_reductions) == (0, 48)
     assert stopped.pairs_popped < full.pairs_popped
 
+    # the x-graded elimination order: t*A + (1-t)*B is homogeneous in x, so
+    # the run is graded in x and its t-free leads arrive with their degree
     stopped = engine_run(*by_order["elim"])
     full = engine_run(*by_order["elim"][:2], None)
     assert stopped.series_stop
+    assert stopped.zero_reductions <= 10
     assert stopped.zero_reductions < full.zero_reductions
+
+
+def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
+    # two component bases, one of their sum (shared by the intersection's
+    # target series and the pairwise hypothesis), the elimination basis and
+    # the core's tangent cone (shared by the hypotheses and H(K, n))
+    ctx, ideals, j = two_4_planes(random.Random(601))
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps({
+        "characteristic": ctx.characteristic,
+        "variables": list(ctx.variables),
+        "ideals": [[str(g) for g in ideal.generators] for ideal in ideals],
+        "parameters": [str(g) for g in j.generators],
+    }))
+    orders = []
+    original = groebner_module.buchberger
+
+    def recording(gens, ctx=None, series=None):
+        gens = list(gens)
+        orders.append((ctx or gens[0].ctx).order)
+        return original(gens, ctx, series)
+
+    for module in (ideals_module, hilbert_module):
+        monkeypatch.setattr(module, "buchberger", recording)
+    assert main(["hilbert", str(path), "--json", "--max-power", "4"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    # e = (2, -1, 1, -1, 0) for two transversal 4-planes, from n = 1 on
+    assert [row["length"] for row in rows] == [
+        str(hilbert_polynomial_value((2, -1, 1, -1, 0), n))
+        for n in range(1, 5)]
+    assert sorted(orders, key=str) == sorted(
+        ["grevlex", "grevlex", "grevlex", ("elim", 1, "grevlex"),
+         ("ydeg", 4, "grevlex")], key=str)
 
 
 def plane_instances(rng, p, order):
     """(ideals, parameters) for g = 1, 2, 3 plane configurations under a
-    random invertible change, and one non-linear component."""
+    random invertible change, and g = 2, 3 with one non-linear component."""
     xyzw = ["x", "y", "z", "w"]
     six = [f"x{i}" for i in range(1, 7)]
     yield transformed_planes(rng, p, xyzw, [["x", "y"]], ["z", "w"],
@@ -93,6 +134,10 @@ def plane_instances(rng, p, order):
     yield ([Ideal.from_strings(ctx, ["x^2", "y"]),
             Ideal.from_strings(ctx, ["z", "w"])],
            Ideal.from_strings(ctx, ["x + z", "y + w"]))
+    yield ([Ideal.from_strings(ctx, ["x^2", "y"]),
+            Ideal.from_strings(ctx, ["z", "w"]),
+            Ideal.from_strings(ctx, ["x + z", "y + w"])],
+           Ideal.from_strings(ctx, ["x + w", "y - z"]))
 
 
 @contextmanager
@@ -137,27 +182,11 @@ def test_stop_changes_no_result(monkeypatch, order, p):
     assert fired > 0
 
 
-def random_homogeneous_ideal(rng, ctx):
-    """One to three random homogeneous generators of degree 1 to 3 with up
-    to three terms each."""
-    r = ctx.nvars
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        degree = rng.randint(1, 3)
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            mono = [0] * r
-            for _ in range(degree):
-                mono[rng.randrange(r)] += 1
-            terms[tuple(mono)] = rng.randrange(1, ctx.characteristic)
-        gens.append(Polynomial(ctx, terms))
-    return Ideal(ctx, gens)
-
-
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
 @pytest.mark.parametrize("p", [31991, 7])
 def test_stop_on_random_homogeneous_ideals(monkeypatch, order, p):
     rng = random.Random(f"random:{order}:{p}")
+    third = random.Random(f"third:{order}:{p}")
     ctx = RingContext(["x", "y", "z", "w"], p, order)
     fired = 0
     for _ in range(12):
@@ -166,10 +195,20 @@ def test_stop_on_random_homogeneous_ideals(monkeypatch, order, p):
         runs = record_targeted_runs(monkeypatch,
                                     lambda: ideal_intersect(a, b))
         fired += sum(engine.series_stop for *_, engine in runs)
+        c = random_homogeneous_ideal(third, ctx)
         stopped = list(ideal_intersect(a, b).groebner())
+        # in A and in B with the series of A ∩ B, and reduced in the base
+        # order, so it is the reduced basis of A ∩ B
+        assert all(a.contains(g) and b.contains(g) for g in stopped)
+        assert quotient_hilbert_series(Ideal(ctx, stopped)) == \
+            quotient_hilbert_series(a) + quotient_hilbert_series(b) \
+            - quotient_hilbert_series(ideal_sum(a, b))
+        assert list(buchberger(stopped, ctx)) == stopped
+        stopped3 = list(intersect_all([a, b, c]).groebner())
         target = quotient_hilbert_series(a)
         with unstopped(monkeypatch):
             assert list(ideal_intersect(a, b).groebner()) == stopped
+            assert list(intersect_all([a, b, c]).groebner()) == stopped3
             assert buchberger(a.generators, ctx) == \
                 buchberger(a.generators, ctx, target)
     assert fired > 0

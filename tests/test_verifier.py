@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from chernlab import (Ideal, NotFiniteLengthError, ProblemInstance,
-                      check_hypotheses, diagonal_cokernel, fit_coefficients,
-                      hilbert_samuel, run_verification)
-from helpers import PRIME_POOL, e1_family
+from chernlab import (Ideal, NotFiniteLengthError, Polynomial,
+                      ProblemInstance, RingContext, check_hypotheses,
+                      diagonal_cokernel, fit_coefficients, hilbert_samuel,
+                      ideal_sum, krull_dimension, run_verification)
+from helpers import PRIME_POOL, e1_family, random_homogeneous_ideal
 
 
 def I(ctx, *texts):
@@ -196,3 +197,64 @@ def test_random_plane_pair_collapse():
         coeffs, _ = fit_coefficients(values, inst.d)
         lam = model.length
         assert coeffs[1:] == (-lam, 0)
+
+
+def _random_linear_forms(rng, ctx, count, rank):
+    """``count`` random linear forms spanning a space of dimension at most
+    ``rank``: the forms past the first ``rank`` are combinations of them."""
+    r = ctx.nvars
+    p = ctx.characteristic
+    rows = [[rng.randrange(p) for _ in range(r)] for _ in range(rank)]
+    while len(rows) < count:
+        mix = [rng.randrange(1, p) for _ in range(rank)]
+        rows.append([sum(c * row[i] for c, row in zip(mix, rows)) % p
+                     for i in range(r)])
+    forms = []
+    for row in rows:
+        terms = {tuple(int(j == i) for j in range(r)): c
+                 for i, c in enumerate(row) if c}
+        forms.append(Polynomial(ctx, terms))
+    return forms
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_hypothesis_dimensions_from_tangent_cone(order):
+    # for linear parameters both witnesses come from the core's tangent
+    # cone and the parameters' rank; they must equal the Krull dimensions
+    # of core + J and J from their own bases
+    rng = random.Random(f"cone-witness:{order}")
+    ctx = RingContext(["x", "y", "z", "w"], 10007, order)
+    seen = set()
+    for trial in range(40):
+        ideals = [random_homogeneous_ideal(rng, ctx)
+                  for _ in range(rng.randint(1, 3))]
+        if trial == 0:
+            ideals = [Ideal.from_strings(ctx, ["1"])]
+        count = rng.randint(1, 5)
+        rank = rng.randint(1, min(count, ctx.nvars))
+        params = _random_linear_forms(rng, ctx, count, rank)
+        inst = ProblemInstance(ctx, ideals, params)
+        assert inst.cone is not None
+        checks = check_hypotheses(inst)
+        sop_dim = _check(checks, "parameters_cut_to_finite_length")[
+            "witness"]["dimension_of_quotient"]
+        j_dim = _check(checks, "parameters_form_regular_sequence")[
+            "witness"]["dim_S_mod_J"]
+        assert sop_dim == krull_dimension(ideal_sum(inst.core, inst.J))
+        assert j_dim == krull_dimension(inst.J)
+        seen.add("dependent" if rank < count else "independent")
+        seen.add("k = r" if j_dim == 0 else "k < r")
+        seen.add("finite" if sop_dim <= 0 else "not m-primary")
+    assert seen == {"dependent", "independent", "k = r", "k < r", "finite",
+                    "not m-primary"}
+
+
+def test_hypothesis_dimensions_nonlinear_parameters(ctx4):
+    # a quadratic parameter keeps the Krull-dimension route
+    inst = ProblemInstance(ctx4, [I(ctx4, "x", "y")],
+                           list(I(ctx4, "z^2", "w").generators))
+    assert inst.cone is None
+    checks = check_hypotheses(inst)
+    assert checks["all_pass"]
+    assert _check(checks, "parameters_form_regular_sequence")["witness"] == \
+        {"dim_S_mod_J": 2, "expected": 2}
