@@ -178,8 +178,7 @@ def cmd_hilbert(args) -> int:
     _, gate = _gate_hypotheses(inst, args.force)
     if gate is not None:
         return gate
-    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power,
-                                   inst.cone)
+    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
     if args.json:
         _emit_json([{"n": n, "length": str(values[n])} for n in sorted(values)])
     else:
@@ -194,8 +193,7 @@ def cmd_coeffs(args) -> int:
     _, gate = _gate_hypotheses(inst, args.force)
     if gate is not None:
         return gate
-    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power,
-                                   inst.cone)
+    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
     dataset = HilbertDataset.fit(values, inst.d)
     model = diagonal_cokernel(inst.ideals, inst.core)
     cm = cm_test(dataset.coefficients[0], values[1])

@@ -79,7 +79,9 @@ def _make_keys(order, r):
     sort_key is ascending in the monomial order; heap_key is its negation so
     a min-heap pops the largest monomial first.  degree is the grading the
     Buchberger engine queues critical pairs by: the total degree, except for
-    ("elim", k, base), where it is the degree in the kept variables.
+    ("elim", k, base), where it is the degree in the kept variables.  r is
+    the number of variables the keys see; an elim base sees the r - k kept
+    ones.
     """
     degree = sum
     if order == "grevlex":
@@ -98,13 +100,14 @@ def _make_keys(order, r):
 
     elif isinstance(order, tuple) and len(order) == 3 and order[0] == "elim":
         k = order[1]
-        base_sort, base_heap, _ = _make_keys(order[2], r)
+        base_sort, base_heap, _ = _make_keys(order[2], r - k)
 
         def sort_key(m):
-            return (sum(m[k:]), sum(m[:k]), base_sort(m))
+            return (sum(m[k:]), sum(m[:k]), base_sort(m[k:]), m[:k])
 
         def heap_key(m):
-            return (-sum(m[k:]), -sum(m[:k]), base_heap(m))
+            return (-sum(m[k:]), -sum(m[:k]), base_heap(m[k:]),
+                    tuple(-e for e in m[:k]))
 
         def degree(m):
             return sum(m[k:])
@@ -131,12 +134,18 @@ class RingContext:
 
     ("elim", k, base) gives the first k variables weight 0: it compares the
     degree in the kept variables first, then the degree in the first k,
-    then base.  It eliminates the first k variables only for ideals
-    homogeneous in the kept variables: such an ideal has a basis of such
-    polynomials, and one whose leading monomial is free of the first k
-    variables is free of them altogether.  ``ideals.ideal_intersect`` is its
-    only caller.  ``degree`` is the degree in the kept variables, which the
-    Buchberger engine queues pairs by, so the run is graded.
+    then base on the kept variables alone, then the exponents of the first
+    k lexicographically.  base is an order of the ring of the kept
+    variables, so a ("ydeg", k', ·) base counts its k' variables from the
+    first kept one.  For k = 1 the degree in the first variable fixes its
+    exponent, so on a grevlex or lex base the order is the same as that
+    base applied to all variables after the two degrees.  It eliminates
+    the first k variables only for ideals homogeneous in the kept
+    variables: such an ideal has a basis of such polynomials, and one whose
+    leading monomial is free of the first k variables is free of them
+    altogether.  ``ideals.ideal_intersect`` is its only caller.  ``degree``
+    is the degree in the kept variables, which the Buchberger engine queues
+    pairs by, so the run is graded.
 
     ("ydeg", k, base) compares total degree first, then ranks the *lower*
     degree in the first k variables higher, then breaks ties by base.  It is

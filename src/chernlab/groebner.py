@@ -62,16 +62,16 @@ def _tail(terms, lm, key):
 
 
 class _KeyMemo(dict):
-    """Heap keys by monomial, computed on first use."""
+    """Keys by monomial, computed on first use."""
 
-    __slots__ = ("heap_key",)
+    __slots__ = ("key",)
 
-    def __init__(self, heap_key):
+    def __init__(self, key):
         super().__init__()
-        self.heap_key = heap_key
+        self.key = key
 
     def __missing__(self, m):
-        key = self[m] = self.heap_key(m)
+        key = self[m] = self.key(m)
         return key
 
 
@@ -81,7 +81,8 @@ def _reduce_terms(terms, lms, degs, tails, p, keys, reducer_of):
     Monomials are processed from largest to smallest via a heap; each
     reduction step can only introduce strictly smaller monomials, so the loop
     terminates with a remainder none of whose terms is divisible by any
-    reducer leading monomial.
+    reducer leading monomial.  The remainder's terms are inserted largest
+    first, so its first key is its leading monomial.
 
     ``keys`` maps a monomial to its heap key.  ``reducer_of`` caches the
     first reducer whose leading monomial divides a monomial, or ~n when none
@@ -131,10 +132,11 @@ def _reduce_terms(terms, lms, degs, tails, p, keys, reducer_of):
 class _Engine:
     """Incremental Buchberger run over term dicts.
 
-    Basis elements are stored monic.  ``run(limit)`` processes every queued
-    pair of S-degree <= limit (all pairs when limit is None).  With a target
-    ``series`` the queue is dropped as soon as HS(S/in(G)) reaches it (see
-    the module docstring).
+    Basis elements are stored monic, with their tails sorted largest first,
+    and the sort and heap key of every monomial the run meets is computed
+    once.  ``run(limit)`` processes every queued pair of S-degree <= limit
+    (all pairs when limit is None).  With a target ``series`` the queue is
+    dropped as soon as HS(S/in(G)) reaches it (see the module docstring).
 
     The counters are plain ints for tests and profiling: pairs popped, pairs
     skipped by the coprime and chain criteria, pairs whose S-polynomial
@@ -144,7 +146,7 @@ class _Engine:
     def __init__(self, gens, ctx, series=None):
         self.ctx = ctx
         self.p = ctx.characteristic
-        self.sort_key = ctx.sort_key
+        self.sort_keys = _KeyMemo(ctx.sort_key)
         self.degree = ctx.degree
         self.keys = _KeyMemo(ctx.heap_key)
         self.reducer_of = {}
@@ -170,27 +172,30 @@ class _Engine:
             # them, and the numerator of their quotient's Hilbert series
             self.free_leads = []
             self.numerator = [1]
+        heap_keys = self.keys
         for g in gens:
             if g.terms:
-                self._append(dict(g.terms))
+                self._append(dict(sorted(
+                    g.terms.items(), key=lambda t: heap_keys[t[0]])))
 
     def _append(self, terms):
-        key = self.sort_key
-        lm = max(terms, key=key)
+        """Add an element given as a term dict ordered largest first."""
+        lm = next(iter(terms))
         lc = terms[lm]
         if lc != 1:
             inv = pow(lc, -1, self.p)
             terms = {m: c * inv % self.p for m, c in terms.items()}
+        key = self.sort_keys
         j = len(self.lms)
-        lm_key = key(lm)
+        lm_key = key[lm]
         self.lms.append(lm)
         self.lead_keys.append(lm_key)
         self.degs.append(sum(lm))
-        self.tails.append(_tail(terms, lm, key))
+        self.tails.append(list(terms.items())[1:])
         self.polys.append(terms)
         for i in range(j):
             lcm = _mono_lcm(self.lms[i], lm)
-            entry = ((self.degree(lcm), key(lcm), self.lead_keys[i], lm_key),
+            entry = ((self.degree(lcm), key[lcm], self.lead_keys[i], lm_key),
                      i, j)
             heappush(self.pairs, entry)
             self.pending.add((i, j))
@@ -283,16 +288,16 @@ class _Engine:
 
 def _interreduce(engine):
     """Turn the engine's basis, which has the Groebner property, into the
-    reduced basis.
+    reduced basis: (leading monomials, tails), sorted by leading monomial,
+    each tail a term dict ordered largest first.
 
     Only elements with minimal leading monomials are kept.  Each kept tail is
     reduced against all kept elements: a tail term lies below its own leading
     monomial, so the element itself never applies.  Engine elements are
     already monic.
     """
-    key = engine.sort_key
     kept = []
-    for i in sorted(range(len(engine.lms)), key=lambda k: key(engine.lms[k])):
+    for i in sorted(range(len(engine.lms)), key=engine.lead_keys.__getitem__):
         lm = engine.lms[i]
         if not any(_mono_divides(engine.lms[k], lm) for k in kept):
             kept.append(i)
@@ -300,13 +305,17 @@ def _interreduce(engine):
     degs = [engine.degs[i] for i in kept]
     tails = [engine.tails[i] for i in kept]
     reducer_of = {}
-    return [{lm: 1, **_reduce_terms(dict(tail), lms, degs, tails, engine.p,
-                                    engine.keys, reducer_of)}
-            for lm, tail in zip(lms, tails)]
+    return lms, [_reduce_terms(dict(tail), lms, degs, tails, engine.p,
+                               engine.keys, reducer_of)
+                 for tail in tails]
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic elements sorted by leading monomial."""
+    """A reduced Groebner basis: monic elements sorted by leading monomial.
+
+    ``_lead`` holds the leading monomials and ``_tails`` each element's
+    other terms as (monomial, coefficient) pairs, largest first.
+    """
 
     __slots__ = ("ctx", "elements", "_lead", "_tails")
 
@@ -316,6 +325,24 @@ class GroebnerBasis:
         self._lead = tuple(g.leading_monomial() for g in self.elements)
         self._tails = tuple(_tail(g.terms, lm, ctx.sort_key)
                             for g, lm in zip(self.elements, self._lead))
+
+    @classmethod
+    def _from_parts(cls, ctx, leads, tails):
+        """The basis of monic elements lm + tail, from its leading monomials
+        and its tails as term dicts ordered largest first, both already
+        sorted by leading monomial."""
+        basis = cls.__new__(cls)
+        basis.ctx = ctx
+        basis._lead = tuple(leads)
+        basis._tails = tuple(list(tail.items()) for tail in tails)
+        elements = []
+        for lm, tail in zip(leads, tails):
+            g = Polynomial.__new__(Polynomial)
+            g.ctx = ctx
+            g.terms = {lm: 1, **tail}
+            elements.append(g)
+        basis.elements = tuple(elements)
+        return basis
 
     def lead_monomials(self):
         return self._lead
@@ -354,9 +381,7 @@ def buchberger(gens, ctx=None, series=None) -> GroebnerBasis:
             raise ContextMismatchError("generator from a different ring context")
     engine = _Engine(gens, ctx, series)
     engine.run()
-    reduced = _interreduce(engine)
-    elements = [Polynomial(ctx, t) for t in reduced]
-    return GroebnerBasis(ctx, elements)
+    return GroebnerBasis._from_parts(ctx, *_interreduce(engine))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -31,6 +31,7 @@ __all__ = [
     "CmResult",
     "hilbert_samuel",
     "hilbert_samuel_values",
+    "parameter_coordinates",
     "TangentCone",
     "tangent_cone",
     "fit_coefficients",
@@ -59,25 +60,56 @@ def hilbert_samuel(core: Ideal, parameters: Ideal, n: int) -> int:
     return quotient_length(ideal_sum(core, ideal_power(parameters, n)))
 
 
-def linear_parameter_rows(parameters: Ideal):
-    """Coefficient rows of the generators when every one is a linear form,
-    otherwise None."""
-    r = parameters.ctx.nvars
+def parameter_coordinates(ctx, parameters):
+    """The linear change of coordinates in which the parameters span
+    J = (y_1, ..., y_k), or None when some parameter is not a linear form.
+
+    Returns (ring, k, images).  The new variables are y_i = (rref row i) . x
+    followed by the x_c of the non-pivot columns c, which is invertible with
+    x_c = z_c and x_(pivot i) = y_i - sum_c row_i[c] z_c, so k is the rank
+    of the parameters and dependent parameters are handled too.  ``ring``
+    has the variables y1..yk, z1..z(r-k) and the order ("ydeg", k,
+    ctx.order), and ``images[c]`` is the image of x_c in it.  When ctx is
+    already such a ring and the parameters span its first k variables, the
+    change is the identity: ring is ctx and images is None.
+    """
+    r = ctx.nvars
     rows = []
-    for f in parameters.generators:
+    for f in parameters:
         if f.degree() != 1:
             return None
         row = [0] * r
         for mono, coeff in f.terms.items():
             row[mono.index(1)] = coeff
         rows.append(row)
-    return rows
+    reduced, pivots = rref_mod_p(rows, ctx.characteristic)
+    k = len(pivots)
+    if (ctx.order[:2] == ("ydeg", k) and pivots == list(range(k))
+            and not any(any(row[k:]) for row in reduced)):
+        return ctx, k, None
+    free = [c for c in range(r) if c not in pivots]
+    names = ([f"y{i}" for i in range(1, k + 1)]
+             + [f"z{i}" for i in range(1, r - k + 1)])
+    ring = RingContext(names, ctx.characteristic, ("ydeg", k, ctx.order))
+
+    def unit(i):
+        return tuple(1 if j == i else 0 for j in range(r))
+
+    images = [None] * r
+    for t, c in enumerate(free):
+        images[c] = Polynomial(ring, {unit(k + t): 1})
+    for i, (row, c) in enumerate(zip(reduced, pivots)):
+        terms = {unit(i): 1}
+        for t, f in enumerate(free):
+            terms[unit(k + t)] = -row[f]
+        images[c] = Polynomial(ring, terms)
+    return ring, k, images
 
 
 class TangentCone:
     """Leading monomials of an ideal's tangent cone along linear parameters.
 
-    After the linear change of coordinates of ``tangent_cone`` the
+    After the linear change of coordinates of ``parameter_coordinates`` the
     parameters span J = (y_1, ..., y_k) and the other variables are
     z_1, ..., z_(r-k).  ``leads`` are the leading monomials, in those
     coordinates, of the ideal's Groebner basis in the ("ydeg", k, base)
@@ -144,43 +176,26 @@ def tangent_cone(ideal: Ideal, parameters: Ideal):
     """The ideal's TangentCone along the parameters, or None when some
     parameter is not a linear form.
 
-    The new variables are y_i = (rref row i) . x followed by the x_c of the
-    non-pivot columns c, which is invertible with x_c = z_c and
-    x_(pivot i) = y_i - sum_c row_i[c] z_c, so k is the rank of the
-    parameters and dependent parameters are handled too.  The basis is
-    computed in the ("ydeg", k, base) order, with the Hilbert series of
-    S/ideal as its target: a linear change of coordinates keeps the series.
+    When the ideal already lives in the ring of ``parameter_coordinates``
+    (every ideal of a ``ProblemInstance`` with linear parameters does), its
+    own basis is the tangent cone's.  Otherwise its generators are mapped
+    to that ring and one basis is computed there in the ("ydeg", k, base)
+    order, with the Hilbert series of S/ideal as its target: a linear
+    change of coordinates keeps the series.
     """
-    rows = linear_parameter_rows(parameters)
-    if rows is None:
+    coordinates = parameter_coordinates(ideal.ctx, parameters.generators)
+    if coordinates is None:
         return None
-    ctx = ideal.ctx
-    r = ctx.nvars
-    reduced, pivots = rref_mod_p(rows, ctx.characteristic)
-    k = len(pivots)
-    free = [c for c in range(r) if c not in pivots]
-    names = ([f"y{i}" for i in range(1, k + 1)]
-             + [f"z{i}" for i in range(1, r - k + 1)])
-    gr_ctx = RingContext(names, ctx.characteristic, ("ydeg", k, ctx.order))
-
-    def unit(i):
-        return tuple(1 if j == i else 0 for j in range(r))
-
-    images = [None] * r
-    for t, c in enumerate(free):
-        images[c] = Polynomial(gr_ctx, {unit(k + t): 1})
-    for i, (row, c) in enumerate(zip(reduced, pivots)):
-        terms = {unit(i): 1}
-        for t, f in enumerate(free):
-            terms[unit(k + t)] = -row[f]
-        images[c] = Polynomial(gr_ctx, terms)
+    ring, k, images = coordinates
+    if images is None:
+        return TangentCone(ring, k, ideal.lead_monomials())
     basis = buchberger([g.substitute(images) for g in ideal.generators],
-                       gr_ctx, quotient_hilbert_series(ideal))
-    return TangentCone(gr_ctx, k, basis.lead_monomials())
+                       ring, quotient_hilbert_series(ideal))
+    return TangentCone(ring, k, basis.lead_monomials())
 
 
-def hilbert_samuel_values(ideal: Ideal, parameters: Ideal, max_power: int,
-                          cone=None) -> dict:
+def hilbert_samuel_values(ideal: Ideal, parameters: Ideal,
+                          max_power: int) -> dict:
     """H(n) = length(S/(ideal + parameters^n)) for n = 1..max_power.
 
     Linear parameters take the associated-graded route.  After a linear
@@ -191,22 +206,19 @@ def hilbert_samuel_values(ideal: Ideal, parameters: Ideal, max_power: int,
     Commutative Algebra, ch. 5).  H(n) is then the number of standard
     monomials of y-degree < n, for every n at once (``TangentCone.values``).
 
-    The leading monomials come from ``cone`` when the caller holds the
-    ideal's tangent cone already (``ProblemInstance.cone`` is the core's,
-    which ``check_hypotheses`` also reads), and otherwise from one
-    ``tangent_cone`` run.  That run has HS(S/ideal) as its target series,
-    read off the ideal's own basis (for the core it comes from
-    ideal_intersect, for a component from its Krull dimension), and stops
-    once its leading monomials reach it.  Other parameters take one
-    hilbert_samuel per n.
+    One basis per ideal: a ``ProblemInstance`` builds every ideal in those
+    coordinates and that order, so the core's and each component's reduced
+    basis, computed once for the intersection and the hypotheses, is
+    already its tangent cone's (``tangent_cone`` reads it).  An ideal given
+    in other coordinates takes one ``tangent_cone`` run.  Other parameters
+    take one hilbert_samuel per n.
 
     Raises NotFiniteLengthError when S/(ideal + parameters) does not have
     finite length.
     """
     if max_power < 1:
         raise ValueError("power must be at least 1")
-    if cone is None:
-        cone = tangent_cone(ideal, parameters)
+    cone = tangent_cone(ideal, parameters)
     if cone is None:
         return {n: hilbert_samuel(ideal, parameters, n)
                 for n in range(1, max_power + 1)}

@@ -157,15 +157,17 @@ def ideal_intersect(a: Ideal, b: Ideal, total=None) -> Ideal:
     series = (quotient_hilbert_series(a) + quotient_hilbert_series(b)
               - quotient_hilbert_series(total))
     eliminated = buchberger(gens, ectx, series)
-    kept = []
-    for g in eliminated:
-        if all(m[0] == 0 for m in g.terms):
-            kept.append(Polynomial(ctx, {m[1:]: c for m, c in g.terms.items()}))
-    # the same leading monomials, sorted in the base order (the elimination
-    # order sorts by degree first, which differs for lex)
-    kept.sort(key=lambda g: ctx.sort_key(g.leading_monomial()))
-    result = Ideal(ctx, kept)
-    result._gb = GroebnerBasis(ctx, kept)
+    # the t-free elements, with their leads sorted in the base order (the
+    # elimination order sorts by degree first, which differs for lex); each
+    # is homogeneous, so its tail is already sorted in the base order too
+    kept = sorted(((lm[1:], {m[1:]: c for m, c in tail})
+                   for lm, tail in zip(eliminated._lead, eliminated._tails)
+                   if not lm[0]),
+                  key=lambda part: ctx.sort_key(part[0]))
+    basis = GroebnerBasis._from_parts(ctx, [lm for lm, _ in kept],
+                                      [tail for _, tail in kept])
+    result = Ideal(ctx, basis.elements)
+    result._gb = basis
     return result
 
 

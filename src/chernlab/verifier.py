@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import binomial
+from .core import Polynomial, binomial
 from .graded import diagonal_cokernel, power_colengths
 from .hilbert import (HilbertDataset, chern_sign, cm_test, fit_coefficients,
                       hilbert_polynomial_value, hilbert_samuel_values,
-                      tangent_cone)
+                      parameter_coordinates, tangent_cone)
 from .ideals import Ideal, ideal_sum, intersect_all, krull_dimension
 from .resolutions import tor1_closed_form, tor1_via_lengths
 
@@ -37,17 +37,30 @@ class ProblemInstance:
 
     Derived data (pairwise sums, intersection, dimension, heights, the
     core's tangent cone) is computed eagerly and once: consumers take
-    ``core`` instead of intersecting the ideals again.  ``pair_sums`` maps
-    (i, j), i < j, to I_i + I_j; the first intersection takes the sum of the
-    first two components from it, so one basis of that sum serves both its
-    target series and the pairwise hypothesis.  ``cone`` is the core's
-    ``tangent_cone`` along the parameters (None when some parameter is not
-    linear), shared by ``check_hypotheses`` and every H(K, n) table.  The
-    default window size for Hilbert-Samuel sampling is 2d + 4.
+    ``core`` instead of intersecting the ideals again.
+
+    Two rings.  ``ctx`` is the problem's ring, and ``parameters`` are the
+    given elements in it.  ``ring`` is the ring every derived ideal lives
+    in: ``ideals`` (the components), ``J``, ``pair_sums``, ``core``, and so
+    the cokernel model built from them.  For linear parameters ``ring`` is
+    the ring of ``hilbert.parameter_coordinates``: the components are
+    mapped there once, J = (y_1, ..., y_k), and the order is ("ydeg", k,
+    base), so each ideal's one reduced basis is also its tangent cone's.
+    Otherwise ``ring`` is ``ctx``, the change is the identity and J is
+    generated by the parameters.  Lengths, dimensions and series do not
+    depend on the coordinates.
+
+    ``pair_sums`` maps (i, j), i < j, to I_i + I_j; the first intersection
+    takes the sum of the first two components from it, so one basis of that
+    sum serves both its target series and the pairwise hypothesis.
+    ``cone`` is the core's ``TangentCone``, read off the core's basis (None
+    when some parameter is not linear), shared by ``check_hypotheses`` and
+    the H(K, n) table.  The default window size for Hilbert-Samuel sampling
+    is 2d + 4.
     """
 
-    __slots__ = ("ctx", "ideals", "parameters", "J", "pair_sums", "core",
-                 "cone", "g", "r", "d", "heights", "max_power")
+    __slots__ = ("ctx", "ring", "ideals", "parameters", "J", "pair_sums",
+                 "core", "cone", "g", "r", "d", "heights", "max_power")
 
     def __init__(self, ctx, ideals, parameters, max_power=None):
         ideals = list(ideals)
@@ -60,10 +73,22 @@ class ProblemInstance:
             if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
                 raise ValueError(
                     "parameters must be nonzero homogeneous of degree >= 1")
+        coordinates = parameter_coordinates(ctx, parameters)
+        if coordinates is None:
+            ring, J = ctx, Ideal(ctx, parameters)
+        else:
+            ring, k, images = coordinates
+            if images is not None:
+                ideals = [Ideal(ring, [g.substitute(images)
+                                       for g in ideal.generators])
+                          for ideal in ideals]
+            J = Ideal(ring, [Polynomial.variable(ring, y)
+                             for y in ring.variables[:k]])
         self.ctx = ctx
+        self.ring = ring
         self.ideals = ideals
         self.parameters = parameters
-        self.J = Ideal(ctx, parameters)
+        self.J = J
         self.pair_sums = {(i, j): ideal_sum(ideals[i], ideals[j])
                           for i, j in combinations(range(len(ideals)), 2)}
         self.core = intersect_all(ideals, self.pair_sums.get((0, 1)))
@@ -367,8 +392,7 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     report["top_degree"] = model.top_degree
     report["annihilates"] = annihilated
 
-    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power,
-                                   inst.cone)
+    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
     dataset = HilbertDataset.fit(values, inst.d)
     report["hilbert"] = {
         "values": [{"n": n, "length": _s(values[n])} for n in sorted(values)],
@@ -386,10 +410,8 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     e1 = dataset.coefficients[1] if len(dataset.coefficients) > 1 else 0
     report["chern_sign"] = chern_sign(e1)
 
-    # with one component the core is that component, and so is its cone
     component_values = [
-        hilbert_samuel_values(ideal, inst.J, max(inst.max_power, inst.d + 2),
-                              inst.cone if ideal is inst.core else None)
+        hilbert_samuel_values(ideal, inst.J, max(inst.max_power, inst.d + 2))
         for ideal in inst.ideals]
     torsion_values = {n: tor1_via_lengths(values, component_values,
                                           colengths, n)

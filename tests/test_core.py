@@ -112,7 +112,9 @@ def test_field_axioms_randomized():
 @pytest.mark.parametrize("order", [
     "grevlex", "lex",
     pytest.param(("ydeg", 2, "grevlex"), id="ydeg-grevlex"),
-    pytest.param(("ydeg", 2, "lex"), id="ydeg-lex")])
+    pytest.param(("ydeg", 2, "lex"), id="ydeg-lex"),
+    pytest.param(("elim", 1, ("ydeg", 2, "grevlex")), id="elim-ydeg"),
+    pytest.param(("elim", 2, "lex"), id="elim2-lex")])
 def test_monomial_order_axioms(order):
     ctx = RingContext(["x", "y", "z", "w"], order=order)
     key = ctx.sort_key
@@ -131,6 +133,21 @@ def test_monomial_order_axioms(order):
                     shifted_a = tuple(x + y for x, y in zip(a, c))
                     shifted_b = tuple(x + y for x, y in zip(b, c))
                     assert key(shifted_a) < key(shifted_b)  # multiplicative
+
+
+@pytest.mark.parametrize("base", ["grevlex", "lex"])
+def test_elim_order_with_one_eliminated_variable(base):
+    # the base sees only the kept variables; with one eliminated variable
+    # that is the base on all variables after the two degrees
+    names = ["t", "x", "y", "z"]
+    full = RingContext(names, order=base).sort_key
+    elim = RingContext(names, order=("elim", 1, base))
+    rng = random.Random(23)
+    monos = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(80)]
+    assert sorted(monos, key=elim.sort_key) == \
+        sorted(monos, key=lambda m: (sum(m[1:]), m[0], full(m)))
+    assert sorted(monos, key=elim.heap_key) == \
+        sorted(monos, key=elim.sort_key, reverse=True)
 
 
 def test_parser_round_trip(ctx4):

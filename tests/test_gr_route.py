@@ -7,9 +7,10 @@ import random
 import pytest
 
 import chernlab.hilbert as hilbert_module
-from chernlab import (Ideal, NotFiniteLengthError, RingContext, binomial,
-                      hilbert_samuel, hilbert_samuel_values, ideal_intersect,
-                      intersect_all)
+from chernlab import (Ideal, NotFiniteLengthError, ProblemInstance,
+                      RingContext, binomial, check_hypotheses, hilbert_samuel,
+                      hilbert_samuel_values, ideal_intersect, ideal_sum,
+                      intersect_all, krull_dimension)
 from chernlab.cli import build_instance, load_problem
 from conftest import PROBLEM_DIR
 from helpers import (PRIME_POOL, e1_family, e2_family, e3_family,
@@ -122,3 +123,64 @@ def test_ydeg_keys_are_mutually_reverse():
             for b in monos:
                 assert (ctx.sort_key(a) < ctx.sort_key(b)) == \
                     (ctx.heap_key(a) > ctx.heap_key(b))
+
+
+def instance_cases(rng, p, order):
+    """(label, ctx, ideals, parameters, window): g = 1, 2, 3 plane
+    configurations under a random invertible change, dependent parameters,
+    k = r, and a quadratic parameter."""
+    xyzw = ["x", "y", "z", "w"]
+    two = [["x", "y"], ["z", "w"]]
+    six = [f"x{i}" for i in range(1, 7)]
+    cases = [
+        ("g=1", xyzw, [["x", "y"]], ["z", "w"], 5),
+        ("g=2", xyzw, two, ["x + z", "y + w"], 5),
+        ("g=2, d=3", six, [six[:3], six[3:]],
+         [f"{a} + {b}" for a, b in zip(six[:3], six[3:])], 3),
+        ("g=3", xyzw, two + [["x + z", "y + w"]], ["x + w", "y - z"], 4),
+        ("dependent", xyzw, two, ["x + z", "y + w", "2*x + 3*y + 2*z + 3*w"],
+         4),
+        ("k = r", xyzw, two, ["x + z", "y + w", "z", "w"], 4),
+        ("quadratic", xyzw, two, ["x^2 + z^2", "y + w"], 4),
+    ]
+    for label, names, blocks, parameters, window in cases:
+        ctx, ideals, j = transformed_planes(rng, p, names, blocks, parameters,
+                                            order)
+        yield label, ctx, ideals, list(j.generators), window
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_instance_tables_match_original_ring(order):
+    # the instance lives in the parameters' coordinates; its tables, d,
+    # heights and hypothesis witnesses must equal those computed from fresh
+    # ideals in the problem's own ring, by the per-n oracle and Krull
+    # dimensions there
+    rng = random.Random(f"cross:{order}")
+    for label, ctx, ideals, parameters, window in instance_cases(
+            rng, 10007, order):
+        inst = ProblemInstance(ctx, ideals, parameters)
+        if label == "quadratic":
+            assert inst.ring == ctx and inst.cone is None
+        else:
+            assert inst.ring.order[:2] == ("ydeg", inst.cone.k)
+        fresh = [Ideal(ctx, ideal.generators) for ideal in ideals]
+        core = intersect_all(fresh)
+        j = Ideal(ctx, parameters)
+        for ours, theirs in zip([inst.core] + inst.ideals, [core] + fresh):
+            assert hilbert_samuel_values(ours, inst.J, window) == \
+                per_n(theirs, j, window), label
+        r = ctx.nvars
+        assert inst.d == krull_dimension(core), label
+        assert inst.heights == [r - krull_dimension(i) for i in fresh]
+        witnesses = {c["name"]: c["witness"]
+                     for c in check_hypotheses(inst)["checks"]}
+        assert witnesses["equal_component_dimensions"]["dimensions"] == \
+            [krull_dimension(i) for i in fresh]
+        assert witnesses["pairwise_sums_mprimary"]["failing_pairs"] == [
+            [a + 1, b + 1, krull_dimension(ideal_sum(fresh[a], fresh[b]))]
+            for a in range(len(fresh)) for b in range(a + 1, len(fresh))
+            if krull_dimension(ideal_sum(fresh[a], fresh[b])) != 0]
+        assert witnesses["parameters_cut_to_finite_length"] == \
+            {"dimension_of_quotient": krull_dimension(ideal_sum(core, j))}
+        assert witnesses["parameters_form_regular_sequence"][
+            "dim_S_mod_J"] == krull_dimension(j), label

@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
-from chernlab import (Ideal, NotFiniteLengthError, Polynomial, annihilates,
-                      diagonal_cokernel, intersect_all, normal_form,
-                      power_colength, power_colengths,
-                      quotient_hilbert_series, standard_monomials)
+from chernlab import (Ideal, NotFiniteLengthError, Polynomial,
+                      ProblemInstance, annihilates, diagonal_cokernel,
+                      intersect_all, normal_form, power_colength,
+                      power_colengths, quotient_hilbert_series,
+                      standard_monomials)
+from chernlab.cli import build_instance, load_problem
 from chernlab.linalg import mat_mul, rref_mod_p
+from conftest import PROBLEM_DIR
+from helpers import transformed_planes
 
 
 def I(ctx, *texts):
@@ -182,3 +188,37 @@ def test_power_colengths_one_walk(monkeypatch, ctx4, a, b):
         [colengths[0], colengths[1], colengths[8]]
     # verify reads annihilation off the walk; annihilates is the second route
     assert annihilates(j, model) == (nu <= 1)
+
+
+def _length_instances(ctx4):
+    """(instance, length(L)) on e1-e4, two dense 4-planes and the two
+    staircases (x, y^a) ∩ (z^b, w) with ab = 30."""
+    for name, lam in (("e1_two_planes", 1), ("e2_two_3planes", 1),
+                      ("e3_cm_baseline", 0), ("e4_three_planes", 4)):
+        path = str(PROBLEM_DIR / f"{name}.json")
+        yield build_instance(load_problem(path)), lam
+    names = [f"x{i}" for i in range(1, 9)]
+    ctx, ideals, j = transformed_planes(
+        random.Random(601), 32003, names, [names[:4], names[4:]],
+        [f"{a} + {b}" for a, b in zip(names[:4], names[4:])])
+    yield ProblemInstance(ctx, ideals, list(j.generators)), 1
+    for a, b in ((30, 1), (6, 5)):
+        yield ProblemInstance(ctx4, [I(ctx4, "x", f"y^{a}"),
+                                     I(ctx4, f"z^{b}", "w")],
+                              list(I(ctx4, "x + w", "y + z").generators)), 30
+
+
+def test_cokernel_length_by_series_route(ctx4):
+    # second route to length(L): sum_i HS(S/I_i) - HS(S/core), from the
+    # bases the instance already holds, against the model's length and
+    # the ranks of its degreewise diagonal maps
+    for inst, lam in _length_instances(ctx4):
+        held = inst.ideals + [inst.core]
+        assert all(ideal._gb is not None for ideal in held)
+        series = quotient_hilbert_series(inst.ideals[0])
+        for ideal in inst.ideals[1:]:
+            series = series + quotient_hilbert_series(ideal)
+        series = series - quotient_hilbert_series(inst.core)
+        model = diagonal_cokernel(inst.ideals, inst.core)
+        assert series.total() == model.length == lam
+        assert sum(len(basis) for basis in model.bases) == lam

@@ -191,8 +191,8 @@ def test_random_plane_pair_collapse():
         p = PRIME_POOL[rng.randrange(len(PRIME_POOL))]
         ctx, ideals, j = e1_family(rng, p)
         inst = ProblemInstance(ctx, ideals, list(j.generators), max_power=4)
-        model = diagonal_cokernel(ideals, inst.core)
-        values = {n: hilbert_samuel(inst.core, j, n)
+        model = diagonal_cokernel(inst.ideals, inst.core)
+        values = {n: hilbert_samuel(inst.core, inst.J, n)
                   for n in range(1, inst.max_power + 1)}
         coeffs, _ = fit_coefficients(values, inst.d)
         lam = model.length
