@@ -171,7 +171,7 @@ class _Engine:
             # leading monomials free of the eliminated variables, without
             # them, and the numerator of their quotient's Hilbert series
             self.free_leads = []
-            self.numerator = [1]
+            self.numerator = [[1]]
         heap_keys = self.keys
         for g in gens:
             if g.terms:
@@ -210,19 +210,18 @@ class _Engine:
         if any(lm[:k]):
             return
         # ideals imports this module, so import from it at run time
-        from .ideals import HilbertSeries, _minimalize, _series_numerator
+        from .ideals import (HilbertSeries, _add_shifted, _minimalize,
+                             _series_numerator)
 
         m = lm[k:]
         colon = _minimalize([tuple(map(sub, _mono_lcm(g, m), m))
                              for g in self.free_leads])
         self.free_leads.append(m)
-        colon_num = _series_numerator(colon, len(m))
-        shift = sum(m)
-        num = self.numerator
-        num += [0] * (shift + len(colon_num) - len(num))
-        for i, c in enumerate(colon_num):
-            num[i + shift] -= c
-        self.reached = HilbertSeries(num, len(m)) == self.series
+        self.numerator = _add_shifted(self.numerator,
+                                      _series_numerator(colon, len(m)),
+                                      0, sum(m), -1)
+        self.reached = (HilbertSeries(self.numerator[0], len(m))
+                        == self.series)
 
     @property
     def exhausted(self):

@@ -14,14 +14,13 @@ from an internal bug and abort loudly.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple
 
 from .core import Polynomial, RingContext, binomial
-from .groebner import _mono_divides, buchberger
-from .ideals import (Ideal, NotFiniteLengthError, ideal_power, ideal_sum,
-                     monomial_hilbert_series, quotient_hilbert_series,
-                     quotient_length)
+from .groebner import buchberger
+from .ideals import (HilbertSeries, Ideal, NotFiniteLengthError,
+                     _minimalize, _series_numerator, ideal_power, ideal_sum,
+                     quotient_hilbert_series, quotient_length)
 from .linalg import rref_mod_p, solve_fraction_free
 
 __all__ = [
@@ -107,69 +106,59 @@ def parameter_coordinates(ctx, parameters):
 
 
 class TangentCone:
-    """Leading monomials of an ideal's tangent cone along linear parameters.
+    """The bigraded Hilbert series of an ideal's tangent cone along linear
+    parameters.
 
     After the linear change of coordinates of ``parameter_coordinates`` the
     parameters span J = (y_1, ..., y_k) and the other variables are
     z_1, ..., z_(r-k).  ``leads`` are the leading monomials, in those
     coordinates, of the ideal's Groebner basis in the ("ydeg", k, base)
     order ``ctx`` carries: on homogeneous input they generate the initial
-    ideal of the tangent cone.
+    ideal of the tangent cone.  The cone keeps only ``numerator``, the
+    numerator of HS(S/in(ideal)) over (1-t)^k (1-s)^(r-k), with weight t on
+    the y and s on the z variables, indexed [t-degree][s-degree].
     """
 
-    __slots__ = ("ctx", "k", "leads")
+    __slots__ = ("ctx", "k", "numerator")
 
     def __init__(self, ctx, k, leads):
         self.ctx = ctx
         self.k = k
-        self.leads = tuple(leads)
+        self.numerator = _series_numerator(_minimalize(leads), ctx.nvars, k)
 
     def dimension_mod_parameters(self) -> int:
-        """dim S/(ideal + J), or -1 when that quotient is zero.
+        """dim S/(ideal + J), or -1 when that quotient is zero: the pole
+        order of row 0 over (1-s)^(r-k).
 
-        in_ydeg(ideal) ∩ k[z] = in(ideal|_(y=0)), so this is the dimension
-        of k[z] modulo the y-free leading monomials, read off the quotient
-        of S by them and the y variables.
+        Row 0 is the numerator of the y-degree-0 part of S/in(ideal), which
+        is k[z]/in(ideal|_(y=0)) since in_ydeg(ideal) ∩ k[z] =
+        in(ideal|_(y=0)), and so has the dimension of S/(ideal + J).
         """
-        k = self.k
-        r = self.ctx.nvars
-        gens = [m for m in self.leads if not any(m[:k])]
-        gens += [tuple(int(j == i) for j in range(r)) for i in range(k)]
-        return monomial_hilbert_series(gens, self.ctx).dimension()
+        return HilbertSeries(self.numerator[0],
+                             self.ctx.nvars - self.k).dimension()
 
     def values(self, max_power: int) -> dict:
-        """H(n) = length(S/(ideal + J^n)) for n = 1..max_power: the number
-        of standard monomials of y-degree < n, enumerated degree by degree.
+        """H(n) = length(S/(ideal + J^n)) for n = 1..max_power, from the
+        series at s = 1, for all n at once.
+
+        When row 0 is a polynomial over (1-s)^(r-k), every y-degree piece of
+        S/in(ideal) is finite and every row c_i(s) is divisible by
+        (1-s)^(r-k); the quotient at s = 1 is
+        q_i = (-1)^(r-k) sum_j c_ij C(j, r-k).  Then Q(t)/(1-t)^k is the
+        Hilbert series of gr_J(S/ideal), and
+        H(n) = sum_(i<n) q_i C(n-1-i+k, k).
 
         Raises NotFiniteLengthError when S/(ideal + J) does not have finite
-        length.
+        length: exactly when row 0 is not a polynomial.
         """
         k = self.k
-        r = self.ctx.nvars
-        leads = self.leads
-        # The count is finite exactly when in(ideal) + (y) is m-primary: some
-        # y-free leading monomial is a pure power of each z variable.
-        for t in range(k, r):
-            if not any(all(e == 0 for j, e in enumerate(m) if j != t)
-                       for m in leads):
-                raise NotFiniteLengthError(
-                    "quotient does not have finite length")
-        # A monomial of y-degree < max_power has no divisor of higher
-        # y-degree.
-        leads = [m for m in leads if sum(m[:k]) < max_power]
-        unit = (0,) * r
-        counts = [0] * max_power
-        current = [] if unit in leads else [unit]
-        while current:
-            candidates = set()
-            for m in current:
-                ydeg = sum(m[:k])
-                counts[ydeg] += 1
-                for u in range(0 if ydeg + 1 < max_power else k, r):
-                    candidates.add(m[:u] + (m[u] + 1,) + m[u + 1:])
-            current = [m for m in candidates
-                       if not any(_mono_divides(lm, m) for lm in leads)]
-        return dict(zip(range(1, max_power + 1), accumulate(counts)))
+        # total() divides out (1-s)^(r-k) and raises NotFiniteLengthError
+        # when it does not divide, which row 0, first, decides
+        q = [HilbertSeries(row, self.ctx.nvars - k).total()
+             for row in self.numerator]
+        return {n: sum(qi * binomial(n - 1 - i + k, k)
+                       for i, qi in enumerate(q[:n]))
+                for n in range(1, max_power + 1)}
 
 
 def tangent_cone(ideal: Ideal, parameters: Ideal):
@@ -203,8 +192,9 @@ def hilbert_samuel_values(ideal: Ideal, parameters: Ideal,
     ideal of one Groebner basis in the ("ydeg", k, base) order is the
     initial ideal of the tangent cone, so S/in(ideal) has the Hilbert
     function of gr_J(S/ideal) (Greuel-Pfister, A Singular Introduction to
-    Commutative Algebra, ch. 5).  H(n) is then the number of standard
-    monomials of y-degree < n, for every n at once (``TangentCone.values``).
+    Commutative Algebra, ch. 5).  H(n) is then read off the bigraded
+    Hilbert series of S/in(ideal) at s = 1, for every n at once
+    (``TangentCone.values``).
 
     One basis per ideal: a ``ProblemInstance`` builds every ideal in those
     coordinates and that order, so the core's and each component's reduced

@@ -199,16 +199,6 @@ def is_mprimary(a: Ideal) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul_z(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def _minimalize(monos):
     """Minimal generators of the monomial ideal generated by monos."""
     uniq = sorted(set(monos), key=lambda m: (sum(m), m))
@@ -219,25 +209,41 @@ def _minimalize(monos):
     return out
 
 
-def _series_numerator(gens, r):
-    """Numerator of HS(S/I) over (1-t)^r for a minimal monomial generating set.
+def _add_shifted(a, b, i, j, sign):
+    """a + sign * t^i s^j * b, for bigraded numerators: lists of rows,
+    indexed [t-degree][s-degree]."""
+    out = list(a)
+    out += [[]] * (i + len(b) - len(out))
+    for ii, row in enumerate(b, i):
+        target = out[ii] + [0] * (j + len(row) - len(out[ii]))
+        for jj, c in enumerate(row, j):
+            target[jj] += sign * c
+        out[ii] = target
+    return out
+
+
+def _series_numerator(gens, r, k=0):
+    """Numerator of HS(S/I) over (1-t)^k (1-s)^(r-k) for a minimal monomial
+    generating set, where the first k variables have weight t and the others
+    weight s.  The result is indexed [t-degree][s-degree]; with k = 0 it has
+    the one row num[0], the numerator of the standard series over (1-s)^r.
 
     Recursion on a variable pivot x_u (the most frequent variable, ties by
-    index):  N(I) = N(I + (x_u)) + t * N(I : x_u).
+    index):  N(I) = N(I + (x_u)) + w(x_u) * N(I : x_u), w the pivot's weight
+    (Bigatti, "Computation of Hilbert-Poincare series", JPAA 1997).
     """
     if not gens:
-        return [1]
+        return [[1]]
     unit = (0,) * r
     if unit in gens:
-        return [0]
+        return [[0]]
     if all(sum(1 for e in m if e) == 1 for m in gens):
-        # pairwise coprime variable powers: product formula
-        num = [1]
+        # pairwise coprime variable powers: product of the 1 - w(m)
+        num = [[1]]
         for m in gens:
-            factor = [0] * (sum(m) + 1)
-            factor[0] = 1
-            factor[sum(m)] = -1
-            num = _poly_mul_z(num, factor)
+            e = max(m)
+            shift = (e, 0) if m.index(e) < k else (0, e)
+            num = _add_shifted(num, num, *shift, -1)
         return num
     # Pivot on the most frequent variable (ties: smallest index) among
     # mixed-support generators; pivoting on a variable that only occurs in a
@@ -253,14 +259,9 @@ def _series_numerator(gens, r):
     plus = _minimalize([m for m in gens if m[u] == 0] + [pivot])
     colon = _minimalize([tuple(e - 1 if i == u and e else e
                                for i, e in enumerate(m)) for m in gens])
-    a = _series_numerator(plus, r)
-    b = _series_numerator(colon, r)
-    out = [0] * max(len(a), len(b) + 1)
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i + 1] += x
-    return out
+    return _add_shifted(_series_numerator(plus, r, k),
+                        _series_numerator(colon, r, k),
+                        *((1, 0) if u < k else (0, 1)), 1)
 
 
 class HilbertSeries:
@@ -340,13 +341,8 @@ class HilbertSeries:
     def __sub__(self, other):
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        s = max(self.denominator_exponent, other.denominator_exponent)
-        a = self._lift(s)
-        b = other._lift(s)
-        width = max(len(a), len(b))
-        num = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-               for i in range(width)]
-        return HilbertSeries(num, s)
+        return self + HilbertSeries([-c for c in other.numerator],
+                                    other.denominator_exponent)
 
     def __eq__(self, other):
         if not isinstance(other, HilbertSeries):
@@ -363,7 +359,7 @@ def monomial_hilbert_series(lead_monomials, ctx: RingContext) -> HilbertSeries:
     """Exact Hilbert series of S/(monomial ideal)."""
     r = ctx.nvars
     gens = _minimalize(lead_monomials)
-    return HilbertSeries(_series_numerator(gens, r), r)
+    return HilbertSeries(_series_numerator(gens, r)[0], r)
 
 
 def quotient_hilbert_series(a: Ideal) -> HilbertSeries:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chernlab import binomial
 from chernlab.cli import main
 from conftest import PROBLEM_DIR
 
@@ -34,8 +35,6 @@ def test_hilbert_table(capsys):
 
 
 def test_hilbert_e3_rows_are_binomials(capsys):
-    from chernlab import binomial
-
     code, out, _ = run(capsys, "hilbert", E3, "--json")
     assert code == 0
     for row in json.loads(out):
@@ -46,6 +45,23 @@ def test_hilbert_max_power_override(capsys):
     code, out, _ = run(capsys, "hilbert", E1, "--json", "--max-power", "2")
     assert code == 0
     assert len(json.loads(out)) == 2
+
+
+@pytest.mark.parametrize("path, closed_form", [
+    # e = (2, -1, 0)
+    (E1, lambda n: 2 * binomial(n + 1, 2) + n),
+    # e = (2, -1, 1, 0)
+    (E2, lambda n: 2 * binomial(n + 2, 3) + binomial(n + 1, 2) + n),
+])
+def test_hilbert_large_window_closed_form(capsys, path, closed_form):
+    # every H(K, n) of a large window is read off one series, in no time
+    code, out, _ = run(capsys, "hilbert", path, "--max-power", "400",
+                       "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["n"] for row in rows] == list(range(1, 401))
+    for row in rows:
+        assert int(row["length"]) == closed_form(row["n"])
 
 
 def test_coeffs_e1(capsys):

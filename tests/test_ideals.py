@@ -9,6 +9,7 @@ from chernlab import (Ideal, NotFiniteLengthError, Polynomial, RingContext,
                       monomial_hilbert_series, parse_polynomial,
                       quotient_hilbert_series, quotient_length,
                       standard_monomials)
+from chernlab.ideals import HilbertSeries, _series_numerator
 
 
 def I(ctx, *texts):
@@ -153,6 +154,15 @@ def test_series_vs_standard_monomials(ctx4):
         series = quotient_hilbert_series(ideal)
         counts = [len(m) for m in standard_monomials(ideal.groebner(), 10)]
         assert series.coefficients_up_to(10) == counts
+        # the bigraded numerator, the first k variables weighted t and the
+        # others s, is the same numerator at s = t
+        for k in range(5):
+            bigraded = _series_numerator(ideal.lead_monomials(), 4, k)
+            collapsed = [0] * (len(bigraded) + max(map(len, bigraded)))
+            for i, row in enumerate(bigraded):
+                for j, c in enumerate(row):
+                    collapsed[i + j] += c
+            assert HilbertSeries(collapsed, 4) == series
 
 
 def test_length_residue_field(ctx4):
