@@ -18,14 +18,13 @@ import argparse
 import json
 import sys
 
+from . import graded, resolutions, verifier
 from .core import (PRIME_LIMIT, ParseError, RingContext, is_prime,
                    parse_polynomial)
-from .graded import diagonal_cokernel
 from .hilbert import (FitInstabilityError, HilbertDataset, chern_sign,
                       cm_test, hilbert_samuel_values)
 from .ideals import Ideal, NotFiniteLengthError
-from .resolutions import en_betti
-from .verifier import ProblemInstance, check_hypotheses, run_verification
+from .instance import ProblemInstance, check_hypotheses
 
 __all__ = ["main", "SchemaError", "load_problem", "build_instance"]
 
@@ -195,7 +194,7 @@ def cmd_coeffs(args) -> int:
         return gate
     values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
     dataset = HilbertDataset.fit(values, inst.d)
-    model = diagonal_cokernel(inst.ideals, inst.core)
+    model = graded.diagonal_cokernel(inst.ideals, inst.core)
     cm = cm_test(dataset.coefficients[0], values[1])
     e1 = dataset.coefficients[1] if len(dataset.coefficients) > 1 else 0
     payload = {
@@ -224,7 +223,8 @@ def cmd_verify(args) -> int:
         if args.json:
             _emit_json(report)
         return gate
-    report = run_verification(inst, force=args.force, hypotheses=fragment)
+    report = verifier.run_verification(inst, force=args.force,
+                                       hypotheses=fragment)
     if args.json:
         _emit_json(report)
     else:
@@ -265,7 +265,8 @@ def cmd_betti(args) -> int:
     if args.d < 1 or args.n < 1:
         print("betti: need --d >= 1 and --n >= 1", file=sys.stderr)
         return EXIT_SCHEMA
-    betti = [1] + [en_betti(args.n, args.d, i) for i in range(1, args.d + 1)]
+    betti = [1] + [resolutions.en_betti(args.n, args.d, i)
+                   for i in range(1, args.d + 1)]
     euler = sum(b if i % 2 == 0 else -b for i, b in enumerate(betti))
     if args.json:
         _emit_json({"d": args.d, "n": args.n,

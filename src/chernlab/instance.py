@@ -1,0 +1,155 @@
+"""The problem instance and its hypothesis checks, which every subcommand
+needs before it computes a length."""
+
+from itertools import combinations
+
+from .core import Polynomial
+from .hilbert import parameter_coordinates, tangent_cone
+from .ideals import Ideal, ideal_sum, intersect_all, krull_dimension
+
+__all__ = ["ProblemInstance", "check_hypotheses"]
+
+
+class ProblemInstance:
+    """A quotient ring presented by component ideals plus parameter elements.
+
+    Derived data (pairwise sums, intersection, dimension, heights, the
+    core's tangent cone) is computed eagerly and once: consumers take
+    ``core`` instead of intersecting the ideals again.
+
+    Two rings.  ``ctx`` is the problem's ring, and ``parameters`` are the
+    given elements in it.  ``ring`` is the ring every derived ideal lives
+    in: ``ideals`` (the components), ``J``, ``pair_sums``, ``core``, and so
+    the cokernel model built from them.  For linear parameters ``ring`` is
+    the ring of ``hilbert.parameter_coordinates``: the components are
+    mapped there once, J = (y_1, ..., y_k), and the order is ("ydeg", k,
+    base), so each ideal's one reduced basis is also its tangent cone's.
+    Otherwise ``ring`` is ``ctx``, the change is the identity and J is
+    generated by the parameters.  Lengths, dimensions and series do not
+    depend on the coordinates.
+
+    ``pair_sums`` maps (i, j), i < j, to I_i + I_j; the first intersection
+    takes the sum of the first two components from it, so one basis of that
+    sum serves both its target series and the pairwise hypothesis.
+    ``cone`` is the core's ``TangentCone``, read off the core's basis (None
+    when some parameter is not linear), shared by ``check_hypotheses`` and
+    the H(K, n) table.  The default window size for Hilbert-Samuel sampling
+    is 2d + 4.
+    """
+
+    __slots__ = ("ctx", "ring", "ideals", "parameters", "J", "pair_sums",
+                 "core", "cone", "g", "r", "d", "heights", "max_power")
+
+    def __init__(self, ctx, ideals, parameters, max_power=None):
+        ideals = list(ideals)
+        parameters = list(parameters)
+        if not ideals:
+            raise ValueError("need at least one component ideal")
+        if not parameters:
+            raise ValueError("need at least one parameter element")
+        for f in parameters:
+            if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
+                raise ValueError(
+                    "parameters must be nonzero homogeneous of degree >= 1")
+        coordinates = parameter_coordinates(ctx, parameters)
+        if coordinates is None:
+            ring, J = ctx, Ideal(ctx, parameters)
+        else:
+            ring, k, images = coordinates
+            if images is not None:
+                ideals = [Ideal(ring, [g.substitute(images)
+                                       for g in ideal.generators])
+                          for ideal in ideals]
+            J = Ideal(ring, [Polynomial.variable(ring, y)
+                             for y in ring.variables[:k]])
+        self.ctx = ctx
+        self.ring = ring
+        self.ideals = ideals
+        self.parameters = parameters
+        self.J = J
+        self.pair_sums = {(i, j): ideal_sum(ideals[i], ideals[j])
+                          for i, j in combinations(range(len(ideals)), 2)}
+        self.core = intersect_all(ideals, self.pair_sums.get((0, 1)))
+        self.cone = tangent_cone(self.core, self.J)
+        self.g = len(ideals)
+        self.r = ctx.nvars
+        self.d = krull_dimension(self.core)
+        self.heights = [self.r - krull_dimension(ideal) for ideal in ideals]
+        self.max_power = max_power if max_power is not None else 2 * self.d + 4
+        if self.max_power < 1:
+            raise ValueError("max_power must be at least 1")
+
+
+def check_hypotheses(inst: ProblemInstance) -> dict:
+    """Named hypothesis checks with witnesses.
+
+    Every check reads data the instance holds already.  Component
+    dimensions come from ``inst.heights`` and the pairwise sums from
+    ``inst.pair_sums``, whose bases the intersection shares.  For linear
+    parameters ``dimension_of_quotient`` (dim S/(core + J)) is read off the
+    core's tangent cone ``inst.cone``, which the H(K, n) table uses too,
+    and ``dim_S_mod_J`` is r minus the rank of the parameters.  Other
+    parameters take ``krull_dimension`` of core + J and of J.
+
+    The theorem-mode flag (d >= 2 with at least two components) is recorded
+    but does not count toward pass/fail: a single Cohen-Macaulay component is
+    a legitimate baseline instance.
+    """
+    checks = []
+
+    homogeneous = all(g.is_homogeneous() for ideal in inst.ideals
+                      for g in ideal.generators)
+    checks.append({
+        "name": "generators_homogeneous",
+        "passed": homogeneous,
+        "witness": {"note": "enforced at ideal construction"},
+    })
+
+    dims = [inst.r - h for h in inst.heights]
+    checks.append({
+        "name": "equal_component_dimensions",
+        "passed": len(set(dims)) == 1,
+        "witness": {"dimensions": dims},
+    })
+
+    failing_pairs = []
+    for (i, j), pair_sum in inst.pair_sums.items():
+        pair_dim = krull_dimension(pair_sum)
+        if pair_dim != 0:
+            failing_pairs.append([i + 1, j + 1, pair_dim])
+    checks.append({
+        "name": "pairwise_sums_mprimary",
+        "passed": not failing_pairs,
+        "witness": {"failing_pairs": failing_pairs,
+                    "pairs_checked": inst.g * (inst.g - 1) // 2},
+    })
+
+    checks.append({
+        "name": "parameter_count_matches_dimension",
+        "passed": len(inst.parameters) == inst.d,
+        "witness": {"parameters": len(inst.parameters), "dimension": inst.d},
+    })
+
+    if inst.cone is not None:
+        sop_dim = inst.cone.dimension_mod_parameters()
+        j_dim = inst.r - inst.cone.k
+    else:
+        sop_dim = krull_dimension(ideal_sum(inst.core, inst.J))
+        j_dim = krull_dimension(inst.J)
+    checks.append({
+        "name": "parameters_cut_to_finite_length",
+        "passed": sop_dim == 0,
+        "witness": {"dimension_of_quotient": sop_dim},
+    })
+
+    checks.append({
+        "name": "parameters_form_regular_sequence",
+        "passed": j_dim == inst.r - inst.d,
+        "witness": {"dim_S_mod_J": j_dim, "expected": inst.r - inst.d},
+    })
+
+    return {
+        "all_pass": all(c["passed"] for c in checks),
+        "checks": checks,
+        "theorem_mode": inst.d >= 2 and inst.g >= 2,
+    }

@@ -3,8 +3,6 @@ integer elimination for the rational fitting step."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 __all__ = [
     "SingularSystemError",
     "rref_mod_p",
@@ -117,6 +115,8 @@ def solve_fraction_free(matrix, rhs):
     integer division, so intermediate entries stay integral.  Back
     substitution returns Fractions.
     """
+    from fractions import Fraction  # here: only coeffs and verify fit
+
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("system is not square")

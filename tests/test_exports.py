@@ -1,7 +1,7 @@
 """Names that other code looks up by string must exist: each module's
-``__all__`` and the functions that ``perfbench/traced_cli.py`` wraps with
-``getattr``.  A deletion that leaves either stale fails here, not in a
-benchmark run."""
+``__all__``, the package's included, and the functions that
+``perfbench/traced_cli.py`` wraps with ``getattr``.  A deletion that leaves
+either stale fails here, not in a benchmark run."""
 
 import ast
 import importlib
@@ -15,8 +15,8 @@ TRACED_CLI = (pathlib.Path(__file__).resolve().parent.parent
 
 
 def _chernlab_modules():
-    return [importlib.import_module(f"chernlab.{info.name}")
-            for info in pkgutil.iter_modules(chernlab.__path__)]
+    return [chernlab] + [importlib.import_module(f"chernlab.{info.name}")
+                         for info in pkgutil.iter_modules(chernlab.__path__)]
 
 
 def _traced_names():
@@ -35,6 +35,9 @@ def test_every_export_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+    namespace = {}
+    exec("from chernlab import *", namespace)
+    assert set(chernlab.__all__) <= set(namespace)
 
 
 def test_every_traced_function_resolves():
