@@ -8,7 +8,7 @@ import sys
 _HOME = {name: module for module, names in {
     "core": "PRIME_LIMIT ContextMismatchError ParseError Polynomial "
             "RingContext binomial is_prime parse_polynomial",
-    "graded": "CokernelModule annihilates diagonal_cokernel power_colength "
+    "graded": "annihilates diagonal_cokernel power_colength "
               "power_colengths",
     "groebner": "GroebnerBasis buchberger normal_form s_polynomial "
                 "standard_monomials",

@@ -20,10 +20,11 @@ class ProblemInstance:
     Two rings.  ``ctx`` is the problem's ring, and ``parameters`` are the
     given elements in it.  ``ring`` is the ring every derived ideal lives
     in: ``ideals`` (the components), ``J``, ``pair_sums``, ``core``, and so
-    the cokernel model built from them.  For linear parameters ``ring`` is
-    the ring of ``hilbert.parameter_coordinates``: the components are
-    mapped there once, J = (y_1, ..., y_k), and the order is ("ydeg", k,
-    base), so each ideal's one reduced basis is also its tangent cone's.
+    the cokernel L read from them; its idealization ring extends ``ring``.
+    For linear parameters ``ring`` is the ring of
+    ``hilbert.parameter_coordinates``: the components are mapped there
+    once, J = (y_1, ..., y_k), and the order is ("ydeg", k, base), so each
+    ideal's one reduced basis is also its tangent cone's.
     Otherwise ``ring`` is ``ctx``, the change is the identity and J is
     generated by the parameters.  Lengths, dimensions and series do not
     depend on the coordinates.

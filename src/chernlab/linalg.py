@@ -6,9 +6,6 @@ from __future__ import annotations
 __all__ = [
     "SingularSystemError",
     "rref_mod_p",
-    "RowSpan",
-    "mat_mul",
-    "mat_vec",
     "solve_fraction_free",
 ]
 
@@ -49,63 +46,6 @@ def rref_mod_p(rows, p):
         pivots.append(col)
         rank += 1
     return rows[:rank], pivots
-
-
-class RowSpan:
-    """Incrementally maintained row space over F_p (echelon form)."""
-
-    def __init__(self, p):
-        self.p = p
-        self.rows = []
-        self.pivots = []
-
-    def add(self, vector) -> bool:
-        """Reduce vector against the span; absorb it if independent.
-
-        Returns True when the vector enlarged the span.
-        """
-        p = self.p
-        v = [x % p for x in vector]
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = pow(v[piv], -1, p)
-        v = [x * inv % p for x in v]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def mat_mul(a, b, p):
-    """Matrix product over F_p; a is m x k, b is k x n (lists of rows)."""
-    if not a:
-        return []
-    k = len(a[0])
-    if k != len(b):
-        raise ValueError("matrix dimensions do not match")
-    n = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * n
-        for x, brow in zip(row, b):
-            if x:
-                for j in range(n):
-                    acc[j] += x * brow[j]
-        out.append([v % p for v in acc])
-    return out
-
-
-def mat_vec(a, v, p):
-    """Matrix-vector product over F_p."""
-    return [sum(x * y for x, y in zip(row, v)) % p for row in a]
 
 
 def solve_fraction_free(matrix, rhs):

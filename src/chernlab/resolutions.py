@@ -190,7 +190,8 @@ def tor1_via_lengths(core_values, component_values, colengths, n: int) -> int:
     ``component_values`` holds one table {n: length(S/(I_i + J^n))} per
     component (``hilbert_samuel_values`` gives both); each covers n.
     ``colengths`` is the list {m: length(L/J^m L)} that
-    ``graded.power_colengths`` gives; it covers n too.
+    ``graded.power_colengths`` reads off one basis of the idealization of
+    L; it covers n too.
     """
     total = core_values[n] - sum(table[n] for table in component_values)
     return total + colengths[n]

@@ -213,9 +213,10 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     Each length table, of the core and of every component, is computed once
     and shared by the fit, the torsion route and e_0 additivity; every
     length(L/J^n L), nu and whether J annihilates L come from one
-    ``power_colengths`` walk.  The
-    overall status is "fail" when an identity fails, else "inconclusive"
-    when one is (the window ends before nu), else "pass".
+    ``power_colengths`` list, read off one Groebner basis of the
+    idealization of L (see ``graded``).  The overall status is "fail" when
+    an identity fails, else "inconclusive" when one is (the window ends
+    before nu), else "pass".
     """
     report = {
         "characteristic": inst.ctx.characteristic,

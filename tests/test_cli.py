@@ -275,17 +275,33 @@ def _identity(report, name):
     return next(i for i in report["identities"] if i["name"] == name)
 
 
-@pytest.mark.parametrize("a, b", [(30, 1), (6, 5)])
-def test_verify_inconclusive_below_nu(tmp_path, capsys, a, b):
-    # the default window 2d + 4 = 8 ends before nu; the sampled torsion
-    # values are pre-stable, so the identity can be neither passed nor failed
-    nu = a + b - 1
-    code, out, err = run(capsys, "verify", _staircase_pair(tmp_path, a, b),
-                         "--json")
+def _inconclusive_case(tmp_path, case):
+    """(problem path, length(L), nu, window) for a staircase "a-b" at the
+    default window 2d + 4 = 8, or for "pow6": (x^6, y^6) ∩ (z^6, w^6) with
+    J = (x + z, y + w), where L = k[x, y, z, w]/(x^6, y^6, z^6, w^6) has
+    length 1296 and top degree 20, and J^21 L = 0 first.  H(K, n) of pow6
+    is polynomial from n = 10 on only, so windows below 14 stop at the fit
+    (exit 4 too, but before the torsion identity)."""
+    if case == "pow6":
+        return _write(tmp_path, "pow6.json",
+                      dict(BASE, ideals=[["x^6", "y^6"], ["z^6", "w^6"]])), \
+            1296, 21, 14
+    a, b = map(int, case.split("-"))
+    return _staircase_pair(tmp_path, a, b), a * b, a + b - 1, 8
+
+
+@pytest.mark.parametrize("case", ["30-1", "6-5", "60-1", "pow6"])
+def test_verify_inconclusive_below_nu(tmp_path, capsys, case):
+    # the window ends before nu; the sampled torsion values are
+    # pre-stable, so the identity can be neither passed nor failed
+    path, lam, nu, window = _inconclusive_case(tmp_path, case)
+    extra = [] if window == 8 else ["--max-power", str(window)]
+    code, out, err = run(capsys, "verify", path, "--json", *extra)
     assert code == 4
-    assert f"= {nu} on" in err and "max_power 8" in err
+    assert f"= {nu} on" in err and f"max_power {window}" in err
     report = json.loads(out)
-    assert report["lambda_L"] == str(a * b)
+    assert report["lambda_L"] == str(lam)
+    assert report["top_degree"] == nu - 1
     assert report["overall"] == "inconclusive"
     torsion = _identity(report, "torsion_polynomial")
     assert torsion["status"] == "inconclusive"
@@ -293,24 +309,22 @@ def test_verify_inconclusive_below_nu(tmp_path, capsys, a, b):
     assert all(i["status"] != "fail" for i in report["identities"])
 
 
-def test_verify_computes_each_action_once(monkeypatch, tmp_path, capsys):
-    # one span walk gives every length(L / J^n L), nu and the annihilation
-    # verdict, with each (generator, degree) action computed once
-    from chernlab.graded import CokernelModule
-
-    calls = []
-    original = CokernelModule.polynomial_action
-
-    def recording(self, f, s):
-        calls.append((frozenset(f.terms.items()), s))
-        return original(self, f, s)
-
-    monkeypatch.setattr(CokernelModule, "polynomial_action", recording)
-    code, _, _ = run(capsys, "verify", _staircase_pair(tmp_path, 6, 5),
-                     "--json")
-    assert code == 4
-    assert calls
-    assert len(calls) == len(set(calls))
+def test_verify_ring_named_like_the_idealization(tmp_path, capsys):
+    # the idealization ring adds variables e1, e2, ...; a ring that has
+    # those names already gets fresh ones, and the report is unchanged
+    reports = []
+    for names in (["x", "y", "z", "w"], ["e1", "e2", "e3", "e4"]):
+        x, y, z, w = names
+        path = _write(tmp_path, f"{x}.json",
+                      dict(BASE, variables=names,
+                           ideals=[[x, y], [z, w]],
+                           parameters=[f"{x}^2 + {z}^2", f"{y} + {w}"]))
+        code, out, _ = run(capsys, "verify", path, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report.pop("variables") == names
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_verify_passes_once_window_reaches_nu(tmp_path, capsys):
