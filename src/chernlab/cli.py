@@ -1,22 +1,23 @@
 """Command-line front end.
 
-Subcommands: hilbert, coeffs, verify, betti.  Problem files are JSON; the
+Subcommands: hilbert, coeffs, verify, betti, each with -h/--help; the
+command line is read by ``_parse_args``.  Problem files are JSON; the
 schema is documented in the README and validated before any computation.
 Output is a human table by default or JSON with --json; JSON output is
 byte-deterministic for fixed input and encodes lengths and coefficients as
 decimal strings.
 
 Exit codes: 0 success (verify: overall pass), 1 internal inconsistency,
-2 schema error, 3 hypothesis failure (suppressed by --force), 4 fit
+2 schema or usage error, 3 hypothesis failure (suppressed by --force), 4 fit
 instability or, for verify, an inconclusive identity (both: the window is
 too short, increase --max-power).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import graded, resolutions, verifier
 from .core import (PRIME_LIMIT, ParseError, RingContext, is_prime,
@@ -279,52 +280,123 @@ def cmd_betti(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chernlab",
-        description="Hilbert-Samuel functions and Chern numbers of parameter "
-                    "ideals in intersections of Cohen-Macaulay ideals.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_FILE_OPTIONS = {
+    "--max-power": ("N", "override the sampling window 1..N"),
+    "--json": (None, "emit machine-readable JSON"),
+    "--force": (None, "proceed despite hypothesis failures"),
+}
+_BETTI_OPTIONS = {
+    "--d": ("D", "height d of the complete intersection"),
+    "--n": ("N", "the power n of J"),
+    "--json": (None, "emit machine-readable JSON"),
+}
+_FILE_USAGE = "[-h] [--max-power N] [--json] [--force] FILE"
+# name: (handler, help line, usage after the name, options, required)
+_COMMANDS = {
+    "hilbert": (cmd_hilbert, "table of Hilbert-Samuel values H(K, n)",
+                _FILE_USAGE, _FILE_OPTIONS, ("FILE",)),
+    "coeffs": (cmd_coeffs, "fitted Hilbert coefficients and verdicts",
+               _FILE_USAGE, _FILE_OPTIONS, ("FILE",)),
+    "verify": (cmd_verify, "full identity verification report",
+               _FILE_USAGE, _FILE_OPTIONS, ("FILE",)),
+    "betti": (cmd_betti, "Betti numbers of S/J^n for a complete "
+                         "intersection of height d",
+              "[-h] --d D --n N [--json]", _BETTI_OPTIONS, ("--d", "--n")),
+}
+_USAGE = "usage: chernlab [-h] {hilbert,coeffs,verify,betti} ...\n"
+_DESCRIPTION = ("Hilbert-Samuel functions and Chern numbers of parameter "
+                "ideals in\nintersections of Cohen-Macaulay ideals.\n")
+_HELP_ROW = ("-h, --help", "show this help message and exit")
 
-    def add_common(p):
-        p.add_argument("file", help="problem file (JSON)")
-        p.add_argument("--max-power", type=int, default=None,
-                       help="override the sampling window 1..N")
-        p.add_argument("--json", action="store_true",
-                       help="emit machine-readable JSON")
-        p.add_argument("--force", action="store_true",
-                       help="proceed despite hypothesis failures")
 
-    p_hilbert = sub.add_parser("hilbert",
-                               help="table of Hilbert-Samuel values H(K, n)")
-    add_common(p_hilbert)
-    p_hilbert.set_defaults(func=cmd_hilbert)
+def _key(name: str) -> str:
+    """The attribute that holds FILE or an option: "--max-power" ->
+    "max_power"."""
+    return name.lstrip("-").lower().replace("-", "_")
 
-    p_coeffs = sub.add_parser("coeffs",
-                              help="fitted Hilbert coefficients and verdicts")
-    add_common(p_coeffs)
-    p_coeffs.set_defaults(func=cmd_coeffs)
 
-    p_verify = sub.add_parser("verify",
-                              help="full identity verification report")
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+def _rows(rows) -> str:
+    width = max(len(left) for left, _ in rows)
+    return "".join(f"  {left:<{width}}  {text}\n" for left, text in rows)
 
-    p_betti = sub.add_parser("betti",
-                             help="Betti numbers of S/J^n for a complete "
-                                  "intersection of height d")
-    p_betti.add_argument("--d", type=int, required=True)
-    p_betti.add_argument("--n", type=int, required=True)
-    p_betti.add_argument("--json", action="store_true")
-    p_betti.set_defaults(func=cmd_betti)
 
-    return parser
+class _Stop(Exception):
+    """Ends parsing with args (exit code, text): 0 with help for stdout, or
+    2 with the usage and the reason for stderr."""
+
+
+def _parse_args(argv):
+    """The command line as the subcommand's values.
+
+    Grammar: ``{hilbert,coeffs,verify} FILE [--max-power N] [--json]
+    [--force]`` with the options in any order, ``betti --d D --n N
+    [--json]``, and -h/--help at the top level or after a subcommand.  An
+    integer value follows its option as the next token, even one that
+    starts with '-', or after '='.  Options are matched by their full
+    name only.  Raises _Stop for help and for usage errors.
+    """
+    if not argv:
+        raise _Stop(2, _USAGE + "chernlab: error: missing command\n")
+    command = argv[0]
+    if command in ("-h", "--help"):
+        raise _Stop(0, f"{_USAGE}\n{_DESCRIPTION}\ncommands:\n" + _rows(
+            [(name, spec[1]) for name, spec in _COMMANDS.items()]
+            + [_HELP_ROW]))
+    if command not in _COMMANDS:
+        raise _Stop(2, _USAGE + f"chernlab: error: invalid command "
+                    f"{command!r} (choose from {', '.join(_COMMANDS)})\n")
+    func, summary, usage, options, required = _COMMANDS[command]
+    usage = f"usage: chernlab {command} {usage}\n"
+    takes_file = "FILE" in required
+
+    def fail(reason):
+        raise _Stop(2, f"{usage}chernlab {command}: error: {reason}\n")
+
+    values = {"func": func, "file": None, "max_power": None, "json": False,
+              "force": False, "d": None, "n": None}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise _Stop(0, f"{usage}\n{summary}\n\noptions:\n" + _rows(
+                ([("FILE", "problem file (JSON)")] if takes_file else [])
+                + [(f"{name} {meta}" if meta else name, text)
+                   for name, (meta, text) in options.items()]
+                + [_HELP_ROW]))
+        name, eq, value = token.partition("=")
+        if name in options:
+            key = _key(name)
+            if options[name][0] is None:
+                if eq:
+                    fail(f"{name} takes no value")
+                values[key] = True
+                continue
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    fail(f"{name} needs a value")
+            try:
+                values[key] = int(value)
+            except ValueError:
+                fail(f"{name}: not an integer: {value!r}")
+        elif (takes_file and values["file"] is None
+              and not token.startswith("-")):
+            values["file"] = token
+        else:
+            fail(f"unrecognized argument {token!r}")
+    missing = [name for name in required if values[_key(name)] is None]
+    if missing:
+        fail(f"missing {', '.join(missing)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "max_power", None) is not None and args.max_power < 1:
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _Stop as stop:
+        code, text = stop.args
+        (sys.stdout if code == 0 else sys.stderr).write(text)
+        return code
+    if args.max_power is not None and args.max_power < 1:
         print("max-power must be at least 1", file=sys.stderr)
         return EXIT_SCHEMA
     try:

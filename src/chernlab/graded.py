@@ -52,6 +52,12 @@ class Cokernel(NamedTuple):
     top_degree: Optional[int]
     dims: tuple
 
+    def window(self, max_power: int) -> int:
+        """N = max(max_power, top_degree + 1): every n up to N is needed
+        to see J^n L reach 0."""
+        top = -1 if self.top_degree is None else self.top_degree
+        return max(max_power, top + 1)
+
 
 def diagonal_cokernel(ideals, core: Ideal) -> Cokernel:
     """L = (⊕ S/I_i) / S/(∩ I_i) from sum_i HS(S/I_i) - HS(S/core).
@@ -120,12 +126,15 @@ def _idealization(model: Cokernel):
     return B, lift
 
 
-def power_colengths(model: Cokernel, ideal: Ideal, max_power: int):
-    """[length(L / ideal^n L) for n = 0..N], N = max(max_power,
-    top_degree + 1), from one basis of the idealization B.
+def power_colengths(model: Cokernel, ideal: Ideal, max_power: int,
+                    core_values=None):
+    """[length(L / ideal^n L) for n = 0..N], N = model.window(max_power),
+    from one basis of the idealization B.
 
     length(L / ideal^n L) = H_B(n) - H(K, n), both from
     ``hilbert_samuel_values`` of B and of the core along ``ideal``.
+    ``core_values`` is the table {n: H(K, n)} for n = 1..N when the caller
+    already holds it (``verifier.run_verification`` does).
     nu = min{n : ideal^n L = 0} is the least n whose colength is
     length(L), so a caller reads it as ``colengths.index(model.length)``;
     every generator has positive degree, so nu <= top_degree + 1 <= N and
@@ -139,13 +148,13 @@ def power_colengths(model: Cokernel, ideal: Ideal, max_power: int):
     if ideal.ctx != model.core.ctx:
         raise ContextMismatchError("ideal and cokernel come from different "
                                    "ring contexts")
-    top = -1 if model.top_degree is None else model.top_degree
-    N = max(max_power, top + 1)
+    N = model.window(max_power)
     B, lift = _idealization(model)
     J = Ideal(B.ctx, [lift(f) for f in ideal.generators])
     with_L = hilbert_samuel_values(B, J, max(N, 1))
-    without = hilbert_samuel_values(model.core, ideal, max(N, 1))
-    return [0] + [with_L[n] - without[n] for n in range(1, N + 1)]
+    if core_values is None:
+        core_values = hilbert_samuel_values(model.core, ideal, max(N, 1))
+    return [0] + [with_L[n] - core_values[n] for n in range(1, N + 1)]
 
 
 def power_colength(model: Cokernel, ideal: Ideal, n: int) -> int:

@@ -5,8 +5,8 @@ The fitted polynomial has the shape
 
     P(n) = e_0 C(n+d-1, d) - e_1 C(n+d-2, d-1) + ... + (-1)^d e_d
 
-and the fit is exact: the top window of d+1 consecutive values is solved over
-the rationals, and the solution must also reproduce the value just below that
+and the fit is exact: the top window of d+1 consecutive values is solved in
+the integers, and the solution must also reproduce the value just below that
 window before the coefficients are accepted.  The collocation matrix on
 consecutive integers is unimodular, so non-integral solutions can only come
 from an internal bug and abort loudly.
@@ -21,7 +21,7 @@ from .groebner import buchberger
 from .ideals import (HilbertSeries, Ideal, NotFiniteLengthError,
                      _minimalize, _series_numerator, ideal_power, ideal_sum,
                      quotient_hilbert_series, quotient_length)
-from .linalg import rref_mod_p, solve_fraction_free
+from .linalg import NonIntegralSolutionError, rref_mod_p, solve_fraction_free
 
 __all__ = [
     "FitInstabilityError",
@@ -235,11 +235,11 @@ def _solve_window(values, start, d):
             row.append(-c if i % 2 else c)
         matrix.append(row)
         rhs.append(values[n])
-    solution = solve_fraction_free(matrix, rhs)
-    for x in solution:
-        if x.denominator != 1:
-            raise InconsistentDataError("inconsistent data - internal error")
-    return tuple(int(x) for x in solution)
+    try:
+        return tuple(solve_fraction_free(matrix, rhs))
+    except NonIntegralSolutionError:
+        raise InconsistentDataError(
+            "inconsistent data - internal error") from None
 
 
 def fit_coefficients(values, d: int):

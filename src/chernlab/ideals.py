@@ -37,12 +37,13 @@ class NotFiniteLengthError(ValueError):
 
 
 class Ideal:
-    """A homogeneous ideal: generator list plus a cached reduced Groebner basis.
+    """A homogeneous ideal: generator list plus a cached reduced Groebner
+    basis and the cached Hilbert series of its quotient.
 
-    The cache is filled on first use.
+    Each cache is filled on first use.
     """
 
-    __slots__ = ("ctx", "generators", "_gb")
+    __slots__ = ("ctx", "generators", "_gb", "_series")
 
     def __init__(self, ctx: RingContext, generators):
         gens = []
@@ -56,6 +57,7 @@ class Ideal:
         self.ctx = ctx
         self.generators = tuple(gens)
         self._gb = None
+        self._series = None
 
     @classmethod
     def from_strings(cls, ctx: RingContext, texts) -> "Ideal":
@@ -363,8 +365,11 @@ def monomial_hilbert_series(lead_monomials, ctx: RingContext) -> HilbertSeries:
 
 
 def quotient_hilbert_series(a: Ideal) -> HilbertSeries:
-    """Hilbert series of S/a via the initial ideal of the reduced basis."""
-    return monomial_hilbert_series(a.lead_monomials(), a.ctx)
+    """Hilbert series of S/a via the initial ideal of the reduced basis,
+    computed once per ideal."""
+    if a._series is None:
+        a._series = monomial_hilbert_series(a.lead_monomials(), a.ctx)
+    return a._series
 
 
 def quotient_length(a: Ideal) -> int:

@@ -1,9 +1,11 @@
 """Dense exact linear algebra: row reduction over F_p and fraction-free
-integer elimination for the rational fitting step."""
+integer elimination for the fitting step, whose systems have integral
+solutions."""
 
 from __future__ import annotations
 
 __all__ = [
+    "NonIntegralSolutionError",
     "SingularSystemError",
     "rref_mod_p",
     "solve_fraction_free",
@@ -12,6 +14,11 @@ __all__ = [
 
 class SingularSystemError(ValueError):
     """Raised when an exact linear solve meets a singular matrix."""
+
+
+class NonIntegralSolutionError(ValueError):
+    """Raised when an integer solve finds that the solution is not
+    integral."""
 
 
 def rref_mod_p(rows, p):
@@ -49,14 +56,15 @@ def rref_mod_p(rows, p):
 
 
 def solve_fraction_free(matrix, rhs):
-    """Solve the square system A x = b exactly over the rationals.
+    """Solve the square integer system A x = b exactly, for an integral x.
 
     Forward elimination is fraction-free (Bareiss): every division is exact
     integer division, so intermediate entries stay integral.  Back
-    substitution returns Fractions.
+    substitution divides in the integers too and returns the solution as a
+    list of ints.  Every division in it is exact when the solution is
+    integral; the first one that leaves a remainder shows that it is not,
+    and raises NonIntegralSolutionError.
     """
-    from fractions import Fraction  # here: only coeffs and verify fit
-
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("system is not square")
@@ -75,10 +83,10 @@ def solve_fraction_free(matrix, rhs):
         prev = a[k][k]
     if a[n - 1][n - 1] == 0:
         raise SingularSystemError("singular matrix in exact solve")
-    sol = [Fraction(0)] * n
+    sol = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(a[i][n])
-        for j in range(i + 1, n):
-            acc -= a[i][j] * sol[j]
-        sol[i] = acc / a[i][i]
+        acc = a[i][n] - sum(a[i][j] * sol[j] for j in range(i + 1, n))
+        sol[i], remainder = divmod(acc, a[i][i])
+        if remainder:
+            raise NonIntegralSolutionError("solution is not integral")
     return sol

@@ -211,12 +211,13 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     check_hypotheses(inst) (the CLI has it before it gets here).
 
     Each length table, of the core and of every component, is computed once
-    and shared by the fit, the torsion route and e_0 additivity; every
-    length(L/J^n L), nu and whether J annihilates L come from one
-    ``power_colengths`` list, read off one Groebner basis of the
-    idealization of L (see ``graded``).  The overall status is "fail" when
-    an identity fails, else "inconclusive" when one is (the window ends
-    before nu), else "pass".
+    and shared by the fit, the torsion route and e_0 additivity; the core's
+    runs to N = max(max_power, top_degree + 1), the window of
+    ``power_colengths``, which takes it too.  Every length(L/J^n L), nu and
+    whether J annihilates L come from that one ``power_colengths`` list,
+    read off one Groebner basis of the idealization of L (see ``graded``).
+    The overall status is "fail" when an identity fails, else
+    "inconclusive" when one is (the window ends before nu), else "pass".
     """
     report = {
         "characteristic": inst.ctx.characteristic,
@@ -237,14 +238,17 @@ def run_verification(inst: ProblemInstance, force: bool = False,
 
     model = graded.diagonal_cokernel(inst.ideals, inst.core)
     module_len = model.length
-    colengths = graded.power_colengths(model, inst.J, inst.max_power)
+    core_values = hilbert_samuel_values(inst.core, inst.J,
+                                        model.window(inst.max_power))
+    colengths = graded.power_colengths(model, inst.J, inst.max_power,
+                                       core_values)
     # J L = 0 exactly when length(L / J L) = length(L)
     annihilated = colengths[1] == module_len
     report["lambda_L"] = _s(module_len)
     report["top_degree"] = model.top_degree
     report["annihilates"] = annihilated
 
-    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
+    values = {n: core_values[n] for n in range(1, inst.max_power + 1)}
     dataset = HilbertDataset.fit(values, inst.d)
     report["hilbert"] = {
         "values": [{"n": n, "length": _s(values[n])} for n in sorted(values)],

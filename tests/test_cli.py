@@ -135,6 +135,93 @@ def test_betti_examples(capsys):
     assert json.loads(out)["betti"] == ["1", "4", "6", "4", "1"]
 
 
+FILE_HELP = ["problem file (JSON)", "override the sampling window 1..N",
+             "emit machine-readable JSON",
+             "proceed despite hypothesis failures"]
+COMMAND_HELP = ["table of Hilbert-Samuel values H(K, n)",
+                "fitted Hilbert coefficients and verdicts",
+                "full identity verification report",
+                "Betti numbers of S/J^n for a complete intersection of "
+                "height d"]
+
+
+# (argv, exit code, stream written to, texts it must contain)
+ARGV_CASES = [
+    # help: stdout, exit 0
+    (["-h"], 0, "out", ["usage: chernlab"] + COMMAND_HELP),
+    (["--help"], 0, "out", COMMAND_HELP),
+    (["hilbert", "-h"], 0, "out", ["usage: chernlab hilbert"] + FILE_HELP),
+    (["coeffs", "--help"], 0, "out", ["usage: chernlab coeffs"] + FILE_HELP),
+    (["verify", E1, "--json", "-h"], 0, "out",
+     ["usage: chernlab verify"] + FILE_HELP),
+    (["betti", "--help"], 0, "out",
+     ["usage: chernlab betti [-h] --d D --n N [--json]", "--d D", "--n N"]),
+    # the grammar: options in any order, --max-power=N
+    (["hilbert", E1, "--max-power", "2", "--json"], 0, "out", ['"n": 2']),
+    (["hilbert", "--json", "--max-power=2", E1], 0, "out", ['"n": 2']),
+    (["coeffs", "--force", E1, "--json"], 0, "out", ['"lambda_L": "1"']),
+    (["betti", "--n=2", "--json", "--d=3"], 0, "out", ['"euler": "0"']),
+    # usage errors: usage and one reason on stderr, exit 2
+    ([], 2, "err", ["usage: chernlab", "missing command"]),
+    (["bogus", E1], 2, "err", ["invalid command 'bogus'"]),
+    (["--json", "hilbert", E1], 2, "err", ["invalid command '--json'"]),
+    (["hilbert"], 2, "err", ["usage: chernlab hilbert", "missing FILE"]),
+    (["hilbert", "--json"], 2, "err", ["missing FILE"]),
+    (["hilbert", E1, E1], 2, "err", ["unrecognized argument"]),
+    (["hilbert", E1, "--bogus"], 2, "err",
+     ["unrecognized argument '--bogus'"]),
+    (["hilbert", E1, "--max", "3"], 2, "err",
+     ["unrecognized argument '--max'"]),
+    (["hilbert", E1, "--js"], 2, "err", ["unrecognized argument '--js'"]),
+    (["hilbert", E1, "--max-power"], 2, "err", ["--max-power needs a value"]),
+    (["hilbert", E1, "--max-power", "x"], 2, "err", ["not an integer: 'x'"]),
+    (["hilbert", E1, "--max-power="], 2, "err", ["not an integer: ''"]),
+    (["hilbert", E1, "--json=yes"], 2, "err", ["--json takes no value"]),
+    (["betti", "--d", "2"], 2, "err",
+     ["usage: chernlab betti", "missing --n"]),
+    (["betti", "--json"], 2, "err", ["missing --d, --n"]),
+    (["betti", "--d", "2", "--n", "2", "--force"], 2, "err",
+     ["unrecognized argument '--force'"]),
+    (["betti", "--d", "2", "--n", "2", E1], 2, "err",
+     ["unrecognized argument"]),
+    # a value starting with '-' is still read as the value
+    (["hilbert", E1, "--max-power", "-1"], 2, "err",
+     ["max-power must be at least 1"]),
+    (["verify", E1, "--max-power=0"], 2, "err",
+     ["max-power must be at least 1"]),
+    (["betti", "--d", "-1", "--n", "2"], 2, "err",
+     ["need --d >= 1 and --n >= 1"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, texts", ARGV_CASES,
+                         ids=[" ".join(case[0]).replace(E1, "FILE") or "empty"
+                              for case in ARGV_CASES])
+def test_argv_grammar(capsys, argv, code, stream, texts):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    written, silent = (out, err) if stream == "out" else (err, out)
+    assert silent == ""
+    for text in texts:
+        assert text in written
+    if code == 2 and "usage:" in written:
+        # the usage line and one line with the reason
+        assert len(written.splitlines()) == 2
+
+
+def test_console_script_reads_sys_argv(monkeypatch, capsys):
+    # the installed ``chernlab`` script calls main() with no argument
+    monkeypatch.setattr("sys.argv",
+                        ["chernlab", "hilbert", E1, "--json", "--max-power",
+                         "3"])
+    assert main() == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["length"] for row in rows] == ["3", "8", "15"]
+    monkeypatch.setattr("sys.argv", ["chernlab"])
+    assert main() == 2
+    assert "missing command" in capsys.readouterr().err
+
+
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -336,6 +423,44 @@ def test_verify_passes_once_window_reaches_nu(tmp_path, capsys):
     torsion = _identity(report, "torsion_polynomial")
     assert torsion["status"] == "pass"
     assert torsion["witness"]["compared_from"] >= 30
+
+
+def test_verify_computes_core_table_once(tmp_path, monkeypatch):
+    # a quadratic J takes one hilbert_samuel run per n; the core's table,
+    # to N = max(max_power, top_degree + 1) = 10, serves the report, the
+    # fit and power_colengths alike
+    import chernlab.hilbert as hilbert_module
+    from chernlab.cli import build_instance, load_problem
+    from chernlab.verifier import run_verification
+
+    path = _write(tmp_path, "quadratic.json",
+                  dict(BASE, ideals=[["x", "y^6"], ["z^5", "w"]],
+                       parameters=["x^2 + w^2", "y + z"]))
+    inst = build_instance(load_problem(path))
+    calls = []
+    original = hilbert_module.hilbert_samuel
+
+    def counting(ideal, parameters, n):
+        calls.append((ideal, n))
+        return original(ideal, parameters, n)
+
+    monkeypatch.setattr(hilbert_module, "hilbert_samuel", counting)
+    report = run_verification(inst)
+    assert sorted(n for ideal, n in calls if ideal is inst.core) == \
+        list(range(1, 11))
+    assert len(calls) == len({(id(ideal), n) for ideal, n in calls})
+    # the report as before the table was shared
+    assert (report["lambda_L"], report["top_degree"],
+            report["annihilates"]) == ("30", 9, False)
+    assert report["hilbert"]["e"] == ["22", "-5", "0"]
+    assert [int(row["length"]) for row in report["hilbert"]["values"]] == \
+        [27, 76, 147, 240, 355, 492, 651, 832]
+    assert [int(row["length"]) for row in
+            report["torsion_hilbert"]["values"]] == \
+        [10, 20, 29, 38, 46, 54, 61, 68]
+    assert [i["status"] for i in report["identities"]] == \
+        ["pass", "inconclusive", "not_applicable", "not_applicable", "pass"]
+    assert report["overall"] == "inconclusive"
 
 
 @pytest.mark.parametrize("name", ["e1_two_planes", "e2_two_3planes",

@@ -7,7 +7,8 @@ from chernlab import (FitInstabilityError, HilbertDataset, Ideal,
                       InconsistentDataError, binomial, chern_sign, cm_test,
                       fit_coefficients, hilbert_polynomial_value,
                       hilbert_samuel, ideal_intersect)
-from chernlab.linalg import SingularSystemError, solve_fraction_free
+from chernlab.linalg import (NonIntegralSolutionError, SingularSystemError,
+                             solve_fraction_free)
 
 
 def I(ctx, *texts):
@@ -144,20 +145,70 @@ def test_collapse_binomial_identity():
 
 def test_fraction_free_solver_exact():
     rng = random.Random(29)
-    for _ in range(25):
-        n = rng.randrange(1, 5)
+    solved_systems = 0
+    for _ in range(40):
+        n = rng.randrange(1, 6)
         matrix = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        solution = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
-                    for _ in range(n)]
-        rhs_exact = [sum(a * x for a, x in zip(row, solution)) for row in matrix]
-        if any(f.denominator != 1 for f in rhs_exact):
-            continue
-        rhs = [int(v) for v in rhs_exact]
+        solution = [rng.randrange(-9, 10) for _ in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, solution)) for row in matrix]
         try:
             solved = solve_fraction_free(matrix, rhs)
         except SingularSystemError:
             continue
         assert solved == solution
+        assert all(type(x) is int for x in solved)
+        solved_systems += 1
+    assert solved_systems >= 30
+
+
+def _rational_solution(matrix, rhs):
+    """Gauss-Jordan over the rationals, for a nonsingular system."""
+    n = len(matrix)
+    a = [[Fraction(v) for v in row] + [Fraction(b)]
+         for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        sel = next(i for i in range(k, n) if a[i][k])
+        a[k], a[sel] = a[sel], a[k]
+        a[k] = [v / a[k][k] for v in a[k]]
+        for i in range(n):
+            if i != k:
+                a[i] = [v - a[i][k] * w for v, w in zip(a[i], a[k])]
+    return [row[n] for row in a]
+
+
+def test_fraction_free_solver_rejects_non_integral_solutions():
+    with pytest.raises(NonIntegralSolutionError):
+        solve_fraction_free([[1, 1], [1, -1]], [1, 0])  # x = y = 1/2
+    rng = random.Random(31)
+    rejected = 0
+    for _ in range(60):
+        n = rng.randrange(1, 5)
+        matrix = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+        rhs = [rng.randrange(-20, 21) for _ in range(n)]
+        try:
+            solved = solve_fraction_free(matrix, rhs)
+        except SingularSystemError:
+            continue
+        except NonIntegralSolutionError:
+            assert any(x.denominator != 1
+                       for x in _rational_solution(matrix, rhs))
+            rejected += 1
+            continue
+        assert solved == _rational_solution(matrix, rhs)
+    assert rejected >= 20
+
+
+def test_fit_reports_non_integral_solution_as_inconsistent(monkeypatch):
+    import chernlab.hilbert as hilbert_module
+
+    def non_integral(matrix, rhs):
+        raise NonIntegralSolutionError("solution is not integral")
+
+    monkeypatch.setattr(hilbert_module, "solve_fraction_free", non_integral)
+    values = {n: hilbert_polynomial_value((2, -1, 0), n) for n in range(1, 9)}
+    with pytest.raises(InconsistentDataError,
+                       match="^inconsistent data - internal error$"):
+        fit_coefficients(values, 2)
 
 
 def test_fraction_free_solver_singular():

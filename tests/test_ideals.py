@@ -146,6 +146,28 @@ def test_hilbert_series_quadrics(ctx4):
     assert sum(series.numerator) != 0
 
 
+def test_quotient_series_computed_once(ctx4, monkeypatch):
+    import chernlab.ideals as ideals_module
+
+    calls = []
+    original = ideals_module.monomial_hilbert_series
+
+    def counting(leads, ctx):
+        calls.append(1)
+        return original(leads, ctx)
+
+    monkeypatch.setattr(ideals_module, "monomial_hilbert_series", counting)
+    ideal = I(ctx4, "x*z", "x*w", "y*z", "y*w")
+    series = quotient_hilbert_series(ideal)
+    assert quotient_hilbert_series(ideal) is series
+    assert krull_dimension(ideal) == 2 and not is_mprimary(ideal)
+    assert calls == [1]
+    # an equal ideal built anew computes its own
+    assert quotient_hilbert_series(I(ctx4, "x*z", "x*w", "y*z",
+                                     "y*w")) == series
+    assert calls == [1, 1]
+
+
 def test_series_vs_standard_monomials(ctx4):
     for texts in (["x", "y"], ["x*z", "x*w", "y*z", "y*w"],
                   ["x^2 - y*z", "x*y - w^2", "y^2 - x*w"],

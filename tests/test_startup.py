@@ -1,7 +1,8 @@
 """Each subcommand runs only the modules it uses.  ``graded``, ``resolutions``
 and ``verifier`` sit in ``sys.modules`` from the start but run on first
-attribute access, and ``fractions`` is imported by the fit alone.  Checked
-in a fresh interpreter, since this process has imported everything."""
+attribute access, and no subcommand imports the argument-parsing or
+rational-arithmetic modules of the standard library.  Checked in a fresh
+interpreter, since this process has imported everything."""
 
 import json
 import os
@@ -22,16 +23,22 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
     str(pathlib.Path(chernlab.__file__).resolve().parent.parent),
     os.environ.get("PYTHONPATH")])))
 
+# Stdlib modules that the CLI does without: argparse with the gettext and
+# locale it loads, and fractions with the decimal it loads.
+UNUSED_STDLIB = {"argparse", "gettext", "locale", "fractions", "decimal"}
+
 # A lazy module's type is a ModuleType subclass until it has run.
 PROBE = """
-import contextlib, io, json, sys, types
+import sys
+bare = set(sys.modules)
+import contextlib, io, json, types
 from chernlab import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 ran = {name: type(module) is types.ModuleType
        for name, module in sys.modules.items() if name.startswith("chernlab")}
 print(json.dumps({"code": code, "ran": ran,
-                  "fractions": "fractions" in sys.modules}))
+                  "imported": sorted(set(sys.modules) - bare)}))
 """
 
 
@@ -42,8 +49,8 @@ def _child(*argv):
     return child.stdout
 
 
-def _probe(command):
-    result = json.loads(_child("-c", PROBE, command, E2, "--json"))
+def _probe(*argv):
+    result = json.loads(_child("-c", PROBE, *argv))
     assert result["code"] == 0
     return result
 
@@ -55,12 +62,23 @@ def _probe(command):
     ("verify", set()),
 ])
 def test_subcommand_runs_only_its_modules(command, idle):
-    result = _probe(command)
-    ran = result["ran"]
+    ran = _probe(command, E2, "--json")["ran"]
     assert {"chernlab.graded", "chernlab.resolutions",
             "chernlab.verifier", "chernlab.instance"} <= set(ran)
     assert {name for name, done in ran.items() if not done} == idle
-    assert result["fractions"] == (command != "hilbert")
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", E2, "--json"),
+    ("coeffs", E2, "--json"),
+    ("verify", E2, "--json"),
+    ("betti", "--d", "3", "--n", "2", "--json"),
+    ("verify", "--help"),
+])
+def test_subcommand_skips_argparse_and_fractions(argv):
+    imported = set(_probe(*argv)["imported"])
+    assert "chernlab.cli" in imported
+    assert not imported & UNUSED_STDLIB
 
 
 def test_traced_hilbert_keeps_output_and_spans(tmp_path):
