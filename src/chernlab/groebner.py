@@ -11,8 +11,7 @@ Buchberger S-polynomial property test in the suite guards both.
 
 For input homogeneous in that degree the schedule makes the basis exact
 degree by degree: once every pair of S-degree <= s has been processed, the
-leading terms of degree <= s are final (``ideals.quotient_length`` uses
-this).
+leading terms of degree <= s are final.
 
 Hilbert-driven stop (Traverso, "Hilbert functions and the Buchberger
 algorithm", J. Symbolic Comput. 22, 1996).  ``buchberger`` may be given the
@@ -134,9 +133,9 @@ class _Engine:
 
     Basis elements are stored monic, with their tails sorted largest first,
     and the sort and heap key of every monomial the run meets is computed
-    once.  ``run(limit)`` processes every queued pair of S-degree <= limit
-    (all pairs when limit is None).  With a target ``series`` the queue is
-    dropped as soon as HS(S/in(G)) reaches it (see the module docstring).
+    once.  ``run()`` processes the queued pairs until none is left.  With a
+    target ``series`` the queue is dropped as soon as HS(S/in(G)) reaches it
+    (see the module docstring).
 
     The counters are plain ints for tests and profiling: pairs popped, pairs
     skipped by the coprime and chain criteria, pairs whose S-polynomial
@@ -223,15 +222,11 @@ class _Engine:
         self.reached = (HilbertSeries(self.numerator[0], len(m))
                         == self.series)
 
-    @property
-    def exhausted(self):
-        return not self.pairs
-
-    def run(self, limit=None):
+    def run(self):
         pairs = self.pairs
         pending = self.pending
         lms = self.lms
-        while pairs and (limit is None or pairs[0][0][0] <= limit):
+        while pairs:
             if self.reached:
                 self.series_stop = True
                 pairs.clear()
@@ -424,37 +419,25 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     return res
 
 
-def _next_standard_degree(prev_std, lead_monomials, ctx):
-    """Standard monomials one degree up from a standard-monomial list.
-
-    Every standard monomial of degree s+1 is a variable multiple of a
-    standard monomial of degree s, so candidates are generated from prev_std
-    and filtered by divisibility.
-    """
-    r = ctx.nvars
-    candidates = set()
-    for m in prev_std:
-        for u in range(r):
-            candidates.add(tuple(e + 1 if i == u else e for i, e in enumerate(m)))
-    out = []
-    for m in sorted(candidates, key=ctx.sort_key):
-        if not any(_mono_divides(lm, m) for lm in lead_monomials):
-            out.append(m)
-    return out
-
-
 def standard_monomials(basis: GroebnerBasis, max_degree: int):
     """Monomials of each degree 0..max_degree not divisible by any leading
-    monomial of the basis: a vector-space basis of the quotient per degree."""
+    monomial of the basis: a vector-space basis of the quotient per degree.
+
+    Every standard monomial of degree s+1 is a variable multiple of a
+    standard monomial of degree s, so each degree's candidates are generated
+    from the one below and filtered by divisibility.
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     ctx = basis.ctx
     lead = basis.lead_monomials()
     unit = ctx.unit_monomial()
-    per_degree = []
-    current = [] if any(lm == unit for lm in lead) else [unit]
-    per_degree.append(list(current))
+    current = [] if unit in lead else [unit]
+    per_degree = [current]
     for _ in range(max_degree):
-        current = _next_standard_degree(current, lead, ctx)
+        candidates = {m[:u] + (m[u] + 1,) + m[u + 1:]
+                      for m in current for u in range(ctx.nvars)}
+        current = [m for m in sorted(candidates, key=ctx.sort_key)
+                   if not any(_mono_divides(lm, m) for lm in lead)]
         per_degree.append(current)
     return per_degree

@@ -167,17 +167,21 @@ def tangent_cone(ideal: Ideal, parameters: Ideal):
 
     When the ideal already lives in the ring of ``parameter_coordinates``
     (every ideal of a ``ProblemInstance`` with linear parameters does), its
-    own basis is the tangent cone's.  Otherwise its generators are mapped
-    to that ring and one basis is computed there in the ("ydeg", k, base)
-    order, with the Hilbert series of S/ideal as its target: a linear
-    change of coordinates keeps the series.
+    own basis is the tangent cone's, and the cone is built once and cached
+    on the ideal: that ring fixes k, so the cone does not depend on which
+    parameters span J there.  Otherwise its generators are mapped to that
+    ring and one basis is computed there in the ("ydeg", k, base) order,
+    with the Hilbert series of S/ideal as its target: a linear change of
+    coordinates keeps the series.
     """
     coordinates = parameter_coordinates(ideal.ctx, parameters.generators)
     if coordinates is None:
         return None
     ring, k, images = coordinates
     if images is None:
-        return TangentCone(ring, k, ideal.lead_monomials())
+        if ideal._cone is None:
+            ideal._cone = TangentCone(ring, k, ideal.lead_monomials())
+        return ideal._cone
     basis = buchberger([g.substitute(images) for g in ideal.generators],
                        ring, quotient_hilbert_series(ideal))
     return TangentCone(ring, k, basis.lead_monomials())
@@ -199,9 +203,9 @@ def hilbert_samuel_values(ideal: Ideal, parameters: Ideal,
     One basis per ideal: a ``ProblemInstance`` builds every ideal in those
     coordinates and that order, so the core's and each component's reduced
     basis, computed once for the intersection and the hypotheses, is
-    already its tangent cone's (``tangent_cone`` reads it).  An ideal given
-    in other coordinates takes one ``tangent_cone`` run.  Other parameters
-    take one hilbert_samuel per n.
+    already its tangent cone's (``tangent_cone`` reads it once and caches
+    the cone on the ideal).  An ideal given in other coordinates takes one
+    ``tangent_cone`` run.  Other parameters take one hilbert_samuel per n.
 
     Raises NotFiniteLengthError when S/(ideal + parameters) does not have
     finite length.

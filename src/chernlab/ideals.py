@@ -2,18 +2,18 @@
 Hilbert series of monomial ideals, and zero-dimensional colength.
 
 All ideals are homogeneous, which keeps every finite colength equal to a
-graded vector-space dimension and lets the colength computation run the
-Buchberger engine degree by degree, stopping as soon as a degree carries no
-standard monomials.
+graded vector-space dimension: the colength is the value at t = 1 of the
+Hilbert series of the quotient, read off the initial ideal of the reduced
+basis, so every length takes the same route.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .core import ContextMismatchError, Polynomial, RingContext, parse_polynomial
-from .groebner import (GroebnerBasis, _Engine, _mono_divides,
-                       _next_standard_degree, buchberger, normal_form)
+from .core import (ContextMismatchError, Polynomial, RingContext, binomial,
+                   parse_polynomial)
+from .groebner import GroebnerBasis, _mono_divides, buchberger, normal_form
 
 __all__ = [
     "Ideal",
@@ -38,12 +38,13 @@ class NotFiniteLengthError(ValueError):
 
 class Ideal:
     """A homogeneous ideal: generator list plus a cached reduced Groebner
-    basis and the cached Hilbert series of its quotient.
+    basis, the cached Hilbert series of its quotient and, in a ring of
+    ``hilbert.parameter_coordinates``, its cached tangent cone.
 
     Each cache is filled on first use.
     """
 
-    __slots__ = ("ctx", "generators", "_gb", "_series")
+    __slots__ = ("ctx", "generators", "_gb", "_series", "_cone")
 
     def __init__(self, ctx: RingContext, generators):
         gens = []
@@ -58,6 +59,7 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb = None
         self._series = None
+        self._cone = None
 
     @classmethod
     def from_strings(cls, ctx: RingContext, texts) -> "Ideal":
@@ -136,7 +138,7 @@ def ideal_intersect(a: Ideal, b: Ideal, total=None) -> Ideal:
     the bases of A and B, and HS(S/(A + B)) from the basis of ``total``, the
     ideal A + B, which a caller that holds it already passes so that one
     basis serves both (``ProblemInstance.pair_sums``); without it a fresh
-    A + B is built.
+    A + B is built.  The result keeps that series as its own.
     """
     _check_pair(a, b)
     ctx = a.ctx
@@ -170,6 +172,7 @@ def ideal_intersect(a: Ideal, b: Ideal, total=None) -> Ideal:
                                       [tail for _, tail in kept])
     result = Ideal(ctx, basis.elements)
     result._gb = basis
+    result._series = series
     return result
 
 
@@ -258,9 +261,16 @@ def _series_numerator(gens, r, k=0):
                     counts[i] += 1
     u = max(range(r), key=lambda i: (counts[i], -i))
     pivot = tuple(1 if i == u else 0 for i in range(r))
-    plus = _minimalize([m for m in gens if m[u] == 0] + [pivot])
-    colon = _minimalize([tuple(e - 1 if i == u and e else e
-                               for i, e in enumerate(m)) for m in gens])
+    # Both branches stay minimal without a full pass.  The generators free
+    # of x_u are minimal and x_u divides none of them.  Lowering the x_u
+    # exponent keeps the others pairwise minimal, and only a lowered
+    # generator that is now free of x_u can divide one that always was.
+    free = [m for m in gens if not m[u]]
+    lowered = [m[:u] + (m[u] - 1,) + m[u + 1:] for m in gens if m[u]]
+    divisors = [m for m in lowered if not m[u]]
+    plus = free + [pivot]
+    colon = lowered + [m for m in free
+                       if not any(_mono_divides(g, m) for g in divisors)]
     return _add_shifted(_series_numerator(plus, r, k),
                         _series_numerator(colon, r, k),
                         *((1, 0) if u < k else (0, 1)), 1)
@@ -309,8 +319,6 @@ class HilbertSeries:
 
     def coefficients_up_to(self, max_degree: int):
         """Dimension sequence dim (S/I)_s for s = 0..max_degree."""
-        from .core import binomial
-
         out = [0] * (max_degree + 1)
         s = self.denominator_exponent
         for j, c in enumerate(self.numerator):
@@ -366,43 +374,15 @@ def monomial_hilbert_series(lead_monomials, ctx: RingContext) -> HilbertSeries:
 
 def quotient_hilbert_series(a: Ideal) -> HilbertSeries:
     """Hilbert series of S/a via the initial ideal of the reduced basis,
-    computed once per ideal."""
+    computed once per ideal; an intersection comes with the target series
+    of its elimination."""
     if a._series is None:
         a._series = monomial_hilbert_series(a.lead_monomials(), a.ctx)
     return a._series
 
 
 def quotient_length(a: Ideal) -> int:
-    """Total number of standard monomials of S/a (its colength).
-
-    The Buchberger engine is advanced one degree at a time; standard
-    monomials are tracked incrementally and the loop stops at the first
-    degree carrying none (such a degree exists exactly when dim S/a = 0, in
-    which case the ideal contains a power of every variable).  Raises
-    NotFiniteLengthError when dim S/a > 0.
-    """
-    ctx = a.ctx
-    if not a.generators:
-        raise NotFiniteLengthError("quotient does not have finite length")
-    engine = _Engine(a.generators, ctx)
-    unit = ctx.unit_monomial()
-    total = 0
-    std = [unit]
-    degree = 0
-    dimension_checked = False
-    while True:
-        engine.run(degree)
-        leads = engine.lms
-        if degree == 0 and any(m == unit for m in leads):
-            return 0
-        if degree > 0:
-            std = _next_standard_degree(std, leads, ctx)
-        if not std:
-            return total
-        total += len(std)
-        if engine.exhausted and not dimension_checked:
-            dimension_checked = True
-            if not monomial_hilbert_series(leads, ctx).is_polynomial():
-                raise NotFiniteLengthError(
-                    "quotient does not have finite length")
-        degree += 1
+    """Colength of a: the total of the Hilbert series of S/a, 0 for the unit
+    ideal.  Raises NotFiniteLengthError when dim S/a > 0, the empty ideal
+    included."""
+    return quotient_hilbert_series(a).total()

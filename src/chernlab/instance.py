@@ -13,9 +13,9 @@ __all__ = ["ProblemInstance", "check_hypotheses"]
 class ProblemInstance:
     """A quotient ring presented by component ideals plus parameter elements.
 
-    Derived data (pairwise sums, intersection, dimension, heights, the
-    core's tangent cone) is computed eagerly and once: consumers take
-    ``core`` instead of intersecting the ideals again.
+    Derived data (pairwise sums, intersection, dimension, heights) is
+    computed eagerly and once: consumers take ``core`` instead of
+    intersecting the ideals again.
 
     Two rings.  ``ctx`` is the problem's ring, and ``parameters`` are the
     given elements in it.  ``ring`` is the ring every derived ideal lives
@@ -24,22 +24,21 @@ class ProblemInstance:
     For linear parameters ``ring`` is the ring of
     ``hilbert.parameter_coordinates``: the components are mapped there
     once, J = (y_1, ..., y_k), and the order is ("ydeg", k, base), so each
-    ideal's one reduced basis is also its tangent cone's.
+    ideal's one reduced basis is also its tangent cone's, and
+    ``hilbert.tangent_cone`` caches the cone on the ideal, so the hypothesis
+    checks and the H(K, n) table share the core's.
     Otherwise ``ring`` is ``ctx``, the change is the identity and J is
     generated by the parameters.  Lengths, dimensions and series do not
     depend on the coordinates.
 
     ``pair_sums`` maps (i, j), i < j, to I_i + I_j; the first intersection
     takes the sum of the first two components from it, so one basis of that
-    sum serves both its target series and the pairwise hypothesis.
-    ``cone`` is the core's ``TangentCone``, read off the core's basis (None
-    when some parameter is not linear), shared by ``check_hypotheses`` and
-    the H(K, n) table.  The default window size for Hilbert-Samuel sampling
-    is 2d + 4.
+    sum serves both its target series and the pairwise hypothesis.  The
+    default window size for Hilbert-Samuel sampling is 2d + 4.
     """
 
     __slots__ = ("ctx", "ring", "ideals", "parameters", "J", "pair_sums",
-                 "core", "cone", "g", "r", "d", "heights", "max_power")
+                 "core", "g", "r", "d", "heights", "max_power")
 
     def __init__(self, ctx, ideals, parameters, max_power=None):
         ideals = list(ideals)
@@ -71,7 +70,6 @@ class ProblemInstance:
         self.pair_sums = {(i, j): ideal_sum(ideals[i], ideals[j])
                           for i, j in combinations(range(len(ideals)), 2)}
         self.core = intersect_all(ideals, self.pair_sums.get((0, 1)))
-        self.cone = tangent_cone(self.core, self.J)
         self.g = len(ideals)
         self.r = ctx.nvars
         self.d = krull_dimension(self.core)
@@ -88,9 +86,10 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
     dimensions come from ``inst.heights`` and the pairwise sums from
     ``inst.pair_sums``, whose bases the intersection shares.  For linear
     parameters ``dimension_of_quotient`` (dim S/(core + J)) is read off the
-    core's tangent cone ``inst.cone``, which the H(K, n) table uses too,
-    and ``dim_S_mod_J`` is r minus the rank of the parameters.  Other
-    parameters take ``krull_dimension`` of core + J and of J.
+    core's tangent cone ``tangent_cone(inst.core, inst.J)``, cached on the
+    core for the H(K, n) table, and ``dim_S_mod_J`` is r minus the rank of
+    the parameters.  Other parameters take ``krull_dimension`` of core + J
+    and of J.
 
     The theorem-mode flag (d >= 2 with at least two components) is recorded
     but does not count toward pass/fail: a single Cohen-Macaulay component is
@@ -131,9 +130,10 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
         "witness": {"parameters": len(inst.parameters), "dimension": inst.d},
     })
 
-    if inst.cone is not None:
-        sop_dim = inst.cone.dimension_mod_parameters()
-        j_dim = inst.r - inst.cone.k
+    cone = tangent_cone(inst.core, inst.J)
+    if cone is not None:
+        sop_dim = cone.dimension_mod_parameters()
+        j_dim = inst.r - cone.k
     else:
         sop_dim = krull_dimension(ideal_sum(inst.core, inst.J))
         j_dim = krull_dimension(inst.J)

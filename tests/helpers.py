@@ -1,5 +1,8 @@
-"""Shared machinery for the randomized family tests: random invertible
-coordinate changes over F_p applied to the shipped plane configurations."""
+"""Shared machinery for the randomized tests: random invertible coordinate
+changes over F_p applied to the shipped plane configurations, random
+homogeneous ideals, and a Groebner-free length oracle."""
+
+from itertools import combinations_with_replacement
 
 from chernlab import Ideal, Polynomial, RingContext, parse_polynomial
 from chernlab.linalg import rref_mod_p
@@ -83,3 +86,42 @@ def random_homogeneous_ideal(rng, ctx):
             terms[tuple(mono)] = rng.randrange(1, ctx.characteristic)
         gens.append(Polynomial(ctx, terms))
     return Ideal(ctx, gens)
+
+
+def monomials_of_degree(r, s):
+    """Exponent tuples of the monomials of degree s in r variables."""
+    out = []
+    for combo in combinations_with_replacement(range(r), s):
+        mono = [0] * r
+        for v in combo:
+            mono[v] += 1
+        out.append(tuple(mono))
+    return out
+
+
+def brute_force_length(ideal, max_degree=40):
+    """Sum of graded quotient dimensions, by Macaulay-matrix ranks."""
+    ctx = ideal.ctx
+    r = ctx.nvars
+    p = ctx.characteristic
+    total = 0
+    for s in range(max_degree + 1):
+        ambient = monomials_of_degree(r, s)
+        index = {m: i for i, m in enumerate(ambient)}
+        rows = []
+        for g in ideal.generators:
+            gdeg = g.degree()
+            if gdeg > s:
+                continue
+            for shift in monomials_of_degree(r, s - gdeg):
+                row = [0] * len(ambient)
+                for mono, coeff in g.terms.items():
+                    prod = tuple(a + b for a, b in zip(mono, shift))
+                    row[index[prod]] = coeff
+                rows.append(row)
+        _, pivots = rref_mod_p(rows, p)
+        dim = len(ambient) - len(pivots)
+        if dim == 0:
+            return total
+        total += dim
+    raise AssertionError("quotient did not vanish within the degree budget")

@@ -340,6 +340,48 @@ def test_one_intersection_per_command(monkeypatch, capsys):
         assert len(calls) == 2, command
 
 
+@pytest.mark.parametrize("command, path, cones", [
+    ("hilbert", E2, 1), ("hilbert", E4, 1), ("verify", E4, 5)])
+def test_each_tangent_cone_built_once(monkeypatch, capsys, command, path,
+                                      cones):
+    # the hypothesis checks and the H(K, n) table share the core's cone,
+    # cached on the core; verify on e4 builds one more for each of the 3
+    # components and one for the idealization
+    import chernlab.hilbert as hilbert_module
+
+    built = []
+
+    class Counting(hilbert_module.TangentCone):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(hilbert_module, "TangentCone", Counting)
+    code, _, _ = run(capsys, command, path, "--json")
+    assert code == 0
+    assert len(built) == cones
+
+
+@pytest.mark.parametrize("command", ["hilbert", "verify"])
+def test_intersection_keeps_its_target_series(monkeypatch, capsys, command):
+    # e4: one series for each of the 3 components, the 3 pairwise sums and
+    # the fresh sum (I_1 ∩ I_2) + I_3; each intersection keeps the series it
+    # targeted, so neither I_1 ∩ I_2 nor the core is read again from a basis
+    import chernlab.ideals as ideals_module
+
+    calls = []
+    original = ideals_module.monomial_hilbert_series
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(ideals_module, "monomial_hilbert_series", counting)
+    code, _, _ = run(capsys, command, E4, "--json")
+    assert code == 0
+    assert len(calls) == 7
+
+
 def test_hilbert_quadratic_parameter(tmp_path, capsys):
     # a quadratic parameter takes the per-n route
     path = _write(tmp_path, "q.json", dict(BASE, ideals=[["x", "y"]],

@@ -1,56 +1,17 @@
 """Independent routes to lengths and intersections.
 
-The length oracle here never touches Groebner bases: for each degree it
-spans the ideal's graded piece by brute-force monomial multiples of the
-generators and row-reduces the coefficient matrix, so the quotient dimension
-is ambient dimension minus rank.  The intersection oracle uses the pairwise
-lcm description, valid exactly for monomial ideals.
+The length oracle (``helpers.brute_force_length``) never touches Groebner
+bases: for each degree it spans the ideal's graded piece by brute-force
+monomial multiples of the generators and row-reduces the coefficient matrix,
+so the quotient dimension is ambient dimension minus rank.  The intersection
+oracle uses the pairwise lcm description, valid exactly for monomial ideals.
 """
 
 import random
-from itertools import combinations_with_replacement
 
 from chernlab import (Ideal, Polynomial, RingContext, ideal_intersect,
                       ideal_power, ideal_sum, intersect_all, quotient_length)
-from chernlab.linalg import rref_mod_p
-
-
-def _monomials_of_degree(r, s):
-    out = []
-    for combo in combinations_with_replacement(range(r), s):
-        mono = [0] * r
-        for v in combo:
-            mono[v] += 1
-        out.append(tuple(mono))
-    return out
-
-
-def brute_force_length(ideal, max_degree=40):
-    """Sum of graded quotient dimensions, by Macaulay-matrix ranks."""
-    ctx = ideal.ctx
-    r = ctx.nvars
-    p = ctx.characteristic
-    total = 0
-    for s in range(max_degree + 1):
-        ambient = _monomials_of_degree(r, s)
-        index = {m: i for i, m in enumerate(ambient)}
-        rows = []
-        for g in ideal.generators:
-            gdeg = g.degree()
-            if gdeg > s:
-                continue
-            for shift in _monomials_of_degree(r, s - gdeg):
-                row = [0] * len(ambient)
-                for mono, coeff in g.terms.items():
-                    prod = tuple(a + b for a, b in zip(mono, shift))
-                    row[index[prod]] = coeff
-                rows.append(row)
-        _, pivots = rref_mod_p(rows, p)
-        dim = len(ambient) - len(pivots)
-        if dim == 0:
-            return total
-        total += dim
-    raise AssertionError("quotient did not vanish within the degree budget")
+from helpers import brute_force_length, monomials_of_degree
 
 
 def test_length_oracle_on_running_example(ctx4):
@@ -84,7 +45,7 @@ def test_length_oracle_randomized():
         for _ in range(rng.randrange(2)):
             degree = rng.randrange(1, 3)
             terms = {}
-            for mono in _monomials_of_degree(r, degree):
+            for mono in monomials_of_degree(r, degree):
                 if rng.randrange(2):
                     terms[mono] = rng.randrange(1, 101)
             if terms:

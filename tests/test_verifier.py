@@ -5,7 +5,8 @@ import pytest
 from chernlab import (Ideal, NotFiniteLengthError, Polynomial,
                       ProblemInstance, RingContext, check_hypotheses,
                       diagonal_cokernel, fit_coefficients, hilbert_samuel,
-                      ideal_sum, krull_dimension, run_verification)
+                      ideal_sum, krull_dimension, run_verification,
+                      tangent_cone)
 from helpers import PRIME_POOL, e1_family, random_homogeneous_ideal
 
 
@@ -234,7 +235,7 @@ def test_hypothesis_dimensions_from_tangent_cone(order):
         rank = rng.randint(1, min(count, ctx.nvars))
         params = _random_linear_forms(rng, ctx, count, rank)
         inst = ProblemInstance(ctx, ideals, params)
-        assert inst.cone is not None
+        assert tangent_cone(inst.core, inst.J) is not None
         checks = check_hypotheses(inst)
         sop_dim = _check(checks, "parameters_cut_to_finite_length")[
             "witness"]["dimension_of_quotient"]
@@ -253,7 +254,7 @@ def test_hypothesis_dimensions_nonlinear_parameters(ctx4):
     # a quadratic parameter keeps the Krull-dimension route
     inst = ProblemInstance(ctx4, [I(ctx4, "x", "y")],
                            list(I(ctx4, "z^2", "w").generators))
-    assert inst.cone is None
+    assert tangent_cone(inst.core, inst.J) is None
     checks = check_hypotheses(inst)
     assert checks["all_pass"]
     assert _check(checks, "parameters_form_regular_sequence")["witness"] == \
