@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import re
-from operator import add
+from operator import add, mul
 
 __all__ = [
+    "DEGREE_LIMIT",
     "PRIME_LIMIT",
     "RingContext",
     "Polynomial",
@@ -31,6 +32,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # psi_13, the least strong pseudoprime to every base in _MR_BASES
 PRIME_LIMIT = 3317044064679887385961981
+
+# inputs stay below this degree, so monomial keys are exact (see RingContext)
+DEGREE_LIMIT = 1 << 32
 
 
 class ContextMismatchError(ValueError):
@@ -73,64 +77,49 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _make_keys(order, r):
-    """Return (sort_key, heap_key, degree) for an order tag.
-
-    sort_key is ascending in the monomial order; heap_key is its negation so
-    a min-heap pops the largest monomial first.  degree is the grading the
-    Buchberger engine queues critical pairs by: the total degree, except for
-    ("elim", k, base), where it is the degree in the kept variables.  r is
-    the number of variables the keys see; an elim base sees the r - k kept
-    ones.
-    """
-    degree = sum
+def _order_rows(order, r):
+    """The weight-matrix rows of an order tag on r variables, and its
+    grading row (see ``RingContext``)."""
+    ones = (1,) * r
+    units = [tuple(int(j == i) for j in range(r)) for i in range(r)]
     if order == "grevlex":
-        def sort_key(m):
-            return (sum(m), tuple(-e for e in reversed(m)))
-
-        def heap_key(m):
-            return (-sum(m), m[::-1])
-
-    elif order == "lex":
-        def sort_key(m):
-            return m
-
-        def heap_key(m):
-            return tuple(-e for e in m)
-
-    elif isinstance(order, tuple) and len(order) == 3 and order[0] == "elim":
+        return [ones] + [tuple(-e for e in u) for u in reversed(units)], ones
+    if order == "lex":
+        return units, ones
+    if isinstance(order, tuple) and len(order) == 3 and order[0] == "ydeg":
         k = order[1]
-        base_sort, base_heap, _ = _make_keys(order[2], r - k)
-
-        def sort_key(m):
-            return (sum(m[k:]), sum(m[:k]), base_sort(m[k:]), m[:k])
-
-        def heap_key(m):
-            return (-sum(m[k:]), -sum(m[:k]), base_heap(m[k:]),
-                    tuple(-e for e in m[:k]))
-
-        def degree(m):
-            return sum(m[k:])
-
-    elif isinstance(order, tuple) and len(order) == 3 and order[0] == "ydeg":
+        return ([ones, (-1,) * k + (0,) * (r - k)]
+                + _order_rows(order[2], r)[0]), ones
+    if isinstance(order, tuple) and len(order) == 3 and order[0] == "elim":
         k = order[1]
-        base_sort, base_heap, _ = _make_keys(order[2], r)
+        kept = (0,) * k + (1,) * (r - k)
+        base = [(0,) * k + row for row in _order_rows(order[2], r - k)[0]]
+        return [kept, (1,) * k + (0,) * (r - k)] + base + units[:k], kept
+    raise ValueError(f"unknown monomial order {order!r}")
 
-        def sort_key(m):
-            return (sum(m), -sum(m[:k]), base_sort(m))
 
-        def heap_key(m):
-            return (-sum(m), sum(m[:k]), base_heap(m))
-
-    else:
-        raise ValueError(f"unknown monomial order {order!r}")
-    return sort_key, heap_key, degree
+def _linear_form(weights):
+    """m -> sum of m_i * weights_i."""
+    def form(m):
+        return sum(map(mul, m, weights))
+    return form
 
 
 class RingContext:
     """A polynomial ring F_p[variables] together with a monomial order.
 
     Valid order tags: "grevlex" (default), "lex", and two internal ones.
+    Each tag is a weight matrix (Robbiano, "Term orderings on the polynomial
+    ring", EUROCAL 1985): monomials compare by the values of its rows on
+    their exponent vectors, lexicographically.  With 1 the row of ones,
+    1_k the row of ones on the first k variables and e_i the i-th unit row,
+    on r variables the rows are:
+
+    - "grevlex": 1, then -e_(r-1), ..., -e_0;
+    - "lex": e_0, ..., e_(r-1);
+    - ("ydeg", k, base): 1, -1_k, then the rows of base;
+    - ("elim", k, base): 1 - 1_k, 1_k, the rows of base on the kept
+      variables (0 on the first k), then e_0, ..., e_(k-1).
 
     ("elim", k, base) gives the first k variables weight 0: it compares the
     degree in the kept variables first, then the degree in the first k,
@@ -153,10 +142,20 @@ class RingContext:
     variables inside each total degree, so on homogeneous input its initial
     ideal is that of the tangent cone along those variables.  For it and
     the two public orders ``degree`` is the total degree.
+
+    The R rows are flattened once into one integer weight per variable,
+    w_i = sum over rows j of M[j][i] * 2^(64 (R-1-j)), so each row value is
+    one balanced base-2^64 digit of ``sort_key(m) = sum m_i w_i``.  That int
+    sorts like the rows while any two values of a row differ by less than
+    2^64.  Every row is 0 or 1 on each variable, or 0 or -1, so they do
+    for monomials of degree below 2^64; ``parse_polynomial`` caps input
+    degrees at ``DEGREE_LIMIT`` = 2^32, far below.  The key is linear, so the
+    key of a product of monomials is the sum of their keys.  ``degree`` is
+    the linear form of the grading row.
     """
 
     __slots__ = ("variables", "characteristic", "order", "sort_key",
-                 "heap_key", "degree", "_var_index")
+                 "degree", "_var_index")
 
     def __init__(self, variables, characteristic=32003, order="grevlex"):
         variables = tuple(variables)
@@ -173,8 +172,12 @@ class RingContext:
         self.variables = variables
         self.characteristic = characteristic
         self.order = order
-        self.sort_key, self.heap_key, self.degree = _make_keys(
-            order, len(variables))
+        rows, grading = _order_rows(order, len(variables))
+        weights = [0] * len(variables)
+        for row in rows:
+            weights = [(w << 64) + e for w, e in zip(weights, row)]
+        self.sort_key = _linear_form(weights)
+        self.degree = _linear_form(grading)
         self._var_index = {name: i for i, name in enumerate(variables)}
 
     @property
@@ -505,6 +508,9 @@ class _Parser:
             kind, value = self.advance()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
+            value = value.lstrip("0") or "0"
+            if len(value) > 10 or int(value) >= DEGREE_LIMIT:
+                raise ParseError("exponent is not below the cap 2^32")
             poly = poly ** int(value)
         return poly
 
@@ -522,10 +528,15 @@ class _Parser:
 
 
 def parse_polynomial(text: str, ctx: RingContext) -> Polynomial:
-    """Parse polynomial text into canonical form, coefficients reduced mod p."""
+    """Parse polynomial text into canonical form, coefficients reduced mod p.
+
+    Exponent literals and the degree of the result must be below
+    ``DEGREE_LIMIT``, so that monomial keys stay exact."""
     parser = _Parser(_tokenize(text), ctx)
     poly = parser.parse_expr()
     kind, value = parser.peek()
     if kind != "end":
         raise ParseError(f"trailing input starting at {value!r}")
+    if (poly.degree() or 0) >= DEGREE_LIMIT:
+        raise ParseError("degree is not below the cap 2^32")
     return poly

@@ -33,7 +33,7 @@ result are guaranteed.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
+from operator import add, itemgetter, le, sub
 
 from .core import ContextMismatchError, Polynomial
 
@@ -54,46 +54,35 @@ def _mono_divides(a, b):
     return all(map(le, a, b))
 
 
-def _tail(terms, lm, key):
-    """Non-leading terms of a reducer, largest first."""
-    return sorted(((m, c) for m, c in terms.items() if m != lm),
-                  key=lambda t: key(t[0]), reverse=True)
+def _keyed(terms, key):
+    """A term dict as (monomial, coefficient, key) triples, largest first."""
+    return sorted(((m, c, key(m)) for m, c in terms.items()),
+                  key=itemgetter(2), reverse=True)
 
 
-class _KeyMemo(dict):
-    """Keys by monomial, computed on first use."""
+def _reduce_terms(terms, key, lms, lead_keys, degs, tails, p, reducer_of):
+    """Full normal form of a term dict against monic reducers, as
+    (monomial, coefficient, key) triples, largest first.
 
-    __slots__ = ("key",)
+    Monomials are processed from largest to smallest via a heap of negated
+    keys; each reduction step can only introduce strictly smaller monomials,
+    so the loop terminates with a remainder none of whose terms is divisible
+    by any reducer leading monomial.
 
-    def __init__(self, key):
-        super().__init__()
-        self.key = key
-
-    def __missing__(self, m):
-        key = self[m] = self.key(m)
-        return key
-
-
-def _reduce_terms(terms, lms, degs, tails, p, keys, reducer_of):
-    """Full normal form of a term dict against monic reducers.
-
-    Monomials are processed from largest to smallest via a heap; each
-    reduction step can only introduce strictly smaller monomials, so the loop
-    terminates with a remainder none of whose terms is divisible by any
-    reducer leading monomial.  The remainder's terms are inserted largest
-    first, so its first key is its leading monomial.
-
-    ``keys`` maps a monomial to its heap key.  ``reducer_of`` caches the
-    first reducer whose leading monomial divides a monomial, or ~n when none
-    of the first n does; it stays valid while reducers are only appended.
+    ``key`` gives the keys of the input terms.  Every other key is a sum,
+    since the key is linear: the term t of a reducer's tail, times the
+    quotient q = m / lm of a monomial m by the reducer's leading monomial,
+    has the key key(m) - key(lm) + key(t).  ``reducer_of`` caches the first
+    reducer whose leading monomial divides a monomial, or ~n when none of
+    the first n does; it stays valid while reducers are only appended.
     """
     work = dict(terms)
-    heap = [(keys[m], m) for m in work]
+    heap = [(-key(m), m) for m in work]
     heapify(heap)
-    out = {}
+    out = []
     nred = len(lms)
     while heap:
-        _, m = heappop(heap)
+        neg, m = heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
@@ -108,17 +97,18 @@ def _reduce_terms(terms, lms, degs, tails, p, keys, reducer_of):
                 red = ~nred
             reducer_of[m] = red
         if red < 0:
-            out[m] = c
+            out.append((m, c, -neg))
             continue
         q = tuple(map(sub, m, lms[red]))
-        for tm, tc in tails[red]:
+        neg_q = neg + lead_keys[red]
+        for tm, tc, tk in tails[red]:
             mm = tuple(map(add, q, tm))
             prev = work.get(mm)
             if prev is None:
                 v = (-c * tc) % p
                 if v:
                     work[mm] = v
-                    heappush(heap, (keys[mm], mm))
+                    heappush(heap, (neg_q - tk, mm))
             else:
                 v = (prev - c * tc) % p
                 if v:
@@ -131,11 +121,11 @@ def _reduce_terms(terms, lms, degs, tails, p, keys, reducer_of):
 class _Engine:
     """Incremental Buchberger run over term dicts.
 
-    Basis elements are stored monic, with their tails sorted largest first,
-    and the sort and heap key of every monomial the run meets is computed
-    once.  ``run()`` processes the queued pairs until none is left.  With a
-    target ``series`` the queue is dropped as soon as HS(S/in(G)) reaches it
-    (see the module docstring).
+    Basis elements are stored monic, as their leading monomials and keys
+    and their tails of keyed triples sorted largest first.  ``run()``
+    processes the queued pairs until none is left.  With a target
+    ``series`` the queue is dropped as soon as HS(S/in(G)) reaches it (see
+    the module docstring).
 
     The counters are plain ints for tests and profiling: pairs popped, pairs
     skipped by the coprime and chain criteria, pairs whose S-polynomial
@@ -145,15 +135,13 @@ class _Engine:
     def __init__(self, gens, ctx, series=None):
         self.ctx = ctx
         self.p = ctx.characteristic
-        self.sort_keys = _KeyMemo(ctx.sort_key)
+        self.key = ctx.sort_key
         self.degree = ctx.degree
-        self.keys = _KeyMemo(ctx.heap_key)
         self.reducer_of = {}
         self.lms = []
         self.lead_keys = []
         self.degs = []
         self.tails = []
-        self.polys = []
         self.pairs = []
         self.pending = set()
         self.pairs_popped = 0
@@ -171,31 +159,25 @@ class _Engine:
             # them, and the numerator of their quotient's Hilbert series
             self.free_leads = []
             self.numerator = [[1]]
-        heap_keys = self.keys
         for g in gens:
             if g.terms:
-                self._append(dict(sorted(
-                    g.terms.items(), key=lambda t: heap_keys[t[0]])))
+                self._append(_keyed(g.terms, self.key))
 
     def _append(self, terms):
-        """Add an element given as a term dict ordered largest first."""
-        lm = next(iter(terms))
-        lc = terms[lm]
+        """Add an element given as keyed triples, largest first."""
+        lm, lc, lm_key = terms[0]
         if lc != 1:
             inv = pow(lc, -1, self.p)
-            terms = {m: c * inv % self.p for m, c in terms.items()}
-        key = self.sort_keys
+            terms = [(m, c * inv % self.p, k) for m, c, k in terms]
         j = len(self.lms)
-        lm_key = key[lm]
         self.lms.append(lm)
         self.lead_keys.append(lm_key)
         self.degs.append(sum(lm))
-        self.tails.append(list(terms.items())[1:])
-        self.polys.append(terms)
+        self.tails.append(terms[1:])
         for i in range(j):
             lcm = _mono_lcm(self.lms[i], lm)
-            entry = ((self.degree(lcm), key[lcm], self.lead_keys[i], lm_key),
-                     i, j)
+            entry = ((self.degree(lcm), self.key(lcm), self.lead_keys[i],
+                      lm_key), i, j)
             heappush(self.pairs, entry)
             self.pending.add((i, j))
         if self.series is not None:
@@ -256,21 +238,22 @@ class _Engine:
                 self.chain_skips += 1
                 continue
             s_terms = self._spair_terms(i, j, lcm)
-            reduced = _reduce_terms(s_terms, lms, self.degs, self.tails,
-                                    self.p, self.keys, self.reducer_of)
+            reduced = _reduce_terms(s_terms, self.key, lms, self.lead_keys,
+                                    self.degs, self.tails, self.p,
+                                    self.reducer_of)
             if reduced:
                 self._append(reduced)
             else:
                 self.zero_reductions += 1
 
     def _spair_terms(self, i, j, lcm):
+        """The S-polynomial of elements i and j as a term dict: their tails
+        times the quotients of lcm, since their leading terms cancel."""
         p = self.p
         qi = tuple(map(sub, lcm, self.lms[i]))
         qj = tuple(map(sub, lcm, self.lms[j]))
-        out = {}
-        for m, c in self.polys[i].items():
-            out[tuple(map(add, qi, m))] = c
-        for m, c in self.polys[j].items():
+        out = {tuple(map(add, qi, m)): c for m, c, _ in self.tails[i]}
+        for m, c, _ in self.tails[j]:
             mm = tuple(map(add, qj, m))
             v = (out.get(mm, 0) - c) % p
             if v:
@@ -283,7 +266,7 @@ class _Engine:
 def _interreduce(engine):
     """Turn the engine's basis, which has the Groebner property, into the
     reduced basis: (leading monomials, tails), sorted by leading monomial,
-    each tail a term dict ordered largest first.
+    each tail keyed triples ordered largest first.
 
     Only elements with minimal leading monomials are kept.  Each kept tail is
     reduced against all kept elements: a tail term lies below its own leading
@@ -295,12 +278,11 @@ def _interreduce(engine):
         lm = engine.lms[i]
         if not any(_mono_divides(engine.lms[k], lm) for k in kept):
             kept.append(i)
-    lms = [engine.lms[i] for i in kept]
-    degs = [engine.degs[i] for i in kept]
-    tails = [engine.tails[i] for i in kept]
+    lms, lead_keys, degs, tails = ([part[i] for i in kept] for part in (
+        engine.lms, engine.lead_keys, engine.degs, engine.tails))
     reducer_of = {}
-    return lms, [_reduce_terms(dict(tail), lms, degs, tails, engine.p,
-                               engine.keys, reducer_of)
+    return lms, [_reduce_terms({m: c for m, c, _ in tail}, engine.key, lms,
+                               lead_keys, degs, tails, engine.p, reducer_of)
                  for tail in tails]
 
 
@@ -308,7 +290,7 @@ class GroebnerBasis:
     """A reduced Groebner basis: monic elements sorted by leading monomial.
 
     ``_lead`` holds the leading monomials and ``_tails`` each element's
-    other terms as (monomial, coefficient) pairs, largest first.
+    other terms as (monomial, coefficient, key) triples, largest first.
     """
 
     __slots__ = ("ctx", "elements", "_lead", "_tails")
@@ -316,24 +298,24 @@ class GroebnerBasis:
     def __init__(self, ctx, elements):
         self.ctx = ctx
         self.elements = tuple(elements)
-        self._lead = tuple(g.leading_monomial() for g in self.elements)
-        self._tails = tuple(_tail(g.terms, lm, ctx.sort_key)
-                            for g, lm in zip(self.elements, self._lead))
+        keyed = [_keyed(g.terms, ctx.sort_key) for g in self.elements]
+        self._lead = tuple(terms[0][0] for terms in keyed)
+        self._tails = tuple(terms[1:] for terms in keyed)
 
     @classmethod
     def _from_parts(cls, ctx, leads, tails):
         """The basis of monic elements lm + tail, from its leading monomials
-        and its tails as term dicts ordered largest first, both already
+        and its tails as keyed triples ordered largest first, both already
         sorted by leading monomial."""
         basis = cls.__new__(cls)
         basis.ctx = ctx
         basis._lead = tuple(leads)
-        basis._tails = tuple(list(tail.items()) for tail in tails)
+        basis._tails = tuple(tails)
         elements = []
         for lm, tail in zip(leads, tails):
             g = Polynomial.__new__(Polynomial)
             g.ctx = ctx
-            g.terms = {lm: 1, **tail}
+            g.terms = {lm: 1, **{m: c for m, c, _ in tail}}
             elements.append(g)
         basis.elements = tuple(elements)
         return basis
@@ -409,13 +391,14 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     if f.is_zero() or not basis.elements:
         return f
     ctx = basis.ctx
+    key = ctx.sort_key
     lms = basis._lead
-    degs = [sum(m) for m in lms]
-    out = _reduce_terms(f.terms, lms, degs, basis._tails, ctx.characteristic,
-                        _KeyMemo(ctx.heap_key), {})
+    out = _reduce_terms(f.terms, key, lms, [key(m) for m in lms],
+                        [sum(m) for m in lms], basis._tails,
+                        ctx.characteristic, {})
     res = Polynomial.__new__(Polynomial)
     res.ctx = ctx
-    res.terms = out
+    res.terms = {m: c for m, c, _ in out}
     return res
 
 

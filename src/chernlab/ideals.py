@@ -38,13 +38,14 @@ class NotFiniteLengthError(ValueError):
 
 class Ideal:
     """A homogeneous ideal: generator list plus a cached reduced Groebner
-    basis, the cached Hilbert series of its quotient and, in a ring of
-    ``hilbert.parameter_coordinates``, its cached tangent cone.
+    basis, the cached Hilbert series of its quotient, in a ring of
+    ``hilbert.parameter_coordinates`` its cached tangent cone, and the
+    latest power ``ideal_power`` built of it, as (n, ideal).
 
     Each cache is filled on first use.
     """
 
-    __slots__ = ("ctx", "generators", "_gb", "_series", "_cone")
+    __slots__ = ("ctx", "generators", "_gb", "_series", "_cone", "_power")
 
     def __init__(self, ctx: RingContext, generators):
         gens = []
@@ -60,6 +61,7 @@ class Ideal:
         self._gb = None
         self._series = None
         self._cone = None
+        self._power = None
 
     @classmethod
     def from_strings(cls, ctx: RingContext, texts) -> "Ideal":
@@ -104,18 +106,27 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 
 
 def ideal_power(a: Ideal, n: int) -> Ideal:
-    """Ideal generated by all n-fold products of the generators."""
+    """Ideal generated by all n-fold products of the generators, in
+    ``combinations_with_replacement`` order.
+
+    Each n-fold product is an (n-1)-fold one times a generator of index at
+    least the last one of its factors, so J^n is built from J^(n-1), and the
+    latest power built is kept on ``a`` for the next call.
+    """
     if n < 1:
         raise ValueError("exponent must be at least 1")
     if n == 1:
         return a
-    gens = []
-    for combo in combinations_with_replacement(a.generators, n):
-        prod = combo[0]
-        for g in combo[1:]:
-            prod = prod * g
-        gens.append(prod)
-    return Ideal(a.ctx, gens)
+    gens = a.generators
+    m, power = a._power if a._power and a._power[0] <= n else (1, a)
+    while m < n:
+        lasts = (combo[-1] for combo in
+                 combinations_with_replacement(range(len(gens)), m))
+        power = Ideal(a.ctx, [f * g for last, f in zip(lasts, power.generators)
+                              for g in gens[last:]])
+        m += 1
+    a._power = (n, power)
+    return power
 
 
 def ideal_intersect(a: Ideal, b: Ideal, total=None) -> Ideal:
@@ -164,10 +175,11 @@ def ideal_intersect(a: Ideal, b: Ideal, total=None) -> Ideal:
     # the t-free elements, with their leads sorted in the base order (the
     # elimination order sorts by degree first, which differs for lex); each
     # is homogeneous, so its tail is already sorted in the base order too
-    kept = sorted(((lm[1:], {m[1:]: c for m, c in tail})
+    key = ctx.sort_key
+    kept = sorted(((lm[1:], [(m[1:], c, key(m[1:])) for m, c, _ in tail])
                    for lm, tail in zip(eliminated._lead, eliminated._tails)
                    if not lm[0]),
-                  key=lambda part: ctx.sort_key(part[0]))
+                  key=lambda part: key(part[0]))
     basis = GroebnerBasis._from_parts(ctx, [lm for lm, _ in kept],
                                       [tail for _, tail in kept])
     result = Ideal(ctx, basis.elements)

@@ -285,6 +285,16 @@ def test_schema_error_deep_nesting(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
+def test_schema_error_degree_cap(tmp_path, capsys):
+    for parameter in ("x^18446744073709551616 + z", "x^4294967295*y + z^2"):
+        bad = dict(BASE, parameters=[parameter, "y + w"])
+        code, out, err = run(capsys, "hilbert",
+                             _write(tmp_path, "p.json", bad))
+        assert code == 2
+        assert "schema error" in err and "2^32" in err
+        assert out == ""
+
+
 def test_hypothesis_failure_exit_code(tmp_path, capsys):
     bad = dict(BASE, parameters=["x", "y"])   # vanishes on the z-w plane
     code, _, err = run(capsys, "hilbert", _write(tmp_path, "p.json", bad))

@@ -1,9 +1,10 @@
 import random
+from itertools import permutations
 
 import pytest
 
-from chernlab import (PRIME_LIMIT, ContextMismatchError, ParseError,
-                      Polynomial, RingContext, binomial, is_prime,
+from chernlab import (DEGREE_LIMIT, PRIME_LIMIT, ContextMismatchError,
+                      ParseError, Polynomial, RingContext, binomial, is_prime,
                       parse_polynomial)
 
 P = 32003
@@ -43,6 +44,30 @@ def test_parse_parentheses_and_powers(ctx4):
 def test_parse_rejects(ctx4, bad):
     with pytest.raises(ParseError):
         parse_polynomial(bad, ctx4)
+
+
+@pytest.mark.parametrize("text", [
+    "x^4294967296",                 # exponent literal 2^32
+    "x^18446744073709551616",       # 2^64
+    "x^" + "9" * 5000,              # too long for int() to read at all
+    "x^4294967295 * y",             # degree 2^32
+    "x^2147483648 * x^2147483648",
+    "(x^65536)^65536",
+])
+def test_parse_rejects_inputs_at_the_degree_cap(ctx4, text):
+    # monomial keys are exact well beyond the cap (see RingContext)
+    assert DEGREE_LIMIT == 1 << 32
+    with pytest.raises(ParseError, match=r"2\^32"):
+        parse_polynomial(text, ctx4)
+
+
+def test_parse_accepts_inputs_below_the_degree_cap(ctx4):
+    assert parse_polynomial("x^4294967295", ctx4).terms == \
+        {(DEGREE_LIMIT - 1, 0, 0, 0): 1}
+    assert parse_polynomial("x^00000000000003", ctx4) == \
+        parse_polynomial("x^3", ctx4)
+    assert parse_polynomial("x^4294967295*y - y*x^4294967295",
+                            ctx4).is_zero()
 
 
 def test_mul_examples(ctx4):
@@ -146,8 +171,63 @@ def test_elim_order_with_one_eliminated_variable(base):
     monos = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(80)]
     assert sorted(monos, key=elim.sort_key) == \
         sorted(monos, key=lambda m: (sum(m[1:]), m[0], full(m)))
-    assert sorted(monos, key=elim.heap_key) == \
-        sorted(monos, key=elim.sort_key, reverse=True)
+
+
+def _tuple_key(order, r):
+    """The tuple sort key each order tag had before keys became linear
+    forms: the reference for the weight matrices."""
+    if order == "grevlex":
+        return lambda m: (sum(m), tuple(-e for e in reversed(m)))
+    if order == "lex":
+        return lambda m: m
+    tag, k, base = order
+    if tag == "elim":
+        base_key = _tuple_key(base, r - k)
+        return lambda m: (sum(m[k:]), sum(m[:k]), base_key(m[k:]), m[:k])
+    base_key = _tuple_key(base, r)
+    return lambda m: (sum(m), -sum(m[:k]), base_key(m))
+
+
+@pytest.mark.parametrize("order", [
+    "grevlex", "lex",
+    pytest.param(("ydeg", 2, "grevlex"), id="ydeg-grevlex"),
+    pytest.param(("ydeg", 2, "lex"), id="ydeg-lex"),
+    pytest.param(("elim", 1, "grevlex"), id="elim-grevlex"),
+    pytest.param(("elim", 1, ("ydeg", 2, "lex")), id="elim-ydeg-lex"),
+    pytest.param(("elim", 1, ("ydeg", 2, "grevlex")), id="elim-ydeg"),
+    pytest.param(("elim", 2, "lex"), id="elim2-lex")])
+def test_linear_key_sorts_like_tuple_key(order):
+    # random exponent vectors of degree up to just below the input cap, the
+    # permutations of two of them, which tie on the total degree with large
+    # values in the later rows, and small ones, which tie on more rows
+    r = 5
+    ctx = RingContext([f"v{i}" for i in range(r)], order=order)
+    reference = _tuple_key(order, r)
+    rng = random.Random(f"keys:{order}")
+    monos = [tuple(rng.randrange(bound) for _ in range(r))
+             for bound in (DEGREE_LIMIT // r, 1 << 20, 4, 2) for _ in range(60)]
+    monos += permutations(monos[0])
+    monos += permutations(monos[1])
+    # products in a run may exceed the cap: vectors of one degree below
+    # 2^63 whose rows differ by 1 next to rows that differ by up to 2^58
+    big = [rng.randrange(1 << 59, 1 << 60) for _ in range(r)]
+    for _ in range(60):
+        m = list(big)
+        for step in (rng.randrange(1 << 58), 1):
+            i, j = rng.sample(range(r), 2)
+            m[i] += step
+            m[j] -= step
+        monos.append(tuple(m))
+    monos.append((DEGREE_LIMIT // r - 1,) * r)
+    for m in monos:
+        assert isinstance(ctx.sort_key(m), int)
+    assert sorted(monos, key=ctx.sort_key) == sorted(monos, key=reference)
+    for a, b in zip(monos, reversed(monos)):
+        assert (ctx.sort_key(a) < ctx.sort_key(b)) == \
+            (reference(a) < reference(b))
+        # linear: a product's key is the sum of its factors' keys
+        assert ctx.sort_key(tuple(x + y for x, y in zip(a, b))) == \
+            ctx.sort_key(a) + ctx.sort_key(b)
 
 
 def test_parser_round_trip(ctx4):

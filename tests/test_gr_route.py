@@ -113,18 +113,6 @@ def test_positive_dimensional_quotient_raises(e1):
         hilbert_samuel_values(core, j, 400)
 
 
-def test_ydeg_keys_are_mutually_reverse():
-    rng = random.Random(229)
-    for base in ("grevlex", "lex"):
-        ctx = RingContext([f"v{i}" for i in range(5)],
-                          order=("ydeg", 2, base))
-        monos = [tuple(rng.randrange(4) for _ in range(5)) for _ in range(40)]
-        for a in monos:
-            for b in monos:
-                assert (ctx.sort_key(a) < ctx.sort_key(b)) == \
-                    (ctx.heap_key(a) > ctx.heap_key(b))
-
-
 def instance_cases(rng, p, order):
     """(label, ctx, ideals, parameters, window): g = 1, 2, 3 plane
     configurations under a random invertible change, dependent parameters,

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -44,6 +44,28 @@ def test_power_equals_product(ctx4):
     for texts in (["x", "y"], ["x + z", "y + w"], ["x*z", "y*w", "x*w"]):
         a = I(ctx4, *texts)
         assert ideal_power(a, 2) == ideal_product(a, a)
+
+
+def test_power_generators_are_the_products_in_order(ctx4):
+    # each call builds on the latest power kept on the ideal, or starts over
+    # from the generators when asked for a lower one
+    def products(gens, n):
+        out = []
+        for combo in combinations_with_replacement(gens, n):
+            prod = combo[0]
+            for g in combo[1:]:
+                prod = prod * g
+            out.append(prod)
+        return out
+
+    rng = random.Random(43)
+    for count in (1, 2, 3):
+        a = Ideal(ctx4, [_random_homogeneous(ctx4, rng, degree)
+                         for degree in (1, 2, 1)[:count]])
+        for n in (2, 3, 4, 5, 5, 4, 3, 2, 1, 5, 3):
+            assert list(ideal_power(a, n).generators) == \
+                products(a.generators, n)
+        assert ideal_power(a, 5) is ideal_power(a, 5)
 
 
 def test_intersect_transversal_planes(ctx4):
@@ -227,8 +249,6 @@ def test_serre_dimension_bound(e1, e2, e4):
 
 
 def _random_homogeneous(ctx, rng, degree):
-    from itertools import combinations_with_replacement
-
     terms = {}
     monos = list(combinations_with_replacement(range(ctx.nvars), degree))
     for _ in range(rng.randrange(1, 4)):

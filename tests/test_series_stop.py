@@ -40,6 +40,17 @@ def record_targeted_runs(monkeypatch, compute):
     return runs
 
 
+def write_problem(path, ctx, ideals, j):
+    path.write_text(json.dumps({
+        "characteristic": ctx.characteristic,
+        "variables": list(ctx.variables),
+        "monomial_order": ctx.order,
+        "ideals": [[str(g) for g in ideal.generators] for ideal in ideals],
+        "parameters": [str(g) for g in j.generators],
+    }))
+    return str(path)
+
+
 def engine_run(gens, ctx, series):
     engine = groebner_module._Engine(gens, ctx, series)
     engine.run()
@@ -56,6 +67,18 @@ def two_4_planes(rng, p=32003):
     return transformed_planes(
         rng, p, names, [names[:4], names[4:]],
         [f"{a} + {b}" for a, b in zip(names[:4], names[4:])])
+
+
+def three_3_planes_lex(seed, parameters):
+    names = [f"x{i}" for i in range(9)]
+    blocks = [names[3:], names[:3] + names[6:], names[:6]]
+    return transformed_planes(random.Random(seed), 32003, names, blocks,
+                              parameters, "lex")
+
+
+THREE_3_PLANE_PARAMETERS = (
+    [f"x{i} + x{3 + i} + x{6 + i}" for i in range(3)],
+    [f"x{i} + x{3 + (i + 1) % 3} + x{6 + (i + 2) % 3}" for i in range(3)])
 
 
 def test_dense_4_planes_zero_reductions(monkeypatch):
@@ -88,14 +111,8 @@ def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
     # target series and the pairwise hypothesis) and the elimination basis,
     # whose t-free part is the core's basis and so its tangent cone (shared
     # by the hypotheses and H(K, n))
-    ctx, ideals, j = two_4_planes(random.Random(601))
-    path = tmp_path / "p4.json"
-    path.write_text(json.dumps({
-        "characteristic": ctx.characteristic,
-        "variables": list(ctx.variables),
-        "ideals": [[str(g) for g in ideal.generators] for ideal in ideals],
-        "parameters": [str(g) for g in j.generators],
-    }))
+    path = write_problem(tmp_path / "p4.json",
+                         *two_4_planes(random.Random(601)))
     orders = []
     original = groebner_module.buchberger
 
@@ -106,7 +123,7 @@ def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
 
     for module in (ideals_module, hilbert_module):
         monkeypatch.setattr(module, "buchberger", recording)
-    assert main(["hilbert", str(path), "--json", "--max-power", "4"]) == 0
+    assert main(["hilbert", path, "--json", "--max-power", "4"]) == 0
     rows = json.loads(capsys.readouterr().out)
     # e = (2, -1, 1, -1, 0) for two transversal 4-planes, from n = 1 on
     assert [row["length"] for row in rows] == [
@@ -124,14 +141,8 @@ def test_dense_three_3_planes_lex_elimination(monkeypatch, seed):
     # base sits under the degree-compatible ydeg order, so the second
     # elimination (I_1 ∩ I_2) ∩ I_3 is graded; over plain lex it made 176
     # zero reductions in 930 popped pairs
-    names = [f"x{i}" for i in range(9)]
-    blocks = [names[3:], names[:3] + names[6:], names[:6]]
-    for parameters in (
-            [f"x{i} + x{3 + i} + x{6 + i}" for i in range(3)],
-            [f"x{i} + x{3 + (i + 1) % 3} + x{6 + (i + 2) % 3}"
-             for i in range(3)]):
-        ctx, ideals, j = transformed_planes(random.Random(seed), 32003, names,
-                                            blocks, parameters, "lex")
+    for parameters in THREE_3_PLANE_PARAMETERS:
+        ctx, ideals, j = three_3_planes_lex(seed, parameters)
         runs = record_targeted_runs(
             monkeypatch,
             lambda: ProblemInstance(ctx, ideals, list(j.generators)))
@@ -144,6 +155,56 @@ def test_dense_three_3_planes_lex_elimination(monkeypatch, seed):
         # measured: 17 zero reductions in 116 popped pairs
         assert second.zero_reductions <= 20
         assert second.pairs_popped <= 150
+
+
+YDEG3_LEX = ("ydeg", 3, "lex")
+YDEG4 = ("ydeg", 4, "grevlex")
+# Every engine that `hilbert --max-power 4` starts, in order: its order,
+# basis size before interreduction, pairs popped, coprime skips, chain
+# skips, zero reductions and series stop.  Recorded with the tuple monomial
+# keys that preceded the linear ones; any change in the order of pairs or
+# reductions shows here.
+THREE_3_PLANE_ENGINES = [
+    (YDEG3_LEX, 11, 55, 40, 10, 0, False),
+    (YDEG3_LEX, 11, 55, 40, 10, 0, False),
+    (YDEG3_LEX, 20, 190, 124, 55, 3, False),
+    (("elim", 1, YDEG3_LEX), 32, 129, 9, 95, 5, True),
+    (YDEG3_LEX, 11, 55, 40, 10, 0, False),
+    (YDEG3_LEX, 24, 276, 220, 41, 9, False),
+    (("elim", 1, YDEG3_LEX), 51, 116, 0, 66, 17, True),
+    (YDEG3_LEX, 20, 190, 124, 55, 3, False),
+    (YDEG3_LEX, 20, 190, 124, 55, 3, False),
+]
+
+
+@pytest.mark.parametrize("instance, expected", [
+    pytest.param(lambda: two_4_planes(random.Random(601)), [
+        (YDEG4, 7, 21, 15, 3, 0, False),
+        (YDEG4, 7, 21, 15, 3, 0, False),
+        (YDEG4, 15, 105, 77, 21, 0, False),
+        (("elim", 1, YDEG4), 31, 53, 0, 24, 6, True),
+    ], id="dense-4-planes"),
+    pytest.param(lambda: three_3_planes_lex(0, THREE_3_PLANE_PARAMETERS[0]),
+                 THREE_3_PLANE_ENGINES, id="three-3-planes-lex-a"),
+    pytest.param(lambda: three_3_planes_lex(0, THREE_3_PLANE_PARAMETERS[1]),
+                 THREE_3_PLANE_ENGINES, id="three-3-planes-lex-b"),
+])
+def test_engine_counters_pinned(monkeypatch, tmp_path, capsys, instance,
+                                expected):
+    path = write_problem(tmp_path / "p.json", *instance())
+    engines = []
+
+    class Recording(groebner_module._Engine):
+        def __init__(self, gens, ctx, series=None):
+            super().__init__(gens, ctx, series)
+            engines.append(self)
+
+    monkeypatch.setattr(groebner_module, "_Engine", Recording)
+    assert main(["hilbert", path, "--max-power", "4"]) == 0
+    capsys.readouterr()
+    assert [(e.ctx.order, len(e.lms), e.pairs_popped, e.coprime_skips,
+             e.chain_skips, e.zero_reductions, e.series_stop)
+            for e in engines] == expected
 
 
 @pytest.mark.parametrize("order", [
