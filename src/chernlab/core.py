@@ -517,7 +517,14 @@ class _Parser:
     def parse_atom(self):
         kind, value = self.advance()
         if kind == "int":
-            return Polynomial.constant(self.ctx, int(value))
+            # int() refuses literals of more than 4300 digits, so the
+            # literal is read mod p in chunks of at most 4000
+            p = self.ctx.characteristic
+            c = 0
+            for i in range(0, len(value), 4000):
+                chunk = value[i:i + 4000]
+                c = (c * pow(10, len(chunk), p) + int(chunk)) % p
+            return Polynomial.constant(self.ctx, c)
         if kind == "name":
             return Polynomial.variable(self.ctx, value)
         if kind == "op" and value == "(":

@@ -9,6 +9,14 @@ first k variables have weight 0 (see ``RingContext``).  Pairs are pruned
 with the coprime (product) criterion and the chain criterion; the
 Buchberger S-polynomial property test in the suite guards both.
 
+Every element enters the engine by one step (Gebauer and Moeller, "On an
+installation of Buchberger's algorithm", J. Symbolic Comput. 6, 1988): it
+is reduced against the elements admitted so far and its remainder, if not
+zero, is appended monic.  Generators are admitted so, lowest degree first,
+before any pair; S-polynomials after.  A remainder's leading monomial is
+divisible by no earlier one, so no two elements ever share a leading
+monomial, and no pair is queued for a duplicate.
+
 For input homogeneous in that degree the schedule makes the basis exact
 degree by degree: once every pair of S-degree <= s has been processed, the
 leading terms of degree <= s are final.
@@ -52,12 +60,6 @@ def _mono_lcm(a, b):
 
 def _mono_divides(a, b):
     return all(map(le, a, b))
-
-
-def _keyed(terms, key):
-    """A term dict as (monomial, coefficient, key) triples, largest first."""
-    return sorted(((m, c, key(m)) for m, c in terms.items()),
-                  key=itemgetter(2), reverse=True)
 
 
 def _reduce_terms(terms, key, lms, lead_keys, degs, tails, p, reducer_of):
@@ -122,14 +124,18 @@ class _Engine:
     """Incremental Buchberger run over term dicts.
 
     Basis elements are stored monic, as their leading monomials and keys
-    and their tails of keyed triples sorted largest first.  ``run()``
-    processes the queued pairs until none is left.  With a target
-    ``series`` the queue is dropped as soon as HS(S/in(G)) reaches it (see
-    the module docstring).
+    and their tails of keyed triples sorted largest first.  ``_admit``
+    appends each element, generator (lowest ``ctx.degree`` first) or
+    S-polynomial, only as its nonzero remainder modulo the earlier ones, so
+    no leading monomial is divisible by an earlier one and ``lms`` holds no
+    duplicate.  ``run()`` processes the queued pairs until none is left.
+    With a target ``series`` the queue is dropped as soon as HS(S/in(G))
+    reaches it (see the module docstring).
 
     The counters are plain ints for tests and profiling: pairs popped, pairs
     skipped by the coprime and chain criteria, pairs whose S-polynomial
-    reduced to zero, and whether the series stop dropped queued pairs.
+    reduced to zero (a generator that reduces to zero is not counted), and
+    whether the series stop dropped queued pairs.
     """
 
     def __init__(self, gens, ctx, series=None):
@@ -159,12 +165,17 @@ class _Engine:
             # them, and the numerator of their quotient's Hilbert series
             self.free_leads = []
             self.numerator = [[1]]
-        for g in gens:
-            if g.terms:
-                self._append(_keyed(g.terms, self.key))
+        for g in sorted(gens, key=lambda g: max(map(ctx.degree, g.terms),
+                                                default=0)):
+            self._admit(g.terms)
 
-    def _append(self, terms):
-        """Add an element given as keyed triples, largest first."""
+    def _admit(self, terms):
+        """Reduce a term dict against the elements so far and append its
+        remainder, made monic, unless it is zero; return the remainder."""
+        terms = _reduce_terms(terms, self.key, self.lms, self.lead_keys,
+                              self.degs, self.tails, self.p, self.reducer_of)
+        if not terms:
+            return terms
         lm, lc, lm_key = terms[0]
         if lc != 1:
             inv = pow(lc, -1, self.p)
@@ -182,6 +193,7 @@ class _Engine:
             self.pending.add((i, j))
         if self.series is not None:
             self._add_to_series(lm)
+        return terms
 
     def _add_to_series(self, lm):
         """Update HS(S'/in(G)), S' the ring of the variables that are kept,
@@ -237,13 +249,7 @@ class _Engine:
             if skip:
                 self.chain_skips += 1
                 continue
-            s_terms = self._spair_terms(i, j, lcm)
-            reduced = _reduce_terms(s_terms, self.key, lms, self.lead_keys,
-                                    self.degs, self.tails, self.p,
-                                    self.reducer_of)
-            if reduced:
-                self._append(reduced)
-            else:
+            if not self._admit(self._spair_terms(i, j, lcm)):
                 self.zero_reductions += 1
 
     def _spair_terms(self, i, j, lcm):
@@ -298,7 +304,9 @@ class GroebnerBasis:
     def __init__(self, ctx, elements):
         self.ctx = ctx
         self.elements = tuple(elements)
-        keyed = [_keyed(g.terms, ctx.sort_key) for g in self.elements]
+        keyed = [sorted(((m, c, ctx.sort_key(m)) for m, c in g.terms.items()),
+                        key=itemgetter(2), reverse=True)
+                 for g in self.elements]
         self._lead = tuple(terms[0][0] for terms in keyed)
         self._tails = tuple(terms[1:] for terms in keyed)
 

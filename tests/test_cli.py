@@ -295,6 +295,19 @@ def test_schema_error_degree_cap(tmp_path, capsys):
         assert out == ""
 
 
+def test_long_coefficient_literal_is_read_mod_p(tmp_path, capsys):
+    # a literal of 5000 digits is past int()'s 4300; N = 10^4999 + k with
+    # N = 1 mod p, so N*x + z is x + z over F_p
+    k = (1 - pow(10, 4999, 32003)) % 32003
+    literal = "1" + str(k).zfill(4999)
+    outs = []
+    for parameter in (f"{literal}*x + z", "x + z"):
+        good = dict(BASE, parameters=[parameter, "y + w"])
+        outs.append(run(capsys, "hilbert", _write(tmp_path, "p.json", good),
+                        "--json"))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 def test_hypothesis_failure_exit_code(tmp_path, capsys):
     bad = dict(BASE, parameters=["x", "y"])   # vanishes on the z-w plane
     code, _, err = run(capsys, "hilbert", _write(tmp_path, "p.json", bad))

@@ -61,6 +61,14 @@ def test_parse_rejects_inputs_at_the_degree_cap(ctx4, text):
         parse_polynomial(text, ctx4)
 
 
+@pytest.mark.parametrize("digits", [4000, 4001, 8000, 9001])
+def test_parse_reads_long_literals_mod_p(ctx4, digits):
+    literal = "7" * digits
+    want = sum(7 * pow(10, i, 32003) for i in range(digits)) % 32003
+    assert parse_polynomial(f"{literal}*y", ctx4) == \
+        Polynomial(ctx4, {(0, 1, 0, 0): want})
+
+
 def test_parse_accepts_inputs_below_the_degree_cap(ctx4):
     assert parse_polynomial("x^4294967295", ctx4).terms == \
         {(DEGREE_LIMIT - 1, 0, 0, 0): 1}

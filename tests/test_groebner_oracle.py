@@ -112,6 +112,7 @@ def _random_poly(ctx, rng, max_degree, max_terms=3):
 
 def test_engine_matches_oracle_randomized():
     rng = random.Random(101)
+    places = random.Random(102)
     for trial in range(30):
         order = "grevlex" if trial % 2 == 0 else "lex"
         nvars = rng.randrange(2, 4)
@@ -120,6 +121,15 @@ def test_engine_matches_oracle_randomized():
         expected = oracle_reduced_basis(gens, ctx)
         actual = list(buchberger(gens, ctx))
         assert actual == expected, (trial, [str(g) for g in gens])
+        # a repeated generator, a scalar multiple of another and the zero
+        # polynomial, anywhere in the input, leave the reduced basis as is
+        noisy = list(gens)
+        for extra in (places.choice(gens),
+                      places.choice(gens) * places.randrange(2, 101),
+                      Polynomial.zero(ctx)):
+            noisy.insert(places.randrange(len(noisy) + 1), extra)
+        assert list(buchberger(noisy, ctx)) == expected, \
+            (trial, [str(g) for g in noisy])
 
 
 def test_engine_matches_oracle_structured(ctx4):

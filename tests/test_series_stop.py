@@ -18,6 +18,7 @@ from chernlab import (GroebnerBasis, Ideal, Polynomial, ProblemInstance,
                       hilbert_samuel_values, ideal_intersect, ideal_sum,
                       intersect_all, quotient_hilbert_series)
 from chernlab.cli import main
+from conftest import PROBLEM_DIR
 from helpers import random_homogeneous_ideal, transformed_planes
 
 
@@ -38,6 +39,22 @@ def record_targeted_runs(monkeypatch, compute):
         patch.setattr(groebner_module, "_Engine", Recording)
         compute()
     return runs
+
+
+def record_cli_engines(monkeypatch, capsys, argv):
+    """Run the CLI on ``argv`` and return every engine it started."""
+    engines = []
+
+    class Recording(groebner_module._Engine):
+        def __init__(self, gens, ctx, series=None):
+            super().__init__(gens, ctx, series)
+            engines.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner_module, "_Engine", Recording)
+        assert main(argv) == 0
+    capsys.readouterr()
+    return engines
 
 
 def write_problem(path, ctx, ideals, j):
@@ -152,7 +169,7 @@ def test_dense_three_3_planes_lex_elimination(monkeypatch, seed):
             [("elim", 1, ("ydeg", 3, "lex"))] * 2
         second = eliminations[1]
         assert second.series_stop
-        # measured: 17 zero reductions in 116 popped pairs
+        # measured: 4 zero reductions in 25 popped pairs
         assert second.zero_reductions <= 20
         assert second.pairs_popped <= 150
 
@@ -161,28 +178,28 @@ YDEG3_LEX = ("ydeg", 3, "lex")
 YDEG4 = ("ydeg", 4, "grevlex")
 # Every engine that `hilbert --max-power 4` starts, in order: its order,
 # basis size before interreduction, pairs popped, coprime skips, chain
-# skips, zero reductions and series stop.  Recorded with the tuple monomial
-# keys that preceded the linear ones; any change in the order of pairs or
-# reductions shows here.
+# skips, zero reductions and series stop.  Recorded with the generators
+# admitted reduced, lowest degree first; any change in the order of pairs
+# or reductions shows here.
 THREE_3_PLANE_ENGINES = [
-    (YDEG3_LEX, 11, 55, 40, 10, 0, False),
-    (YDEG3_LEX, 11, 55, 40, 10, 0, False),
-    (YDEG3_LEX, 20, 190, 124, 55, 3, False),
-    (("elim", 1, YDEG3_LEX), 32, 129, 9, 95, 5, True),
-    (YDEG3_LEX, 11, 55, 40, 10, 0, False),
-    (YDEG3_LEX, 24, 276, 220, 41, 9, False),
-    (("elim", 1, YDEG3_LEX), 51, 116, 0, 66, 17, True),
-    (YDEG3_LEX, 20, 190, 124, 55, 3, False),
-    (YDEG3_LEX, 20, 190, 124, 55, 3, False),
+    (YDEG3_LEX, 6, 15, 15, 0, 0, False),
+    (YDEG3_LEX, 6, 15, 15, 0, 0, False),
+    (YDEG3_LEX, 9, 36, 36, 0, 0, False),
+    (("elim", 1, YDEG3_LEX), 21, 30, 9, 7, 5, True),
+    (YDEG3_LEX, 6, 15, 15, 0, 0, False),
+    (YDEG3_LEX, 9, 36, 36, 0, 0, False),
+    (("elim", 1, YDEG3_LEX), 36, 25, 0, 3, 4, True),
+    (YDEG3_LEX, 9, 36, 36, 0, 0, False),
+    (YDEG3_LEX, 9, 36, 36, 0, 0, False),
 ]
 
 
 @pytest.mark.parametrize("instance, expected", [
     pytest.param(lambda: two_4_planes(random.Random(601)), [
-        (YDEG4, 7, 21, 15, 3, 0, False),
-        (YDEG4, 7, 21, 15, 3, 0, False),
-        (YDEG4, 15, 105, 77, 21, 0, False),
-        (("elim", 1, YDEG4), 31, 53, 0, 24, 6, True),
+        (YDEG4, 4, 6, 6, 0, 0, False),
+        (YDEG4, 4, 6, 6, 0, 0, False),
+        (YDEG4, 8, 28, 28, 0, 0, False),
+        (("elim", 1, YDEG4), 24, 25, 0, 3, 6, True),
     ], id="dense-4-planes"),
     pytest.param(lambda: three_3_planes_lex(0, THREE_3_PLANE_PARAMETERS[0]),
                  THREE_3_PLANE_ENGINES, id="three-3-planes-lex-a"),
@@ -192,19 +209,30 @@ THREE_3_PLANE_ENGINES = [
 def test_engine_counters_pinned(monkeypatch, tmp_path, capsys, instance,
                                 expected):
     path = write_problem(tmp_path / "p.json", *instance())
-    engines = []
-
-    class Recording(groebner_module._Engine):
-        def __init__(self, gens, ctx, series=None):
-            super().__init__(gens, ctx, series)
-            engines.append(self)
-
-    monkeypatch.setattr(groebner_module, "_Engine", Recording)
-    assert main(["hilbert", path, "--max-power", "4"]) == 0
-    capsys.readouterr()
+    engines = record_cli_engines(monkeypatch, capsys,
+                                 ["hilbert", path, "--max-power", "4"])
     assert [(e.ctx.order, len(e.lms), e.pairs_popped, e.coprime_skips,
              e.chain_skips, e.zero_reductions, e.series_stop)
             for e in engines] == expected
+
+
+@pytest.mark.parametrize("command, name", [
+    ("verify", "e1_two_planes"), ("verify", "e2_two_3planes"),
+    ("verify", "e3_cm_baseline"), ("verify", "e4_three_planes"),
+    pytest.param("hilbert", None, id="hilbert-dense-4-planes")])
+def test_engine_leading_monomials_distinct(monkeypatch, tmp_path, capsys,
+                                           command, name):
+    # generators are admitted like S-polynomials, reduced against the
+    # elements before them, so no engine holds a leading monomial twice
+    if name is None:
+        path = write_problem(tmp_path / "p4.json",
+                             *two_4_planes(random.Random(601)))
+    else:
+        path = str(PROBLEM_DIR / f"{name}.json")
+    engines = record_cli_engines(monkeypatch, capsys, [command, path])
+    assert engines
+    for engine in engines:
+        assert len(set(engine.lms)) == len(engine.lms), engine.ctx.order
 
 
 @pytest.mark.parametrize("order", [
