@@ -5,11 +5,11 @@ The fitted polynomial has the shape
 
     P(n) = e_0 C(n+d-1, d) - e_1 C(n+d-2, d-1) + ... + (-1)^d e_d
 
-and the fit is exact: the top window of d+1 consecutive values is solved in
-the integers, and the solution must also reproduce the value just below that
-window before the coefficients are accepted.  The collocation matrix on
-consecutive integers is unimodular, so non-integral solutions can only come
-from an internal bug and abort loudly.
+and the fit is exact: the coefficients are read off the backward differences
+of the top window of d+1 consecutive values, one at a time, in the integers,
+and they must also reproduce the value just below that window before they
+are accepted.  Differences of integers are integers, so the coefficients are
+integral by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .groebner import buchberger
 from .ideals import (HilbertSeries, Ideal, NotFiniteLengthError,
                      _minimalize, _series_numerator, ideal_power, ideal_sum,
                      quotient_hilbert_series, quotient_length)
-from .linalg import NonIntegralSolutionError, rref_mod_p, solve_fraction_free
+from .linalg import rref_mod_p
 
 __all__ = [
     "FitInstabilityError",
@@ -45,7 +45,7 @@ class FitInstabilityError(ValueError):
 
 
 class InconsistentDataError(ValueError):
-    """Raised when an exact fit produces non-integral coefficients."""
+    """Raised when a fitted leading coefficient is not positive."""
 
 
 def hilbert_samuel(core: Ideal, parameters: Ideal, n: int) -> int:
@@ -229,30 +229,20 @@ def hilbert_polynomial_value(coefficients, n: int) -> int:
     return total
 
 
-def _solve_window(values, start, d):
-    matrix = []
-    rhs = []
-    for n in range(start, start + d + 1):
-        row = []
-        for i in range(d + 1):
-            c = binomial(n + d - 1 - i, d - i)
-            row.append(-c if i % 2 else c)
-        matrix.append(row)
-        rhs.append(values[n])
-    try:
-        return tuple(solve_fraction_free(matrix, rhs))
-    except NonIntegralSolutionError:
-        raise InconsistentDataError(
-            "inconsistent data - internal error") from None
-
-
 def fit_coefficients(values, d: int):
     """Fit (e_0, ..., e_d) to a contiguous window of (n, H(n)) values.
 
-    The top window [n_max - d, n_max] of width d+1 is solved once, and the
-    fit is accepted only when its polynomial also reproduces the value at
-    n_max - d - 1.  Returns (coefficients, n0) where n0 is the smallest n
-    such that all recorded values from n0 upward match the polynomial.
+    The coefficients are read off the top window [n_max - d, n_max] of
+    width d+1, which must lie at n >= 1, and the fit is accepted only when
+    its polynomial also reproduces the value at n_max - d - 1.  Returns
+    (coefficients, n0) where n0 is the smallest n such that all recorded
+    values from n0 upward match the polynomial.
+
+    By Pascal's rule, the backward difference of C(n+a, b) is C(n+a-1, b-1),
+    so the (d-j)-th backward difference of the window at n_max is the
+    polynomial of (e_0, ..., e_j) in dimension j at n_max, whose last term
+    is (-1)^j e_j.  Solving for e_0, e_1, ..., e_d in turn takes only
+    integer subtractions.
     """
     if d < 0:
         raise ValueError("dimension must be nonnegative")
@@ -263,7 +253,18 @@ def fit_coefficients(values, d: int):
     n_min, n_max = ns[0], ns[-1]
     if n_max - n_min + 1 < d + 2:
         raise FitInstabilityError("window too short - increase max_power")
-    accepted = _solve_window(values, n_max - d, d)
+    if n_max - d < 1:
+        raise ValueError("the top window must lie at n >= 1")
+    row = [values[n] for n in range(n_max - d, n_max + 1)]
+    diffs = []
+    for _ in range(d + 1):
+        diffs.append(row[-1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    accepted = []
+    for j in range(d + 1):
+        rest = diffs[d - j] - hilbert_polynomial_value(accepted + [0], n_max)
+        accepted.append(-rest if j % 2 else rest)
+    accepted = tuple(accepted)
     below = n_max - d - 1
     if values[below] != hilbert_polynomial_value(accepted, below):
         raise FitInstabilityError("window too short - increase max_power")

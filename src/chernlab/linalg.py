@@ -1,6 +1,5 @@
-"""Dense exact linear algebra: row reduction over F_p and fraction-free
-integer elimination for the fitting step, whose systems have integral
-solutions."""
+"""Dense exact linear algebra: row reduction over F_p, and fraction-free
+integer elimination for square systems with integral solutions."""
 
 from __future__ import annotations
 

@@ -11,7 +11,6 @@ decimal strings so the report serializes without range surprises.
 from __future__ import annotations
 
 from . import graded, resolutions
-from .core import binomial
 from .hilbert import (HilbertDataset, chern_sign, cm_test, fit_coefficients,
                       hilbert_polynomial_value, hilbert_samuel_values)
 from .instance import ProblemInstance, check_hypotheses
@@ -26,10 +25,6 @@ __all__ = [
     "negativity_check",
     "run_verification",
 ]
-
-
-def _s(value: int) -> str:
-    return str(value)
 
 
 def e0_additivity_check(inst: ProblemInstance, fitted_e0: int,
@@ -53,9 +48,9 @@ def e0_additivity_check(inst: ProblemInstance, fitted_e0: int,
         "name": "e0_additivity",
         "status": "pass" if total == fitted_e0 else "fail",
         "witness": {
-            "component_e0": [_s(e) for e in component_e0],
-            "sum": _s(total),
-            "e0": _s(fitted_e0),
+            "component_e0": [str(e) for e in component_e0],
+            "sum": str(total),
+            "e0": str(fitted_e0),
         },
     }
 
@@ -84,18 +79,17 @@ def verify_torsion_polynomial(inst, coefficients, n0_k, module_len,
         start = max(n0_k, n0_j, nu)
     mismatches = []
     for n in range(start, inst.max_power + 1):
-        rhs = (hilbert_polynomial_value(coefficients, n)
-               - coefficients[0] * binomial(n + d - 1, d) + module_len)
+        rhs = hilbert_polynomial_value((0, *coefficients[1:]), n) + module_len
         if torsion_values[n] != rhs:
-            mismatches.append({"n": n, "lhs": _s(torsion_values[n]),
-                               "rhs": _s(rhs)})
+            mismatches.append({"n": n, "lhs": str(torsion_values[n]),
+                               "rhs": str(rhs)})
     status = ("inconclusive" if inconclusive else
               "fail" if mismatches else "pass")
     return {
         "name": "torsion_polynomial",
         "status": status,
         "witness": {
-            "torsion_fit": [_s(c) for c in fit],
+            "torsion_fit": [str(c) for c in fit],
             "torsion_n0": n0_j,
             "compared_from": start,
             "compared_to": inst.max_power,
@@ -109,7 +103,7 @@ def verify_coefficient_collapse(inst, dataset: HilbertDataset, module_len,
                                 annihilated: bool) -> dict:
     """Under annihilation of L by the parameters, the higher coefficients
     collapse: e_i = (-1)^i length(L) for 1 <= i <= d-1 and e_d = 0, and the
-    closed form
+    closed form, the Hilbert polynomial of (e_0, -len(L), len(L), ..., 0),
 
         H(n) = e_0 C(n+d-1, d) + len(L) * [C(n+d-2, d-1) + ... + C(n, 1)]
 
@@ -129,19 +123,17 @@ def verify_coefficient_collapse(inst, dataset: HilbertDataset, module_len,
     for n in sorted(dataset.values):
         if n < dataset.n0:
             continue
-        closed = e[0] * binomial(n + d - 1, d)
-        closed += module_len * sum(binomial(n + k - 1, k)
-                                   for k in range(1, d))
+        closed = hilbert_polynomial_value((e[0], *expected, 0), n)
         if dataset.values[n] != closed:
-            mismatches.append({"n": n, "h": _s(dataset.values[n]),
-                               "closed_form": _s(closed)})
+            mismatches.append({"n": n, "h": str(dataset.values[n]),
+                               "closed_form": str(closed)})
     ok = coefficient_ok and not mismatches
     return {
         "name": "coefficient_collapse",
         "status": "pass" if ok else "fail",
         "witness": {
-            "fitted": [_s(c) for c in e],
-            "expected_tail": [_s(c) for c in expected] + ["0"],
+            "fitted": [str(c) for c in e],
+            "expected_tail": [str(c) for c in expected] + ["0"],
             "closed_form_mismatches": mismatches,
         },
     }
@@ -161,8 +153,8 @@ def tor1_consistency_check(inst, module_len, torsion_values,
         closed = resolutions.tor1_closed_form(n, inst.d, module_len)
         agree = torsion_values[n] == closed
         ok = ok and agree
-        rows.append({"n": n, "lengths_route": _s(torsion_values[n]),
-                     "closed_form": _s(closed)})
+        rows.append({"n": n, "lengths_route": str(torsion_values[n]),
+                     "closed_form": str(closed)})
     return {
         "name": "tor1_two_routes",
         "status": "pass" if ok else "fail",
@@ -189,13 +181,13 @@ def negativity_check(inst, coefficients, cm) -> dict:
         "name": "negativity",
         "status": "pass" if ok else "fail",
         "witness": {
-            "e1": _s(e1),
+            "e1": str(e1),
             "expected_sign": expected,
             "actual_sign": sign,
             "cm_cross_check": {
                 "is_cm": cm.is_cm,
-                "e0": _s(cm.e0),
-                "colength": _s(cm.colength),
+                "e0": str(cm.e0),
+                "colength": str(cm.colength),
             },
         },
     }
@@ -244,23 +236,23 @@ def run_verification(inst: ProblemInstance, force: bool = False,
                                        core_values)
     # J L = 0 exactly when length(L / J L) = length(L)
     annihilated = colengths[1] == module_len
-    report["lambda_L"] = _s(module_len)
+    report["lambda_L"] = str(module_len)
     report["top_degree"] = model.top_degree
     report["annihilates"] = annihilated
 
     values = {n: core_values[n] for n in range(1, inst.max_power + 1)}
     dataset = HilbertDataset.fit(values, inst.d)
     report["hilbert"] = {
-        "values": [{"n": n, "length": _s(values[n])} for n in sorted(values)],
-        "e": [_s(c) for c in dataset.coefficients],
+        "values": [{"n": n, "length": str(values[n])} for n in sorted(values)],
+        "e": [str(c) for c in dataset.coefficients],
         "n0": dataset.n0,
     }
 
     cm = cm_test(dataset.coefficients[0], values[1])
     report["cm"] = {
         "is_cm": cm.is_cm,
-        "e0": _s(cm.e0),
-        "colength": _s(cm.colength),
+        "e0": str(cm.e0),
+        "colength": str(cm.colength),
         "colength_at_least_e0": cm.colength >= cm.e0,
     }
     e1 = dataset.coefficients[1] if len(dataset.coefficients) > 1 else 0
@@ -273,7 +265,7 @@ def run_verification(inst: ProblemInstance, force: bool = False,
                           values, component_values, colengths, n)
                       for n in range(1, inst.max_power + 1)}
     report["torsion_hilbert"] = {
-        "values": [{"n": n, "length": _s(torsion_values[n])}
+        "values": [{"n": n, "length": str(torsion_values[n])}
                    for n in sorted(torsion_values)],
     }
 

@@ -63,18 +63,71 @@ def test_fit_detects_stabilization_index():
     assert n0 == 3
 
 
-def test_fit_solves_one_window(monkeypatch):
-    import chernlab.hilbert as hilbert_module
-    calls = []
+def _bareiss_fit(values, d):
+    """fit_coefficients by a Bareiss solve of the collocation system
+    sum_i (-1)^i e_i C(n+d-1-i, d-i) = H(n) on the top window."""
+    n_min, n_max = min(values), max(values)
+    if n_max - n_min + 1 < d + 2:
+        raise FitInstabilityError("window too short - increase max_power")
+    top = range(n_max - d, n_max + 1)
+    matrix = [[(-1) ** i * binomial(n + d - 1 - i, d - i)
+               for i in range(d + 1)] for n in top]
+    e = tuple(solve_fraction_free(matrix, [values[n] for n in top]))
+    below = n_max - d - 1
+    if values[below] != hilbert_polynomial_value(e, below):
+        raise FitInstabilityError("window too short - increase max_power")
+    n0 = n_min
+    for n in range(n_max, n_min - 1, -1):
+        if values[n] != hilbert_polynomial_value(e, n):
+            n0 = n + 1
+            break
+    return e, n0
 
-    def counting(matrix, rhs):
-        calls.append(len(rhs))
-        return solve_fraction_free(matrix, rhs)
 
-    monkeypatch.setattr(hilbert_module, "solve_fraction_free", counting)
-    values = {n: hilbert_polynomial_value((2, -1, 0), n) for n in range(1, 9)}
-    assert fit_coefficients(values, 2) == ((2, -1, 0), 1)
-    assert calls == [3]
+def _outcome(fit, values, d):
+    try:
+        return fit(values, d)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_fit_matches_bareiss_solve(d):
+    rng = random.Random(16 + d)
+    kinds = ("exact", "below", "top", "random", "short")
+    seen = {kind: set() for kind in kinds}
+    for trial in range(250):
+        kind = kinds[trial % 5]
+        e = [rng.randrange(1, 30)] + [rng.randrange(-30, 31)
+                                       for _ in range(d)]
+        n_min = rng.randrange(1, 4)
+        width = (rng.randrange(1, d + 2) if kind == "short"
+                 else rng.randrange(d + 2, d + 7))
+        ns = range(n_min, n_min + width)
+        values = {n: hilbert_polynomial_value(e, n) for n in ns}
+        if kind == "random":
+            values = {n: rng.randrange(-50, 500) for n in ns}
+        elif kind == "below":
+            values[rng.choice(ns[:width - d - 1])] += rng.choice((-3, 1, 2))
+        elif kind == "top":
+            values[rng.choice(ns[width - d - 1:])] += rng.choice((-2, 1))
+        expected = _outcome(_bareiss_fit, values, d)
+        assert _outcome(fit_coefficients, values, d) == expected, values
+        seen[kind].add(expected[0] if isinstance(expected[1], str)
+                       else "n0 > n_min" if expected[1] > n_min else "fit")
+    assert seen["exact"] == {"fit"}
+    assert seen["below"] == {"n0 > n_min", FitInstabilityError}
+    assert seen["top"] == seen["short"] == {FitInstabilityError}
+    assert FitInstabilityError in seen["random"]
+
+
+def test_fit_needs_top_window_at_positive_n():
+    # at n <= 0 the binomial basis is cut off (C(a, b) = 0 for a < b), so a
+    # top window that reaches there fits no polynomial
+    with pytest.raises(ValueError,
+                       match="^the top window must lie at n >= 1$"):
+        fit_coefficients({n: 0 for n in range(-1, 3)}, 2)
+    assert fit_coefficients({n: n for n in range(0, 3)}, 1) == ((1, 0), 0)
 
 
 def test_fit_window_too_short():
@@ -196,19 +249,6 @@ def test_fraction_free_solver_rejects_non_integral_solutions():
             continue
         assert solved == _rational_solution(matrix, rhs)
     assert rejected >= 20
-
-
-def test_fit_reports_non_integral_solution_as_inconsistent(monkeypatch):
-    import chernlab.hilbert as hilbert_module
-
-    def non_integral(matrix, rhs):
-        raise NonIntegralSolutionError("solution is not integral")
-
-    monkeypatch.setattr(hilbert_module, "solve_fraction_free", non_integral)
-    values = {n: hilbert_polynomial_value((2, -1, 0), n) for n in range(1, 9)}
-    with pytest.raises(InconsistentDataError,
-                       match="^inconsistent data - internal error$"):
-        fit_coefficients(values, 2)
 
 
 def test_fraction_free_solver_singular():

@@ -169,9 +169,10 @@ def test_dense_three_3_planes_lex_elimination(monkeypatch, seed):
             [("elim", 1, ("ydeg", 3, "lex"))] * 2
         second = eliminations[1]
         assert second.series_stop
-        # measured: 4 zero reductions in 25 popped pairs
-        assert second.zero_reductions <= 20
-        assert second.pairs_popped <= 150
+        # measured: 4 zero reductions in 25 popped pairs on every seed and
+        # parameter set
+        assert second.zero_reductions <= 4
+        assert second.pairs_popped <= 25
 
 
 YDEG3_LEX = ("ydeg", 3, "lex")
