@@ -86,10 +86,12 @@ def _order_rows(order, r):
         return [ones] + [tuple(-e for e in u) for u in reversed(units)], ones
     if order == "lex":
         return units, ones
-    if isinstance(order, tuple) and len(order) == 3 and order[0] == "ydeg":
-        k = order[1]
-        return ([ones, (-1,) * k + (0,) * (r - k)]
-                + _order_rows(order[2], r)[0]), ones
+    if isinstance(order, tuple) and order[0] == "ydeg":
+        k, weights = order[1], (order + (ones,))[3]
+        if len(weights) != r or min(weights) < 1:
+            raise ValueError(f"ydeg weights must be {r} integers >= 1")
+        return ([weights, (-1,) * k + (0,) * (r - k)]
+                + _order_rows(order[2], r)[0]), weights
     if isinstance(order, tuple) and len(order) == 3 and order[0] == "elim":
         k = order[1]
         kept = (0,) * k + (1,) * (r - k)
@@ -108,7 +110,7 @@ def _linear_form(weights):
 class RingContext:
     """A polynomial ring F_p[variables] together with a monomial order.
 
-    Valid order tags: "grevlex" (default), "lex", and two internal ones.
+    Valid order tags: "grevlex" (default), "lex", and internal ones.
     Each tag is a weight matrix (Robbiano, "Term orderings on the polynomial
     ring", EUROCAL 1985): monomials compare by the values of its rows on
     their exponent vectors, lexicographically.  With 1 the row of ones,
@@ -118,6 +120,9 @@ class RingContext:
     - "grevlex": 1, then -e_(r-1), ..., -e_0;
     - "lex": e_0, ..., e_(r-1);
     - ("ydeg", k, base): 1, -1_k, then the rows of base;
+    - ("ydeg", k, base, w): w, -1_k, then the rows of base, for a weight
+      row w of integers >= 1 (the variables' degrees; ``tangent_cone``
+      gives the graph's u_i the degrees of the parameters they stand for);
     - ("elim", k, base): 1 - 1_k, 1_k, the rows of base on the kept
       variables (0 on the first k), then e_0, ..., e_(k-1).
 
@@ -141,15 +146,21 @@ class RingContext:
     a global order that picks initial forms of lowest degree in the first k
     variables inside each total degree, so on homogeneous input its initial
     ideal is that of the tangent cone along those variables.  For it and
-    the two public orders ``degree`` is the total degree.
+    the two public orders ``degree`` is the total degree.  With a weight
+    row w the same holds for the degree w, which is then ``degree`` and
+    which the input must be homogeneous in; every weight is at least 1, so
+    the order stays global.
 
     The R rows are flattened once into one integer weight per variable,
     w_i = sum over rows j of M[j][i] * 2^(64 (R-1-j)), so each row value is
     one balanced base-2^64 digit of ``sort_key(m) = sum m_i w_i``.  That int
     sorts like the rows while any two values of a row differ by less than
-    2^64.  Every row is 0 or 1 on each variable, or 0 or -1, so they do
-    for monomials of degree below 2^64; ``parse_polynomial`` caps input
-    degrees at ``DEGREE_LIMIT`` = 2^32, far below.  The key is linear, so the
+    2^64.  Every row but a ydeg weight row is 0 or 1 on each variable, or 0
+    or -1, so they do for monomials of degree below 2^64; ``parse_polynomial``
+    caps input degrees at ``DEGREE_LIMIT`` = 2^32, far below.  A weight row
+    holds parameter degrees, each below ``DEGREE_LIMIT``, and its value on
+    a monomial is the monomial's weighted degree, so it stays below 2^64
+    while the weighted degree does.  The key is linear, so the
     key of a product of monomials is the sum of their keys.  ``degree`` is
     the linear form of the grading row.
     """

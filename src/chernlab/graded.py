@@ -15,8 +15,9 @@ and e_g := -(e_1 + ... + e_(g-1)), the ideal
 
 has T/B ≅ R ⊕ L(-1) as S-modules.  So length(T/(B + J^n T)) =
 H(K, n) + length(L / J^n L), and both terms are Hilbert-Samuel values
-(``hilbert.hilbert_samuel_values``): for linear parameters they are read
-off the tangent cones of the core and of B, one Groebner basis each.
+(``hilbert.hilbert_samuel_values``), read off the tangent cones of the
+core and of B: for linear parameters from the bases they already have,
+for other parameters from one basis of J's graph each.
 """
 
 from __future__ import annotations

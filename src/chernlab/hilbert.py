@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 from .core import Polynomial, RingContext, binomial
 from .groebner import buchberger
-from .ideals import (HilbertSeries, Ideal, NotFiniteLengthError,
-                     _minimalize, _series_numerator, ideal_power, ideal_sum,
-                     quotient_hilbert_series, quotient_length)
+from .ideals import (HilbertSeries, Ideal, _minimalize, _series_numerator,
+                     ideal_power, ideal_sum, quotient_hilbert_series,
+                     quotient_length)
 from .linalg import rref_mod_p
 
 __all__ = [
@@ -49,7 +49,9 @@ class InconsistentDataError(ValueError):
 
 
 def hilbert_samuel(core: Ideal, parameters: Ideal, n: int) -> int:
-    """Length of S/(core + parameters^n), the Hilbert-Samuel value H(n).
+    """Length of S/(core + parameters^n), the Hilbert-Samuel value H(n),
+    by one basis of that sum: the tests' per-n oracle for
+    ``hilbert_samuel_values``.
 
     Raises NotFiniteLengthError when the quotient is not zero-dimensional,
     which signals that the parameters do not cut the core down to a point.
@@ -68,39 +70,26 @@ def parameter_coordinates(ctx, parameters):
     x_c = z_c and x_(pivot i) = y_i - sum_c row_i[c] z_c, so k is the rank
     of the parameters and dependent parameters are handled too.  ``ring``
     has the variables y1..yk, z1..z(r-k) and the order ("ydeg", k,
-    ctx.order), and ``images[c]`` is the image of x_c in it.  When ctx is
-    already such a ring and the parameters span its first k variables, the
-    change is the identity: ring is ctx and images is None.
+    ctx.order), and ``images[c]`` is the image of x_c in it.
     """
     r = ctx.nvars
-    rows = []
-    for f in parameters:
-        if f.degree() != 1:
-            return None
-        row = [0] * r
-        for mono, coeff in f.terms.items():
-            row[mono.index(1)] = coeff
-        rows.append(row)
+    if any(f.degree() != 1 for f in parameters):
+        return None
+    units = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    rows = [[f.terms.get(unit, 0) for unit in units] for f in parameters]
     reduced, pivots = rref_mod_p(rows, ctx.characteristic)
     k = len(pivots)
-    if (ctx.order[:2] == ("ydeg", k) and pivots == list(range(k))
-            and not any(any(row[k:]) for row in reduced)):
-        return ctx, k, None
     free = [c for c in range(r) if c not in pivots]
     names = ([f"y{i}" for i in range(1, k + 1)]
              + [f"z{i}" for i in range(1, r - k + 1)])
     ring = RingContext(names, ctx.characteristic, ("ydeg", k, ctx.order))
-
-    def unit(i):
-        return tuple(1 if j == i else 0 for j in range(r))
-
     images = [None] * r
     for t, c in enumerate(free):
-        images[c] = Polynomial(ring, {unit(k + t): 1})
+        images[c] = Polynomial(ring, {units[k + t]: 1})
     for i, (row, c) in enumerate(zip(reduced, pivots)):
-        terms = {unit(i): 1}
+        terms = {units[i]: 1}
         for t, f in enumerate(free):
-            terms[unit(k + t)] = -row[f]
+            terms[units[k + t]] = -row[f]
         images[c] = Polynomial(ring, terms)
     return ring, k, images
 
@@ -109,12 +98,13 @@ class TangentCone:
     """The bigraded Hilbert series of an ideal's tangent cone along linear
     parameters.
 
-    After the linear change of coordinates of ``parameter_coordinates`` the
-    parameters span J = (y_1, ..., y_k) and the other variables are
-    z_1, ..., z_(r-k).  ``leads`` are the leading monomials, in those
-    coordinates, of the ideal's Groebner basis in the ("ydeg", k, base)
-    order ``ctx`` carries: on homogeneous input they generate the initial
-    ideal of the tangent cone.  The cone keeps only ``numerator``, the
+    The parameters span J = (y_1, ..., y_k), the first k variables of
+    ``ctx``, and the other variables are z_1, ..., z_(r-k).  ``leads`` are
+    the leading monomials of the ideal's Groebner basis in the
+    ("ydeg", k, base) or ("ydeg", k, base, w) order ``ctx`` carries: on
+    homogeneous input they generate the initial ideal of the tangent cone.
+    Counting monomials by y-degree and z-degree does not depend on the
+    weights w.  The cone keeps only ``numerator``, the
     numerator of HS(S/in(ideal)) over (1-t)^k (1-s)^(r-k), with weight t on
     the y and s on the z variables, indexed [t-degree][s-degree].
     """
@@ -161,62 +151,90 @@ class TangentCone:
                 for n in range(1, max_power + 1)}
 
 
-def tangent_cone(ideal: Ideal, parameters: Ideal):
-    """The ideal's TangentCone along the parameters, or None when some
-    parameter is not a linear form.
+def _graph_cone(ideal: Ideal, parameters) -> TangentCone:
+    """The tangent cone of the graph G = ideal + (u_i - f_i) of the
+    parameters f_1..f_m in T = F[u_1..u_m, x_1..x_r], along (u); the x_j
+    are the ring's variables, renamed so that no name clashes.
 
-    When the ideal already lives in the ring of ``parameter_coordinates``
-    (every ideal of a ``ProblemInstance`` with linear parameters does), its
-    own basis is the tangent cone's, and the cone is built once and cached
-    on the ideal: that ring fixes k, so the cone does not depend on which
-    parameters span J there.  Otherwise its generators are mapped to that
-    ring and one basis is computed there in the ("ydeg", k, base) order,
-    with the Hilbert series of S/ideal as its target: a linear change of
-    coordinates keeps the series.
+    u_i ↦ f_i gives T/G ≅ S/ideal, taking (u)^n onto J^n, so
+    length(S/(ideal + J^n)) = length(T/(G + (u)^n)): the u are linear
+    parameters of T/G.  G is homogeneous for deg u_i = deg f_i, so its one
+    basis is in the ("ydeg", m, base, w) order with w = (deg f_1..deg f_m,
+    1, ..., 1).  When every weight is 1 the tag is ("ydeg", m, base) and
+    the run targets HS(S/ideal), the series of T/G; the engine's series
+    stop is standard-graded, so other weights take no target.
     """
-    coordinates = parameter_coordinates(ideal.ctx, parameters.generators)
-    if coordinates is None:
-        return None
-    ring, k, images = coordinates
-    if images is None:
-        if ideal._cone is None:
-            ideal._cone = TangentCone(ring, k, ideal.lead_monomials())
-        return ideal._cone
-    basis = buchberger([g.substitute(images) for g in ideal.generators],
-                       ring, quotient_hilbert_series(ideal))
-    return TangentCone(ring, k, basis.lead_monomials())
+    ctx, m = ideal.ctx, len(parameters)
+    weights = tuple(f.degree() for f in parameters) + (1,) * ctx.nvars
+    if min(weights) < 1:
+        raise ValueError(
+            "parameters must be nonzero homogeneous of degree >= 1")
+    standard = max(weights) == 1
+    names = ([f"u{i}" for i in range(1, m + 1)]
+             + [f"x{i}" for i in range(1, ctx.nvars + 1)])
+    T = RingContext(names, ctx.characteristic, ("ydeg", m, ctx.order)
+                    + (() if standard else (weights,)))
+    pad = (0,) * m
+
+    def lift(f):
+        return Polynomial(T, {pad + mono: c for mono, c in f.terms.items()})
+
+    graph = [lift(f) for f in ideal.groebner().elements]
+    graph += [Polynomial.variable(T, u) - lift(f)
+              for u, f in zip(names, parameters)]
+    basis = buchberger(graph, T,
+                       quotient_hilbert_series(ideal) if standard else None)
+    return TangentCone(T, m, basis.lead_monomials())
+
+
+def tangent_cone(ideal: Ideal, parameters: Ideal) -> TangentCone:
+    """The TangentCone of the ideal along the parameters, built once and
+    cached on the ideal with the parameters' generators.
+
+    When the ideal's ring has a ("ydeg", k, base) order and the parameters
+    are its first k variables (as for every ideal of a ``ProblemInstance``
+    with linear parameters, which lives in the ring of
+    ``parameter_coordinates``), its own basis is the tangent cone's.  Any
+    other homogeneous parameters, linear ones in other coordinates
+    included, take one basis of their graph (``_graph_cone``).
+
+    Raises ValueError when a parameter has degree 0.
+    """
+    gens = parameters.generators
+    if ideal._cone is None or ideal._cone[0] != gens:
+        ctx, k = ideal.ctx, len(gens)
+        if (ctx.order[:2] == ("ydeg", k) and len(ctx.order) == 3
+                and gens == tuple(Polynomial.variable(ctx, y)
+                                  for y in ctx.variables[:k])):
+            cone = TangentCone(ctx, k, ideal.lead_monomials())
+        else:
+            cone = _graph_cone(ideal, gens)
+        ideal._cone = (gens, cone)
+    return ideal._cone[1]
 
 
 def hilbert_samuel_values(ideal: Ideal, parameters: Ideal,
                           max_power: int) -> dict:
-    """H(n) = length(S/(ideal + parameters^n)) for n = 1..max_power.
+    """H(n) = length(S/(ideal + parameters^n)) for n = 1..max_power, read
+    off the ideal's tangent cone along the parameters (``tangent_cone``)
+    for every n at once.
 
-    Linear parameters take the associated-graded route.  After a linear
-    change of coordinates they span J = (y_1, ..., y_k), and the initial
-    ideal of one Groebner basis in the ("ydeg", k, base) order is the
-    initial ideal of the tangent cone, so S/in(ideal) has the Hilbert
-    function of gr_J(S/ideal) (Greuel-Pfister, A Singular Introduction to
-    Commutative Algebra, ch. 5).  H(n) is then read off the bigraded
-    Hilbert series of S/in(ideal) at s = 1, for every n at once
-    (``TangentCone.values``).
-
-    One basis per ideal: a ``ProblemInstance`` builds every ideal in those
-    coordinates and that order, so the core's and each component's reduced
-    basis, computed once for the intersection and the hypotheses, is
-    already its tangent cone's (``tangent_cone`` reads it once and caches
-    the cone on the ideal).  An ideal given in other coordinates takes one
-    ``tangent_cone`` run.  Other parameters take one hilbert_samuel per n.
+    For parameters that span J = (y_1, ..., y_k) the initial ideal of one
+    Groebner basis in the ("ydeg", k, base) order is the initial ideal of
+    the tangent cone, so S/in(ideal) has the Hilbert function of
+    gr_J(S/ideal) (Greuel-Pfister, A Singular Introduction to Commutative
+    Algebra, ch. 5), and H(n) is read off its bigraded Hilbert series at
+    s = 1 (``TangentCone.values``).  A ``ProblemInstance`` with linear
+    parameters builds every ideal in those coordinates and that order, so
+    the basis it already holds serves; any other parameters are linear in
+    their graph (Bruns-Herzog, Cohen-Macaulay Rings, §4.1).
 
     Raises NotFiniteLengthError when S/(ideal + parameters) does not have
     finite length.
     """
     if max_power < 1:
         raise ValueError("power must be at least 1")
-    cone = tangent_cone(ideal, parameters)
-    if cone is None:
-        return {n: hilbert_samuel(ideal, parameters, n)
-                for n in range(1, max_power + 1)}
-    return cone.values(max_power)
+    return tangent_cone(ideal, parameters).values(max_power)
 
 
 def hilbert_polynomial_value(coefficients, n: int) -> int:

@@ -38,14 +38,14 @@ class NotFiniteLengthError(ValueError):
 
 class Ideal:
     """A homogeneous ideal: generator list plus a cached reduced Groebner
-    basis, the cached Hilbert series of its quotient, in a ring of
-    ``hilbert.parameter_coordinates`` its cached tangent cone, and the
-    latest power ``ideal_power`` built of it, as (n, ideal).
+    basis, the cached Hilbert series of its quotient, and its cached tangent
+    cone along the latest parameters asked for, as (parameter generators,
+    cone) (see ``hilbert.tangent_cone``).
 
     Each cache is filled on first use.
     """
 
-    __slots__ = ("ctx", "generators", "_gb", "_series", "_cone", "_power")
+    __slots__ = ("ctx", "generators", "_gb", "_series", "_cone")
 
     def __init__(self, ctx: RingContext, generators):
         gens = []
@@ -61,7 +61,6 @@ class Ideal:
         self._gb = None
         self._series = None
         self._cone = None
-        self._power = None
 
     @classmethod
     def from_strings(cls, ctx: RingContext, texts) -> "Ideal":
@@ -110,22 +109,17 @@ def ideal_power(a: Ideal, n: int) -> Ideal:
     ``combinations_with_replacement`` order.
 
     Each n-fold product is an (n-1)-fold one times a generator of index at
-    least the last one of its factors, so J^n is built from J^(n-1), and the
-    latest power built is kept on ``a`` for the next call.
+    least the last one of its factors, so J^n is built from J^(n-1).
     """
     if n < 1:
         raise ValueError("exponent must be at least 1")
-    if n == 1:
-        return a
     gens = a.generators
-    m, power = a._power if a._power and a._power[0] <= n else (1, a)
-    while m < n:
+    power = a
+    for m in range(1, n):
         lasts = (combo[-1] for combo in
                  combinations_with_replacement(range(len(gens)), m))
         power = Ideal(a.ctx, [f * g for last, f in zip(lasts, power.generators)
                               for g in gens[last:]])
-        m += 1
-    a._power = (n, power)
     return power
 
 

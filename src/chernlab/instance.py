@@ -27,9 +27,9 @@ class ProblemInstance:
     ideal's one reduced basis is also its tangent cone's, and
     ``hilbert.tangent_cone`` caches the cone on the ideal, so the hypothesis
     checks and the H(K, n) table share the core's.
-    Otherwise ``ring`` is ``ctx``, the change is the identity and J is
-    generated by the parameters.  Lengths, dimensions and series do not
-    depend on the coordinates.
+    Otherwise ``ring`` is ``ctx``, the change is the identity, J is
+    generated by the parameters, and each tangent cone is that of J's graph.
+    Lengths, dimensions and series do not depend on the coordinates.
 
     ``pair_sums`` maps (i, j), i < j, to I_i + I_j; the first intersection
     takes the sum of the first two components from it, so one basis of that
@@ -56,10 +56,9 @@ class ProblemInstance:
             ring, J = ctx, Ideal(ctx, parameters)
         else:
             ring, k, images = coordinates
-            if images is not None:
-                ideals = [Ideal(ring, [g.substitute(images)
-                                       for g in ideal.generators])
-                          for ideal in ideals]
+            ideals = [Ideal(ring, [g.substitute(images)
+                                   for g in ideal.generators])
+                      for ideal in ideals]
             J = Ideal(ring, [Polynomial.variable(ring, y)
                              for y in ring.variables[:k]])
         self.ctx = ctx
@@ -84,12 +83,11 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
 
     Every check reads data the instance holds already.  Component
     dimensions come from ``inst.heights`` and the pairwise sums from
-    ``inst.pair_sums``, whose bases the intersection shares.  For linear
-    parameters ``dimension_of_quotient`` (dim S/(core + J)) is read off the
-    core's tangent cone ``tangent_cone(inst.core, inst.J)``, cached on the
-    core for the H(K, n) table, and ``dim_S_mod_J`` is r minus the rank of
-    the parameters.  Other parameters take ``krull_dimension`` of core + J
-    and of J.
+    ``inst.pair_sums``, whose bases the intersection shares.
+    ``dimension_of_quotient`` (dim S/(core + J)) is read off the core's
+    tangent cone ``tangent_cone(inst.core, inst.J)``, cached on the core for
+    the H(K, n) table.  ``dim_S_mod_J`` is r minus the rank of linear
+    parameters, and ``krull_dimension`` of J for others.
 
     The theorem-mode flag (d >= 2 with at least two components) is recorded
     but does not count toward pass/fail: a single Cohen-Macaulay component is
@@ -131,12 +129,9 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
     })
 
     cone = tangent_cone(inst.core, inst.J)
-    if cone is not None:
-        sop_dim = cone.dimension_mod_parameters()
-        j_dim = inst.r - cone.k
-    else:
-        sop_dim = krull_dimension(ideal_sum(inst.core, inst.J))
-        j_dim = krull_dimension(inst.J)
+    sop_dim = cone.dimension_mod_parameters()
+    j_dim = (inst.r - cone.k if cone.ctx == inst.ring
+             else krull_dimension(inst.J))
     checks.append({
         "name": "parameters_cut_to_finite_length",
         "passed": sop_dim == 0,

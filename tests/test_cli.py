@@ -406,12 +406,27 @@ def test_intersection_keeps_its_target_series(monkeypatch, capsys, command):
 
 
 def test_hilbert_quadratic_parameter(tmp_path, capsys):
-    # a quadratic parameter takes the per-n route
+    # a quadratic parameter takes the tangent cone of J's graph
     path = _write(tmp_path, "q.json", dict(BASE, ideals=[["x", "y"]],
                                            parameters=["z^2", "w"]))
     code, out, _ = run(capsys, "hilbert", path, "--json", "--max-power", "3")
     assert code == 0
     assert [row["length"] for row in json.loads(out)] == ["2", "6", "12"]
+
+
+def test_verify_quadratic_parameter_long_window(tmp_path, capsys):
+    # two planes with J = (x^2 + z^2, y + w): one graph basis serves all 80
+    # powers, H(K, n) = 4 C(n+1, 2) + n (two transversal planes, A = 2)
+    path = _write(tmp_path, "q.json",
+                  dict(BASE, parameters=["x^2 + z^2", "y + w"]))
+    code, out, err = run(capsys, "verify", path, "--json", "--max-power",
+                         "80")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["overall"] == "pass"
+    assert report["hilbert"]["e"] == ["4", "-1", "0"]
+    assert [int(row["length"]) for row in report["hilbert"]["values"]] == \
+        [4 * binomial(n + 1, 2) + n for n in range(1, 81)]
 
 
 def _staircase_pair(tmp_path, a, b):
@@ -491,9 +506,10 @@ def test_verify_passes_once_window_reaches_nu(tmp_path, capsys):
 
 
 def test_verify_computes_core_table_once(tmp_path, monkeypatch):
-    # a quadratic J takes one hilbert_samuel run per n; the core's table,
-    # to N = max(max_power, top_degree + 1) = 10, serves the report, the
-    # fit and power_colengths alike
+    # a quadratic J takes one basis of its graph per ideal, whatever the
+    # window: one for the core, whose cone serves the hypotheses, the
+    # report, the fit and power_colengths alike, one for the idealization
+    # B, and one for each of the two components (e_0 additivity)
     import chernlab.hilbert as hilbert_module
     from chernlab.cli import build_instance, load_problem
     from chernlab.verifier import run_verification
@@ -501,20 +517,26 @@ def test_verify_computes_core_table_once(tmp_path, monkeypatch):
     path = _write(tmp_path, "quadratic.json",
                   dict(BASE, ideals=[["x", "y^6"], ["z^5", "w"]],
                        parameters=["x^2 + w^2", "y + z"]))
-    inst = build_instance(load_problem(path))
-    calls = []
-    original = hilbert_module.hilbert_samuel
+    rings = []
+    original = hilbert_module.buchberger
 
-    def counting(ideal, parameters, n):
-        calls.append((ideal, n))
-        return original(ideal, parameters, n)
+    def counting(gens, ctx=None, series=None):
+        rings.append(ctx.variables)
+        return original(gens, ctx, series)
 
-    monkeypatch.setattr(hilbert_module, "hilbert_samuel", counting)
-    report = run_verification(inst)
-    assert sorted(n for ideal, n in calls if ideal is inst.core) == \
-        list(range(1, 11))
-    assert len(calls) == len({(id(ideal), n) for ideal, n in calls})
-    # the report as before the table was shared
+    monkeypatch.setattr(hilbert_module, "buchberger", counting)
+    monkeypatch.setattr(hilbert_module, "hilbert_samuel", None)
+    graph = ("u1", "u2", "x1", "x2", "x3", "x4")
+    over_b = graph + ("x5",)
+    for max_power in (40, 4, None):
+        problem = load_problem(path)
+        problem["max_power"] = max_power
+        inst = build_instance(problem)
+        rings.clear()
+        report = run_verification(inst)
+        assert sorted(rings) == [graph] * 3 + [over_b]
+        assert inst.core._cone[1].ctx.variables == graph
+    # the report of the default window, as on the per-n route before
     assert (report["lambda_L"], report["top_degree"],
             report["annihilates"]) == ("30", 9, False)
     assert report["hilbert"]["e"] == ["22", "-5", "0"]

@@ -147,7 +147,8 @@ def test_field_axioms_randomized():
     pytest.param(("ydeg", 2, "grevlex"), id="ydeg-grevlex"),
     pytest.param(("ydeg", 2, "lex"), id="ydeg-lex"),
     pytest.param(("elim", 1, ("ydeg", 2, "grevlex")), id="elim-ydeg"),
-    pytest.param(("elim", 2, "lex"), id="elim2-lex")])
+    pytest.param(("elim", 2, "lex"), id="elim2-lex"),
+    pytest.param(("ydeg", 2, "grevlex", (2, 3, 1, 1)), id="ydeg-weighted")])
 def test_monomial_order_axioms(order):
     ctx = RingContext(["x", "y", "z", "w"], order=order)
     key = ctx.sort_key
@@ -188,12 +189,14 @@ def _tuple_key(order, r):
         return lambda m: (sum(m), tuple(-e for e in reversed(m)))
     if order == "lex":
         return lambda m: m
-    tag, k, base = order
+    tag, k, base = order[:3]
     if tag == "elim":
         base_key = _tuple_key(base, r - k)
         return lambda m: (sum(m[k:]), sum(m[:k]), base_key(m[k:]), m[:k])
     base_key = _tuple_key(base, r)
-    return lambda m: (sum(m), -sum(m[:k]), base_key(m))
+    weights = (order + ((1,) * r,))[3]
+    return lambda m: (sum(w * e for w, e in zip(weights, m)), -sum(m[:k]),
+                      base_key(m))
 
 
 @pytest.mark.parametrize("order", [
@@ -203,7 +206,8 @@ def _tuple_key(order, r):
     pytest.param(("elim", 1, "grevlex"), id="elim-grevlex"),
     pytest.param(("elim", 1, ("ydeg", 2, "lex")), id="elim-ydeg-lex"),
     pytest.param(("elim", 1, ("ydeg", 2, "grevlex")), id="elim-ydeg"),
-    pytest.param(("elim", 2, "lex"), id="elim2-lex")])
+    pytest.param(("elim", 2, "lex"), id="elim2-lex"),
+    pytest.param(("ydeg", 2, "lex", (2, 3, 1, 1, 1)), id="ydeg-weighted")])
 def test_linear_key_sorts_like_tuple_key(order):
     # random exponent vectors of degree up to just below the input cap, the
     # permutations of two of them, which tie on the total degree with large

@@ -1,6 +1,7 @@
 """Differential tests of the associated-graded route: hilbert_samuel_values
-(one Groebner basis in the ("ydeg", k, base) order for all n) against the
-per-n hilbert_samuel oracle, which computes a fresh colength for each n."""
+(one Groebner basis in a ("ydeg", k, base) order for all n, of the ideal or
+of the parameters' graph) against the per-n hilbert_samuel oracle, which
+computes a fresh colength for each n."""
 
 import random
 
@@ -88,21 +89,93 @@ def test_two_4_planes_d4():
     assert_routes_agree(ideals, j, 3)
 
 
-def test_quadratic_parameter_takes_per_n_fallback(ctx4, monkeypatch):
+def test_quadratic_parameter_takes_graph(ctx4, monkeypatch):
+    # a quadratic parameter is a linear one, u1, of its graph in
+    # F[u1, u2, x, y, z, w] with deg u1 = 2: one basis there serves every n
     core = Ideal.from_strings(ctx4, ["x", "y"])
     j = Ideal.from_strings(ctx4, ["z^2", "w"])
     expected = per_n(core, j, 4)
     # (z^2, w) is a parameter ideal of multiplicity 2 in F[z, w]
     assert expected == {n: 2 * binomial(n + 1, 2) for n in range(1, 5)}
-    calls = []
+    runs = []
+    original = hilbert_module.buchberger
 
-    def counting(ideal, parameters, n):
-        calls.append(n)
-        return hilbert_samuel(ideal, parameters, n)
+    def counting(gens, ctx=None, series=None):
+        runs.append((ctx, series))
+        return original(gens, ctx, series)
 
-    monkeypatch.setattr(hilbert_module, "hilbert_samuel", counting)
-    assert hilbert_samuel_values(core, j, 4) == expected
-    assert calls == [1, 2, 3, 4]
+    monkeypatch.setattr(hilbert_module, "buchberger", counting)
+    monkeypatch.setattr(hilbert_module, "hilbert_samuel", None)
+    values = hilbert_samuel_values(core, j, 40)
+    assert values == {n: 2 * binomial(n + 1, 2) for n in range(1, 41)}
+    assert {n: values[n] for n in range(1, 5)} == expected
+    cone = tangent_cone(core, j)
+    assert hilbert_samuel_values(core, j, 7) == {n: values[n]
+                                                 for n in range(1, 8)}
+    assert len(runs) == 1
+    ctx, series = runs[0]
+    assert ctx is cone.ctx and series is None
+    assert ctx.variables == ("u1", "u2", "x1", "x2", "x3", "x4")
+    assert ctx.order == ("ydeg", 2, "grevlex", (2, 1, 1, 1, 1, 1))
+    assert cone.dimension_mod_parameters() == \
+        krull_dimension(ideal_sum(core, j)) == 0
+
+
+def test_linear_parameters_in_other_coordinates_take_graph(e1):
+    # linear parameters that are not the ring's first variables get a
+    # graph with unit weights, whose basis run targets HS(S/ideal)
+    ctx, ideals, j = e1
+    core = ideal_intersect(*ideals)
+    cone = tangent_cone(core, j)
+    assert cone.ctx.order == ("ydeg", 2, "grevlex")
+    assert cone.ctx.variables == ("u1", "u2", "x1", "x2", "x3", "x4")
+
+
+def test_degree_zero_parameter_raises(ctx4):
+    # a constant would give its u weight 0, and the order would not be
+    # global
+    core = Ideal.from_strings(ctx4, ["x", "y"])
+    with pytest.raises(ValueError, match="^parameters must be nonzero "
+                       "homogeneous of degree >= 1$"):
+        hilbert_samuel_values(core, Ideal.from_strings(ctx4, ["3", "y + w"]),
+                              4)
+    for weights in ((0, 1, 1), (1, 1, -1), (1, 1)):
+        with pytest.raises(ValueError, match="ydeg weights"):
+            RingContext(["u", "x", "y"], order=("ydeg", 1, "grevlex",
+                                                weights))
+
+
+@pytest.mark.parametrize("d, a", [(2, (2, 1)), (2, (3, 2)), (3, (2, 1, 1)),
+                                  (3, (2, 2, 1))])
+def test_transversal_planes_closed_form(d, a, monkeypatch):
+    # two transversal d-planes with J = (x_i^a_i + x_(d+i)^a_i): with
+    # A = prod a_i, H(n) = 2A C(n+d-1, d) - 1 + C(n+d-1, d-1), from
+    # 0 -> R -> S/I_1 ⊕ S/I_2 -> k -> 0, e_0(J, S/I_i) = A by Bezout, and
+    # Tor_1(k, S/J^n) of length C(n+d-1, d-1), the number of generators
+    # of the complete intersection's power J^n
+    names = [f"x{i}" for i in range(1, 2 * d + 1)]
+    ctx = RingContext(names)
+    core = intersect_all([Ideal.from_strings(ctx, names[:d]),
+                          Ideal.from_strings(ctx, names[d:])])
+    j = Ideal.from_strings(ctx, [f"{names[i]}^{e} + {names[d + i]}^{e}"
+                                 for i, e in enumerate(a)])
+    runs = []
+    original = hilbert_module.buchberger
+
+    def counting(*args):
+        runs.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(hilbert_module, "buchberger", counting)
+    A = 1
+    for e in a:
+        A *= e
+    values = hilbert_samuel_values(core, j, 60)
+    assert values == {n: 2 * A * binomial(n + d - 1, d) - 1
+                      + binomial(n + d - 1, d - 1) for n in range(1, 61)}
+    assert len(runs) == 1
+    monkeypatch.undo()
+    assert per_n(core, j, 4) == {n: values[n] for n in range(1, 5)}
 
 
 def test_positive_dimensional_quotient_raises(e1):
@@ -149,9 +222,13 @@ def test_instance_tables_match_original_ring(order):
         inst = ProblemInstance(ctx, ideals, parameters)
         cone = tangent_cone(inst.core, inst.J)
         if label == "quadratic":
-            assert inst.ring == ctx and cone is None
+            # the tangent cone of J's graph, with deg u1 = 2
+            assert inst.ring == ctx
+            assert cone.ctx.order == ("ydeg", 2, order,
+                                      (2, 1) + (1,) * ctx.nvars)
         else:
             assert inst.ring.order[:2] == ("ydeg", cone.k)
+            assert cone.ctx is inst.ring
         fresh = [Ideal(ctx, ideal.generators) for ideal in ideals]
         core = intersect_all(fresh)
         j = Ideal(ctx, parameters)

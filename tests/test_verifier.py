@@ -251,11 +251,27 @@ def test_hypothesis_dimensions_from_tangent_cone(order):
 
 
 def test_hypothesis_dimensions_nonlinear_parameters(ctx4):
-    # a quadratic parameter keeps the Krull-dimension route
+    # quadratic parameters take the tangent cone of J's graph: its
+    # dimension is that of core + J and its values are the per-n lengths
     inst = ProblemInstance(ctx4, [I(ctx4, "x", "y")],
                            list(I(ctx4, "z^2", "w").generators))
-    assert tangent_cone(inst.core, inst.J) is None
+    cone = tangent_cone(inst.core, inst.J)
+    assert cone.ctx.variables == ("u1", "u2", "x1", "x2", "x3", "x4")
+    assert cone.values(5) == {n: hilbert_samuel(inst.core, inst.J, n)
+                              for n in range(1, 6)}
     checks = check_hypotheses(inst)
     assert checks["all_pass"]
+    assert _check(checks, "parameters_cut_to_finite_length")["witness"] == \
+        {"dimension_of_quotient":
+         krull_dimension(ideal_sum(inst.core, inst.J))}
     assert _check(checks, "parameters_form_regular_sequence")["witness"] == \
         {"dim_S_mod_J": 2, "expected": 2}
+    # (x^2, y^2) vanishes on the z-w plane
+    inst = ProblemInstance(ctx4, [I(ctx4, "x", "y"), I(ctx4, "z", "w")],
+                           list(I(ctx4, "x^2", "y^2").generators))
+    checks = check_hypotheses(inst)
+    assert not checks["all_pass"]
+    assert _check(checks, "parameters_cut_to_finite_length")["witness"] == \
+        {"dimension_of_quotient":
+         krull_dimension(ideal_sum(inst.core, inst.J))} == \
+        {"dimension_of_quotient": 2}
