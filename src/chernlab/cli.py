@@ -73,7 +73,7 @@ def load_problem(path: str) -> dict:
         raise SchemaError("variables must be a nonempty list of strings")
 
     order = raw.get("monomial_order", "grevlex")
-    if order not in _ORDERS:
+    if not isinstance(order, str) or order not in _ORDERS:
         raise SchemaError(f"monomial_order must be one of {sorted(_ORDERS)}")
 
     ideals = raw["ideals"]

@@ -356,15 +356,20 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self^n.  A base of at most one term is raised directly; any other
+        is multiplied in n times, which on sparse polynomials costs less
+        than repeated squaring, whose last products multiply two large
+        powers (Fateman, "On the computation of powers of sparse
+        polynomials", Stud. Appl. Math. 1974)."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        p = self.ctx.characteristic
+        if len(self.terms) <= 1 and n:
+            return Polynomial(self.ctx, {tuple(e * n for e in m): pow(c, n, p)
+                                         for m, c in self.terms.items()})
         result = Polynomial.constant(self.ctx, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def substitute(self, images) -> "Polynomial":

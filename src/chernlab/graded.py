@@ -13,20 +13,21 @@ and e_g := -(e_1 + ... + e_(g-1)), the ideal
 
     B = core + sum_i I_i e_i + (e_i e_j : i <= j < g)
 
-has T/B ≅ R ⊕ L(-1) as S-modules.  So length(T/(B + J^n T)) =
-H(K, n) + length(L / J^n L), and both terms are Hilbert-Samuel values
-(``hilbert.hilbert_samuel_values``), read off the tangent cones of the
-core and of B: for linear parameters from the bases they already have,
-for other parameters from one basis of J's graph each.
+has T/B ≅ R ⊕ L(-1) as S-modules.  So gr_J(T/B) = gr_J(R) ⊕ gr_J(L), and
+the Hilbert series of gr_J(L) is the difference of the h-polynomials of
+the tangent cones of B and of the core (``hilbert.TangentCone.h_vector``):
+for linear parameters from the bases they already have, for other
+parameters from one basis of J's graph each.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .core import ContextMismatchError, Polynomial, RingContext
 from .groebner import buchberger
-from .hilbert import hilbert_samuel_values
+from .hilbert import tangent_cone
 from .ideals import (HilbertSeries, Ideal, NotFiniteLengthError,
                      quotient_hilbert_series)
 
@@ -52,12 +53,6 @@ class Cokernel(NamedTuple):
     length: int
     top_degree: Optional[int]
     dims: tuple
-
-    def window(self, max_power: int) -> int:
-        """N = max(max_power, top_degree + 1): every n up to N is needed
-        to see J^n L reach 0."""
-        top = -1 if self.top_degree is None else self.top_degree
-        return max(max_power, top + 1)
 
 
 def diagonal_cokernel(ideals, core: Ideal) -> Cokernel:
@@ -127,19 +122,19 @@ def _idealization(model: Cokernel):
     return B, lift
 
 
-def power_colengths(model: Cokernel, ideal: Ideal, max_power: int,
-                    core_values=None):
-    """[length(L / ideal^n L) for n = 0..N], N = model.window(max_power),
-    from one basis of the idealization B.
+def power_colengths(model: Cokernel, ideal: Ideal, max_power: int):
+    """[length(L / ideal^n L) for n = 0..max(max_power, nu)], where
+    nu = min{n : ideal^n L = 0}, from one basis of the idealization B.
 
-    length(L / ideal^n L) = H_B(n) - H(K, n), both from
-    ``hilbert_samuel_values`` of B and of the core along ``ideal``.
-    ``core_values`` is the table {n: H(K, n)} for n = 1..N when the caller
-    already holds it (``verifier.run_verification`` does).
-    nu = min{n : ideal^n L = 0} is the least n whose colength is
-    length(L), so a caller reads it as ``colengths.index(model.length)``;
-    every generator has positive degree, so nu <= top_degree + 1 <= N and
-    the entries past nu are length(L).
+    T/B ≅ R ⊕ L(-1) as S-modules, so gr_J(T/B) = gr_J(R) ⊕ gr_J(L) and the
+    Hilbert series of gr_J(L) is (Q_B(t) - Q_K(t))/(1-t)^k, read off the
+    h-vectors of the tangent cones of B and of the core
+    (``hilbert.TangentCone.h_vector``).  L has finite length, so the series
+    is a polynomial whose coefficients are dim J^n L / J^(n+1) L; by
+    Nakayama they vanish exactly from nu on, so nu is the length of the
+    series.  The colengths are its prefix sums: a caller reads nu as
+    ``colengths.index(model.length)``, and the entries past nu are
+    length(L).
 
     ``ideal`` must be a parameter ideal of R: S/(core + ideal) must have
     finite length, else NotFiniteLengthError is raised.
@@ -149,13 +144,15 @@ def power_colengths(model: Cokernel, ideal: Ideal, max_power: int,
     if ideal.ctx != model.core.ctx:
         raise ContextMismatchError("ideal and cokernel come from different "
                                    "ring contexts")
-    N = model.window(max_power)
     B, lift = _idealization(model)
     J = Ideal(B.ctx, [lift(f) for f in ideal.generators])
-    with_L = hilbert_samuel_values(B, J, max(N, 1))
-    if core_values is None:
-        core_values = hilbert_samuel_values(model.core, ideal, max(N, 1))
-    return [0] + [with_L[n] - core_values[n] for n in range(1, N + 1)]
+    with_L, core = tangent_cone(B, J), tangent_cone(model.core, ideal)
+    series = (HilbertSeries(with_L.h_vector(), with_L.k)
+              - HilbertSeries(core.h_vector(), core.k))
+    if not series.is_polynomial():
+        raise NotFiniteLengthError("gr_J(L) does not have finite length")
+    dims = series.numerator
+    return list(accumulate(dims + (0,) * (max_power - len(dims)), initial=0))
 
 
 def power_colength(model: Cokernel, ideal: Ideal, n: int) -> int:

@@ -127,25 +127,31 @@ class TangentCone:
         return HilbertSeries(self.numerator[0],
                              self.ctx.nvars - self.k).dimension()
 
-    def values(self, max_power: int) -> dict:
-        """H(n) = length(S/(ideal + J^n)) for n = 1..max_power, from the
-        series at s = 1, for all n at once.
+    def h_vector(self) -> list:
+        """The coefficients q_0, q_1, ... of the h-polynomial Q(t) of
+        gr_J(S/ideal), whose Hilbert series is Q(t)/(1-t)^k.
 
         When row 0 is a polynomial over (1-s)^(r-k), every y-degree piece of
         S/in(ideal) is finite and every row c_i(s) is divisible by
-        (1-s)^(r-k); the quotient at s = 1 is
-        q_i = (-1)^(r-k) sum_j c_ij C(j, r-k).  Then Q(t)/(1-t)^k is the
-        Hilbert series of gr_J(S/ideal), and
-        H(n) = sum_(i<n) q_i C(n-1-i+k, k).
+        (1-s)^(r-k); q_i is the quotient at s = 1,
+        (-1)^(r-k) sum_j c_ij C(j, r-k).
 
         Raises NotFiniteLengthError when S/(ideal + J) does not have finite
         length: exactly when row 0 is not a polynomial.
         """
-        k = self.k
         # total() divides out (1-s)^(r-k) and raises NotFiniteLengthError
         # when it does not divide, which row 0, first, decides
-        q = [HilbertSeries(row, self.ctx.nvars - k).total()
-             for row in self.numerator]
+        return [HilbertSeries(row, self.ctx.nvars - self.k).total()
+                for row in self.numerator]
+
+    def values(self, max_power: int) -> dict:
+        """H(n) = length(S/(ideal + J^n)) for n = 1..max_power, for all n at
+        once: H(n) = sum_(i<n) q_i C(n-1-i+k, k) over the ``h_vector``.
+
+        Raises NotFiniteLengthError when S/(ideal + J) does not have finite
+        length.
+        """
+        k, q = self.k, self.h_vector()
         return {n: sum(qi * binomial(n - 1 - i + k, k)
                        for i, qi in enumerate(q[:n]))
                 for n in range(1, max_power + 1)}

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from . import graded, resolutions
 from .hilbert import (HilbertDataset, chern_sign, cm_test, fit_coefficients,
-                      hilbert_polynomial_value, hilbert_samuel_values)
+                      hilbert_polynomial_value, hilbert_samuel_values,
+                      tangent_cone)
+from .ideals import HilbertSeries
 from .instance import ProblemInstance, check_hypotheses
 
 __all__ = [
@@ -27,22 +29,19 @@ __all__ = [
 ]
 
 
-def e0_additivity_check(inst: ProblemInstance, fitted_e0: int,
-                        component_values) -> dict:
+def e0_additivity_check(inst: ProblemInstance, fitted_e0: int) -> dict:
     """Multiplicity additivity over the components: e_0(K) equals the sum of
-    the parameter multiplicities on each S/I_i.  Components are trusted
-    Cohen-Macaulay, so their Hilbert-Samuel values stabilize immediately and
-    a window of d + 2 values suffices.
-
-    ``component_values`` carries each component's table {n: length}
-    covering that window (run_verification shares them with the torsion
-    route)."""
-    window = inst.d + 2
+    the parameter multiplicities e_0(J, S/I_i).  Each is read off the
+    component's tangent cone along J (``hilbert.TangentCone.h_vector``):
+    gr_J(S/I_i) has the Hilbert series Q_i(t)/(1-t)^k, and in lowest terms
+    its multiplicity is Q_i(1) when the pole order is d, and 0 when it is
+    below d."""
     component_e0 = []
-    for table in component_values:
-        values = {n: table[n] for n in range(1, window + 1)}
-        coefficients, _ = fit_coefficients(values, inst.d)
-        component_e0.append(coefficients[0])
+    for ideal in inst.ideals:
+        cone = tangent_cone(ideal, inst.J)
+        series = HilbertSeries(cone.h_vector(), cone.k)
+        component_e0.append(sum(series.numerator)
+                            if series.denominator_exponent == inst.d else 0)
     total = sum(component_e0)
     return {
         "name": "e0_additivity",
@@ -202,12 +201,12 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     ``hypotheses`` may carry the fragment of an earlier
     check_hypotheses(inst) (the CLI has it before it gets here).
 
-    Each length table, of the core and of every component, is computed once
-    and shared by the fit, the torsion route and e_0 additivity; the core's
-    runs to N = max(max_power, top_degree + 1), the window of
-    ``power_colengths``, which takes it too.  Every length(L/J^n L), nu and
-    whether J annihilates L come from that one ``power_colengths`` list,
-    read off one Groebner basis of the idealization of L (see ``graded``).
+    Each length table, of the core and of every component, is computed once,
+    to max_power, off the tangent cone along J, which e_0 additivity reads
+    too; the core's serves the fit and the torsion route.  Every
+    length(L/J^n L), nu and whether J annihilates L come from one
+    ``power_colengths`` list, read off the tangent cone of one Groebner
+    basis of the idealization of L (see ``graded``).
     The overall status is "fail" when an identity fails, else
     "inconclusive" when one is (the window ends before nu), else "pass".
     """
@@ -230,17 +229,14 @@ def run_verification(inst: ProblemInstance, force: bool = False,
 
     model = graded.diagonal_cokernel(inst.ideals, inst.core)
     module_len = model.length
-    core_values = hilbert_samuel_values(inst.core, inst.J,
-                                        model.window(inst.max_power))
-    colengths = graded.power_colengths(model, inst.J, inst.max_power,
-                                       core_values)
+    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
+    colengths = graded.power_colengths(model, inst.J, inst.max_power)
     # J L = 0 exactly when length(L / J L) = length(L)
     annihilated = colengths[1] == module_len
     report["lambda_L"] = str(module_len)
     report["top_degree"] = model.top_degree
     report["annihilates"] = annihilated
 
-    values = {n: core_values[n] for n in range(1, inst.max_power + 1)}
     dataset = HilbertDataset.fit(values, inst.d)
     report["hilbert"] = {
         "values": [{"n": n, "length": str(values[n])} for n in sorted(values)],
@@ -258,9 +254,8 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     e1 = dataset.coefficients[1] if len(dataset.coefficients) > 1 else 0
     report["chern_sign"] = chern_sign(e1)
 
-    component_values = [
-        hilbert_samuel_values(ideal, inst.J, max(inst.max_power, inst.d + 2))
-        for ideal in inst.ideals]
+    component_values = [hilbert_samuel_values(ideal, inst.J, inst.max_power)
+                        for ideal in inst.ideals]
     torsion_values = {n: resolutions.tor1_via_lengths(
                           values, component_values, colengths, n)
                       for n in range(1, inst.max_power + 1)}
@@ -270,7 +265,7 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     }
 
     identities = [
-        e0_additivity_check(inst, dataset.coefficients[0], component_values),
+        e0_additivity_check(inst, dataset.coefficients[0]),
         verify_torsion_polynomial(inst, dataset.coefficients, dataset.n0,
                                   module_len, torsion_values,
                                   colengths.index(module_len)),

@@ -277,6 +277,17 @@ def test_schema_error_bad_max_power(tmp_path, capsys):
         assert "max_power" in err
 
 
+def test_schema_error_bad_monomial_order(tmp_path, capsys):
+    # a JSON list or object is not an order name, and is not hashable
+    for value in ("deglex", ["grevlex"], {"grevlex": 1}):
+        bad = dict(BASE, monomial_order=value)
+        code, out, err = run(capsys, "hilbert",
+                             _write(tmp_path, "p.json", bad))
+        assert code == 2
+        assert "schema error" in err and "monomial_order" in err
+        assert out == ""
+
+
 def test_schema_error_deep_nesting(tmp_path, capsys):
     deep = "(" * 5000 + "x" + ")" * 5000
     bad = dict(BASE, parameters=[deep + " + z", "y + w"])

@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -76,6 +77,21 @@ def test_parse_accepts_inputs_below_the_degree_cap(ctx4):
         parse_polynomial("x^3", ctx4)
     assert parse_polynomial("x^4294967295*y - y*x^4294967295",
                             ctx4).is_zero()
+
+
+def test_power_of_a_sum_has_multinomial_coefficients(ctx4):
+    # (x + y + z + w)^7 has one term per exponent vector of degree 7,
+    # C(10, 3) of them, each with its multinomial coefficient mod p
+    f = parse_polynomial("(x + y + z + w)^7", ctx4)
+    assert len(f.terms) == binomial(10, 3)
+    for mono, coeff in f.terms.items():
+        assert sum(mono) == 7
+        want = factorial(7)
+        for e in mono:
+            want //= factorial(e)
+        assert coeff == want % P
+    assert f == parse_polynomial("(x + y + z + w)^3", ctx4) * \
+        parse_polynomial("(x + y + z + w)^4", ctx4)
 
 
 def test_mul_examples(ctx4):

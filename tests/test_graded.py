@@ -192,16 +192,20 @@ ORACLE_CASES = {
 }
 
 
+def _oracle_instance(ctx4, name):
+    """The ORACLE_CASES instance of that name, or a shipped problem."""
+    if name in ORACLE_CASES:
+        *blocks, params = ORACLE_CASES[name]
+        return ProblemInstance(ctx4, [I(ctx4, *b) for b in blocks],
+                               list(I(ctx4, *params).generators))
+    return build_instance(load_problem(str(PROBLEM_DIR / f"{name}.json")))
+
+
 @pytest.mark.parametrize("name", [*ORACLE_CASES, "e2_two_3planes"])
 def test_power_colengths_against_right_exactness(ctx4, name):
     # the idealization route against the oracle at every n up to nu; at
     # n = 1 the oracle is a second route to the annihilation verdict
-    if name in ORACLE_CASES:
-        *blocks, params = ORACLE_CASES[name]
-        inst = ProblemInstance(ctx4, [I(ctx4, *b) for b in blocks],
-                               list(I(ctx4, *params).generators))
-    else:
-        inst = build_instance(load_problem(str(PROBLEM_DIR / f"{name}.json")))
+    inst = _oracle_instance(ctx4, name)
     model = diagonal_cokernel(inst.ideals, inst.core)
     colengths = power_colengths(model, inst.J, 1)
     nu = colengths.index(model.length)
@@ -209,6 +213,18 @@ def test_power_colengths_against_right_exactness(ctx4, name):
                                    for n in range(1, nu + 1)]
     assert annihilates(inst.J, model) == (
         _oracle_colength(inst.ideals, inst.J, 1) == model.length)
+
+
+@pytest.mark.parametrize("name", [*ORACLE_CASES, "e2_two_3planes"])
+def test_graded_cokernel_length_is_the_cokernel_length(ctx4, name):
+    # the dimensions of gr_J(L), read off the tangent cones of B and of the
+    # core, add up to length(L) read off the degree-graded series; the
+    # colengths stop at nu, the length of the gr_J(L) series
+    inst = _oracle_instance(ctx4, name)
+    model = diagonal_cokernel(inst.ideals, inst.core)
+    colengths = power_colengths(model, inst.J, 0)
+    assert colengths[-1] == model.length
+    assert colengths.index(model.length) == len(colengths) - 1
 
 
 def _length_instances(ctx4):

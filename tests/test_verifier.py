@@ -7,6 +7,10 @@ from chernlab import (Ideal, NotFiniteLengthError, Polynomial,
                       diagonal_cokernel, fit_coefficients, hilbert_samuel,
                       ideal_sum, krull_dimension, run_verification,
                       tangent_cone)
+from chernlab.cli import build_instance, load_problem
+from chernlab.hilbert import FitInstabilityError, hilbert_samuel_values
+from chernlab.verifier import e0_additivity_check
+from conftest import PROBLEM_DIR
 from helpers import PRIME_POOL, e1_family, random_homogeneous_ideal
 
 
@@ -275,3 +279,48 @@ def test_hypothesis_dimensions_nonlinear_parameters(ctx4):
         {"dimension_of_quotient":
          krull_dimension(ideal_sum(inst.core, inst.J))} == \
         {"dimension_of_quotient": 2}
+
+
+# two planes and a staircase, each with one quadric parameter
+QUADRIC_J = {
+    "planes_quadric_J": ((["x", "y"], ["z", "w"]), ["x^2 + z^2", "y + w"]),
+    "staircase_quadric_J": ((["x", "y^3"], ["z^2", "w"]),
+                            ["x^2 + w^2", "y + z"]),
+}
+
+
+@pytest.mark.parametrize("name", ["e1_two_planes", "e2_two_3planes",
+                                  "e3_cm_baseline", "e4_three_planes",
+                                  *QUADRIC_J])
+def test_component_e0_off_the_cone_matches_a_window_fit(ctx4, name):
+    # e_0 additivity reads each component's e_0 off its tangent cone; the
+    # fit of the window 1..d+6 is a second route
+    if name in QUADRIC_J:
+        blocks, params = QUADRIC_J[name]
+        inst = ProblemInstance(ctx4, [I(ctx4, *b) for b in blocks],
+                               list(I(ctx4, *params).generators))
+    else:
+        inst = build_instance(load_problem(str(PROBLEM_DIR / f"{name}.json")))
+    window = inst.d + 6
+    fitted = [fit_coefficients(hilbert_samuel_values(ideal, inst.J, window),
+                               inst.d)[0][0] for ideal in inst.ideals]
+    check = e0_additivity_check(inst, sum(fitted))
+    assert check["status"] == "pass"
+    assert check["witness"]["component_e0"] == [str(e) for e in fitted]
+
+
+def test_component_e0_where_a_short_window_cannot_fit(ctx4):
+    # one component (x^6, y^6) ∩ (z^6, w^6), whose Hilbert-Samuel function
+    # is polynomial from n = 10 on only: no window 1..d+2 fits it, and the
+    # cone gives the e_0 of a window that reaches the polynomial range
+    inst = ProblemInstance(
+        ctx4, [I(ctx4, "x^6*z^6", "x^6*w^6", "y^6*z^6", "y^6*w^6")],
+        list(I(ctx4, "x + z", "y + w").generators))
+    values = hilbert_samuel_values(inst.core, inst.J, 14)
+    with pytest.raises(FitInstabilityError):
+        fit_coefficients({n: values[n] for n in range(1, inst.d + 3)}, inst.d)
+    e0 = fit_coefficients(values, inst.d)[0][0]
+    assert e0 == 72
+    check = e0_additivity_check(inst, e0)
+    assert (check["status"], check["witness"]["component_e0"]) == \
+        ("pass", ["72"])
