@@ -6,8 +6,9 @@ import importlib.util
 import sys
 
 _HOME = {name: module for module, names in {
-    "core": "DEGREE_LIMIT PRIME_LIMIT ContextMismatchError ParseError "
-            "Polynomial RingContext binomial is_prime parse_polynomial",
+    "core": "DEGREE_LIMIT POWER_PRODUCT_LIMIT PRIME_LIMIT ContextMismatchError "
+            "ParseError Polynomial RingContext binomial is_prime "
+            "parse_polynomial",
     "graded": "annihilates diagonal_cokernel power_colength "
               "power_colengths",
     "groebner": "GroebnerBasis buchberger normal_form s_polynomial "

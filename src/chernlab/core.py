@@ -16,6 +16,7 @@ from operator import add, mul
 
 __all__ = [
     "DEGREE_LIMIT",
+    "POWER_PRODUCT_LIMIT",
     "PRIME_LIMIT",
     "RingContext",
     "Polynomial",
@@ -35,6 +36,10 @@ PRIME_LIMIT = 3317044064679887385961981
 
 # inputs stay below this degree, so monomial keys are exact (see RingContext)
 DEGREE_LIMIT = 1 << 32
+
+# the parser expands a power of a sum only when it takes at most this many
+# term products; (x+y+z+w)^60 takes 2.4 * 10^6
+POWER_PRODUCT_LIMIT = 5 * 10 ** 6
 
 
 class ContextMismatchError(ValueError):
@@ -527,7 +532,13 @@ class _Parser:
             value = value.lstrip("0") or "0"
             if len(value) > 10 or int(value) >= DEGREE_LIMIT:
                 raise ParseError("exponent is not below the cap 2^32")
-            poly = poly ** int(value)
+            # step j of __pow__ multiplies at most C(j+t-1, t-1) terms by t
+            n, t = int(value), len(poly.terms)
+            if t > 1 and t * binomial(n + t - 1, t) > POWER_PRODUCT_LIMIT:
+                raise ParseError(f"{t} terms to the power {n} take more than "
+                                 f"the budget of {POWER_PRODUCT_LIMIT} term "
+                                 "products")
+            poly = poly ** n
         return poly
 
     def parse_atom(self):

@@ -146,9 +146,8 @@ def power_colengths(model: Cokernel, ideal: Ideal, max_power: int):
                                    "ring contexts")
     B, lift = _idealization(model)
     J = Ideal(B.ctx, [lift(f) for f in ideal.generators])
-    with_L, core = tangent_cone(B, J), tangent_cone(model.core, ideal)
-    series = (HilbertSeries(with_L.h_vector(), with_L.k)
-              - HilbertSeries(core.h_vector(), core.k))
+    series = (tangent_cone(B, J).series()
+              - tangent_cone(model.core, ideal).series())
     if not series.is_polynomial():
         raise NotFiniteLengthError("gr_J(L) does not have finite length")
     dims = series.numerator

@@ -34,6 +34,7 @@ __all__ = [
     "TangentCone",
     "tangent_cone",
     "fit_coefficients",
+    "samuel_polynomial",
     "hilbert_polynomial_value",
     "cm_test",
     "chern_sign",
@@ -144,17 +145,20 @@ class TangentCone:
         return [HilbertSeries(row, self.ctx.nvars - self.k).total()
                 for row in self.numerator]
 
+    def series(self) -> HilbertSeries:
+        """The Hilbert series Q(t)/(1-t)^k of gr_J(S/ideal), in lowest
+        terms (see ``h_vector``)."""
+        return HilbertSeries(self.h_vector(), self.k)
+
     def values(self, max_power: int) -> dict:
         """H(n) = length(S/(ideal + J^n)) for n = 1..max_power, for all n at
-        once: H(n) = sum_(i<n) q_i C(n-1-i+k, k) over the ``h_vector``.
+        once: the sum of the first n coefficients of its ``series``.
 
         Raises NotFiniteLengthError when S/(ideal + J) does not have finite
         length.
         """
-        k, q = self.k, self.h_vector()
-        return {n: sum(qi * binomial(n - 1 - i + k, k)
-                       for i, qi in enumerate(q[:n]))
-                for n in range(1, max_power + 1)}
+        series = self.series()
+        return {n: series.summed(n) for n in range(1, max_power + 1)}
 
 
 def _graph_cone(ideal: Ideal, parameters) -> TangentCone:
@@ -251,6 +255,31 @@ def hilbert_polynomial_value(coefficients, n: int) -> int:
         term = e * binomial(n + d - 1 - i, d - i)
         total += -term if i % 2 else term
     return total
+
+
+def samuel_polynomial(series: HilbertSeries, d: int):
+    """(coefficients, n0) of the function n -> sum_(m<n) [t^m] series on
+    n >= 1, exactly: its Hilbert polynomial's (e_0..e_d) as
+    ``hilbert_polynomial_value`` reads them, and the least n0 from which
+    the function is that polynomial.  The series' pole order must be at
+    most d.
+
+    Over (1-t)^d with numerator h the function is sum_(i<n) h_i
+    C(n-1-i+d, d).  By Pascal's rule a shift down by one is 1 - ∇ with
+    ∇C(N, d) = C(N-1, d-1), so C(N-i, d) = sum_j (-1)^j C(i, j) C(N-j, d-j)
+    and e_j = sum_i C(i, j) h_i (Bruns-Herzog, Cohen-Macaulay Rings, §4.1).
+    The function is the polynomial for n > deg h - d, so n0 is 1 plus the
+    last n <= deg h - d where they differ, or 1 when there is none.
+    """
+    if series.denominator_exponent > d:
+        raise ValueError("the series has a pole of order above d")
+    h = series._lift(d)
+    e = tuple(sum(binomial(i, j) * c for i, c in enumerate(h))
+              for j in range(d + 1))
+    for n in range(len(h) - 1 - d, 0, -1):
+        if series.summed(n) != hilbert_polynomial_value(e, n):
+            return e, n + 1
+    return e, 1
 
 
 def fit_coefficients(values, d: int):

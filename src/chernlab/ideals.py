@@ -323,19 +323,17 @@ class HilbertSeries:
             raise NotFiniteLengthError("quotient does not have finite length")
         return sum(self.numerator)
 
+    def summed(self, n: int) -> int:
+        """The sum of the coefficients of t^0..t^(n-1): with numerator h
+        and s = denominator_exponent, sum_(i<n) h_i C(n-1-i+s, s)."""
+        s = self.denominator_exponent
+        return sum(c * binomial(n - 1 - i + s, s)
+                   for i, c in enumerate(self.numerator[:n]))
+
     def coefficients_up_to(self, max_degree: int):
         """Dimension sequence dim (S/I)_s for s = 0..max_degree."""
-        out = [0] * (max_degree + 1)
-        s = self.denominator_exponent
-        for j, c in enumerate(self.numerator):
-            if c == 0 or j > max_degree:
-                continue
-            if s == 0:
-                out[j] += c
-            else:
-                for k in range(j, max_degree + 1):
-                    out[k] += c * binomial(k - j + s - 1, s - 1)
-        return out
+        return [self.summed(m + 1) - self.summed(m)
+                for m in range(max_degree + 1)]
 
     def _lift(self, s):
         num = list(self.numerator)

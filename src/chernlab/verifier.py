@@ -11,9 +11,9 @@ decimal strings so the report serializes without range surprises.
 from __future__ import annotations
 
 from . import graded, resolutions
-from .hilbert import (HilbertDataset, chern_sign, cm_test, fit_coefficients,
+from .hilbert import (HilbertDataset, chern_sign, cm_test,
                       hilbert_polynomial_value, hilbert_samuel_values,
-                      tangent_cone)
+                      samuel_polynomial, tangent_cone)
 from .ideals import HilbertSeries
 from .instance import ProblemInstance, check_hypotheses
 
@@ -31,17 +31,13 @@ __all__ = [
 
 def e0_additivity_check(inst: ProblemInstance, fitted_e0: int) -> dict:
     """Multiplicity additivity over the components: e_0(K) equals the sum of
-    the parameter multiplicities e_0(J, S/I_i).  Each is read off the
-    component's tangent cone along J (``hilbert.TangentCone.h_vector``):
-    gr_J(S/I_i) has the Hilbert series Q_i(t)/(1-t)^k, and in lowest terms
-    its multiplicity is Q_i(1) when the pole order is d, and 0 when it is
-    below d."""
-    component_e0 = []
-    for ideal in inst.ideals:
-        cone = tangent_cone(ideal, inst.J)
-        series = HilbertSeries(cone.h_vector(), cone.k)
-        component_e0.append(sum(series.numerator)
-                            if series.denominator_exponent == inst.d else 0)
+    the parameter multiplicities e_0(J, S/I_i).  Each is the e_0 of the
+    Hilbert series of gr_J(S/I_i), read off the component's tangent cone
+    along J (``hilbert.TangentCone.series``), in dimension d
+    (``hilbert.samuel_polynomial``): Q_i(1) when the pole order is d, and
+    0 when it is below d."""
+    component_e0 = [samuel_polynomial(tangent_cone(ideal, inst.J).series(),
+                                      inst.d)[0][0] for ideal in inst.ideals]
     total = sum(component_e0)
     return {
         "name": "e0_additivity",
@@ -55,40 +51,44 @@ def e0_additivity_check(inst: ProblemInstance, fitted_e0: int) -> dict:
 
 
 def verify_torsion_polynomial(inst, coefficients, n0_k, module_len,
-                              torsion_values, nu) -> dict:
-    """The torsion Hilbert polynomial identity: the fitted polynomial of
-    H_J(L, n) = length(J^n ⊗ L) must equal the alternating tail of the
-    Hilbert coefficients of K plus length(L), pointwise on the stable range:
-    -e_1 C(n+d-2, d-1) + e_2 C(n+d-3, d-2) - ... + (-1)^d e_d + len(L).
+                              torsion_values, colengths) -> dict:
+    """The torsion Hilbert polynomial identity: the Hilbert polynomial of
+    length(Tor_1(L, S/J^n)) must equal the alternating tail of the Hilbert
+    coefficients of K plus length(L):
+    -e_1 C(n+d-2, d-1) + e_2 C(n+d-3, d-2) - ... + (-1)^d e_d + len(L),
+    which in dimension d has the coefficients (0, e_1, ..., e_d) plus
+    (-1)^d len(L) in the last place.
 
-    The identity holds for n >= nu = min{n : J^n L = 0}: tensoring
-    0 -> R -> ⊕ S/I_i -> L -> 0 with S/J^n leaves length(L/J^n L), which
-    reaches length(L) at nu.  So the comparison starts at
-    max(n0_K, n0_J, nu).  When nu exceeds the window the sampled torsion
-    values are all pre-stable: nothing is fitted or compared, the status is
-    "inconclusive" and ``compared_from`` is nu.
+    The torsion lengths (``resolutions.tor1_via_lengths``) sum the first n
+    coefficients of the series HS(gr_J R) - sum_i HS(gr_J S/I_i) +
+    sum_m dim(J^m L / J^(m+1) L) t^m, read off the cached tangent cones and
+    the ``colengths``, so ``hilbert.samuel_polynomial`` gives their
+    polynomial and its n0 exactly, and the identity is decided for every n.
+    ``torsion_fit`` is that polynomial's (e_0..e_(d-1)): in dimension d its
+    coefficients are 0 followed by minus these, for d >= 1, as L has finite
+    length (e_0 additivity).  The sampled values are a cross-check:
+    they must match from max(n0_K, n0_J, nu) on, nu = min{n : J^n L = 0},
+    through the window.
     """
-    d = inst.d
-    inconclusive = nu > inst.max_power
-    if inconclusive:
-        fit, n0_j, start = (), None, nu
-    else:
-        fit, n0_j = (fit_coefficients(torsion_values, d - 1) if d >= 1
-                     else ((), 1))
-        start = max(n0_k, n0_j, nu)
-    mismatches = []
-    for n in range(start, inst.max_power + 1):
-        rhs = hilbert_polynomial_value((0, *coefficients[1:]), n) + module_len
-        if torsion_values[n] != rhs:
-            mismatches.append({"n": n, "lhs": str(torsion_values[n]),
-                               "rhs": str(rhs)})
-    status = ("inconclusive" if inconclusive else
-              "fail" if mismatches else "pass")
+    series = HilbertSeries([b - a for a, b in zip(colengths, colengths[1:])],
+                           0)
+    series += tangent_cone(inst.core, inst.J).series()
+    for ideal in inst.ideals:
+        series -= tangent_cone(ideal, inst.J).series()
+    exact, n0_j = samuel_polynomial(series, inst.d)
+    expected = [0, *coefficients[1:]]
+    expected[inst.d] += (-1) ** inst.d * module_len
+    start = max(n0_k, n0_j, colengths.index(module_len))
+    rhs = {n: hilbert_polynomial_value(expected, n)
+           for n in range(start, inst.max_power + 1)}
+    mismatches = [{"n": n, "lhs": str(torsion_values[n]), "rhs": str(v)}
+                  for n, v in rhs.items() if torsion_values[n] != v]
     return {
         "name": "torsion_polynomial",
-        "status": status,
+        "status": ("pass" if exact == tuple(expected) and not mismatches
+                   else "fail"),
         "witness": {
-            "torsion_fit": [str(c) for c in fit],
+            "torsion_fit": [str(-c) for c in exact[1:]],
             "torsion_n0": n0_j,
             "compared_from": start,
             "compared_to": inst.max_power,
@@ -207,8 +207,9 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     length(L/J^n L), nu and whether J annihilates L come from one
     ``power_colengths`` list, read off the tangent cone of one Groebner
     basis of the idealization of L (see ``graded``).
-    The overall status is "fail" when an identity fails, else
-    "inconclusive" when one is (the window ends before nu), else "pass".
+    The torsion identity is decided on the exact series, for every n,
+    whatever the window.  The overall status is "fail" when an identity
+    fails, else "pass".
     """
     report = {
         "characteristic": inst.ctx.characteristic,
@@ -267,15 +268,12 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     identities = [
         e0_additivity_check(inst, dataset.coefficients[0]),
         verify_torsion_polynomial(inst, dataset.coefficients, dataset.n0,
-                                  module_len, torsion_values,
-                                  colengths.index(module_len)),
+                                  module_len, torsion_values, colengths),
         verify_coefficient_collapse(inst, dataset, module_len, annihilated),
         tor1_consistency_check(inst, module_len, torsion_values, annihilated),
         negativity_check(inst, dataset.coefficients, cm),
     ]
     report["identities"] = identities
     statuses = {i["status"] for i in identities}
-    report["overall"] = ("fail" if "fail" in statuses else
-                         "inconclusive" if "inconclusive" in statuses else
-                         "pass")
+    report["overall"] = "fail" if "fail" in statuses else "pass"
     return report

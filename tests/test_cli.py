@@ -306,6 +306,14 @@ def test_schema_error_degree_cap(tmp_path, capsys):
         assert out == ""
 
 
+def test_schema_error_power_budget(tmp_path, capsys):
+    # a homogeneous parameter passes every other check first
+    bad = dict(BASE, parameters=["(y + w)^200000", "x + z"])
+    code, out, err = run(capsys, "hilbert", _write(tmp_path, "p.json", bad))
+    assert (code, out) == (2, "")
+    assert "schema error" in err and "budget of 5000000 term products" in err
+
+
 def test_long_coefficient_literal_is_read_mod_p(tmp_path, capsys):
     # a literal of 5000 digits is past int()'s 4300; N = 10^4999 + k with
     # N = 1 mod p, so N*x + z is x + z over F_p
@@ -454,37 +462,87 @@ def _identity(report, name):
 
 
 def _inconclusive_case(tmp_path, case):
-    """(problem path, length(L), nu, window) for a staircase "a-b" at the
-    default window 2d + 4 = 8, or for "pow6": (x^6, y^6) ∩ (z^6, w^6) with
-    J = (x + z, y + w), where L = k[x, y, z, w]/(x^6, y^6, z^6, w^6) has
-    length 1296 and top degree 20, and J^21 L = 0 first.  H(K, n) of pow6
-    is polynomial from n = 10 on only, so windows below 14 stop at the fit
-    (exit 4 too, but before the torsion identity)."""
+    """(problem path, length(L), nu, window, torsion_fit, torsion_n0) for a
+    staircase "a-b" at the default window 2d + 4 = 8, or for "pow6":
+    (x^6, y^6) ∩ (z^6, w^6) with J = (x + z, y + w), where
+    L = k[x, y, z, w]/(x^6, y^6, z^6, w^6) has length 1296 and top degree
+    20, and J^21 L = 0 first.  H(K, n) of pow6 is polynomial from n = 10 on
+    only, so windows below 14 stop at the fit (exit 4)."""
     if case == "pow6":
         return _write(tmp_path, "pow6.json",
                       dict(BASE, ideals=[["x^6", "y^6"], ["z^6", "w^6"]])), \
-            1296, 21, 14
+            1296, 21, 14, ["146", "-931"], 21
     a, b = map(int, case.split("-"))
-    return _staircase_pair(tmp_path, a, b), a * b, a + b - 1, 8
+    return (_staircase_pair(tmp_path, a, b), a * b, a + b - 1, 8,
+            [str(b), str(-a * b)], a + b - 1)
 
 
 @pytest.mark.parametrize("case", ["30-1", "6-5", "60-1", "pow6"])
 def test_verify_inconclusive_below_nu(tmp_path, capsys, case):
-    # the window ends before nu; the sampled torsion values are
-    # pre-stable, so the identity can be neither passed nor failed
-    path, lam, nu, window = _inconclusive_case(tmp_path, case)
+    # the window ends before nu, so every sampled torsion value is
+    # pre-stable and no fit of them could decide the identity; the exact
+    # series decides it for every n
+    path, lam, nu, window, fit, n0 = _inconclusive_case(tmp_path, case)
     extra = [] if window == 8 else ["--max-power", str(window)]
     code, out, err = run(capsys, "verify", path, "--json", *extra)
-    assert code == 4
-    assert f"= {nu} on" in err and f"max_power {window}" in err
+    assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["lambda_L"] == str(lam)
     assert report["top_degree"] == nu - 1
-    assert report["overall"] == "inconclusive"
+    assert report["overall"] == "pass"
     torsion = _identity(report, "torsion_polynomial")
-    assert torsion["status"] == "inconclusive"
+    assert torsion["status"] == "pass"
+    assert (torsion["witness"]["torsion_fit"],
+            torsion["witness"]["torsion_n0"]) == (fit, n0)
     assert torsion["witness"]["compared_from"] == nu
-    assert all(i["status"] != "fail" for i in report["identities"])
+    assert torsion["witness"]["mismatches"] == []
+
+
+@pytest.mark.parametrize("window", ["4", "20", "64"])
+def test_verify_torsion_witness_does_not_depend_on_window(tmp_path, capsys,
+                                                          window):
+    # (x, y^60) ∩ (z, w): the exact torsion polynomial is (1, -60) from
+    # nu = 60 on, whether the window stops short of nu or passes it
+    path = _staircase_pair(tmp_path, 60, 1)
+    code, out, _ = run(capsys, "verify", path, "--json", "--max-power",
+                       window)
+    assert code == 0
+    report = json.loads(out)
+    assert report["overall"] == "pass"
+    witness = _identity(report, "torsion_polynomial")["witness"]
+    assert (witness["torsion_fit"], witness["torsion_n0"],
+            witness["compared_from"]) == (["1", "-60"], 60, 60)
+    assert witness["compared_to"] == int(window)
+
+
+def test_verify_non_cm_component_fails_the_torsion_identity(tmp_path,
+                                                            capsys):
+    # (x, y) ∩ (z, w) given as one component: L = 0, so the torsion lengths
+    # vanish, but e_1 = -1, and (0, 0, 0) is not (0, e_1, e_2) + 0
+    path = _write(tmp_path, "noncm.json",
+                  dict(BASE, ideals=[["x*z", "x*w", "y*z", "y*w"]]))
+    code, out, _ = run(capsys, "verify", path, "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["overall"] == "fail"
+    assert report["hilbert"]["e"] == ["2", "-1", "0"]
+    torsion = _identity(report, "torsion_polynomial")
+    assert torsion["status"] == "fail"
+    assert torsion["witness"]["torsion_fit"] == ["0", "0"]
+
+
+def test_verify_forced_extra_parameter_keeps_the_torsion_identity(tmp_path,
+                                                                  capsys):
+    # e1 with a third parameter x + y: the hypotheses fail, and under
+    # --force the torsion polynomial is still (0, -1) and its identity holds
+    path = _write(tmp_path, "extra.json",
+                  dict(BASE, parameters=["x + z", "y + w", "x + y"]))
+    code, out, err = run(capsys, "verify", path, "--json", "--force")
+    assert code == 1 and "--force" in err
+    report = json.loads(out)
+    torsion = _identity(report, "torsion_polynomial")
+    assert (torsion["status"], torsion["witness"]["torsion_fit"]) == \
+        ("pass", ["0", "-1"])
 
 
 def test_verify_ring_named_like_the_idealization(tmp_path, capsys):
@@ -557,12 +615,16 @@ def test_verify_computes_core_table_once(tmp_path, monkeypatch):
             report["torsion_hilbert"]["values"]] == \
         [10, 20, 29, 38, 46, 54, 61, 68]
     assert [i["status"] for i in report["identities"]] == \
-        ["pass", "inconclusive", "not_applicable", "not_applicable", "pass"]
-    assert report["overall"] == "inconclusive"
+        ["pass", "pass", "not_applicable", "not_applicable", "pass"]
+    assert report["overall"] == "pass"
+    witness = _identity(report, "torsion_polynomial")["witness"]
+    assert (witness["torsion_fit"], witness["torsion_n0"]) == \
+        (["5", "-30"], 10)
 
 
 @pytest.mark.parametrize("name", ["e1_two_planes", "e2_two_3planes",
-                                  "e3_cm_baseline", "e4_three_planes"])
+                                  "e3_cm_baseline", "e4_three_planes",
+                                  "e5_staircase"])
 def test_verify_computes_each_basis_once(monkeypatch, capsys, name):
     # one basis per distinct (ring, generator set): the intersection shares
     # the pairwise sums with the hypotheses, and one component's core

@@ -4,9 +4,10 @@ from math import factorial
 
 import pytest
 
-from chernlab import (DEGREE_LIMIT, PRIME_LIMIT, ContextMismatchError,
-                      ParseError, Polynomial, RingContext, binomial, is_prime,
-                      parse_polynomial)
+import chernlab.core as core_module
+from chernlab import (DEGREE_LIMIT, POWER_PRODUCT_LIMIT, PRIME_LIMIT,
+                      ContextMismatchError, ParseError, Polynomial,
+                      RingContext, binomial, is_prime, parse_polynomial)
 
 P = 32003
 
@@ -59,6 +60,54 @@ def test_parse_rejects_inputs_at_the_degree_cap(ctx4, text):
     # monomial keys are exact well beyond the cap (see RingContext)
     assert DEGREE_LIMIT == 1 << 32
     with pytest.raises(ParseError, match=r"2\^32"):
+        parse_polynomial(text, ctx4)
+
+
+@pytest.mark.parametrize("base, n, exact", [
+    ("y + w", 3, True), ("y + w", 7, True), ("x + y + z", 4, True),
+    ("x - 2*y + z + w", 3, True), ("(x + y)^2", 3, False)])
+def test_power_takes_the_counted_products(ctx4, monkeypatch, base, n,
+                                          exact):
+    # step j multiplies the at most C(j+t-1, t-1) terms of base^j by the t
+    # of the base, so a power takes at most t C(n+t-1, t) term products,
+    # the parser's bound; a linear form reaches it, (x + y)^2 does not
+    products = []
+    original = core_module._mul_terms
+
+    def counting(a, b, p):
+        products.append(len(a) * len(b))
+        return original(a, b, p)
+
+    f = parse_polynomial(base, ctx4)
+    t = len(f.terms)
+    monkeypatch.setattr(core_module, "_mul_terms", counting)
+    power = f ** n
+    monkeypatch.undo()
+    bound = t * binomial(n + t - 1, t)
+    assert sum(products) == bound if exact else sum(products) < bound
+    assert power == parse_polynomial(f"({base})^{n}", ctx4)
+
+
+def test_power_budget_is_checked_before_expanding(ctx4, monkeypatch):
+    # (y + w)^5 takes 2 C(6, 2) = 30 products, (y + w)^6 takes 42
+    monkeypatch.setattr(core_module, "POWER_PRODUCT_LIMIT", 30)
+    assert len(parse_polynomial("(y + w)^5", ctx4).terms) == 6
+    assert len(parse_polynomial("(x + y + z)^3", ctx4).terms) == 10
+    for text in ("(y + w)^6", "(x + y + z)^4", "x*(y + w)^6 + z"):
+        with pytest.raises(ParseError, match="budget of 30 term products"):
+            parse_polynomial(text, ctx4)
+    # a single term is raised without products
+    assert parse_polynomial("(2*x)^4294967295", ctx4).degree() == \
+        DEGREE_LIMIT - 1
+
+
+@pytest.mark.parametrize("text", ["(y + w)^200000", "(y + w)^5000",
+                                  "(x + y + z + w)^4294967295",
+                                  "((x + y)^2)^3000000"])
+def test_parse_refuses_powers_over_the_budget(ctx4, text):
+    # at the default budget these took up to 4 * 10^10 products
+    assert POWER_PRODUCT_LIMIT == 5 * 10 ** 6
+    with pytest.raises(ParseError, match=f"budget of {POWER_PRODUCT_LIMIT}"):
         parse_polynomial(text, ctx4)
 
 

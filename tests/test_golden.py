@@ -11,6 +11,7 @@ import pathlib
 
 import pytest
 
+from chernlab import binomial
 from chernlab.cli import main
 from conftest import PROBLEM_DIR
 
@@ -25,3 +26,26 @@ def test_golden_json_output(case, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_CODES[case]
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{case}.json").read_bytes()
+
+
+def test_e5_golden_matches_closed_forms():
+    # (x, y^30) ∩ (z, w) with J = (x + w, y + z): L = k[y]/(y^30) with J
+    # acting as y, so length(L) = 30 and nu = 30; H(K, n) = 31 C(n+1, 2) + n,
+    # and the torsion polynomial is n - 30 from nu on
+    def read(command):
+        return json.loads((GOLDEN_DIR / f"e5_staircase.{command}.json")
+                          .read_text(encoding="utf-8"))
+
+    assert [int(row["length"]) for row in read("hilbert")] == \
+        [31 * binomial(n + 1, 2) + n for n in range(1, 9)]
+    assert read("coeffs") == {"e": ["31", "-1", "0"], "n0": 1, "cm": False,
+                              "chern_sign": "negative", "lambda_L": "30"}
+    report = read("verify")
+    assert (report["lambda_L"], report["top_degree"] + 1) == ("30", 30)
+    assert report["overall"] == "pass"
+    torsion = next(i for i in report["identities"]
+                   if i["name"] == "torsion_polynomial")
+    assert (torsion["status"], torsion["witness"]["torsion_fit"],
+            torsion["witness"]["torsion_n0"],
+            torsion["witness"]["compared_from"]) == \
+        ("pass", ["1", "-30"], 30, 30)

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from chernlab import (FitInstabilityError, HilbertDataset, Ideal,
-                      InconsistentDataError, binomial, chern_sign, cm_test,
-                      fit_coefficients, hilbert_polynomial_value,
+from chernlab import (FitInstabilityError, HilbertDataset, HilbertSeries,
+                      Ideal, InconsistentDataError, binomial, chern_sign,
+                      cm_test, fit_coefficients, hilbert_polynomial_value,
                       hilbert_samuel, ideal_intersect)
+from chernlab.hilbert import samuel_polynomial
 from chernlab.linalg import (NonIntegralSolutionError, SingularSystemError,
                              solve_fraction_free)
 
@@ -152,6 +153,54 @@ def test_polynomial_value_matches_binomial_expansion():
         expected = (5 * binomial(n + 2, 3) + 2 * binomial(n + 1, 2)
                     + 7 * binomial(n, 1) + 1)
         assert hilbert_polynomial_value(coeffs, n) == expected
+
+
+def _prefix_sums(h, times, length):
+    """The first ``length`` coefficients of h(t)/(1-t)^times."""
+    row = list(h[:length]) + [0] * (length - len(h))
+    for _ in range(times):
+        for i in range(1, length):
+            row[i] += row[i - 1]
+    return row
+
+
+def test_summed_series_by_prefix_sums():
+    # sum_(m<n) [t^m] h/(1-t)^s is [t^(n-1)] h/(1-t)^(s+1)
+    rng = random.Random(3)
+    for _ in range(60):
+        h = [rng.randint(-9, 9) for _ in range(rng.randint(0, 7))]
+        s = rng.randint(0, 4)
+        series = HilbertSeries(h, s)
+        sums = _prefix_sums(h, s + 1, 15)
+        assert [series.summed(n) for n in range(1, 16)] == sums
+        assert series.summed(0) == 0
+
+
+def test_samuel_polynomial_matches_the_fit():
+    # the exact polynomial and n0 equal the fit of a window that reaches
+    # past deg h - d + d + 1, where the function is the polynomial
+    rng = random.Random(11)
+    for _ in range(80):
+        h = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))]
+        d = rng.randint(0, 4)
+        series = HilbertSeries(h, rng.randint(0, d))
+        values = {n: series.summed(n) for n in range(1, len(h) + d + 4)}
+        assert samuel_polynomial(series, d) == fit_coefficients(values, d)
+
+
+def test_samuel_polynomial_of_known_series():
+    # two transversal planes: (3 - t)/(1-t)^2 sums to n^2 + 2n, so
+    # e = (2, -1, 0); over (1-t)^3 the same function is (0, -2, 1, 0)
+    assert samuel_polynomial(HilbertSeries([3, -1], 2), 2) == ((2, -1, 0), 1)
+    assert samuel_polynomial(HilbertSeries([3, -1], 2), 3) == \
+        ((0, -2, 1, 0), 1)
+    # 1 + 3t^4 summed: 1 for n <= 4, then 4; its polynomial is the constant
+    # 4, reached from n = 5 on
+    assert samuel_polynomial(HilbertSeries([1, 0, 0, 0, 3], 0), 0) == \
+        ((4,), 5)
+    assert samuel_polynomial(HilbertSeries([], 0), 1) == ((0, 0), 1)
+    with pytest.raises(ValueError, match="pole"):
+        samuel_polynomial(HilbertSeries([3, -1], 2), 1)
 
 
 def test_finite_differences_vanish(e1):

@@ -11,7 +11,8 @@ from chernlab.cli import build_instance, load_problem
 from chernlab.hilbert import FitInstabilityError, hilbert_samuel_values
 from chernlab.verifier import e0_additivity_check
 from conftest import PROBLEM_DIR
-from helpers import PRIME_POOL, e1_family, random_homogeneous_ideal
+from helpers import (PRIME_POOL, e1_family, random_homogeneous_ideal,
+                     transformed_planes)
 
 
 def I(ctx, *texts):
@@ -324,3 +325,28 @@ def test_component_e0_where_a_short_window_cannot_fit(ctx4):
     check = e0_additivity_check(inst, e0)
     assert (check["status"], check["witness"]["component_e0"]) == \
         ("pass", ["72"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_staircases_in_random_coordinates(seed):
+    # (x, y^a) ∩ (z^b, w) under a random change of coordinates and a random
+    # prime: L = k[y, z]/(y^a, z^b), on which J acts as y + z, so
+    # length(L) = ab and J^n L = 0 exactly from nu = a + b - 1 on, and
+    # e_0 = (a + b) deg f by additivity, deg f = 1 for J = (x + w, y + z)
+    # and 2 for the quadric J = (x^2 + w^2, y + z) of the last seed
+    rng = random.Random(f"staircase:{seed}")
+    a, b = rng.randint(1, 9), rng.randint(1, 5)
+    degree = 2 if seed == 5 else 1
+    parameters = ["x + w" if degree == 1 else "x^2 + w^2", "y + z"]
+    ctx, ideals, J = transformed_planes(
+        rng, rng.choice(PRIME_POOL), ["x", "y", "z", "w"],
+        [["x", f"y^{a}"], [f"z^{b}", "w"]], parameters)
+    report = run_verification(ProblemInstance(ctx, ideals,
+                                              list(J.generators)))
+    assert report["overall"] == "pass", (a, b, ctx.characteristic)
+    nu = report["top_degree"] + 1
+    torsion = next(i for i in report["identities"]
+                   if i["name"] == "torsion_polynomial")
+    assert report["lambda_L"] == str(a * b)
+    assert nu == a + b - 1 == torsion["witness"]["compared_from"]
+    assert report["hilbert"]["e"][0] == str((a + b) * degree)
