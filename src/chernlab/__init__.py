@@ -13,9 +13,8 @@ _HOME = {name: module for module, names in {
               "power_colengths",
     "groebner": "GroebnerBasis buchberger normal_form s_polynomial "
                 "standard_monomials",
-    "hilbert": "CmResult FitInstabilityError HilbertDataset "
-               "InconsistentDataError chern_sign cm_test fit_coefficients "
-               "hilbert_polynomial_value hilbert_samuel "
+    "hilbert": "CmResult FitInstabilityError chern_sign cm_test "
+               "fit_coefficients hilbert_polynomial_value hilbert_samuel "
                "hilbert_samuel_values tangent_cone",
     "ideals": "HilbertSeries Ideal NotFiniteLengthError ideal_intersect "
               "ideal_power ideal_product ideal_sum intersect_all is_mprimary "

@@ -9,9 +9,10 @@ decimal strings.
 
 Exit codes: 0 success (verify: overall pass), 1 internal inconsistency
 (verify: an identity fails), 2 schema or usage error, 3 hypothesis failure
-(suppressed by --force), 4 fit instability: the window is too short for the
-fit of H(K, n), increase --max-power.  verify decides every identity for all
-n, whatever the window.
+(suppressed by --force).  The Hilbert coefficients and every identity are
+read off exact Hilbert series, for all n, so no exit code depends on the
+window --max-power: it sets only the tables of values that are printed and
+sampled.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from types import SimpleNamespace
 from . import graded, resolutions, verifier
 from .core import (PRIME_LIMIT, ParseError, RingContext, is_prime,
                    parse_polynomial)
-from .hilbert import (FitInstabilityError, HilbertDataset, chern_sign,
-                      cm_test, hilbert_samuel_values)
+from .hilbert import (chern_sign, cm_test, hilbert_samuel_values,
+                      samuel_polynomial, tangent_cone)
 from .ideals import Ideal, NotFiniteLengthError
 from .instance import ProblemInstance, check_hypotheses
 
@@ -34,7 +35,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_SCHEMA = 2
 EXIT_HYPOTHESIS = 3
-EXIT_FIT = 4
 
 _ALLOWED_KEYS = {"characteristic", "variables", "monomial_order", "ideals",
                  "parameters", "max_power"}
@@ -194,16 +194,15 @@ def cmd_coeffs(args) -> int:
     _, gate = _gate_hypotheses(inst, args.force)
     if gate is not None:
         return gate
-    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
-    dataset = HilbertDataset.fit(values, inst.d)
+    series = tangent_cone(inst.core, inst.J).series()
+    e, n0 = samuel_polynomial(series, inst.d)
     model = graded.diagonal_cokernel(inst.ideals, inst.core)
-    cm = cm_test(dataset.coefficients[0], values[1])
-    e1 = dataset.coefficients[1] if len(dataset.coefficients) > 1 else 0
+    cm = cm_test(e[0], series.summed(1))
     payload = {
-        "e": [str(c) for c in dataset.coefficients],
-        "n0": dataset.n0,
+        "e": [str(c) for c in e],
+        "n0": n0,
         "cm": cm.is_cm,
-        "chern_sign": chern_sign(e1),
+        "chern_sign": chern_sign(e[1] if len(e) > 1 else 0),
         "lambda_L": str(model.length),
     }
     if args.json:
@@ -285,7 +284,7 @@ _FILE_USAGE = "[-h] [--max-power N] [--json] [--force] FILE"
 _COMMANDS = {
     "hilbert": (cmd_hilbert, "table of Hilbert-Samuel values H(K, n)",
                 _FILE_USAGE, _FILE_OPTIONS, ("FILE",)),
-    "coeffs": (cmd_coeffs, "fitted Hilbert coefficients and verdicts",
+    "coeffs": (cmd_coeffs, "Hilbert coefficients and verdicts",
                _FILE_USAGE, _FILE_OPTIONS, ("FILE",)),
     "verify": (cmd_verify, "full identity verification report",
                _FILE_USAGE, _FILE_OPTIONS, ("FILE",)),
@@ -397,9 +396,6 @@ def main(argv=None) -> int:
     except HypothesisFailure as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except FitInstabilityError as exc:
-        print(f"fit instability: {exc}", file=sys.stderr)
-        return EXIT_FIT
     except (NotFiniteLengthError, ValueError, RuntimeError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

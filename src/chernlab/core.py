@@ -37,8 +37,8 @@ PRIME_LIMIT = 3317044064679887385961981
 # inputs stay below this degree, so monomial keys are exact (see RingContext)
 DEGREE_LIMIT = 1 << 32
 
-# the parser expands a power of a sum only when it takes at most this many
-# term products; (x+y+z+w)^60 takes 2.4 * 10^6
+# the parser expands a power of a sum, or a product, only when it takes at
+# most this many term products; (x+y+z+w)^60 takes 2.4 * 10^6
 POWER_PRODUCT_LIMIT = 5 * 10 ** 6
 
 
@@ -517,7 +517,14 @@ class _Parser:
             kind, value = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                poly = poly * self.parse_factor()
+                factor = self.parse_factor()
+                s, t = len(poly.terms), len(factor.terms)
+                if s * t > POWER_PRODUCT_LIMIT:
+                    raise ParseError(f"a product of {s} by {t} terms takes "
+                                     "more than the budget of "
+                                     f"POWER_PRODUCT_LIMIT = "
+                                     f"{POWER_PRODUCT_LIMIT} term products")
+                poly = poly * factor
             else:
                 return poly
 

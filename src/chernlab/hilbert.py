@@ -1,15 +1,16 @@
-"""Hilbert-Samuel function values, exact polynomial fitting in the
-alternating binomial basis, Cohen-Macaulay test, and Chern-number sign.
+"""Hilbert-Samuel function values read off tangent cones, the exact
+Hilbert polynomial of a Hilbert series, the Cohen-Macaulay test and the
+Chern-number sign.
 
-The fitted polynomial has the shape
+The Hilbert polynomial has the shape
 
     P(n) = e_0 C(n+d-1, d) - e_1 C(n+d-2, d-1) + ... + (-1)^d e_d
 
-and the fit is exact: the coefficients are read off the backward differences
-of the top window of d+1 consecutive values, one at a time, in the integers,
-and they must also reproduce the value just below that window before they
-are accepted.  Differences of integers are integers, so the coefficients are
-integral by construction.
+and ``samuel_polynomial`` reads (e_0, ..., e_d) and the index n0 from which
+the function is polynomial off the h-polynomial of its series, exactly, in
+the integers.  ``fit_coefficients`` fits the same shape to a window of
+values by backward differences; it is the tests' reference, not a route of
+the command line, as a fit on a short window can accept a wrong polynomial.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .linalg import rref_mod_p
 
 __all__ = [
     "FitInstabilityError",
-    "InconsistentDataError",
-    "HilbertDataset",
     "CmResult",
     "hilbert_samuel",
     "hilbert_samuel_values",
@@ -43,10 +42,6 @@ __all__ = [
 
 class FitInstabilityError(ValueError):
     """Raised when no two consecutive fitting windows agree."""
-
-
-class InconsistentDataError(ValueError):
-    """Raised when a fitted leading coefficient is not positive."""
 
 
 def hilbert_samuel(core: Ideal, parameters: Ideal, n: int) -> int:
@@ -283,7 +278,9 @@ def samuel_polynomial(series: HilbertSeries, d: int):
 
 
 def fit_coefficients(values, d: int):
-    """Fit (e_0, ..., e_d) to a contiguous window of (n, H(n)) values.
+    """Fit (e_0, ..., e_d) to a contiguous window of (n, H(n)) values: the
+    tests' reference for ``samuel_polynomial``, on windows that reach past
+    the last n where the function is not yet polynomial.
 
     The coefficients are read off the top window [n_max - d, n_max] of
     width d+1, which must lie at n >= 1, and the fit is accepted only when
@@ -327,30 +324,6 @@ def fit_coefficients(values, d: int):
             n0 = n + 1
             break
     return accepted, n0
-
-
-class HilbertDataset:
-    """A window of Hilbert-Samuel values together with the exact fit."""
-
-    __slots__ = ("d", "values", "coefficients", "n0")
-
-    def __init__(self, d: int, values, coefficients, n0: int):
-        self.d = d
-        self.values = dict(values)
-        self.coefficients = tuple(coefficients)
-        self.n0 = n0
-        if self.coefficients and self.coefficients[0] < 1:
-            raise InconsistentDataError(
-                "leading Hilbert coefficient must be positive")
-
-    @classmethod
-    def fit(cls, values, d: int) -> "HilbertDataset":
-        coefficients, n0 = fit_coefficients(values, d)
-        return cls(d, values, coefficients, n0)
-
-    def __repr__(self):
-        return (f"HilbertDataset(d={self.d}, e={list(self.coefficients)}, "
-                f"n0={self.n0})")
 
 
 class CmResult(NamedTuple):

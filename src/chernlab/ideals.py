@@ -336,6 +336,11 @@ class HilbertSeries:
                 for m in range(max_degree + 1)]
 
     def _lift(self, s):
+        """The numerator of the same series over (1-t)^s, s at least the
+        pole order."""
+        if s < self.denominator_exponent:
+            raise ValueError(f"cannot write a series of pole order "
+                             f"{self.denominator_exponent} over (1-t)^{s}")
         num = list(self.numerator)
         for _ in range(s - self.denominator_exponent):
             num = [a - b for a, b in zip(num + [0], [0] + num)]

@@ -1,7 +1,7 @@
 """End-to-end verification pipeline on an ``instance.ProblemInstance``:
-Hilbert-Samuel data, coefficient fitting, and the identity suite (multiplicity
-additivity, the torsion Hilbert polynomial, coefficient collapse under
-annihilation, the two Tor routes, and the Chern-number sign).
+Hilbert-Samuel data, the exact Hilbert coefficients, and the identity suite
+(multiplicity additivity, the torsion Hilbert polynomial, coefficient
+collapse under annihilation, the two Tor routes, and the Chern-number sign).
 
 Every check lands in a structured report fragment with witnesses; failures
 are report entries, not exceptions.  Big integer payloads are encoded as
@@ -11,9 +11,8 @@ decimal strings so the report serializes without range surprises.
 from __future__ import annotations
 
 from . import graded, resolutions
-from .hilbert import (HilbertDataset, chern_sign, cm_test,
-                      hilbert_polynomial_value, hilbert_samuel_values,
-                      samuel_polynomial, tangent_cone)
+from .hilbert import (chern_sign, cm_test, hilbert_polynomial_value,
+                      hilbert_samuel_values, samuel_polynomial, tangent_cone)
 from .ideals import HilbertSeries
 from .instance import ProblemInstance, check_hypotheses
 
@@ -29,7 +28,7 @@ __all__ = [
 ]
 
 
-def e0_additivity_check(inst: ProblemInstance, fitted_e0: int) -> dict:
+def e0_additivity_check(inst: ProblemInstance, e0: int) -> dict:
     """Multiplicity additivity over the components: e_0(K) equals the sum of
     the parameter multiplicities e_0(J, S/I_i).  Each is the e_0 of the
     Hilbert series of gr_J(S/I_i), read off the component's tangent cone
@@ -41,17 +40,17 @@ def e0_additivity_check(inst: ProblemInstance, fitted_e0: int) -> dict:
     total = sum(component_e0)
     return {
         "name": "e0_additivity",
-        "status": "pass" if total == fitted_e0 else "fail",
+        "status": "pass" if total == e0 else "fail",
         "witness": {
             "component_e0": [str(e) for e in component_e0],
             "sum": str(total),
-            "e0": str(fitted_e0),
+            "e0": str(e0),
         },
     }
 
 
-def verify_torsion_polynomial(inst, coefficients, n0_k, module_len,
-                              torsion_values, colengths) -> dict:
+def verify_torsion_polynomial(inst, e, n0, module_len, torsion_values,
+                              colengths) -> dict:
     """The torsion Hilbert polynomial identity: the Hilbert polynomial of
     length(Tor_1(L, S/J^n)) must equal the alternating tail of the Hilbert
     coefficients of K plus length(L):
@@ -67,8 +66,8 @@ def verify_torsion_polynomial(inst, coefficients, n0_k, module_len,
     ``torsion_fit`` is that polynomial's (e_0..e_(d-1)): in dimension d its
     coefficients are 0 followed by minus these, for d >= 1, as L has finite
     length (e_0 additivity).  The sampled values are a cross-check:
-    they must match from max(n0_K, n0_J, nu) on, nu = min{n : J^n L = 0},
-    through the window.
+    they must match from max(n0, n0_J, nu) on, nu = min{n : J^n L = 0},
+    through the window, where (e, n0) is the Hilbert polynomial of K.
     """
     series = HilbertSeries([b - a for a, b in zip(colengths, colengths[1:])],
                            0)
@@ -76,9 +75,9 @@ def verify_torsion_polynomial(inst, coefficients, n0_k, module_len,
     for ideal in inst.ideals:
         series -= tangent_cone(ideal, inst.J).series()
     exact, n0_j = samuel_polynomial(series, inst.d)
-    expected = [0, *coefficients[1:]]
+    expected = [0, *e[1:]]
     expected[inst.d] += (-1) ** inst.d * module_len
-    start = max(n0_k, n0_j, colengths.index(module_len))
+    start = max(n0, n0_j, colengths.index(module_len))
     rhs = {n: hilbert_polynomial_value(expected, n)
            for n in range(start, inst.max_power + 1)}
     mismatches = [{"n": n, "lhs": str(torsion_values[n]), "rhs": str(v)}
@@ -98,7 +97,7 @@ def verify_torsion_polynomial(inst, coefficients, n0_k, module_len,
     }
 
 
-def verify_coefficient_collapse(inst, dataset: HilbertDataset, module_len,
+def verify_coefficient_collapse(inst, values, e, n0, module_len,
                                 annihilated: bool) -> dict:
     """Under annihilation of L by the parameters, the higher coefficients
     collapse: e_i = (-1)^i length(L) for 1 <= i <= d-1 and e_d = 0, and the
@@ -106,25 +105,25 @@ def verify_coefficient_collapse(inst, dataset: HilbertDataset, module_len,
 
         H(n) = e_0 C(n+d-1, d) + len(L) * [C(n+d-2, d-1) + ... + C(n, 1)]
 
-    reproduces every recorded value from the stabilization index on."""
+    reproduces every recorded value of H(K, n) from n0 on, (e, n0) being
+    the Hilbert polynomial of K."""
     if inst.g < 2 or inst.d < 2 or not annihilated:
         reason = ("parameters do not annihilate the cokernel"
                   if inst.g >= 2 and inst.d >= 2 else
                   "needs at least two components and dimension >= 2")
         return {"name": "coefficient_collapse", "status": "not_applicable",
                 "witness": {"reason": reason}}
-    e = dataset.coefficients
     d = inst.d
     expected = [(-module_len if i % 2 else module_len)
                 for i in range(1, d)]
     coefficient_ok = list(e[1:d]) == expected and e[d] == 0
     mismatches = []
-    for n in sorted(dataset.values):
-        if n < dataset.n0:
+    for n in sorted(values):
+        if n < n0:
             continue
         closed = hilbert_polynomial_value((e[0], *expected, 0), n)
-        if dataset.values[n] != closed:
-            mismatches.append({"n": n, "h": str(dataset.values[n]),
+        if values[n] != closed:
+            mismatches.append({"n": n, "h": str(values[n]),
                                "closed_form": str(closed)})
     ok = coefficient_ok and not mismatches
     return {
@@ -161,11 +160,11 @@ def tor1_consistency_check(inst, module_len, torsion_values,
     }
 
 
-def negativity_check(inst, coefficients, cm) -> dict:
+def negativity_check(inst, e, cm) -> dict:
     """Chern-number verdict: with two or more components the ring is not
     Cohen-Macaulay and e_1 must be negative; a single component is the
     Cohen-Macaulay baseline and must show e_1 = 0 with e_0 = length(R/K)."""
-    e1 = coefficients[1] if len(coefficients) > 1 else 0
+    e1 = e[1] if len(e) > 1 else 0
     sign = chern_sign(e1)
     if inst.g >= 2:
         if inst.d < 2:
@@ -201,12 +200,14 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     ``hypotheses`` may carry the fragment of an earlier
     check_hypotheses(inst) (the CLI has it before it gets here).
 
-    Each length table, of the core and of every component, is computed once,
-    to max_power, off the tangent cone along J, which e_0 additivity reads
-    too; the core's serves the fit and the torsion route.  Every
-    length(L/J^n L), nu and whether J annihilates L come from one
-    ``power_colengths`` list, read off the tangent cone of one Groebner
-    basis of the idealization of L (see ``graded``).
+    The Hilbert polynomial of K, its (e_0..e_d) and n0, is read off the
+    core's tangent cone along J (``hilbert.samuel_polynomial``), whatever
+    the window.  Each length table, of the core and of every component, is
+    computed once, to max_power, off the same cones, which e_0 additivity
+    reads too; the tables serve the torsion route and the sampled
+    cross-checks.  Every length(L/J^n L), nu and whether J annihilates L
+    come from one ``power_colengths`` list, read off the tangent cone of one
+    Groebner basis of the idealization of L (see ``graded``).
     The torsion identity is decided on the exact series, for every n,
     whatever the window.  The overall status is "fail" when an identity
     fails, else "pass".
@@ -231,6 +232,8 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     model = graded.diagonal_cokernel(inst.ideals, inst.core)
     module_len = model.length
     values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
+    e, n0 = samuel_polynomial(tangent_cone(inst.core, inst.J).series(),
+                              inst.d)
     colengths = graded.power_colengths(model, inst.J, inst.max_power)
     # J L = 0 exactly when length(L / J L) = length(L)
     annihilated = colengths[1] == module_len
@@ -238,22 +241,20 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     report["top_degree"] = model.top_degree
     report["annihilates"] = annihilated
 
-    dataset = HilbertDataset.fit(values, inst.d)
     report["hilbert"] = {
         "values": [{"n": n, "length": str(values[n])} for n in sorted(values)],
-        "e": [str(c) for c in dataset.coefficients],
-        "n0": dataset.n0,
+        "e": [str(c) for c in e],
+        "n0": n0,
     }
 
-    cm = cm_test(dataset.coefficients[0], values[1])
+    cm = cm_test(e[0], values[1])
     report["cm"] = {
         "is_cm": cm.is_cm,
         "e0": str(cm.e0),
         "colength": str(cm.colength),
         "colength_at_least_e0": cm.colength >= cm.e0,
     }
-    e1 = dataset.coefficients[1] if len(dataset.coefficients) > 1 else 0
-    report["chern_sign"] = chern_sign(e1)
+    report["chern_sign"] = chern_sign(e[1] if len(e) > 1 else 0)
 
     component_values = [hilbert_samuel_values(ideal, inst.J, inst.max_power)
                         for ideal in inst.ideals]
@@ -266,12 +267,13 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     }
 
     identities = [
-        e0_additivity_check(inst, dataset.coefficients[0]),
-        verify_torsion_polynomial(inst, dataset.coefficients, dataset.n0,
-                                  module_len, torsion_values, colengths),
-        verify_coefficient_collapse(inst, dataset, module_len, annihilated),
+        e0_additivity_check(inst, e[0]),
+        verify_torsion_polynomial(inst, e, n0, module_len, torsion_values,
+                                  colengths),
+        verify_coefficient_collapse(inst, values, e, n0, module_len,
+                                    annihilated),
         tor1_consistency_check(inst, module_len, torsion_values, annihilated),
-        negativity_check(inst, dataset.coefficients, cm),
+        negativity_check(inst, e, cm),
     ]
     report["identities"] = identities
     statuses = {i["status"] for i in identities}

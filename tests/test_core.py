@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations
 from math import factorial
 
@@ -109,6 +110,28 @@ def test_parse_refuses_powers_over_the_budget(ctx4, text):
     assert POWER_PRODUCT_LIMIT == 5 * 10 ** 6
     with pytest.raises(ParseError, match=f"budget of {POWER_PRODUCT_LIMIT}"):
         parse_polynomial(text, ctx4)
+
+
+def test_product_budget_is_checked_before_multiplying(ctx4, monkeypatch):
+    # (x + y)*(z + w) takes 2 * 2 = 4 products, (x + y + z)*(z + w) 6; a
+    # budget of 4 refuses the second, also after a first product within it
+    monkeypatch.setattr(core_module, "POWER_PRODUCT_LIMIT", 4)
+    assert len(parse_polynomial("(x + y)*(z + w)", ctx4).terms) == 4
+    for text in ("(x + y + z)*(z + w)", "x*(x + y)*(z + w + y)"):
+        with pytest.raises(ParseError, match="POWER_PRODUCT_LIMIT = 4 "):
+            parse_polynomial(text, ctx4)
+
+
+def test_parse_refuses_a_split_power_over_the_budget(ctx4):
+    # each factor has 5456 terms and is within the power budget, but their
+    # product takes about 3 * 10^7 term products
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="POWER_PRODUCT_LIMIT"):
+        parse_polynomial("(x+y+z+w)^30*(x+y+z+w)^30", ctx4)
+    assert time.perf_counter() - start < 1
+    # 1771^2, about 3.1 * 10^6 products, is within it
+    assert len(parse_polynomial("(x+y+z+w)^20*(x+y+z+w)^20", ctx4).terms) \
+        == binomial(43, 3)
 
 
 @pytest.mark.parametrize("digits", [4000, 4001, 8000, 9001])

@@ -49,3 +49,27 @@ def test_e5_golden_matches_closed_forms():
             torsion["witness"]["torsion_n0"],
             torsion["witness"]["compared_from"]) == \
         ("pass", ["1", "-30"], 30, 30)
+
+
+def test_e6_golden_matches_closed_forms():
+    # (x^9, y^8) ∩ (z, w) with J = (x + w, y + z): e_0 = 72 + 1 by
+    # additivity and length(L) = 72; H(K, n) = 74 C(n+1, 2) up to n = 7,
+    # and 73 C(n+1, 2) + 8n - 28 from n = 7 on, so a window that ends
+    # before n = 8 sees only a multiple of C(n+1, 2)
+    def read(command):
+        return json.loads((GOLDEN_DIR / f"e6_short_window.{command}.json")
+                          .read_text(encoding="utf-8"))
+
+    assert [int(row["length"]) for row in read("hilbert")] == \
+        [74 * binomial(n + 1, 2) for n in range(1, 8)] + [2664]
+    assert 73 * binomial(9, 2) + 8 * 8 - 28 == 2664
+    assert read("coeffs") == {"e": ["73", "-8", "-28"], "n0": 7, "cm": False,
+                              "chern_sign": "negative", "lambda_L": "72"}
+    report = read("verify")
+    assert report["overall"] == "pass"
+    assert (report["hilbert"]["e"], report["hilbert"]["n0"]) == \
+        (["73", "-8", "-28"], 7)
+    assert {i["name"]: i["status"] for i in report["identities"]} == {
+        "e0_additivity": "pass", "torsion_polynomial": "pass",
+        "coefficient_collapse": "not_applicable",
+        "tor1_two_routes": "not_applicable", "negativity": "pass"}

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from chernlab import (FitInstabilityError, HilbertDataset, HilbertSeries,
-                      Ideal, InconsistentDataError, binomial, chern_sign,
-                      cm_test, fit_coefficients, hilbert_polynomial_value,
-                      hilbert_samuel, ideal_intersect)
+from chernlab import (FitInstabilityError, HilbertSeries, Ideal, binomial,
+                      chern_sign, cm_test, fit_coefficients,
+                      hilbert_polynomial_value, hilbert_samuel,
+                      ideal_intersect, tangent_cone)
 from chernlab.hilbert import samuel_polynomial
 from chernlab.linalg import (NonIntegralSolutionError, SingularSystemError,
                              solve_fraction_free)
@@ -214,13 +214,27 @@ def test_finite_differences_vanish(e1):
     assert all(v == 0 for v in diffs)
 
 
-def test_dataset_invariants():
-    values = {1: 3, 2: 8, 3: 15, 4: 24}
-    dataset = HilbertDataset.fit(values, 2)
-    assert all(hilbert_polynomial_value(dataset.coefficients, n) == values[n]
-               for n in values if n >= dataset.n0)
-    with pytest.raises(InconsistentDataError):
-        HilbertDataset(2, values, (0, 1, 1), 1)
+def test_core_polynomial_invariants(e1):
+    # K's polynomial off the core's cone: e_0 = Q_K(1) >= 1, as the pole
+    # order is d = 2, and H(K, n) is the polynomial from n0 on
+    ctx, ideals, j = e1
+    core = ideal_intersect(*ideals)
+    series = tangent_cone(core, j).series()
+    assert series.denominator_exponent == 2
+    e, n0 = samuel_polynomial(series, 2)
+    assert (e, n0) == ((2, -1, 0), 1)
+    assert e[0] == sum(series.numerator) >= 1
+    assert all(hilbert_samuel(core, j, n) == hilbert_polynomial_value(e, n)
+               for n in range(n0, 7))
+
+
+def test_lift_refuses_a_pole_order_below_the_series():
+    series = HilbertSeries([3, -1], 2)
+    assert series._lift(2) == [3, -1]
+    assert series._lift(3) == [3, -4, 1]
+    for s in (1, 0):
+        with pytest.raises(ValueError, match="pole order"):
+            series._lift(s)
 
 
 def test_cm_test():
