@@ -21,12 +21,10 @@ _HOME = {name: module for module, names in {
               "krull_dimension monomial_hilbert_series "
               "quotient_hilbert_series quotient_length",
     "instance": "ProblemInstance check_hypotheses",
-    "resolutions": "ENResolutionData KoszulData en_betti en_matrix "
-                   "koszul_complex koszul_composes_to_zero maximal_minors "
-                   "tor1_closed_form tor1_via_lengths",
+    "resolutions": "en_betti tor1_via_lengths",
     "verifier": "e0_additivity_check negativity_check run_verification "
-                "tor1_consistency_check verify_coefficient_collapse "
-                "verify_torsion_polynomial",
+                "tor1_consistency_check torsion_series "
+                "verify_coefficient_collapse verify_torsion_polynomial",
 }.items() for name in names.split()}
 __all__ = list(_HOME)
 __version__ = "0.1.0"

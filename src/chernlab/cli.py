@@ -11,8 +11,7 @@ Exit codes: 0 success (verify: overall pass), 1 internal inconsistency
 (verify: an identity fails), 2 schema or usage error, 3 hypothesis failure
 (suppressed by --force).  The Hilbert coefficients and every identity are
 read off exact Hilbert series, for all n, so no exit code depends on the
-window --max-power: it sets only the tables of values that are printed and
-sampled.
+window --max-power: it sets only the tables of values that are printed.
 """
 
 from __future__ import annotations

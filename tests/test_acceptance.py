@@ -11,16 +11,17 @@ from itertools import combinations_with_replacement
 import pytest
 
 from chernlab import (Ideal, RingContext, binomial,
-                      buchberger, diagonal_cokernel, en_betti, en_matrix,
-                      fit_coefficients, hilbert_samuel,
-                      hilbert_samuel_values, ideal_power, intersect_all,
-                      koszul_complex, koszul_composes_to_zero, maximal_minors,
-                      normal_form, parse_polynomial, power_colengths,
-                      quotient_hilbert_series,
+                      buchberger, diagonal_cokernel, en_betti,
+                      fit_coefficients, hilbert_polynomial_value,
+                      hilbert_samuel, hilbert_samuel_values, ideal_power,
+                      intersect_all, normal_form, parse_polynomial,
+                      power_colengths, quotient_hilbert_series,
                       run_verification, s_polynomial, standard_monomials,
-                      tor1_closed_form, tor1_via_lengths)
+                      tor1_via_lengths)
 from chernlab.cli import main
 from conftest import PROBLEM_DIR
+from en_complexes import (en_matrix, koszul_complex, koszul_composes_to_zero,
+                          maximal_minors, tor1_closed_form)
 from helpers import PRIME_POOL, e1_family, e2_family, e3_family
 
 E1 = str(PROBLEM_DIR / "e1_two_planes.json")
@@ -117,9 +118,17 @@ def test_criterion_5_torsion_polynomial_identity():
             report = run_verification(inst)
             statuses = {i["name"]: i["status"] for i in report["identities"]}
             assert statuses["torsion_polynomial"] == "pass"
+            # the identity's polynomial reproduces the printed torsion
+            # lengths from its n0 on
             witness = next(i for i in report["identities"]
                            if i["name"] == "torsion_polynomial")["witness"]
-            assert witness["mismatches"] == []
+            e = [int(c) for c in report["hilbert"]["e"]]
+            expected = [0, *e[1:]]
+            expected[inst.d] += (-1) ** inst.d * int(report["lambda_L"])
+            for row in report["torsion_hilbert"]["values"]:
+                if row["n"] >= witness["torsion_n0"]:
+                    assert int(row["length"]) == \
+                        hilbert_polynomial_value(expected, row["n"])
 
 
 def test_criterion_6_eagon_northcott_suite():

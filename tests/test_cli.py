@@ -504,8 +504,7 @@ def test_verify_inconclusive_below_nu(tmp_path, capsys, case):
     assert torsion["status"] == "pass"
     assert (torsion["witness"]["torsion_fit"],
             torsion["witness"]["torsion_n0"]) == (fit, n0)
-    assert torsion["witness"]["compared_from"] == nu
-    assert torsion["witness"]["mismatches"] == []
+    assert torsion["witness"]["nu"] == nu
 
 
 @pytest.mark.parametrize("window", ["4", "20", "64"])
@@ -521,8 +520,7 @@ def test_verify_torsion_witness_does_not_depend_on_window(tmp_path, capsys,
     assert report["overall"] == "pass"
     witness = _identity(report, "torsion_polynomial")["witness"]
     assert (witness["torsion_fit"], witness["torsion_n0"],
-            witness["compared_from"]) == (["1", "-60"], 60, 60)
-    assert witness["compared_to"] == int(window)
+            witness["nu"]) == (["1", "-60"], 60, 60)
 
 
 def test_verify_non_cm_component_fails_the_torsion_identity(tmp_path,
@@ -581,7 +579,7 @@ def test_verify_passes_once_window_reaches_nu(tmp_path, capsys):
     assert report["overall"] == "pass"
     torsion = _identity(report, "torsion_polynomial")
     assert torsion["status"] == "pass"
-    assert torsion["witness"]["compared_from"] >= 30
+    assert torsion["witness"]["nu"] == 30
 
 
 def test_verify_computes_core_table_once(tmp_path, monkeypatch):

@@ -47,7 +47,7 @@ def test_e5_golden_matches_closed_forms():
                    if i["name"] == "torsion_polynomial")
     assert (torsion["status"], torsion["witness"]["torsion_fit"],
             torsion["witness"]["torsion_n0"],
-            torsion["witness"]["compared_from"]) == \
+            torsion["witness"]["nu"]) == \
         ("pass", ["1", "-30"], 30, 30)
 
 

@@ -2,13 +2,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from chernlab import (ENResolutionData, Ideal, RingContext, binomial,
-                      diagonal_cokernel, en_betti, en_matrix,
-                      hilbert_samuel_values, ideal_intersect, ideal_power,
-                      koszul_complex, koszul_composes_to_zero,
-                      maximal_minors, parse_polynomial, power_colengths,
-                      tor1_closed_form, tor1_via_lengths)
-from chernlab.resolutions import poly_mat_mul
+from chernlab import (Ideal, RingContext, binomial, diagonal_cokernel,
+                      en_betti, hilbert_samuel_values, ideal_intersect,
+                      ideal_power, parse_polynomial, power_colengths,
+                      tor1_via_lengths)
+from en_complexes import (ENResolutionData, en_matrix, koszul_complex,
+                          koszul_composes_to_zero, maximal_minors,
+                          poly_mat_mul, tor1_closed_form)
 
 
 def _vars(ctx, *names):

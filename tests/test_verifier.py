@@ -348,5 +348,5 @@ def test_staircases_in_random_coordinates(seed):
     torsion = next(i for i in report["identities"]
                    if i["name"] == "torsion_polynomial")
     assert report["lambda_L"] == str(a * b)
-    assert nu == a + b - 1 == torsion["witness"]["compared_from"]
+    assert nu == a + b - 1 == torsion["witness"]["nu"]
     assert report["hilbert"]["e"][0] == str((a + b) * degree)
