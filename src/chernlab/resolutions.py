@@ -2,9 +2,9 @@
 power of a complete intersection, and the length of Tor_1 against the
 finite-length cokernel L from the four-term exact sequence of lengths.
 
-``verify`` reads the torsion lengths off one series instead
-(``verifier.torsion_series``); ``tor1_via_lengths`` over per-n tables is
-the tests' oracle for it.
+``verify`` decides the torsion identities on one series
+(``verifier.torsion_series``) and prints its partial sums through
+``tor1_via_lengths`` over the tangent cones' per-n tables.
 """
 
 from __future__ import annotations

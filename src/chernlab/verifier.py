@@ -7,6 +7,8 @@ Each identity is decided on an exact Hilbert polynomial, read off a tangent
 cone's series (``hilbert.samuel_polynomial``): K's, each component's, or
 the one torsion series (``torsion_series``) whose partial sums are the
 lengths of Tor_1(L, S/J^n).  No verdict depends on the window max_power.
+The printed torsion table sums the same cones' values term by term
+(``resolutions.tor1_via_lengths``).
 
 Every check lands in a structured report fragment with witnesses; failures
 are report entries, not exceptions.  Big integer payloads are encoded as
@@ -15,7 +17,7 @@ decimal strings so the report serializes without range surprises.
 
 from __future__ import annotations
 
-from . import graded
+from . import graded, resolutions
 from .hilbert import (chern_sign, cm_test, hilbert_samuel_values,
                       samuel_polynomial, tangent_cone)
 from .ideals import HilbertSeries
@@ -202,7 +204,9 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     lengths are the partial sums of one ``torsion_series``, built from the
     same cones and colengths, and every identity is decided on that series'
     exact polynomial or on e alone, for every n: the window max_power
-    shapes only the printed H(K, n) and torsion tables.  The overall status
+    shapes only the printed H(K, n) and torsion tables.  The torsion table
+    is the four-term sum of the cones' values (``tor1_via_lengths``), which
+    equals the series' partial sums term by term.  The overall status
     is "fail" when an identity fails, else "pass".
     """
     report = {
@@ -252,8 +256,11 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     nu = colengths.index(module_len)
     series = torsion_series(inst, colengths)
     torsion = samuel_polynomial(series, inst.d)
+    component_values = [hilbert_samuel_values(ideal, inst.J, inst.max_power)
+                        for ideal in inst.ideals]
     report["torsion_hilbert"] = {
-        "values": [{"n": n, "length": str(series.summed(n))}
+        "values": [{"n": n, "length": str(resolutions.tor1_via_lengths(
+            values, component_values, colengths, n))}
                    for n in range(1, inst.max_power + 1)],
     }
 

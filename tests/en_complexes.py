@@ -151,5 +151,3 @@ def koszul_composes_to_zero(data: KoszulData, ctx) -> bool:
 def tor1_closed_form(n: int, d: int, module_len: int) -> int:
     """Length of Tor_1(L, S/J^n) when J annihilates L: C(n+d-1, d-1) * len(L)."""
     return binomial(n + d - 1, d - 1) * module_len
-
-

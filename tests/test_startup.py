@@ -59,7 +59,7 @@ def _probe(*argv):
     ("hilbert", {"chernlab.graded", "chernlab.resolutions",
                  "chernlab.verifier"}),
     ("coeffs", {"chernlab.resolutions", "chernlab.verifier"}),
-    ("verify", {"chernlab.resolutions"}),
+    ("verify", set()),
 ])
 def test_subcommand_runs_only_its_modules(command, idle):
     ran = _probe(command, E2, "--json")["ran"]

@@ -1,9 +1,10 @@
 """``verify`` decides every identity on one exact torsion series
 (``verifier.torsion_series``) or on K's coefficients alone, so no verdict
 and no witness depends on the window --max-power, which shapes only the
-printed tables.  The four-term sum of per-n lengths
+printed tables.  The printed torsion lengths are the series' partial
+sums, and the four-term sum of per-n lengths
 (``resolutions.tor1_via_lengths`` over ``hilbert.hilbert_samuel``) is the
-oracle for the series' partial sums."""
+oracle for both."""
 
 import json
 import random
@@ -126,3 +127,5 @@ def test_torsion_lengths_match_the_per_n_four_term_sum(name):
     colengths = power_colengths(model, inst.J, 12)
     assert values == {n: tor1_via_lengths(core_values, component_values,
                                           colengths, n) for n in powers}
+    series = torsion_series(inst, colengths)
+    assert values == {n: series.summed(n) for n in powers}
