@@ -9,12 +9,11 @@ _HOME = {name: module for module, names in {
     "core": "DEGREE_LIMIT POWER_PRODUCT_LIMIT PRIME_LIMIT ContextMismatchError "
             "ParseError Polynomial RingContext binomial is_prime "
             "parse_polynomial",
-    "graded": "annihilates diagonal_cokernel power_colength "
-              "power_colengths",
+    "graded": "annihilates diagonal_cokernel gr_series power_colength",
     "groebner": "GroebnerBasis buchberger normal_form s_polynomial "
                 "standard_monomials",
-    "hilbert": "CmResult FitInstabilityError chern_sign cm_test "
-               "fit_coefficients hilbert_polynomial_value hilbert_samuel "
+    "hilbert": "FitInstabilityError chern_sign fit_coefficients "
+               "hilbert_polynomial_value hilbert_samuel "
                "hilbert_samuel_values tangent_cone",
     "ideals": "HilbertSeries Ideal NotFiniteLengthError ideal_intersect "
               "ideal_power ideal_product ideal_sum intersect_all is_mprimary "

@@ -2,14 +2,14 @@
 
     R = S/(I_1 ∩ ... ∩ I_g)  >-->  S/I_1 ⊕ ... ⊕ S/I_g
 
-and the lengths length(L / J^n L).
+and the Hilbert series of gr_J(L), which holds every length(L / J^n L).
 
 When the pairwise sums I_i + I_j are m-primary, L has finite length: its
 Hilbert series is the difference of the component series and the series of
 the intersection, and that difference being a polynomial certifies the
-exact top degree.  The colengths come from Nagata's idealization, which
-puts L inside a ring: in T = S[e_1, ..., e_(g-1)], with every e of degree 1
-and e_g := -(e_1 + ... + e_(g-1)), the ideal
+exact top degree.  The series of gr_J(L) comes from Nagata's
+idealization, which puts L inside a ring: in T = S[e_1, ..., e_(g-1)],
+with every e of degree 1 and e_g := -(e_1 + ... + e_(g-1)), the ideal
 
     B = core + sum_i I_i e_i + (e_i e_j : i <= j < g)
 
@@ -17,12 +17,13 @@ has T/B ≅ R ⊕ L(-1) as S-modules.  So gr_J(T/B) = gr_J(R) ⊕ gr_J(L), and
 the Hilbert series of gr_J(L) is the difference of the h-polynomials of
 the tangent cones of B and of the core (``hilbert.TangentCone.h_vector``):
 for linear parameters from the bases they already have, for other
-parameters from one basis of J's graph each.
+parameters from one basis of J's graph each.  Callers read that one series
+(``gr_series``): nu = min{n : J^n L = 0} is its length, and
+length(L / J^n L) its n-th partial sum.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .core import ContextMismatchError, Polynomial, RingContext
@@ -34,9 +35,9 @@ from .ideals import (HilbertSeries, Ideal, NotFiniteLengthError,
 __all__ = [
     "Cokernel",
     "diagonal_cokernel",
+    "gr_series",
     "annihilates",
     "power_colength",
-    "power_colengths",
 ]
 
 
@@ -45,7 +46,7 @@ class Cokernel(NamedTuple):
 
     dims[s] is the dimension of L in degree s (s = 0..top_degree);
     top_degree is None exactly when L is zero.  ``ideals`` and ``core``
-    are what L was read from, kept for ``power_colengths``.
+    are what L was read from, kept for ``gr_series``.
     """
 
     ideals: tuple
@@ -122,25 +123,23 @@ def _idealization(model: Cokernel):
     return B, lift
 
 
-def power_colengths(model: Cokernel, ideal: Ideal, max_power: int):
-    """[length(L / ideal^n L) for n = 0..max(max_power, nu)], where
-    nu = min{n : ideal^n L = 0}, from one basis of the idealization B.
+def gr_series(model: Cokernel, ideal: Ideal) -> HilbertSeries:
+    """The Hilbert series of gr_J(L) for J = ``ideal``, from one basis of the
+    idealization B.
 
     T/B ≅ R ⊕ L(-1) as S-modules, so gr_J(T/B) = gr_J(R) ⊕ gr_J(L) and the
     Hilbert series of gr_J(L) is (Q_B(t) - Q_K(t))/(1-t)^k, read off the
     h-vectors of the tangent cones of B and of the core
     (``hilbert.TangentCone.h_vector``).  L has finite length, so the series
-    is a polynomial whose coefficients are dim J^n L / J^(n+1) L; by
-    Nakayama they vanish exactly from nu on, so nu is the length of the
-    series.  The colengths are its prefix sums: a caller reads nu as
-    ``colengths.index(model.length)``, and the entries past nu are
-    length(L).
+    is a polynomial whose coefficients are dim J^n L / J^(n+1) L.  By
+    Nakayama they vanish exactly from nu = min{n : J^n L = 0} on, so nu is
+    the length of its numerator and length(L / J^n L) is
+    ``series.summed(n)``.
 
     ``ideal`` must be a parameter ideal of R: S/(core + ideal) must have
-    finite length, else NotFiniteLengthError is raised.
+    finite length, else NotFiniteLengthError is raised.  Raises ValueError
+    when the series does not add up to length(L).
     """
-    if max_power < 0:
-        raise ValueError("power must be nonnegative")
     if ideal.ctx != model.core.ctx:
         raise ContextMismatchError("ideal and cokernel come from different "
                                    "ring contexts")
@@ -150,20 +149,20 @@ def power_colengths(model: Cokernel, ideal: Ideal, max_power: int):
               - tangent_cone(model.core, ideal).series())
     if not series.is_polynomial():
         raise NotFiniteLengthError("gr_J(L) does not have finite length")
-    dims = series.numerator
-    return list(accumulate(dims + (0,) * (max_power - len(dims)), initial=0))
+    if series.total() != model.length:
+        raise ValueError(f"gr_J(L) has length {series.total()}, "
+                         f"but L has length {model.length}")
+    return series
 
 
 def power_colength(model: Cokernel, ideal: Ideal, n: int) -> int:
     """Colength of the n-th power action: length(L / ideal^n L), for a
-    parameter ideal (see ``power_colengths``)."""
-    return power_colengths(model, ideal, n)[n]
+    parameter ideal (see ``gr_series``)."""
+    if n < 0:
+        raise ValueError("power must be nonnegative")
+    return gr_series(model, ideal).summed(n)
 
 
 def annihilates(ideal: Ideal, model: Cokernel) -> bool:
-    """True when ideal L = 0, that is length(L / ideal L) = length(L).
-
-    ``ideal`` must be a parameter ideal of R (see ``power_colengths``);
-    NotFiniteLengthError is raised otherwise.
-    """
-    return power_colength(model, ideal, 1) == model.length
+    """True when ideal L = 0, that is nu <= 1 (see ``gr_series``)."""
+    return len(gr_series(model, ideal).numerator) <= 1

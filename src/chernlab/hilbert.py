@@ -1,6 +1,5 @@
 """Hilbert-Samuel function values read off tangent cones, the exact
-Hilbert polynomial of a Hilbert series, the Cohen-Macaulay test and the
-Chern-number sign.
+Hilbert polynomial of a Hilbert series and the Chern-number sign.
 
 The Hilbert polynomial has the shape
 
@@ -15,8 +14,6 @@ the command line, as a fit on a short window can accept a wrong polynomial.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .core import Polynomial, RingContext, binomial
 from .groebner import buchberger
 from .ideals import (HilbertSeries, Ideal, _minimalize, _series_numerator,
@@ -26,7 +23,6 @@ from .linalg import rref_mod_p
 
 __all__ = [
     "FitInstabilityError",
-    "CmResult",
     "hilbert_samuel",
     "hilbert_samuel_values",
     "parameter_coordinates",
@@ -35,7 +31,6 @@ __all__ = [
     "fit_coefficients",
     "samuel_polynomial",
     "hilbert_polynomial_value",
-    "cm_test",
     "chern_sign",
 ]
 
@@ -324,17 +319,6 @@ def fit_coefficients(values, d: int):
             n0 = n + 1
             break
     return accepted, n0
-
-
-class CmResult(NamedTuple):
-    is_cm: bool
-    e0: int
-    colength: int
-
-
-def cm_test(e0: int, colength: int) -> CmResult:
-    """Cohen-Macaulay verdict for a parameter ideal: e_0 = length(R/K)."""
-    return CmResult(e0 == colength, e0, colength)
 
 
 def chern_sign(e1: int) -> str:

@@ -4,7 +4,8 @@ finite-length cokernel L from the four-term exact sequence of lengths.
 
 ``verify`` decides the torsion identities on one series
 (``verifier.torsion_series``) and prints its partial sums through
-``tor1_via_lengths`` over the tangent cones' per-n tables.
+``tor1_via_lengths``, over the tangent cones' per-n tables and the partial
+sums of the Hilbert series of gr_J(L) (``graded.gr_series``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def en_betti(n: int, d: int, i: int) -> int:
     return binomial(n + d - 1, d - i) * binomial(n + i - 2, i - 1)
 
 
-def tor1_via_lengths(core_values, component_values, colengths, n: int) -> int:
+def tor1_via_lengths(core_values, component_values, colength, n: int) -> int:
     """Length of Tor_1(L, S/J^n) from the four-term exact sequence
 
         0 -> Tor_1(L, S/J^n) -> R/K^n -> ⊕ S/(I_i + J^n) -> L/J^n L -> 0,
@@ -39,9 +40,8 @@ def tor1_via_lengths(core_values, component_values, colengths, n: int) -> int:
     ``core_values`` is the Hilbert-Samuel table {n: length(R/K^n)} and
     ``component_values`` holds one table {n: length(S/(I_i + J^n))} per
     component (``hilbert_samuel_values`` gives both); each covers n.
-    ``colengths`` is the list {m: length(L/J^m L)} that
-    ``graded.power_colengths`` reads off one basis of the idealization of
-    L; it covers n too.
+    ``colength`` is length(L/J^n L), the n-th partial sum of
+    ``graded.gr_series``.
     """
     total = core_values[n] - sum(table[n] for table in component_values)
-    return total + colengths[n]
+    return total + colength

@@ -6,8 +6,10 @@ collapse under annihilation, the two Tor routes, and the Chern-number sign).
 Each identity is decided on an exact Hilbert polynomial, read off a tangent
 cone's series (``hilbert.samuel_polynomial``): K's, each component's, or
 the one torsion series (``torsion_series``) whose partial sums are the
-lengths of Tor_1(L, S/J^n).  No verdict depends on the window max_power.
-The printed torsion table sums the same cones' values term by term
+lengths of Tor_1(L, S/J^n).  L enters only through the Hilbert series of
+gr_J(L) (``graded.gr_series``): nu is its length.  No verdict depends on
+the window max_power.  The printed torsion table sums the same cones'
+values and that series' partial sums term by term
 (``resolutions.tor1_via_lengths``).
 
 Every check lands in a structured report fragment with witnesses; failures
@@ -18,8 +20,8 @@ decimal strings so the report serializes without range surprises.
 from __future__ import annotations
 
 from . import graded, resolutions
-from .hilbert import (chern_sign, cm_test, hilbert_samuel_values,
-                      samuel_polynomial, tangent_cone)
+from .hilbert import (chern_sign, hilbert_samuel_values, samuel_polynomial,
+                      tangent_cone)
 from .ideals import HilbertSeries
 from .instance import ProblemInstance, check_hypotheses
 
@@ -57,21 +59,18 @@ def e0_additivity_check(inst: ProblemInstance, e0: int) -> dict:
     }
 
 
-def torsion_series(inst: ProblemInstance, colengths) -> HilbertSeries:
+def torsion_series(inst: ProblemInstance, gr: HilbertSeries) -> HilbertSeries:
     """The series whose partial sums n -> sum_(m<n) [t^m] are the lengths
     of Tor_1(L, S/J^n), from the four-term exact sequence
 
         0 -> Tor_1(L, S/J^n) -> R/K^n -> ⊕ S/(I_i + J^n) -> L/J^n L -> 0:
 
-    HS(gr_J R) - sum_i HS(gr_J S/I_i) + sum_m length(J^m L / J^(m+1) L) t^m,
-    read off the cached tangent cones and the ``colengths`` of
-    ``graded.power_colengths`` (which reach past nu).  The middle Tor of the
-    components vanishes because the parameters form a regular sequence on
-    each Cohen-Macaulay component.
+    HS(gr_J R) - sum_i HS(gr_J S/I_i) + HS(gr_J L), read off the cached
+    tangent cones and ``gr``, the series of ``graded.gr_series``.  The
+    middle Tor of the components vanishes because the parameters form a
+    regular sequence on each Cohen-Macaulay component.
     """
-    series = HilbertSeries([b - a for a, b in zip(colengths, colengths[1:])],
-                           0)
-    series += tangent_cone(inst.core, inst.J).series()
+    series = gr + tangent_cone(inst.core, inst.J).series()
     for ideal in inst.ideals:
         series -= tangent_cone(ideal, inst.J).series()
     return series
@@ -156,11 +155,13 @@ def tor1_consistency_check(inst, module_len, torsion,
     }
 
 
-def negativity_check(inst, e, cm) -> dict:
+def negativity_check(inst, e, colength) -> dict:
     """Chern-number verdict: with two or more components the ring is not
     Cohen-Macaulay and e_1 must be negative; a single component is the
-    Cohen-Macaulay baseline and must show e_1 = 0 with e_0 = length(R/K)."""
+    Cohen-Macaulay baseline and must show e_1 = 0 with e_0 = length(R/K),
+    the ``colength``."""
     e1 = e[1] if len(e) > 1 else 0
+    is_cm = e[0] == colength
     sign = chern_sign(e1)
     if inst.g >= 2:
         if inst.d < 2:
@@ -169,7 +170,7 @@ def negativity_check(inst, e, cm) -> dict:
         ok = sign == "negative"
         expected = "negative"
     else:
-        ok = sign == "zero" and cm.is_cm
+        ok = sign == "zero" and is_cm
         expected = "zero"
     return {
         "name": "negativity",
@@ -179,9 +180,9 @@ def negativity_check(inst, e, cm) -> dict:
             "expected_sign": expected,
             "actual_sign": sign,
             "cm_cross_check": {
-                "is_cm": cm.is_cm,
-                "e0": str(cm.e0),
-                "colength": str(cm.colength),
+                "is_cm": is_cm,
+                "e0": str(e[0]),
+                "colength": str(colength),
             },
         },
     }
@@ -199,10 +200,10 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     The Hilbert polynomial of K, its (e_0..e_d) and n0, is read off the
     core's tangent cone along J (``hilbert.samuel_polynomial``), whatever
     the window.  Every length(L/J^n L), nu and whether J annihilates L
-    come from one ``power_colengths`` list, read off the tangent cone of one
-    Groebner basis of the idealization of L (see ``graded``).  The torsion
-    lengths are the partial sums of one ``torsion_series``, built from the
-    same cones and colengths, and every identity is decided on that series'
+    are read off one Hilbert series of gr_J(L) (``graded.gr_series``), from
+    the tangent cone of one Groebner basis of the idealization of L.  The
+    torsion lengths are the partial sums of one ``torsion_series``, built
+    from the same cones and that series, and every identity is decided on its
     exact polynomial or on e alone, for every n: the window max_power
     shapes only the printed H(K, n) and torsion tables.  The torsion table
     is the four-term sum of the cones' values (``tor1_via_lengths``), which
@@ -229,11 +230,11 @@ def run_verification(inst: ProblemInstance, force: bool = False,
     model = graded.diagonal_cokernel(inst.ideals, inst.core)
     module_len = model.length
     values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
-    e, n0 = samuel_polynomial(tangent_cone(inst.core, inst.J).series(),
-                              inst.d)
-    colengths = graded.power_colengths(model, inst.J, inst.max_power)
-    # J L = 0 exactly when length(L / J L) = length(L)
-    annihilated = colengths[1] == module_len
+    core_series = tangent_cone(inst.core, inst.J).series()
+    e, n0 = samuel_polynomial(core_series, inst.d)
+    gr = graded.gr_series(model, inst.J)
+    nu = len(gr.numerator)
+    annihilated = nu <= 1
     report["lambda_L"] = str(module_len)
     report["top_degree"] = model.top_degree
     report["annihilates"] = annihilated
@@ -244,23 +245,21 @@ def run_verification(inst: ProblemInstance, force: bool = False,
         "n0": n0,
     }
 
-    cm = cm_test(e[0], values[1])
+    colength = core_series.summed(1)
     report["cm"] = {
-        "is_cm": cm.is_cm,
-        "e0": str(cm.e0),
-        "colength": str(cm.colength),
-        "colength_at_least_e0": cm.colength >= cm.e0,
+        "is_cm": e[0] == colength,
+        "e0": str(e[0]),
+        "colength": str(colength),
+        "colength_at_least_e0": colength >= e[0],
     }
     report["chern_sign"] = chern_sign(e[1] if len(e) > 1 else 0)
 
-    nu = colengths.index(module_len)
-    series = torsion_series(inst, colengths)
-    torsion = samuel_polynomial(series, inst.d)
+    torsion = samuel_polynomial(torsion_series(inst, gr), inst.d)
     component_values = [hilbert_samuel_values(ideal, inst.J, inst.max_power)
                         for ideal in inst.ideals]
     report["torsion_hilbert"] = {
         "values": [{"n": n, "length": str(resolutions.tor1_via_lengths(
-            values, component_values, colengths, n))}
+            values, component_values, gr.summed(n), n))}
                    for n in range(1, inst.max_power + 1)],
     }
 
@@ -269,7 +268,7 @@ def run_verification(inst: ProblemInstance, force: bool = False,
         verify_torsion_polynomial(inst, e, module_len, torsion, nu),
         verify_coefficient_collapse(inst, e, module_len, annihilated),
         tor1_consistency_check(inst, module_len, torsion, annihilated),
-        negativity_check(inst, e, cm),
+        negativity_check(inst, e, colength),
     ]
     report["identities"] = identities
     statuses = {i["status"] for i in identities}

@@ -1,13 +1,13 @@
-"""Eagon-Northcott and Koszul data for powers of a complete intersection,
-the tests' reference for the Betti numbers of ``chernlab.resolutions``: the
-banded n x (n+d-1) matrix whose maximal minors generate the n-th power,
-Koszul differentials, and the closed form of length(Tor_1) against a
-finite-length module that the parameters annihilate.
+"""Eagon-Northcott data for powers of a complete intersection, the tests'
+reference for the Betti numbers of ``chernlab.resolutions``: the banded
+n x (n+d-1) matrix whose maximal minors generate the n-th power, and the
+closed form of length(Tor_1) against a finite-length module that the
+parameters annihilate.
 """
 
 from itertools import combinations
 
-from chernlab import Polynomial, binomial, en_betti
+from chernlab import Polynomial, binomial
 
 
 def en_matrix(generators, n: int):
@@ -60,92 +60,6 @@ def maximal_minors(matrix, ctx):
         sub = [[row[c] for c in cols] for row in matrix]
         minors.append(_determinant(sub, ctx))
     return minors
-
-
-class ENResolutionData:
-    """Banded presentation matrix plus the full Betti vector (beta_0 = 1)."""
-
-    __slots__ = ("n", "d", "matrix", "betti")
-
-    def __init__(self, generators, n: int):
-        generators = list(generators)
-        self.n = n
-        self.d = len(generators)
-        self.matrix = en_matrix(generators, n)
-        self.betti = (1,) + tuple(en_betti(n, self.d, i)
-                                  for i in range(1, self.d + 1))
-
-    def euler_characteristic(self) -> int:
-        return sum(b if i % 2 == 0 else -b for i, b in enumerate(self.betti))
-
-
-class KoszulData:
-    """Koszul complex of a generator sequence: ranks C(d, k) and exterior
-    differentials with the sign convention
-
-        d(e_{i_1..i_k}) = sum_j (-1)^(j+1) a_{i_j} e_{i_1..^i_j..i_k}
-    """
-
-    __slots__ = ("d", "ranks", "differentials")
-
-    def __init__(self, d, ranks, differentials):
-        self.d = d
-        self.ranks = tuple(ranks)
-        self.differentials = differentials
-
-
-def koszul_complex(generators) -> KoszulData:
-    generators = list(generators)
-    d = len(generators)
-    if d < 1:
-        raise ValueError("need at least one generator")
-    ctx = generators[0].ctx
-    zero = Polynomial.zero(ctx)
-    ranks = [binomial(d, k) for k in range(d + 1)]
-    differentials = []
-    for k in range(1, d + 1):
-        sources = list(combinations(range(d), k))
-        targets = list(combinations(range(d), k - 1))
-        index = {t: i for i, t in enumerate(targets)}
-        matrix = [[zero] * len(sources) for _ in range(len(targets))]
-        for col, subset in enumerate(sources):
-            for j, var in enumerate(subset):
-                rest = subset[:j] + subset[j + 1:]
-                sign = 1 if j % 2 == 0 else -1
-                entry = generators[var] * sign
-                row = index[rest]
-                matrix[row][col] = matrix[row][col] + entry
-        differentials.append(matrix)
-    return KoszulData(d, ranks, differentials)
-
-
-def poly_mat_mul(a, b, ctx):
-    """Product of polynomial matrices."""
-    if not a or not b:
-        return []
-    zero = Polynomial.zero(ctx)
-    out = []
-    for row in a:
-        new_row = []
-        for j in range(len(b[0])):
-            acc = zero
-            for x, brow in zip(row, b):
-                if not x.is_zero():
-                    acc = acc + x * brow[j]
-            new_row.append(acc)
-        out.append(new_row)
-    return out
-
-
-def koszul_composes_to_zero(data: KoszulData, ctx) -> bool:
-    """True when consecutive differentials compose to zero."""
-    for k in range(1, data.d):
-        product = poly_mat_mul(data.differentials[k - 1], data.differentials[k], ctx)
-        for row in product:
-            for entry in row:
-                if not entry.is_zero():
-                    return False
-    return True
 
 
 def tor1_closed_form(n: int, d: int, module_len: int) -> int:

@@ -585,7 +585,7 @@ def test_verify_passes_once_window_reaches_nu(tmp_path, capsys):
 def test_verify_computes_core_table_once(tmp_path, monkeypatch):
     # a quadratic J takes one basis of its graph per ideal, whatever the
     # window: one for the core, whose cone serves the hypotheses, the
-    # report, e and n0 and power_colengths alike, one for the idealization
+    # report, e and n0 and gr_series alike, one for the idealization
     # B, and one for each of the two components (e_0 additivity)
     import chernlab.hilbert as hilbert_module
     from chernlab.cli import build_instance, load_problem

@@ -4,11 +4,10 @@ import pytest
 
 from chernlab import (ContextMismatchError, Ideal, NotFiniteLengthError,
                       Polynomial, ProblemInstance, annihilates,
-                      diagonal_cokernel, ideal_power, ideal_sum,
+                      diagonal_cokernel, gr_series, ideal_power, ideal_sum,
                       intersect_all, normal_form, power_colength,
-                      power_colengths, quotient_hilbert_series,
-                      standard_monomials)
-from chernlab.cli import build_instance, load_problem
+                      quotient_hilbert_series, standard_monomials)
+from chernlab.cli import build_instance, load_problem, main
 from chernlab.linalg import rref_mod_p
 from conftest import PROBLEM_DIR
 from helpers import transformed_planes
@@ -155,18 +154,48 @@ def test_power_colengths_one_walk(ctx4, a, b):
     ideals = [I(ctx4, "x", f"y^{a}"), I(ctx4, f"z^{b}", "w")]
     model = diagonal_cokernel(ideals, intersect_all(ideals))
     j = I(ctx4, "x + w", "y + z")
-    colengths = power_colengths(model, j, 8)
+    series = gr_series(model, j)
+    colengths = [series.summed(n) for n in range(max(9, a + b))]
     nu = a + b - 1
     assert model.length == a * b
     assert model.top_degree == a + b - 2
-    assert len(colengths) == max(9, nu + 1)
+    assert series.is_polynomial()
+    assert len(series.numerator) == nu
     assert colengths.index(model.length) == nu
     assert colengths[nu:] == [a * b] * (len(colengths) - nu)
     assert all(u < v for u, v in zip(colengths[:nu], colengths[1:nu + 1]))
     assert [power_colength(model, j, n) for n in (0, 1, 8)] == \
         [colengths[0], colengths[1], colengths[8]]
-    # verify reads annihilation off the list; annihilates is the same test
+    # verify reads annihilation off the series; annihilates is the same test
     assert annihilates(j, model) == (nu <= 1)
+
+
+def test_power_colength_refuses_a_negative_power(e1):
+    _, ideals, j = e1
+    model = diagonal_cokernel(ideals, intersect_all(ideals))
+    with pytest.raises(ValueError, match="nonnegative"):
+        power_colength(model, j, -1)
+
+
+def test_gr_series_refuses_a_wrong_cokernel_length(monkeypatch, capsys, e4):
+    # a cokernel whose length is off by one no longer matches the series of
+    # gr_J(L): gr_series names both lengths, and verify exits 1
+    import chernlab.graded as graded_module
+
+    original = graded_module.diagonal_cokernel
+
+    def off_by_one(ideals, core):
+        model = original(ideals, core)
+        return model._replace(length=model.length + 1)
+
+    monkeypatch.setattr(graded_module, "diagonal_cokernel", off_by_one)
+    _, ideals, j = e4
+    model = graded_module.diagonal_cokernel(ideals, intersect_all(ideals))
+    with pytest.raises(ValueError, match="length 4, but L has length 5"):
+        gr_series(model, j)
+    path = str(PROBLEM_DIR / "e4_three_planes.json")
+    assert main(["verify", path, "--json"]) == 1
+    assert "length 4, but L has length 5" in capsys.readouterr().err
 
 
 def _oracle_colength(ideals, j, n):
@@ -207,10 +236,10 @@ def test_power_colengths_against_right_exactness(ctx4, name):
     # n = 1 the oracle is a second route to the annihilation verdict
     inst = _oracle_instance(ctx4, name)
     model = diagonal_cokernel(inst.ideals, inst.core)
-    colengths = power_colengths(model, inst.J, 1)
-    nu = colengths.index(model.length)
-    assert colengths[1:nu + 1] == [_oracle_colength(inst.ideals, inst.J, n)
-                                   for n in range(1, nu + 1)]
+    series = gr_series(model, inst.J)
+    nu = len(series.numerator)
+    assert [series.summed(n) for n in range(1, nu + 1)] == \
+        [_oracle_colength(inst.ideals, inst.J, n) for n in range(1, nu + 1)]
     assert annihilates(inst.J, model) == (
         _oracle_colength(inst.ideals, inst.J, 1) == model.length)
 
@@ -218,13 +247,14 @@ def test_power_colengths_against_right_exactness(ctx4, name):
 @pytest.mark.parametrize("name", [*ORACLE_CASES, "e2_two_3planes"])
 def test_graded_cokernel_length_is_the_cokernel_length(ctx4, name):
     # the dimensions of gr_J(L), read off the tangent cones of B and of the
-    # core, add up to length(L) read off the degree-graded series; the
-    # colengths stop at nu, the length of the gr_J(L) series
+    # core, add up to length(L) read off the degree-graded series; nu is
+    # the length of the gr_J(L) series, and no earlier colength is length(L)
     inst = _oracle_instance(ctx4, name)
     model = diagonal_cokernel(inst.ideals, inst.core)
-    colengths = power_colengths(model, inst.J, 0)
-    assert colengths[-1] == model.length
-    assert colengths.index(model.length) == len(colengths) - 1
+    series = gr_series(model, inst.J)
+    nu = len(series.numerator)
+    assert series.total() == series.summed(nu) == model.length
+    assert all(series.summed(n) < model.length for n in range(nu))
 
 
 def _length_instances(ctx4):

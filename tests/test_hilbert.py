@@ -1,15 +1,17 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from chernlab import (FitInstabilityError, HilbertSeries, Ideal, binomial,
-                      chern_sign, cm_test, fit_coefficients,
-                      hilbert_polynomial_value, hilbert_samuel,
-                      ideal_intersect, tangent_cone)
+                      chern_sign, fit_coefficients, hilbert_polynomial_value,
+                      hilbert_samuel, ideal_intersect, tangent_cone)
+from chernlab.cli import main
 from chernlab.hilbert import samuel_polynomial
 from chernlab.linalg import (NonIntegralSolutionError, SingularSystemError,
                              solve_fraction_free)
+from conftest import PROBLEM_DIR
 
 
 def I(ctx, *texts):
@@ -237,12 +239,23 @@ def test_lift_refuses_a_pole_order_below_the_series():
             series._lift(s)
 
 
-def test_cm_test():
-    assert cm_test(1, 1).is_cm
-    assert not cm_test(2, 3).is_cm
-    assert not cm_test(2, 4).is_cm
-    verdict = cm_test(2, 3)
-    assert (verdict.e0, verdict.colength) == (2, 3)
+def test_cm_test(capsys):
+    # coeffs and verify read K's Cohen-Macaulay verdict the same way, as
+    # e_0 = length(R/K): e1 has e_0 = 2 < 3, e3 is the CM baseline
+    for name, e0, colength in (("e1_two_planes", 2, 3),
+                               ("e3_cm_baseline", 1, 1)):
+        path = str(PROBLEM_DIR / f"{name}.json")
+        reports = []
+        for command in ("coeffs", "verify"):
+            assert main([command, path, "--json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        coeffs, verify = reports
+        cm = {"is_cm": e0 == colength, "e0": str(e0),
+              "colength": str(colength)}
+        assert coeffs["cm"] == cm["is_cm"]
+        assert verify["cm"] == dict(cm, colength_at_least_e0=True)
+        negativity = verify["identities"][-1]["witness"]
+        assert negativity["cm_cross_check"] == cm
 
 
 def test_chern_sign():

@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from chernlab import (ProblemInstance, diagonal_cokernel, hilbert_samuel,
-                      power_colengths, run_verification, tangent_cone,
+from chernlab import (ProblemInstance, diagonal_cokernel, gr_series,
+                      hilbert_samuel, run_verification, tangent_cone,
                       tor1_consistency_check, tor1_via_lengths,
                       torsion_series, verify_coefficient_collapse,
                       verify_torsion_polynomial)
@@ -54,12 +54,12 @@ def _torsion(inst):
     """(e, length(L), nu, annihilated, torsion polynomial) of an instance,
     as ``run_verification`` computes them."""
     model = diagonal_cokernel(inst.ideals, inst.core)
-    colengths = power_colengths(model, inst.J, inst.max_power)
+    gr = gr_series(model, inst.J)
     e, _ = samuel_polynomial(tangent_cone(inst.core, inst.J).series(),
                              inst.d)
-    torsion = samuel_polynomial(torsion_series(inst, colengths), inst.d)
-    return (e, model.length, colengths.index(model.length),
-            colengths[1] == model.length, torsion)
+    torsion = samuel_polynomial(torsion_series(inst, gr), inst.d)
+    return (e, model.length, len(gr.numerator), len(gr.numerator) <= 1,
+            torsion)
 
 
 def _shipped(name, max_power=None):
@@ -124,8 +124,8 @@ def test_torsion_lengths_match_the_per_n_four_term_sum(name):
     component_values = [{n: hilbert_samuel(ideal, inst.J, n) for n in powers}
                         for ideal in inst.ideals]
     model = diagonal_cokernel(inst.ideals, inst.core)
-    colengths = power_colengths(model, inst.J, 12)
+    gr = gr_series(model, inst.J)
     assert values == {n: tor1_via_lengths(core_values, component_values,
-                                          colengths, n) for n in powers}
-    series = torsion_series(inst, colengths)
+                                          gr.summed(n), n) for n in powers}
+    series = torsion_series(inst, gr)
     assert values == {n: series.summed(n) for n in powers}
