@@ -7,8 +7,8 @@ import sys
 
 _HOME = {name: module for module, names in {
     "core": "DEGREE_LIMIT POWER_PRODUCT_LIMIT PRIME_LIMIT ContextMismatchError "
-            "ParseError Polynomial RingContext binomial is_prime "
-            "parse_polynomial",
+            "HypothesisError ParseError Polynomial RingContext binomial "
+            "is_prime parse_polynomial",
     "graded": "annihilates diagonal_cokernel gr_series power_colength",
     "groebner": "GroebnerBasis buchberger normal_form s_polynomial "
                 "standard_monomials",

@@ -8,10 +8,16 @@ byte-deterministic for fixed input and encodes lengths and coefficients as
 decimal strings.
 
 Exit codes: 0 success (verify: overall pass), 1 internal inconsistency
-(verify: an identity fails), 2 schema or usage error, 3 hypothesis failure
-(suppressed by --force).  The Hilbert coefficients and every identity are
-read off exact Hilbert series, for all n, so no exit code depends on the
-window --max-power: it sets only the tables of values that are printed.
+(verify: an identity fails), 2 schema or usage error, 3 hypothesis failure.
+The CLI is the one gate on the hypotheses: a non-homogeneous generator or
+parameter (``core.HypothesisError``, raised while the instance is built) is
+exit 3 always, and a failing ``check_hypotheses`` entry is exit 3 unless
+--force, which proceeds with a warning.  The Hilbert coefficients and every
+identity are read off exact Hilbert series, for all n, so no exit code
+depends on the window --max-power: it sets only the tables of values that
+are printed.  Input above a documented cap is refused with exit 2 before
+any computation: a window above MAX_POWER_LIMIT, and betti's --d above
+BETTI_D_LIMIT or --n above BETTI_N_LIMIT.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ import sys
 from types import SimpleNamespace
 
 from . import graded, resolutions, verifier
-from .core import (PRIME_LIMIT, ParseError, RingContext, is_prime,
-                   parse_polynomial)
+from .core import (PRIME_LIMIT, HypothesisError, ParseError, RingContext,
+                   is_prime, parse_polynomial)
 from .hilbert import (chern_sign, hilbert_samuel_values, samuel_polynomial,
                       tangent_cone)
 from .ideals import Ideal, NotFiniteLengthError
@@ -34,6 +40,13 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_SCHEMA = 2
 EXIT_HYPOTHESIS = 3
+
+# the window 1..N of printed tables; verify's output grows linearly in N
+MAX_POWER_LIMIT = 1000
+# betti's caps: at both, the largest Betti number has 3729 digits, below
+# the 4300 that int-to-str conversion allows by default
+BETTI_D_LIMIT = 1000
+BETTI_N_LIMIT = 10 ** 6
 
 _ALLOWED_KEYS = {"characteristic", "variables", "monomial_order", "ideals",
                  "parameters", "max_power"}
@@ -106,17 +119,13 @@ def load_problem(path: str) -> dict:
     }
 
 
-class HypothesisFailure(ValueError):
-    """Raised when instance construction hits a hypothesis-level violation."""
-
-
 def build_instance(problem: dict) -> ProblemInstance:
     """Parse polynomials and assemble the instance.
 
-    Inhomogeneous generators or parameters are hypothesis-level failures
-    (the graded machinery cannot run on them), reported before any ideal is
-    built.  Input nested too deeply for the recursive parser is a schema
-    error.
+    Inhomogeneous generators or parameters raise ``core.HypothesisError``
+    from ``Ideal`` and ``ProblemInstance`` (the graded machinery cannot run
+    on them), before any basis is computed.  Input nested too deeply for
+    the recursive parser is a schema error.
     """
     try:
         ctx = RingContext(problem["variables"], problem["characteristic"],
@@ -133,16 +142,6 @@ def build_instance(problem: dict) -> ProblemInstance:
     except RecursionError:
         raise SchemaError("polynomial syntax: expression nested too "
                           "deeply") from None
-    for block in ideal_polys:
-        for g in block:
-            if not g.is_homogeneous():
-                raise HypothesisFailure(
-                    f"generators_homogeneous: generator {g} is not homogeneous")
-    for f in parameters:
-        if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
-            raise HypothesisFailure(
-                f"parameters_homogeneous: parameter {f} must be nonzero "
-                "homogeneous of degree >= 1")
     ideals = [Ideal(ctx, block) for block in ideal_polys]
     return ProblemInstance(ctx, ideals, parameters,
                            max_power=problem["max_power"])
@@ -153,7 +152,8 @@ def _emit_json(payload) -> None:
 
 
 def _gate_hypotheses(inst, force: bool):
-    """Returns (fragment, exit_code or None)."""
+    """The one gate on ``check_hypotheses``: returns (fragment, exit code
+    or None).  Under force a failing check is a warning."""
     fragment = check_hypotheses(inst)
     if fragment["all_pass"]:
         return fragment, None
@@ -170,6 +170,10 @@ def _load_and_build(args) -> ProblemInstance:
     problem = load_problem(args.file)
     if args.max_power is not None:
         problem["max_power"] = args.max_power
+    window = problem["max_power"]
+    if window is not None and window > MAX_POWER_LIMIT:
+        raise SchemaError(f"max_power {window} exceeds MAX_POWER_LIMIT = "
+                          f"{MAX_POWER_LIMIT}")
     return build_instance(problem)
 
 
@@ -222,8 +226,7 @@ def cmd_verify(args) -> int:
         if args.json:
             _emit_json(report)
         return gate
-    report = verifier.run_verification(inst, force=args.force,
-                                       hypotheses=fragment)
+    report = verifier.run_verification(inst, hypotheses=fragment)
     if args.json:
         _emit_json(report)
     else:
@@ -252,6 +255,10 @@ def _print_report(report: dict) -> None:
 def cmd_betti(args) -> int:
     if args.d < 1 or args.n < 1:
         print("betti: need --d >= 1 and --n >= 1", file=sys.stderr)
+        return EXIT_SCHEMA
+    if args.d > BETTI_D_LIMIT or args.n > BETTI_N_LIMIT:
+        print(f"betti: need --d <= BETTI_D_LIMIT = {BETTI_D_LIMIT} and "
+              f"--n <= BETTI_N_LIMIT = {BETTI_N_LIMIT}", file=sys.stderr)
         return EXIT_SCHEMA
     betti = [1] + [resolutions.en_betti(args.n, args.d, i)
                    for i in range(1, args.d + 1)]
@@ -391,7 +398,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except HypothesisFailure as exc:
+    except HypothesisError as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except (NotFiniteLengthError, ValueError, RuntimeError) as exc:

@@ -21,6 +21,7 @@ __all__ = [
     "RingContext",
     "Polynomial",
     "ContextMismatchError",
+    "HypothesisError",
     "ParseError",
     "binomial",
     "is_prime",
@@ -48,6 +49,13 @@ class ContextMismatchError(ValueError):
 
 class ParseError(ValueError):
     """Raised on malformed polynomial text."""
+
+
+class HypothesisError(ValueError):
+    """Raised when input breaks a hypothesis that construction enforces: a
+    generator that is not homogeneous, or a parameter that is not nonzero
+    homogeneous of degree >= 1.  The message opens with the name of the
+    hypothesis check, as in ``instance.check_hypotheses``."""
 
 
 def is_prime(n: int) -> bool:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .core import (ContextMismatchError, Polynomial, RingContext, binomial,
-                   parse_polynomial)
+from .core import (ContextMismatchError, HypothesisError, Polynomial,
+                   RingContext, binomial, parse_polynomial)
 from .groebner import GroebnerBasis, _mono_divides, buchberger, normal_form
 
 __all__ = [
@@ -53,7 +53,8 @@ class Ideal:
             if g.ctx != ctx:
                 raise ContextMismatchError("generator from a different ring context")
             if not g.is_homogeneous():
-                raise ValueError(f"generator {g} is not homogeneous")
+                raise HypothesisError(f"generators_homogeneous: generator {g} "
+                                      "is not homogeneous")
             if not g.is_zero():
                 gens.append(g)
         self.ctx = ctx

@@ -1,9 +1,17 @@
 """The problem instance and its hypothesis checks, which every subcommand
-needs before it computes a length."""
+needs before it computes a length.
+
+Each of the theorem's hypotheses is decided once.  Two are enforced while
+the instance is built and raise ``core.HypothesisError``: homogeneous
+generators (by ``Ideal``) and parameters that are nonzero homogeneous of
+degree >= 1 (by ``ProblemInstance``).  The others are named checks with
+witnesses (``check_hypotheses``), which a caller gates on; the command line
+maps both kinds of failure to exit 3.
+"""
 
 from itertools import combinations
 
-from .core import Polynomial
+from .core import HypothesisError, Polynomial
 from .hilbert import parameter_coordinates, tangent_cone
 from .ideals import Ideal, ideal_sum, intersect_all, krull_dimension
 
@@ -49,8 +57,9 @@ class ProblemInstance:
             raise ValueError("need at least one parameter element")
         for f in parameters:
             if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
-                raise ValueError(
-                    "parameters must be nonzero homogeneous of degree >= 1")
+                raise HypothesisError(
+                    f"parameters_homogeneous: parameter {f} must be nonzero "
+                    "homogeneous of degree >= 1")
         coordinates = parameter_coordinates(ctx, parameters)
         if coordinates is None:
             ring, J = ctx, Ideal(ctx, parameters)
@@ -86,8 +95,10 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
     ``inst.pair_sums``, whose bases the intersection shares.
     ``dimension_of_quotient`` (dim S/(core + J)) is read off the core's
     tangent cone ``tangent_cone(inst.core, inst.J)``, cached on the core for
-    the H(K, n) table.  ``dim_S_mod_J`` is r minus the rank of linear
-    parameters, and ``krull_dimension`` of J for others.
+    the H(K, n) table.  ``dim_S_mod_J`` is ``krull_dimension`` of J on both
+    parameter routes; for linear parameters J = (y_1, ..., y_k), whose
+    basis is its generators.  ``generators_homogeneous`` always passes:
+    ``Ideal`` refuses the input otherwise.
 
     The theorem-mode flag (d >= 2 with at least two components) is recorded
     but does not count toward pass/fail: a single Cohen-Macaulay component is
@@ -95,11 +106,9 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
     """
     checks = []
 
-    homogeneous = all(g.is_homogeneous() for ideal in inst.ideals
-                      for g in ideal.generators)
     checks.append({
         "name": "generators_homogeneous",
-        "passed": homogeneous,
+        "passed": True,
         "witness": {"note": "enforced at ideal construction"},
     })
 
@@ -128,10 +137,8 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
         "witness": {"parameters": len(inst.parameters), "dimension": inst.d},
     })
 
-    cone = tangent_cone(inst.core, inst.J)
-    sop_dim = cone.dimension_mod_parameters()
-    j_dim = (inst.r - cone.k if cone.ctx == inst.ring
-             else krull_dimension(inst.J))
+    sop_dim = tangent_cone(inst.core, inst.J).dimension_mod_parameters()
+    j_dim = krull_dimension(inst.J)
     checks.append({
         "name": "parameters_cut_to_finite_length",
         "passed": sop_dim == 0,

@@ -13,7 +13,10 @@ values and that series' partial sums term by term
 (``resolutions.tor1_via_lengths``).
 
 Every check lands in a structured report fragment with witnesses; failures
-are report entries, not exceptions.  Big integer payloads are encoded as
+are report entries, not exceptions.  The verifier does not gate on the
+hypotheses: it records ``instance.check_hypotheses`` in the report and runs
+the pipeline, and the caller decides whether a failing hypothesis stops it
+(the command line does, unless --force).  Big integer payloads are encoded as
 decimal strings so the report serializes without range surprises.
 """
 
@@ -188,14 +191,13 @@ def negativity_check(inst, e, colength) -> dict:
     }
 
 
-def run_verification(inst: ProblemInstance, force: bool = False,
-                     hypotheses=None) -> dict:
+def run_verification(inst: ProblemInstance, hypotheses=None) -> dict:
     """Full pipeline; returns the JSON-ready report.
 
-    When hypotheses fail and force is not set, the report carries only the
-    hypothesis fragment with overall status "hypothesis_failure".
     ``hypotheses`` may carry the fragment of an earlier
-    check_hypotheses(inst) (the CLI has it before it gets here).
+    check_hypotheses(inst) (the CLI has it before it gets here); it is
+    recorded, not gated on, so an instance whose parameters do not cut the
+    core to finite length raises ``NotFiniteLengthError``.
 
     The Hilbert polynomial of K, its (e_0..e_d) and n0, is read off the
     core's tangent cone along J (``hilbert.samuel_polynomial``), whatever
@@ -220,12 +222,7 @@ def run_verification(inst: ProblemInstance, force: bool = False,
         "heights": inst.heights,
         "max_power": inst.max_power,
     }
-    if hypotheses is None:
-        hypotheses = check_hypotheses(inst)
-    report["hypotheses"] = hypotheses
-    if not hypotheses["all_pass"] and not force:
-        report["overall"] = "hypothesis_failure"
-        return report
+    report["hypotheses"] = hypotheses or check_hypotheses(inst)
 
     model = graded.diagonal_cokernel(inst.ideals, inst.core)
     module_len = model.length

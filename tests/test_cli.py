@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from chernlab import binomial
-from chernlab.cli import main
+from chernlab import binomial, check_hypotheses
+from chernlab.cli import (BETTI_D_LIMIT, BETTI_N_LIMIT, MAX_POWER_LIMIT,
+                          build_instance, load_problem, main)
 from conftest import PROBLEM_DIR
 
 E1 = str(PROBLEM_DIR / "e1_two_planes.json")
@@ -133,6 +134,47 @@ def test_betti_examples(capsys):
 
     code, out, _ = run(capsys, "betti", "--d", "4", "--n", "1", "--json")
     assert json.loads(out)["betti"] == ["1", "4", "6", "4", "1"]
+
+
+def test_betti_at_both_caps(capsys):
+    # the largest Betti number in reach has 3729 digits, so every one
+    # prints under int-to-str's default limit of 4300
+    code, out, err = run(capsys, "betti", "--d", str(BETTI_D_LIMIT), "--n",
+                         str(BETTI_N_LIMIT), "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert len(payload["betti"]) == BETTI_D_LIMIT + 1
+    assert max(len(b) for b in payload["betti"]) == 3729
+    assert payload["euler"] == "0"
+
+
+@pytest.mark.parametrize("d, n", [(BETTI_D_LIMIT + 1, 3),
+                                  (64, BETTI_N_LIMIT + 1)])
+def test_betti_above_a_cap_is_a_usage_error(capsys, d, n):
+    assert run(capsys, "betti", "--d", str(d), "--n", str(n), "--json") == (
+        2, "", f"betti: need --d <= BETTI_D_LIMIT = {BETTI_D_LIMIT} and "
+        f"--n <= BETTI_N_LIMIT = {BETTI_N_LIMIT}\n")
+
+
+def test_window_cap_on_flag_and_key(tmp_path, capsys):
+    at_cap = dict(BASE, max_power=MAX_POWER_LIMIT)
+    above = dict(BASE, max_power=MAX_POWER_LIMIT + 1)
+    refused = (2, "", f"schema error: max_power {MAX_POWER_LIMIT + 1} "
+               f"exceeds MAX_POWER_LIMIT = {MAX_POWER_LIMIT}\n")
+    for argv in ([_write(tmp_path, "cap.json", at_cap)],
+                 [E1, "--max-power", str(MAX_POWER_LIMIT)]):
+        code, out, err = run(capsys, "verify", *argv, "--json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["hilbert"]["values"]) == MAX_POWER_LIMIT
+    assert run(capsys, "verify", _write(tmp_path, "above.json", above),
+               "--json") == refused
+    assert run(capsys, "verify", E1, "--max-power",
+               str(MAX_POWER_LIMIT + 1), "--json") == refused
+    # the flag overrides the key before the cap is read, either way round
+    assert run(capsys, "hilbert", _write(tmp_path, "above.json", above),
+               "--max-power", "3", "--json")[0] == 0
+    assert run(capsys, "hilbert", _write(tmp_path, "cap.json", BASE),
+               "--max-power", str(MAX_POWER_LIMIT + 1)) == refused
 
 
 FILE_HELP = ["problem file (JSON)", "override the sampling window 1..N",
@@ -343,9 +385,34 @@ def test_hypothesis_failure_exit_code(tmp_path, capsys):
 
 def test_inhomogeneous_generator_is_hypothesis_failure(tmp_path, capsys):
     bad = dict(BASE, ideals=[["x + 1", "y"], ["z", "w"]])
-    code, _, err = run(capsys, "verify", _write(tmp_path, "p.json", bad))
+    code, out, err = run(capsys, "verify", _write(tmp_path, "p.json", bad))
+    assert (code, out) == (3, "")
+    assert err == ("hypothesis failure: generators_homogeneous: generator "
+                   "x + 1 is not homogeneous\n")
+
+
+@pytest.mark.parametrize("parameter", ["0", "x^2 + y", "3"])
+def test_bad_parameter_is_hypothesis_failure(tmp_path, capsys, parameter):
+    # raised by ProblemInstance, mapped to exit 3 by main, even with --force
+    path = _write(tmp_path, "p.json", dict(BASE, parameters=[parameter,
+                                                             "y + w"]))
+    expected = (3, "", f"hypothesis failure: parameters_homogeneous: "
+                f"parameter {parameter} must be nonzero homogeneous of "
+                "degree >= 1\n")
+    assert run(capsys, "verify", path, "--json") == expected
+    assert run(capsys, "verify", path, "--force") == expected
+
+
+def test_verify_json_hypothesis_failure_report(tmp_path, capsys):
+    # the CLI is the one gate on the hypotheses: its report holds the
+    # checks and the overall status only
+    path = _write(tmp_path, "p.json", dict(BASE, parameters=["x", "y"]))
+    code, out, err = run(capsys, "verify", path, "--json")
+    fragment = check_hypotheses(build_instance(load_problem(path)))
+    report = {"hypotheses": fragment, "overall": "hypothesis_failure"}
     assert code == 3
-    assert "homogeneous" in err
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert err == "hypothesis failure: parameters_cut_to_finite_length\n"
 
 
 def test_force_proceeds_then_fails_internally(tmp_path, capsys):
@@ -417,8 +484,9 @@ def test_each_tangent_cone_built_once(monkeypatch, capsys, command, path,
 @pytest.mark.parametrize("command", ["hilbert", "verify"])
 def test_intersection_keeps_its_target_series(monkeypatch, capsys, command):
     # e4: one series for each of the 3 components, the 3 pairwise sums and
-    # the fresh sum (I_1 ∩ I_2) + I_3; each intersection keeps the series it
-    # targeted, so neither I_1 ∩ I_2 nor the core is read again from a basis
+    # the fresh sum (I_1 ∩ I_2) + I_3, and J's for dim S/J; each
+    # intersection keeps the series it targeted, so neither I_1 ∩ I_2 nor
+    # the core is read again from a basis
     import chernlab.ideals as ideals_module
 
     calls = []
@@ -431,7 +499,7 @@ def test_intersection_keeps_its_target_series(monkeypatch, capsys, command):
     monkeypatch.setattr(ideals_module, "monomial_hilbert_series", counting)
     code, _, _ = run(capsys, command, E4, "--json")
     assert code == 0
-    assert len(calls) == 7
+    assert len(calls) == 8
 
 
 def test_hilbert_quadratic_parameter(tmp_path, capsys):

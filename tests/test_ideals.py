@@ -3,12 +3,12 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from chernlab import (Ideal, NotFiniteLengthError, Polynomial, RingContext,
-                      ideal_intersect, ideal_power, ideal_product, ideal_sum,
-                      intersect_all, is_mprimary, krull_dimension,
-                      monomial_hilbert_series, parse_polynomial,
-                      quotient_hilbert_series, quotient_length,
-                      standard_monomials)
+from chernlab import (HypothesisError, Ideal, NotFiniteLengthError,
+                      Polynomial, RingContext, ideal_intersect, ideal_power,
+                      ideal_product, ideal_sum, intersect_all, is_mprimary,
+                      krull_dimension, monomial_hilbert_series,
+                      parse_polynomial, quotient_hilbert_series,
+                      quotient_length, standard_monomials)
 from chernlab.ideals import HilbertSeries, _series_numerator
 
 
@@ -17,8 +17,13 @@ def I(ctx, *texts):
 
 
 def test_ideal_rejects_inhomogeneous(ctx4):
-    with pytest.raises(ValueError):
-        I(ctx4, "x^2 - y")
+    for text in ("x^2 - y", "x + 1"):
+        g = parse_polynomial(text, ctx4)
+        with pytest.raises(HypothesisError) as info:
+            Ideal(ctx4, [g])
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == (f"generators_homogeneous: generator {g} "
+                                   "is not homogeneous")
 
 
 def test_sum_examples(ctx4):

@@ -125,9 +125,9 @@ def test_dense_4_planes_zero_reductions(monkeypatch):
 def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
     # every ideal lives in the parameters' coordinates and the ydeg order:
     # two component bases, one of their sum (shared by the intersection's
-    # target series and the pairwise hypothesis) and the elimination basis,
+    # target series and the pairwise hypothesis), the elimination basis,
     # whose t-free part is the core's basis and so its tangent cone (shared
-    # by the hypotheses and H(K, n))
+    # by the hypotheses and H(K, n)), and J = (y1..y4)'s own, for dim S/J
     path = write_problem(tmp_path / "p4.json",
                          *two_4_planes(random.Random(601)))
     orders = []
@@ -148,7 +148,7 @@ def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
         for n in range(1, 5)]
     ydeg = ("ydeg", 4, "grevlex")
     assert sorted(orders, key=str) == sorted(
-        [ydeg, ydeg, ydeg, ("elim", 1, ydeg)], key=str)
+        [ydeg, ydeg, ydeg, ("elim", 1, ydeg), ydeg], key=str)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -181,7 +181,8 @@ YDEG4 = ("ydeg", 4, "grevlex")
 # basis size before interreduction, pairs popped, coprime skips, chain
 # skips, zero reductions and series stop.  Recorded with the generators
 # admitted reduced, lowest degree first; any change in the order of pairs
-# or reductions shows here.
+# or reductions shows here.  The last engine is J = (y1..yk)'s basis, for
+# dim S/J in the hypothesis checks: k variables, every pair coprime.
 THREE_3_PLANE_ENGINES = [
     (YDEG3_LEX, 6, 15, 15, 0, 0, False),
     (YDEG3_LEX, 6, 15, 15, 0, 0, False),
@@ -192,6 +193,7 @@ THREE_3_PLANE_ENGINES = [
     (("elim", 1, YDEG3_LEX), 36, 25, 0, 3, 4, True),
     (YDEG3_LEX, 9, 36, 36, 0, 0, False),
     (YDEG3_LEX, 9, 36, 36, 0, 0, False),
+    (YDEG3_LEX, 3, 3, 3, 0, 0, False),
 ]
 
 
@@ -201,6 +203,7 @@ THREE_3_PLANE_ENGINES = [
         (YDEG4, 4, 6, 6, 0, 0, False),
         (YDEG4, 8, 28, 28, 0, 0, False),
         (("elim", 1, YDEG4), 24, 25, 0, 3, 6, True),
+        (YDEG4, 4, 6, 6, 0, 0, False),
     ], id="dense-4-planes"),
     pytest.param(lambda: three_3_planes_lex(0, THREE_3_PLANE_PARAMETERS[0]),
                  THREE_3_PLANE_ENGINES, id="three-3-planes-lex-a"),

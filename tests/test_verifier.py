@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from chernlab import (Ideal, NotFiniteLengthError, Polynomial,
-                      ProblemInstance, RingContext, check_hypotheses,
-                      diagonal_cokernel, fit_coefficients, hilbert_samuel,
-                      ideal_sum, krull_dimension, run_verification,
-                      tangent_cone)
+from chernlab import (HypothesisError, Ideal, NotFiniteLengthError,
+                      Polynomial, ProblemInstance, RingContext,
+                      check_hypotheses, diagonal_cokernel, fit_coefficients,
+                      hilbert_samuel, ideal_sum, krull_dimension,
+                      parse_polynomial, run_verification, tangent_cone)
 from chernlab.cli import build_instance, load_problem
 from chernlab.hilbert import FitInstabilityError, hilbert_samuel_values
 from chernlab.verifier import e0_additivity_check
@@ -78,10 +78,16 @@ def test_hypotheses_regular_sequence(e1):
 
 
 def test_instance_rejects_inhomogeneous_parameters(e1):
+    # zero, non-homogeneous and degree-0 parameters
     ctx, ideals, _ = e1
-    from chernlab import parse_polynomial
-    with pytest.raises(ValueError):
-        ProblemInstance(ctx, ideals, [parse_polynomial("1", ctx)])
+    for text in ("1", "0", "x^2 + y", "3"):
+        f = parse_polynomial(text, ctx)
+        with pytest.raises(HypothesisError) as info:
+            ProblemInstance(ctx, ideals, [f, parse_polynomial("y + w", ctx)])
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == (f"parameters_homogeneous: parameter {f} "
+                                   "must be nonzero homogeneous of degree "
+                                   ">= 1")
 
 
 def test_full_report_e1(e1):
@@ -145,19 +151,13 @@ def test_full_report_e4(e4):
     assert int(report["hilbert"]["e"][1]) < 0
 
 
-def test_hypothesis_failure_stops_pipeline(e1):
-    ctx, ideals, _ = e1
-    inst = ProblemInstance(ctx, ideals, list(I(ctx, "x", "y").generators))
-    report = run_verification(inst)
-    assert report["overall"] == "hypothesis_failure"
-    assert "hilbert" not in report
-
-
 def test_forced_run_propagates_length_error(e1):
+    # the verifier records the hypotheses but does not gate on them: (x, y)
+    # does not cut e1 to finite length, and the pipeline says so by raising
     ctx, ideals, _ = e1
     inst = ProblemInstance(ctx, ideals, list(I(ctx, "x", "y").generators))
     with pytest.raises(NotFiniteLengthError):
-        run_verification(inst, force=True)
+        run_verification(inst)
 
 
 def test_coefficients_invariant_under_symmetry(e1):
