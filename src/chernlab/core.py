@@ -26,6 +26,7 @@ __all__ = [
     "binomial",
     "is_prime",
     "parse_polynomial",
+    "require_parameter",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -56,6 +57,15 @@ class HypothesisError(ValueError):
     generator that is not homogeneous, or a parameter that is not nonzero
     homogeneous of degree >= 1.  The message opens with the name of the
     hypothesis check, as in ``instance.check_hypotheses``."""
+
+
+def require_parameter(f: Polynomial) -> None:
+    """The theorem's rule for a parameter: raises HypothesisError unless f
+    is nonzero homogeneous of degree >= 1."""
+    if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
+        raise HypothesisError(
+            f"parameters_homogeneous: parameter {f} must be nonzero "
+            "homogeneous of degree >= 1")
 
 
 def is_prime(n: int) -> bool:

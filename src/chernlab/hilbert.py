@@ -14,7 +14,7 @@ the command line, as a fit on a short window can accept a wrong polynomial.
 
 from __future__ import annotations
 
-from .core import Polynomial, RingContext, binomial
+from .core import Polynomial, RingContext, binomial, require_parameter
 from .groebner import buchberger
 from .ideals import (HilbertSeries, Ideal, _minimalize, _series_numerator,
                      ideal_power, ideal_sum, quotient_hilbert_series,
@@ -164,11 +164,10 @@ def _graph_cone(ideal: Ideal, parameters) -> TangentCone:
     the run targets HS(S/ideal), the series of T/G; the engine's series
     stop is standard-graded, so other weights take no target.
     """
+    for f in parameters:
+        require_parameter(f)
     ctx, m = ideal.ctx, len(parameters)
     weights = tuple(f.degree() for f in parameters) + (1,) * ctx.nvars
-    if min(weights) < 1:
-        raise ValueError(
-            "parameters must be nonzero homogeneous of degree >= 1")
     standard = max(weights) == 1
     names = ([f"u{i}" for i in range(1, m + 1)]
              + [f"x{i}" for i in range(1, ctx.nvars + 1)])
@@ -198,7 +197,8 @@ def tangent_cone(ideal: Ideal, parameters: Ideal) -> TangentCone:
     other homogeneous parameters, linear ones in other coordinates
     included, take one basis of their graph (``_graph_cone``).
 
-    Raises ValueError when a parameter has degree 0.
+    Raises core.HypothesisError for a parameter that is not nonzero
+    homogeneous of degree >= 1 (``core.require_parameter``).
     """
     gens = parameters.generators
     if ideal._cone is None or ideal._cone[0] != gens:

@@ -4,14 +4,15 @@ needs before it computes a length.
 Each of the theorem's hypotheses is decided once.  Two are enforced while
 the instance is built and raise ``core.HypothesisError``: homogeneous
 generators (by ``Ideal``) and parameters that are nonzero homogeneous of
-degree >= 1 (by ``ProblemInstance``).  The others are named checks with
-witnesses (``check_hypotheses``), which a caller gates on; the command line
-maps both kinds of failure to exit 3.
+degree >= 1 (by ``ProblemInstance``, through ``core.require_parameter``,
+which ``hilbert.tangent_cone`` also calls for a bare parameter ideal).  The
+others are named checks with witnesses (``check_hypotheses``), which a
+caller gates on; the command line maps both kinds of failure to exit 3.
 """
 
 from itertools import combinations
 
-from .core import HypothesisError, Polynomial
+from .core import Polynomial, require_parameter
 from .hilbert import parameter_coordinates, tangent_cone
 from .ideals import Ideal, ideal_sum, intersect_all, krull_dimension
 
@@ -56,10 +57,7 @@ class ProblemInstance:
         if not parameters:
             raise ValueError("need at least one parameter element")
         for f in parameters:
-            if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
-                raise HypothesisError(
-                    f"parameters_homogeneous: parameter {f} must be nonzero "
-                    "homogeneous of degree >= 1")
+            require_parameter(f)
         coordinates = parameter_coordinates(ctx, parameters)
         if coordinates is None:
             ring, J = ctx, Ideal(ctx, parameters)

@@ -159,8 +159,9 @@ def test_betti_above_a_cap_is_a_usage_error(capsys, d, n):
 def test_window_cap_on_flag_and_key(tmp_path, capsys):
     at_cap = dict(BASE, max_power=MAX_POWER_LIMIT)
     above = dict(BASE, max_power=MAX_POWER_LIMIT + 1)
-    refused = (2, "", f"schema error: max_power {MAX_POWER_LIMIT + 1} "
-               f"exceeds MAX_POWER_LIMIT = {MAX_POWER_LIMIT}\n")
+    refused = (2, "", f"schema error: max_power must be in "
+               f"1..MAX_POWER_LIMIT = {MAX_POWER_LIMIT}, not "
+               f"{MAX_POWER_LIMIT + 1}\n")
     for argv in ([_write(tmp_path, "cap.json", at_cap)],
                  [E1, "--max-power", str(MAX_POWER_LIMIT)]):
         code, out, err = run(capsys, "verify", *argv, "--json")
@@ -175,6 +176,14 @@ def test_window_cap_on_flag_and_key(tmp_path, capsys):
                "--max-power", "3", "--json")[0] == 0
     assert run(capsys, "hilbert", _write(tmp_path, "cap.json", BASE),
                "--max-power", str(MAX_POWER_LIMIT + 1)) == refused
+    # the lower bound is the same check, with the same message
+    zero = dict(BASE, max_power=0)
+    below = (2, "", f"schema error: max_power must be in "
+             f"1..MAX_POWER_LIMIT = {MAX_POWER_LIMIT}, not 0\n")
+    assert run(capsys, "hilbert", _write(tmp_path, "zero.json", zero)) == below
+    assert run(capsys, "hilbert", E1, "--max-power", "0") == below
+    assert run(capsys, "hilbert", _write(tmp_path, "zero.json", zero),
+               "--max-power", "3", "--json")[0] == 0
 
 
 FILE_HELP = ["problem file (JSON)", "override the sampling window 1..N",
@@ -228,9 +237,11 @@ ARGV_CASES = [
      ["unrecognized argument"]),
     # a value starting with '-' is still read as the value
     (["hilbert", E1, "--max-power", "-1"], 2, "err",
-     ["max-power must be at least 1"]),
+     ["schema error: max_power must be in 1..MAX_POWER_LIMIT = 1000, "
+      "not -1"]),
     (["verify", E1, "--max-power=0"], 2, "err",
-     ["max-power must be at least 1"]),
+     ["schema error: max_power must be in 1..MAX_POWER_LIMIT = 1000, "
+      "not 0"]),
     (["betti", "--d", "-1", "--n", "2"], 2, "err",
      ["need --d >= 1 and --n >= 1"]),
 ]
@@ -252,7 +263,8 @@ def test_argv_grammar(capsys, argv, code, stream, texts):
 
 
 def test_console_script_reads_sys_argv(monkeypatch, capsys):
-    # the installed ``chernlab`` script calls main() with no argument
+    # run(), the entry of the installed ``chernlab`` script, calls main()
+    # with no argument
     monkeypatch.setattr("sys.argv",
                         ["chernlab", "hilbert", E1, "--json", "--max-power",
                          "3"])

@@ -135,8 +135,9 @@ def test_degree_zero_parameter_raises(ctx4):
     # a constant would give its u weight 0, and the order would not be
     # global
     core = Ideal.from_strings(ctx4, ["x", "y"])
-    with pytest.raises(ValueError, match="^parameters must be nonzero "
-                       "homogeneous of degree >= 1$"):
+    with pytest.raises(ValueError, match="^parameters_homogeneous: "
+                       "parameter 3 must be nonzero homogeneous of "
+                       "degree >= 1$"):
         hilbert_samuel_values(core, Ideal.from_strings(ctx4, ["3", "y + w"]),
                               4)
     for weights in ((0, 1, 1), (1, 1, -1), (1, 1)):

@@ -1,5 +1,6 @@
-"""tools/startup_split.py times start-up, compiling, importing and the
-command in fresh interpreters, and writes nothing in the repository."""
+"""tools/startup_split.py times start-up, compiling, importing, the
+command and the shutdown collections in fresh interpreters, and writes
+nothing in the repository."""
 
 import importlib.util
 from pathlib import Path
@@ -27,10 +28,11 @@ def test_one_run_of_each(capsys):
     assert code == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     times = {name: float(ms) for name, ms, unit in rows}
-    assert list(times) == ["bare", "import_cold", "import_warm", "command",
-                           "compiling", "import", "main"]
+    assert list(times) == ["plain", "bare", "import_cold", "import_warm",
+                           "command", "compiling", "import", "main",
+                           "shutdown_gc"]
     assert all(times[name] > 0 for name in
-               ("bare", "import_cold", "import_warm", "command"))
+               ("plain", "bare", "import_cold", "import_warm", "command"))
     assert _tree() == before
 
 

@@ -4,23 +4,28 @@ compiling, importing and computing.
 Usage: python tools/startup_split.py N COMMAND FILE [ARGS...]
        e.g. python tools/startup_split.py 5 verify problems/e1_two_planes.json --json
 
-Each of four runs is made N times, each time in a fresh interpreter, in N
-rounds of all four, and its median wall time is printed in milliseconds:
+Each of five runs is made N times, each time in a fresh interpreter, in N
+rounds of all five, and its median wall time is printed in milliseconds:
 
-- ``bare``: ``python -c pass``;
-- ``import_cold``: ``python -c "import chernlab.cli"`` with no bytecode, as
-  the benchmark's children run (``PYTHONDONTWRITEBYTECODE=1``), so that
-  chernlab's source is compiled every time;
+- ``plain``: ``python -c pass``;
+- ``bare``: ``python -c "import gc; gc.freeze()"``;
+- ``import_cold``: ``python -c "import chernlab.cli; ..."`` with no
+  bytecode, as the benchmark's children run (``PYTHONDONTWRITEBYTECODE=1``),
+  so that chernlab's source is compiled every time;
 - ``import_warm``: the same import reading bytecode written beforehand to a
   temporary ``PYTHONPYCACHEPREFIX``;
 - ``command``: ``python -m chernlab.cli COMMAND FILE ARGS...`` with no
   bytecode, the benchmark's command.
 
-Then the differences: ``compiling`` (import_cold - import_warm),
-``import`` (import_warm - bare) and ``main`` (command - import_cold, the
-command's own work).  The package is imported from a temporary copy of
-``src/chernlab``, so no bytecode that an earlier run left there is read,
-and nothing is written in the repository.  Stdlib only.
+Every run but ``plain`` ends the way the command does (``cli.run``): it
+freezes the heap before exit, so no run pays CPython's shutdown
+collections.  Then the differences: ``compiling`` (import_cold -
+import_warm), ``import`` (import_warm - bare), ``main`` (command -
+import_cold, the command's own work) and ``shutdown_gc`` (plain - bare,
+the shutdown collections that the freeze saves).  The package is imported
+from a temporary copy of ``src/chernlab``, so no bytecode that an earlier
+run left there is read, and nothing is written in the repository.  Stdlib
+only.
 """
 
 import os
@@ -33,6 +38,8 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chernlab"
+# how cli.run ends a command
+FREEZE = "import gc; gc.freeze()"
 
 
 def _wall_ms(argv, env):
@@ -43,7 +50,7 @@ def _wall_ms(argv, env):
 
 
 def split(runs, command_args):
-    """{name: milliseconds} for the four runs and their differences."""
+    """{name: milliseconds} for the five runs and their differences."""
     with tempfile.TemporaryDirectory(prefix="startup-split-") as tmp:
         shutil.copytree(SRC, Path(tmp, "lib", "chernlab"),
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -55,10 +62,11 @@ def split(runs, command_args):
         cold = dict(base, PYTHONDONTWRITEBYTECODE="1")
         warm = dict(base, PYTHONPYCACHEPREFIX=str(Path(tmp, "pycache")))
         python = [sys.executable]
-        import_cli = python + ["-c", "import chernlab.cli"]
+        import_cli = python + ["-c", "import chernlab.cli\n" + FREEZE]
         subprocess.run(import_cli, env=warm, check=True)
         runs_of = {
-            "bare": (python + ["-c", "pass"], cold),
+            "plain": (python + ["-c", "pass"], cold),
+            "bare": (python + ["-c", FREEZE], cold),
             "import_cold": (import_cli, cold),
             "import_warm": (import_cli, warm),
             "command": (python + ["-m", "chernlab.cli"] + command_args,
@@ -74,6 +82,7 @@ def split(runs, command_args):
     times["compiling"] = times["import_cold"] - times["import_warm"]
     times["import"] = times["import_warm"] - times["bare"]
     times["main"] = times["command"] - times["import_cold"]
+    times["shutdown_gc"] = times["plain"] - times["bare"]
     return times
 
 
