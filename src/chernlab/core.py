@@ -285,6 +285,16 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
+    def trusted(cls, ctx: RingContext, terms: dict) -> "Polynomial":
+        """The polynomial with ``terms``, taken as they are: the caller
+        guarantees monomials of the ring's length and coefficients that are
+        canonical residues in 1..p-1.  The dict is kept, not copied."""
+        res = cls.__new__(cls)
+        res.ctx = ctx
+        res.terms = terms
+        return res
+
+    @classmethod
     def zero(cls, ctx: RingContext) -> "Polynomial":
         return cls(ctx, {})
 
@@ -347,17 +357,12 @@ class Polynomial:
                 out[m] = v
             else:
                 out.pop(m, None)
-        res = Polynomial.__new__(Polynomial)
-        res.ctx = self.ctx
-        res.terms = out
-        return res
+        return Polynomial.trusted(self.ctx, out)
 
     def __neg__(self):
         p = self.ctx.characteristic
-        res = Polynomial.__new__(Polynomial)
-        res.ctx = self.ctx
-        res.terms = {m: p - c for m, c in self.terms.items()}
-        return res
+        return Polynomial.trusted(self.ctx,
+                                  {m: p - c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -370,11 +375,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_ctx(self, other)
-        res = Polynomial.__new__(Polynomial)
-        res.ctx = self.ctx
-        res.terms = _mul_terms(self.terms, other.terms,
-                               self.ctx.characteristic)
-        return res
+        return Polynomial.trusted(self.ctx, _mul_terms(
+            self.terms, other.terms, self.ctx.characteristic))
 
     __rmul__ = __mul__
 
@@ -423,10 +425,7 @@ class Polynomial:
                     out[m] = v
                 else:
                     out.pop(m, None)
-        res = Polynomial.__new__(Polynomial)
-        res.ctx = target
-        res.terms = out
-        return res
+        return Polynomial.trusted(target, out)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

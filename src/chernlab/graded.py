@@ -117,10 +117,7 @@ def _idealization(model: Cokernel):
     gens += [a * b for i, a in enumerate(e[:-1]) for b in e[i:-1]]
     series = (quotient_hilbert_series(model.core)
               + HilbertSeries((0,) + model.dims, 0))
-    basis = buchberger(gens, T, series)
-    B = Ideal(T, basis.elements)
-    B._gb = basis
-    return B, lift
+    return Ideal.from_basis(buchberger(gens, T, series), series), lift
 
 
 def gr_series(model: Cokernel, ideal: Ideal) -> HilbertSeries:
@@ -138,7 +135,8 @@ def gr_series(model: Cokernel, ideal: Ideal) -> HilbertSeries:
 
     ``ideal`` must be a parameter ideal of R: S/(core + ideal) must have
     finite length, else NotFiniteLengthError is raised.  Raises ValueError
-    when the series does not add up to length(L).
+    when the series does not add up to length(L).  Each call builds B's
+    basis anew, so read every number wanted off one series.
     """
     if ideal.ctx != model.core.ctx:
         raise ContextMismatchError("ideal and cokernel come from different "
@@ -157,12 +155,22 @@ def gr_series(model: Cokernel, ideal: Ideal) -> HilbertSeries:
 
 def power_colength(model: Cokernel, ideal: Ideal, n: int) -> int:
     """Colength of the n-th power action: length(L / ideal^n L), for a
-    parameter ideal (see ``gr_series``)."""
+    parameter ideal (see ``gr_series``).
+
+    Each call builds the idealization's basis again through ``gr_series``;
+    a caller that wants several numbers reads them off one ``gr_series``
+    with ``summed``.
+    """
     if n < 0:
         raise ValueError("power must be nonnegative")
     return gr_series(model, ideal).summed(n)
 
 
 def annihilates(ideal: Ideal, model: Cokernel) -> bool:
-    """True when ideal L = 0, that is nu <= 1 (see ``gr_series``)."""
+    """True when ideal L = 0, that is nu <= 1 (see ``gr_series``).
+
+    Each call builds the idealization's basis again through ``gr_series``;
+    a caller that also wants nu or the colengths reads them off one
+    ``gr_series``: nu is the length of its numerator.
+    """
     return len(gr_series(model, ideal).numerator) <= 1

@@ -25,7 +25,11 @@ Hilbert-driven stop (Traverso, "Hilbert functions and the Buchberger
 algorithm", J. Symbolic Comput. 22, 1996).  ``buchberger`` may be given the
 Hilbert series of S/I, known in advance.  After each new basis element G the
 engine compares HS(S/in(G)) with it and, once they are equal, drops the
-pairs still queued.  This is exact for homogeneous I, which ``Ideal``
+pairs still queued.  The two are compared as integer lists, numerators
+over (1-t)^r with r the number of variables the series counts: the engine
+keeps the numerator of HS(S/in(G)) up to date, one leading monomial at a
+time, and lifts the target's numerator to (1-t)^r once
+(``HilbertSeries.lift``).  This is exact for homogeneous I, which ``Ideal``
 enforces: in(G) is contained in in(I), both are monomial ideals, and
 dim S_s/in(I)_s = dim S_s/I_s in every degree s, so equal series force
 in(G) = in(I) degree by degree.  G is then already a Groebner basis, every
@@ -36,6 +40,11 @@ kept variables only), and only the leading monomials free of the first k
 variables count: they are those of the basis elements lying in that ideal,
 so the same argument applies to them, and only those elements of the
 result are guaranteed.
+
+The numerators of the Hilbert series of monomial ideals
+(``series_numerator``) are computed here, next to the engine that stops
+on them; ``ideals`` and ``hilbert`` import them, and this module imports
+only ``core``.
 """
 
 from __future__ import annotations
@@ -47,9 +56,12 @@ from .core import ContextMismatchError, Polynomial
 
 __all__ = [
     "GroebnerBasis",
+    "add_shifted",
     "buchberger",
+    "minimalize",
     "normal_form",
     "s_polynomial",
+    "series_numerator",
     "standard_monomials",
 ]
 
@@ -60,6 +72,78 @@ def _mono_lcm(a, b):
 
 def _mono_divides(a, b):
     return all(map(le, a, b))
+
+
+def minimalize(monos):
+    """Minimal generators of the monomial ideal generated by monos."""
+    uniq = sorted(set(monos), key=lambda m: (sum(m), m))
+    out = []
+    for m in uniq:
+        if not any(_mono_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def add_shifted(a, b, i, j, sign):
+    """a + sign * t^i s^j * b, for bigraded numerators: lists of rows,
+    indexed [t-degree][s-degree]."""
+    out = list(a)
+    out += [[]] * (i + len(b) - len(out))
+    for ii, row in enumerate(b, i):
+        target = out[ii] + [0] * (j + len(row) - len(out[ii]))
+        for jj, c in enumerate(row, j):
+            target[jj] += sign * c
+        out[ii] = target
+    return out
+
+
+def series_numerator(gens, r, k=0):
+    """Numerator of HS(S/I) over (1-t)^k (1-s)^(r-k) for a minimal monomial
+    generating set, where the first k variables have weight t and the others
+    weight s.  The result is indexed [t-degree][s-degree]; with k = 0 it has
+    the one row num[0], the numerator of the standard series over (1-s)^r.
+
+    Recursion on a variable pivot x_u (the most frequent variable, ties by
+    index):  N(I) = N(I + (x_u)) + w(x_u) * N(I : x_u), w the pivot's weight
+    (Bigatti, "Computation of Hilbert-Poincare series", JPAA 1997).
+    """
+    if not gens:
+        return [[1]]
+    unit = (0,) * r
+    if unit in gens:
+        return [[0]]
+    if all(sum(1 for e in m if e) == 1 for m in gens):
+        # pairwise coprime variable powers: product of the 1 - w(m)
+        num = [[1]]
+        for m in gens:
+            e = max(m)
+            shift = (e, 0) if m.index(e) < k else (0, e)
+            num = add_shifted(num, num, *shift, -1)
+        return num
+    # Pivot on the most frequent variable (ties: smallest index) among
+    # mixed-support generators; pivoting on a variable that only occurs in a
+    # pure power would fail to shrink the "+ pivot" branch.
+    counts = [0] * r
+    for m in gens:
+        if sum(1 for e in m if e) > 1:
+            for i, e in enumerate(m):
+                if e:
+                    counts[i] += 1
+    u = max(range(r), key=lambda i: (counts[i], -i))
+    pivot = tuple(1 if i == u else 0 for i in range(r))
+    # Both branches stay minimal without a full pass.  The generators free
+    # of x_u are minimal and x_u divides none of them.  Lowering the x_u
+    # exponent keeps the others pairwise minimal, and only a lowered
+    # generator that is now free of x_u can divide one that always was.
+    free = [m for m in gens if not m[u]]
+    lowered = [m[:u] + (m[u] - 1,) + m[u + 1:] for m in gens if m[u]]
+    divisors = [m for m in lowered if not m[u]]
+    plus = free + [pivot]
+    colon = lowered + [m for m in free
+                       if not any(_mono_divides(g, m) for g in divisors)]
+    return add_shifted(series_numerator(plus, r, k),
+                       series_numerator(colon, r, k),
+                       *((1, 0) if u < k else (0, 1)), 1)
 
 
 def _reduce_terms(terms, key, lms, lead_keys, degs, tails, p, reducer_of):
@@ -155,16 +239,18 @@ class _Engine:
         self.chain_skips = 0
         self.zero_reductions = 0
         self.series_stop = False
-        self.series = series
+        self.target = None
         self.reached = False
         if series is not None:
             order = ctx.order
             self.eliminated = (order[1] if isinstance(order, tuple)
                                and order[0] == "elim" else 0)
             # leading monomials free of the eliminated variables, without
-            # them, and the numerator of their quotient's Hilbert series
+            # them, the numerator of their quotient's Hilbert series, and
+            # the target's numerator over the same (1-t)^r, trimmed
             self.free_leads = []
             self.numerator = [[1]]
+            self.target = _trimmed(series.lift(ctx.nvars - self.eliminated))
         for g in sorted(gens, key=lambda g: max(map(ctx.degree, g.terms),
                                                 default=0)):
             self._admit(g.terms)
@@ -191,7 +277,7 @@ class _Engine:
                       lm_key), i, j)
             heappush(self.pairs, entry)
             self.pending.add((i, j))
-        if self.series is not None:
+        if self.target is not None:
             self._add_to_series(lm)
         return terms
 
@@ -202,19 +288,14 @@ class _Engine:
         k = self.eliminated
         if any(lm[:k]):
             return
-        # ideals imports this module, so import from it at run time
-        from .ideals import (HilbertSeries, _add_shifted, _minimalize,
-                             _series_numerator)
-
         m = lm[k:]
-        colon = _minimalize([tuple(map(sub, _mono_lcm(g, m), m))
-                             for g in self.free_leads])
+        colon = minimalize([tuple(map(sub, _mono_lcm(g, m), m))
+                            for g in self.free_leads])
         self.free_leads.append(m)
-        self.numerator = _add_shifted(self.numerator,
-                                      _series_numerator(colon, len(m)),
-                                      0, sum(m), -1)
-        self.reached = (HilbertSeries(self.numerator[0], len(m))
-                        == self.series)
+        self.numerator = add_shifted(self.numerator,
+                                     series_numerator(colon, len(m)),
+                                     0, sum(m), -1)
+        self.reached = _trimmed(self.numerator[0]) == self.target
 
     def run(self):
         pairs = self.pairs
@@ -269,6 +350,14 @@ class _Engine:
         return out
 
 
+def _trimmed(coefficients):
+    """The coefficient list without its trailing zeros."""
+    out = list(coefficients)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _interreduce(engine):
     """Turn the engine's basis, which has the Groebner property, into the
     reduced basis: (leading monomials, tails), sorted by leading monomial,
@@ -319,14 +408,31 @@ class GroebnerBasis:
         basis.ctx = ctx
         basis._lead = tuple(leads)
         basis._tails = tuple(tails)
-        elements = []
-        for lm, tail in zip(leads, tails):
-            g = Polynomial.__new__(Polynomial)
-            g.ctx = ctx
-            g.terms = {lm: 1, **{m: c for m, c, _ in tail}}
-            elements.append(g)
-        basis.elements = tuple(elements)
+        basis.elements = tuple(
+            Polynomial.trusted(ctx, {lm: 1, **{m: c for m, c, _ in tail}})
+            for lm, tail in zip(leads, tails))
         return basis
+
+    def eliminate(self, ctx):
+        """The elements free of the first k variables, k = self.ctx.nvars -
+        ctx.nvars, as a basis in ``ctx``, the ring of the other variables.
+
+        For the reduced basis of a homogeneous ideal I in an ("elim", k,
+        base) order with the target series of I ∩ F[x_(k+1), ...] (see
+        ``buchberger``) and ``ctx`` of order base, this is the reduced basis
+        of that intersection.  Its leads are sorted again in the base order
+        (the elimination order sorts by degree first, which differs for
+        lex); each element is homogeneous, so its tail is already sorted in
+        the base order too.
+        """
+        k = self.ctx.nvars - ctx.nvars
+        key = ctx.sort_key
+        kept = sorted(((lm[k:], [(m[k:], c, key(m[k:])) for m, c, _ in tail])
+                       for lm, tail in zip(self._lead, self._tails)
+                       if not any(lm[:k])),
+                      key=lambda part: key(part[0]))
+        return GroebnerBasis._from_parts(ctx, [lm for lm, _ in kept],
+                                         [tail for _, tail in kept])
 
     def lead_monomials(self):
         return self._lead
@@ -404,10 +510,7 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     out = _reduce_terms(f.terms, key, lms, [key(m) for m in lms],
                         [sum(m) for m in lms], basis._tails,
                         ctx.characteristic, {})
-    res = Polynomial.__new__(Polynomial)
-    res.ctx = ctx
-    res.terms = {m: c for m, c, _ in out}
-    return res
+    return Polynomial.trusted(ctx, {m: c for m, c, _ in out})
 
 
 def standard_monomials(basis: GroebnerBasis, max_degree: int):

@@ -15,10 +15,9 @@ the command line, as a fit on a short window can accept a wrong polynomial.
 from __future__ import annotations
 
 from .core import Polynomial, RingContext, binomial, require_parameter
-from .groebner import buchberger
-from .ideals import (HilbertSeries, Ideal, _minimalize, _series_numerator,
-                     ideal_power, ideal_sum, quotient_hilbert_series,
-                     quotient_length)
+from .groebner import buchberger, minimalize, series_numerator
+from .ideals import (HilbertSeries, Ideal, ideal_power, ideal_sum,
+                     quotient_hilbert_series, quotient_length)
 from .linalg import rref_mod_p
 
 __all__ = [
@@ -95,17 +94,19 @@ class TangentCone:
     ("ydeg", k, base) or ("ydeg", k, base, w) order ``ctx`` carries: on
     homogeneous input they generate the initial ideal of the tangent cone.
     Counting monomials by y-degree and z-degree does not depend on the
-    weights w.  The cone keeps only ``numerator``, the
+    weights w.  The cone keeps ``numerator``, the
     numerator of HS(S/in(ideal)) over (1-t)^k (1-s)^(r-k), with weight t on
-    the y and s on the z variables, indexed [t-degree][s-degree].
+    the y and s on the z variables, indexed [t-degree][s-degree], and its
+    ``series`` once built.
     """
 
-    __slots__ = ("ctx", "k", "numerator")
+    __slots__ = ("ctx", "k", "numerator", "_gr")
 
     def __init__(self, ctx, k, leads):
         self.ctx = ctx
         self.k = k
-        self.numerator = _series_numerator(_minimalize(leads), ctx.nvars, k)
+        self.numerator = series_numerator(minimalize(leads), ctx.nvars, k)
+        self._gr = None
 
     def dimension_mod_parameters(self) -> int:
         """dim S/(ideal + J), or -1 when that quotient is zero: the pole
@@ -137,8 +138,10 @@ class TangentCone:
 
     def series(self) -> HilbertSeries:
         """The Hilbert series Q(t)/(1-t)^k of gr_J(S/ideal), in lowest
-        terms (see ``h_vector``)."""
-        return HilbertSeries(self.h_vector(), self.k)
+        terms (see ``h_vector``), built on the first call."""
+        if self._gr is None:
+            self._gr = HilbertSeries(self.h_vector(), self.k)
+        return self._gr
 
     def values(self, max_power: int) -> dict:
         """H(n) = length(S/(ideal + J^n)) for n = 1..max_power, for all n at
@@ -201,7 +204,7 @@ def tangent_cone(ideal: Ideal, parameters: Ideal) -> TangentCone:
     homogeneous of degree >= 1 (``core.require_parameter``).
     """
     gens = parameters.generators
-    if ideal._cone is None or ideal._cone[0] != gens:
+    if ideal.cone_cache is None or ideal.cone_cache[0] != gens:
         ctx, k = ideal.ctx, len(gens)
         if (ctx.order[:2] == ("ydeg", k) and len(ctx.order) == 3
                 and gens == tuple(Polynomial.variable(ctx, y)
@@ -209,8 +212,8 @@ def tangent_cone(ideal: Ideal, parameters: Ideal) -> TangentCone:
             cone = TangentCone(ctx, k, ideal.lead_monomials())
         else:
             cone = _graph_cone(ideal, gens)
-        ideal._cone = (gens, cone)
-    return ideal._cone[1]
+        ideal.cone_cache = (gens, cone)
+    return ideal.cone_cache[1]
 
 
 def hilbert_samuel_values(ideal: Ideal, parameters: Ideal,
@@ -263,7 +266,7 @@ def samuel_polynomial(series: HilbertSeries, d: int):
     """
     if series.denominator_exponent > d:
         raise ValueError("the series has a pole of order above d")
-    h = series._lift(d)
+    h = series.lift(d)
     e = tuple(sum(binomial(i, j) * c for i, c in enumerate(h))
               for j in range(d + 1))
     for n in range(len(h) - 1 - d, 0, -1):

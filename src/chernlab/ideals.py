@@ -13,7 +13,8 @@ from itertools import combinations_with_replacement
 
 from .core import (ContextMismatchError, HypothesisError, Polynomial,
                    RingContext, binomial, parse_polynomial)
-from .groebner import GroebnerBasis, _mono_divides, buchberger, normal_form
+from .groebner import (GroebnerBasis, buchberger, minimalize, normal_form,
+                       series_numerator)
 
 __all__ = [
     "Ideal",
@@ -38,14 +39,14 @@ class NotFiniteLengthError(ValueError):
 
 class Ideal:
     """A homogeneous ideal: generator list plus a cached reduced Groebner
-    basis, the cached Hilbert series of its quotient, and its cached tangent
-    cone along the latest parameters asked for, as (parameter generators,
-    cone) (see ``hilbert.tangent_cone``).
+    basis, the cached Hilbert series of its quotient, and ``cone_cache``,
+    its tangent cone along the latest parameters asked for, as (parameter
+    generators, cone), which ``hilbert.tangent_cone`` reads and fills.
 
-    Each cache is filled on first use.
+    Each cache is filled on first use, or at once by ``from_basis``.
     """
 
-    __slots__ = ("ctx", "generators", "_gb", "_series", "_cone")
+    __slots__ = ("ctx", "generators", "_gb", "_series", "cone_cache")
 
     def __init__(self, ctx: RingContext, generators):
         gens = []
@@ -61,7 +62,18 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb = None
         self._series = None
-        self._cone = None
+        self.cone_cache = None
+
+    @classmethod
+    def from_basis(cls, basis: GroebnerBasis, series=None) -> "Ideal":
+        """The ideal generated by a reduced basis, which it keeps as its
+        own, with the Hilbert series of its quotient when the caller knows
+        it.  The basis of a homogeneous ideal is homogeneous, so its
+        elements are not checked again."""
+        ideal = cls(basis.ctx, ())
+        ideal.generators = basis.elements
+        ideal._gb, ideal._series = basis, series
+        return ideal
 
     @classmethod
     def from_strings(cls, ctx: RingContext, texts) -> "Ideal":
@@ -132,10 +144,11 @@ def ideal_intersect(a: Ideal, b: Ideal, total=None) -> Ideal:
     homogeneous in x, the order compares the x-degree first, then the
     t-degree, then base, and the engine runs degree by degree in x.  A
     basis element whose leading monomial is free of t is then free of t, so
-    the t-free part of the basis is a basis of A ∩ B.  On t-free monomials
-    of one degree the order is base, so that part is the reduced base basis
-    of A ∩ B, for lex too: A ∩ B is homogeneous, and on homogeneous
-    polynomials degree-then-lex and lex pick the same leading terms.
+    the t-free part of the basis (``GroebnerBasis.eliminate``) is a basis
+    of A ∩ B.  On t-free monomials of one degree the order is base, so that
+    part is the reduced base basis of A ∩ B, for lex too: A ∩ B is
+    homogeneous, and on homogeneous polynomials degree-then-lex and lex
+    pick the same leading terms.
 
     The elimination run has the target series
     HS(S/(A ∩ B)) = HS(S/A) + HS(S/B) - HS(S/(A + B)), from the exact
@@ -166,21 +179,8 @@ def ideal_intersect(a: Ideal, b: Ideal, total=None) -> Ideal:
         total = ideal_sum(a, b)
     series = (quotient_hilbert_series(a) + quotient_hilbert_series(b)
               - quotient_hilbert_series(total))
-    eliminated = buchberger(gens, ectx, series)
-    # the t-free elements, with their leads sorted in the base order (the
-    # elimination order sorts by degree first, which differs for lex); each
-    # is homogeneous, so its tail is already sorted in the base order too
-    key = ctx.sort_key
-    kept = sorted(((lm[1:], [(m[1:], c, key(m[1:])) for m, c, _ in tail])
-                   for lm, tail in zip(eliminated._lead, eliminated._tails)
-                   if not lm[0]),
-                  key=lambda part: key(part[0]))
-    basis = GroebnerBasis._from_parts(ctx, [lm for lm, _ in kept],
-                                      [tail for _, tail in kept])
-    result = Ideal(ctx, basis.elements)
-    result._gb = basis
-    result._series = series
-    return result
+    return Ideal.from_basis(buchberger(gens, ectx, series).eliminate(ctx),
+                            series)
 
 
 def intersect_all(ideals, first_sum=None) -> Ideal:
@@ -209,78 +209,6 @@ def is_mprimary(a: Ideal) -> bool:
 # ---------------------------------------------------------------------------
 # Hilbert series of monomial ideals
 # ---------------------------------------------------------------------------
-
-
-def _minimalize(monos):
-    """Minimal generators of the monomial ideal generated by monos."""
-    uniq = sorted(set(monos), key=lambda m: (sum(m), m))
-    out = []
-    for m in uniq:
-        if not any(_mono_divides(g, m) for g in out):
-            out.append(m)
-    return out
-
-
-def _add_shifted(a, b, i, j, sign):
-    """a + sign * t^i s^j * b, for bigraded numerators: lists of rows,
-    indexed [t-degree][s-degree]."""
-    out = list(a)
-    out += [[]] * (i + len(b) - len(out))
-    for ii, row in enumerate(b, i):
-        target = out[ii] + [0] * (j + len(row) - len(out[ii]))
-        for jj, c in enumerate(row, j):
-            target[jj] += sign * c
-        out[ii] = target
-    return out
-
-
-def _series_numerator(gens, r, k=0):
-    """Numerator of HS(S/I) over (1-t)^k (1-s)^(r-k) for a minimal monomial
-    generating set, where the first k variables have weight t and the others
-    weight s.  The result is indexed [t-degree][s-degree]; with k = 0 it has
-    the one row num[0], the numerator of the standard series over (1-s)^r.
-
-    Recursion on a variable pivot x_u (the most frequent variable, ties by
-    index):  N(I) = N(I + (x_u)) + w(x_u) * N(I : x_u), w the pivot's weight
-    (Bigatti, "Computation of Hilbert-Poincare series", JPAA 1997).
-    """
-    if not gens:
-        return [[1]]
-    unit = (0,) * r
-    if unit in gens:
-        return [[0]]
-    if all(sum(1 for e in m if e) == 1 for m in gens):
-        # pairwise coprime variable powers: product of the 1 - w(m)
-        num = [[1]]
-        for m in gens:
-            e = max(m)
-            shift = (e, 0) if m.index(e) < k else (0, e)
-            num = _add_shifted(num, num, *shift, -1)
-        return num
-    # Pivot on the most frequent variable (ties: smallest index) among
-    # mixed-support generators; pivoting on a variable that only occurs in a
-    # pure power would fail to shrink the "+ pivot" branch.
-    counts = [0] * r
-    for m in gens:
-        if sum(1 for e in m if e) > 1:
-            for i, e in enumerate(m):
-                if e:
-                    counts[i] += 1
-    u = max(range(r), key=lambda i: (counts[i], -i))
-    pivot = tuple(1 if i == u else 0 for i in range(r))
-    # Both branches stay minimal without a full pass.  The generators free
-    # of x_u are minimal and x_u divides none of them.  Lowering the x_u
-    # exponent keeps the others pairwise minimal, and only a lowered
-    # generator that is now free of x_u can divide one that always was.
-    free = [m for m in gens if not m[u]]
-    lowered = [m[:u] + (m[u] - 1,) + m[u + 1:] for m in gens if m[u]]
-    divisors = [m for m in lowered if not m[u]]
-    plus = free + [pivot]
-    colon = lowered + [m for m in free
-                       if not any(_mono_divides(g, m) for g in divisors)]
-    return _add_shifted(_series_numerator(plus, r, k),
-                        _series_numerator(colon, r, k),
-                        *((1, 0) if u < k else (0, 1)), 1)
 
 
 class HilbertSeries:
@@ -336,9 +264,9 @@ class HilbertSeries:
         return [self.summed(m + 1) - self.summed(m)
                 for m in range(max_degree + 1)]
 
-    def _lift(self, s):
+    def lift(self, s):
         """The numerator of the same series over (1-t)^s, s at least the
-        pole order."""
+        pole order, as a list."""
         if s < self.denominator_exponent:
             raise ValueError(f"cannot write a series of pole order "
                              f"{self.denominator_exponent} over (1-t)^{s}")
@@ -351,8 +279,8 @@ class HilbertSeries:
         if not isinstance(other, HilbertSeries):
             return NotImplemented
         s = max(self.denominator_exponent, other.denominator_exponent)
-        a = self._lift(s)
-        b = other._lift(s)
+        a = self.lift(s)
+        b = other.lift(s)
         width = max(len(a), len(b))
         num = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                for i in range(width)]
@@ -378,8 +306,8 @@ class HilbertSeries:
 def monomial_hilbert_series(lead_monomials, ctx: RingContext) -> HilbertSeries:
     """Exact Hilbert series of S/(monomial ideal)."""
     r = ctx.nvars
-    gens = _minimalize(lead_monomials)
-    return HilbertSeries(_series_numerator(gens, r)[0], r)
+    gens = minimalize(lead_monomials)
+    return HilbertSeries(series_numerator(gens, r)[0], r)
 
 
 def quotient_hilbert_series(a: Ideal) -> HilbertSeries:

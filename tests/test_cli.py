@@ -493,6 +493,28 @@ def test_each_tangent_cone_built_once(monkeypatch, capsys, command, path,
     assert len(built) == cones
 
 
+@pytest.mark.parametrize("command, h_vectors", [("hilbert", 1),
+                                                ("verify", 5)])
+def test_each_cone_series_built_once(monkeypatch, capsys, command, h_vectors):
+    # verify on e4 reads the core's series four times (its H(K, n) table,
+    # its e, the torsion series and gr_J(L)) and each component's three
+    # times (its table, its e_0 and the torsion series): each of the 5
+    # cones, the idealization's included, builds its h-vector once
+    import chernlab.hilbert as hilbert_module
+
+    built = []
+    original = hilbert_module.TangentCone.h_vector
+
+    def counting(self):
+        built.append(1)
+        return original(self)
+
+    monkeypatch.setattr(hilbert_module.TangentCone, "h_vector", counting)
+    code, _, _ = run(capsys, command, E4, "--json")
+    assert code == 0
+    assert len(built) == h_vectors
+
+
 @pytest.mark.parametrize("command", ["hilbert", "verify"])
 def test_intersection_keeps_its_target_series(monkeypatch, capsys, command):
     # e4: one series for each of the 3 components, the 3 pairwise sums and
@@ -692,7 +714,7 @@ def test_verify_computes_core_table_once(tmp_path, monkeypatch):
         rings.clear()
         report = run_verification(inst)
         assert sorted(rings) == [graph] * 3 + [over_b]
-        assert inst.core._cone[1].ctx.variables == graph
+        assert inst.core.cone_cache[1].ctx.variables == graph
     # the report of the default window, as on the per-n route before
     assert (report["lambda_L"], report["top_degree"],
             report["annihilates"]) == ("30", 9, False)

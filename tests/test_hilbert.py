@@ -232,11 +232,11 @@ def test_core_polynomial_invariants(e1):
 
 def test_lift_refuses_a_pole_order_below_the_series():
     series = HilbertSeries([3, -1], 2)
-    assert series._lift(2) == [3, -1]
-    assert series._lift(3) == [3, -4, 1]
+    assert series.lift(2) == [3, -1]
+    assert series.lift(3) == [3, -4, 1]
     for s in (1, 0):
         with pytest.raises(ValueError, match="pole order"):
-            series._lift(s)
+            series.lift(s)
 
 
 def test_cm_test(capsys):

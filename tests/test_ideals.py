@@ -9,7 +9,8 @@ from chernlab import (HypothesisError, Ideal, NotFiniteLengthError,
                       krull_dimension, monomial_hilbert_series,
                       parse_polynomial, quotient_hilbert_series,
                       quotient_length, standard_monomials)
-from chernlab.ideals import HilbertSeries, _series_numerator
+from chernlab.groebner import series_numerator
+from chernlab.ideals import HilbertSeries
 
 
 def I(ctx, *texts):
@@ -205,7 +206,7 @@ def test_series_vs_standard_monomials(ctx4):
         # the bigraded numerator, the first k variables weighted t and the
         # others s, is the same numerator at s = t
         for k in range(5):
-            bigraded = _series_numerator(ideal.lead_monomials(), 4, k)
+            bigraded = series_numerator(ideal.lead_monomials(), 4, k)
             collapsed = [0] * (len(bigraded) + max(map(len, bigraded)))
             for i, row in enumerate(bigraded):
                 for j, c in enumerate(row):
