@@ -30,9 +30,8 @@ from types import SimpleNamespace
 from . import graded, resolutions, verifier
 from .core import (PRIME_LIMIT, HypothesisError, ParseError, RingContext,
                    is_prime, parse_polynomial)
-from .hilbert import (chern_sign, hilbert_samuel_values, samuel_polynomial,
-                      tangent_cone)
-from .ideals import Ideal, NotFiniteLengthError
+from .hilbert import chern_sign, ring_series, samuel_polynomial
+from .ideals import Ideal, NotFiniteLengthError, quotient_length
 from .instance import ProblemInstance, check_hypotheses
 
 __all__ = ["main", "run", "SchemaError", "load_problem", "build_instance"]
@@ -179,33 +178,36 @@ def _load_and_build(args) -> ProblemInstance:
 
 def cmd_hilbert(args) -> int:
     inst = _load_and_build(args)
-    _, gate = _gate_hypotheses(inst, args.force)
+    fragment, gate = _gate_hypotheses(inst, args.force)
     if gate is not None:
         return gate
-    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
+    series = ring_series(inst, fragment["all_pass"])
+    values = [(n, series.summed(n)) for n in range(1, inst.max_power + 1)]
     if args.json:
-        _emit_json([{"n": n, "length": str(values[n])} for n in sorted(values)])
+        _emit_json([{"n": n, "length": str(h)} for n, h in values])
     else:
         print(f"{'n':>4}  {'H(K,n)':>12}")
-        for n in sorted(values):
-            print(f"{n:>4}  {values[n]:>12}")
+        for n, h in values:
+            print(f"{n:>4}  {h:>12}")
     return EXIT_OK
 
 
 def cmd_coeffs(args) -> int:
     inst = _load_and_build(args)
-    _, gate = _gate_hypotheses(inst, args.force)
+    fragment, gate = _gate_hypotheses(inst, args.force)
     if gate is not None:
         return gate
-    series = tangent_cone(inst.core, inst.J).series()
+    series = ring_series(inst, fragment["all_pass"])
     e, n0 = samuel_polynomial(series, inst.d)
-    model = graded.diagonal_cokernel(inst.ideals, inst.core)
+    # for g = 2, L = (S/I_1 ⊕ S/I_2)/R is S/(I_1 + I_2)
+    module_len = (quotient_length(inst.pair_sums[(0, 1)]) if inst.g == 2
+                  else graded.diagonal_cokernel(inst.ideals, inst.core).length)
     payload = {
         "e": [str(c) for c in e],
         "n0": n0,
         "cm": e[0] == series.summed(1),
         "chern_sign": chern_sign(e[1] if len(e) > 1 else 0),
-        "lambda_L": str(model.length),
+        "lambda_L": str(module_len),
     }
     if args.json:
         _emit_json(payload)

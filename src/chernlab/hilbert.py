@@ -24,7 +24,9 @@ __all__ = [
     "FitInstabilityError",
     "hilbert_samuel",
     "hilbert_samuel_values",
+    "multiplicity",
     "parameter_coordinates",
+    "ring_series",
     "TangentCone",
     "tangent_cone",
     "fit_coefficients",
@@ -189,6 +191,15 @@ def _graph_cone(ideal: Ideal, parameters) -> TangentCone:
     return TangentCone(T, m, basis.lead_monomials())
 
 
+def _first_variables(ctx, gens) -> bool:
+    """Whether ``gens`` are the first k variables of a ("ydeg", k, base)
+    ring, as J is in the ring of ``parameter_coordinates``."""
+    k = len(gens)
+    return (ctx.order[:2] == ("ydeg", k) and len(ctx.order) == 3
+            and gens == tuple(Polynomial.variable(ctx, y)
+                              for y in ctx.variables[:k]))
+
+
 def tangent_cone(ideal: Ideal, parameters: Ideal) -> TangentCone:
     """The TangentCone of the ideal along the parameters, built once and
     cached on the ideal with the parameters' generators.
@@ -205,11 +216,8 @@ def tangent_cone(ideal: Ideal, parameters: Ideal) -> TangentCone:
     """
     gens = parameters.generators
     if ideal.cone_cache is None or ideal.cone_cache[0] != gens:
-        ctx, k = ideal.ctx, len(gens)
-        if (ctx.order[:2] == ("ydeg", k) and len(ctx.order) == 3
-                and gens == tuple(Polynomial.variable(ctx, y)
-                                  for y in ctx.variables[:k])):
-            cone = TangentCone(ctx, k, ideal.lead_monomials())
+        if _first_variables(ideal.ctx, gens):
+            cone = TangentCone(ideal.ctx, len(gens), ideal.lead_monomials())
         else:
             cone = _graph_cone(ideal, gens)
         ideal.cone_cache = (gens, cone)
@@ -238,6 +246,57 @@ def hilbert_samuel_values(ideal: Ideal, parameters: Ideal,
     if max_power < 1:
         raise ValueError("power must be at least 1")
     return tangent_cone(ideal, parameters).values(max_power)
+
+
+def multiplicity(series: HilbertSeries, d: int) -> int:
+    """e_0 in dimension d of a series h(t)/(1-t)^s in lowest terms, s <= d:
+    h(1) when s = d, else 0."""
+    return sum(series.numerator) if series.denominator_exponent == d else 0
+
+
+def ring_series(inst, hypotheses_hold: bool) -> HilbertSeries:
+    """HS(gr_J R) of a ``ProblemInstance``, R = S/(I_1 ∩ ... ∩ I_g): the
+    series that ``hilbert`` and ``coeffs`` read H(K, n), e and n0 off.
+
+    When g = 2, the parameters are linear and ``hypotheses_hold`` (every
+    check of ``instance.check_hypotheses`` passed, so each S/I_i is
+    Cohen-Macaulay with J a system of parameters on it), no intersection
+    is built.  Then Tor_1(S/I_i, S/J^n) = 0, and tensoring
+    0 -> R -> S/I_1 ⊕ S/I_2 -> L -> 0 with S/J^n, where
+    Tor_1(L, S/J^n) = ker(L ⊗ J^n -> L), gives for n >= 1
+
+        λ(R/J^n R) = e_0 C(n+d-1, d) - λ(L) + λ(L ⊗ J^n),
+
+    with e_0 = Σ e_0(J, S/I_i) off the components' cones.  J = (y) is
+    generated by a regular sequence, so ⊕_n J^n = Sym(J) =
+    S[T_1..T_d]/I_2(y; T), the 2x2 minors of the rows y and T (Huneke,
+    J. Algebra 62, 1980), and ⊕_n L ⊗ J^n is S[T]/(I_1 + I_2 + I_2(y; T))
+    for L = S/(I_1 + I_2).  That ideal is bihomogeneous, so one basis in
+    the ("ydeg", d, base) order, T first, gives A(t) = Σ λ(L ⊗ J^n) t^n as
+    its cone's series, and HS(gr_J R) = e_0/(1-t)^d + ((1-t)A - λ(L))/t.
+    Otherwise it is the series of the core's tangent cone.
+    """
+    J = inst.J
+    if not (hypotheses_hold and inst.g == 2
+            and _first_variables(inst.ring, J.generators)):
+        return tangent_cone(inst.core, J).series()
+    ring, d = inst.ring, len(J.generators)
+    names = tuple(f"t{i}" for i in range(1, d + 1))
+    rees = RingContext(names + ring.variables, ring.characteristic,
+                       ("ydeg", d, ring.order[2]))
+    pad = (0,) * d
+    gens = [Polynomial(rees, {pad + m: c for m, c in f.terms.items()})
+            for f in inst.pair_sums[(0, 1)].groebner().elements]
+    t = [Polynomial.variable(rees, name) for name in names]
+    y = [Polynomial.variable(rees, name) for name in ring.variables[:d]]
+    gens += [y[i] * t[j] - y[j] * t[i]
+             for i in range(d) for j in range(i + 1, d)]
+    a = TangentCone(rees, d, buchberger(gens, rees).lead_monomials()).series()
+    e0 = sum(multiplicity(tangent_cone(ideal, J).series(), d)
+             for ideal in inst.ideals)
+    rest = HilbertSeries(a.lift(d), d - 1) - HilbertSeries([a.summed(1)], 0)
+    return HilbertSeries([e0], d) + HilbertSeries(rest.numerator[1:],
+                                                  rest.denominator_exponent)
 
 
 def hilbert_polynomial_value(coefficients, n: int) -> int:

@@ -13,7 +13,7 @@ caller gates on; the command line maps both kinds of failure to exit 3.
 from itertools import combinations
 
 from .core import Polynomial, require_parameter
-from .hilbert import parameter_coordinates, tangent_cone
+from .hilbert import multiplicity, parameter_coordinates, tangent_cone
 from .ideals import Ideal, ideal_sum, intersect_all, krull_dimension
 
 __all__ = ["ProblemInstance", "check_hypotheses"]
@@ -22,9 +22,12 @@ __all__ = ["ProblemInstance", "check_hypotheses"]
 class ProblemInstance:
     """A quotient ring presented by component ideals plus parameter elements.
 
-    Derived data (pairwise sums, intersection, dimension, heights) is
-    computed eagerly and once: consumers take ``core`` instead of
-    intersecting the ideals again.
+    Derived data (pairwise sums, dimension, heights) is computed eagerly
+    and once.  The intersection ``core`` is built on first use, and only
+    then: ``verify`` and the core route of ``hilbert.ring_series`` take it
+    instead of intersecting the ideals again, and the hypothesis checks
+    and the Rees route never need it.  d = dim S/core is the largest
+    component dimension, as V(core) is the union of the V(I_i).
 
     Two rings.  ``ctx`` is the problem's ring, and ``parameters`` are the
     given elements in it.  ``ring`` is the ring every derived ideal lives
@@ -35,7 +38,7 @@ class ProblemInstance:
     once, J = (y_1, ..., y_k), and the order is ("ydeg", k, base), so each
     ideal's one reduced basis is also its tangent cone's, and
     ``hilbert.tangent_cone`` caches the cone on the ideal, so the hypothesis
-    checks and the H(K, n) table share the core's.
+    checks and the H(K, n) table share the components'.
     Otherwise ``ring`` is ``ctx``, the change is the identity, J is
     generated by the parameters, and each tangent cone is that of J's graph.
     Lengths, dimensions and series do not depend on the coordinates.
@@ -47,7 +50,7 @@ class ProblemInstance:
     """
 
     __slots__ = ("ctx", "ring", "ideals", "parameters", "J", "pair_sums",
-                 "core", "g", "r", "d", "heights", "max_power")
+                 "_core", "g", "r", "d", "heights", "max_power")
 
     def __init__(self, ctx, ideals, parameters, max_power=None):
         ideals = list(ideals)
@@ -75,25 +78,39 @@ class ProblemInstance:
         self.J = J
         self.pair_sums = {(i, j): ideal_sum(ideals[i], ideals[j])
                           for i, j in combinations(range(len(ideals)), 2)}
-        self.core = intersect_all(ideals, self.pair_sums.get((0, 1)))
+        self._core = None
         self.g = len(ideals)
         self.r = ctx.nvars
-        self.d = krull_dimension(self.core)
         self.heights = [self.r - krull_dimension(ideal) for ideal in ideals]
+        self.d = self.r - min(self.heights)
         self.max_power = max_power if max_power is not None else 2 * self.d + 4
         if self.max_power < 1:
             raise ValueError("max_power must be at least 1")
+
+    @property
+    def core(self) -> Ideal:
+        """I_1 ∩ ... ∩ I_g, intersected on first use."""
+        if self._core is None:
+            self._core = intersect_all(self.ideals, self.pair_sums.get((0, 1)))
+        return self._core
 
 
 def check_hypotheses(inst: ProblemInstance) -> dict:
     """Named hypothesis checks with witnesses.
 
-    Every check reads data the instance holds already.  Component
-    dimensions come from ``inst.heights`` and the pairwise sums from
-    ``inst.pair_sums``, whose bases the intersection shares.
-    ``dimension_of_quotient`` (dim S/(core + J)) is read off the core's
-    tangent cone ``tangent_cone(inst.core, inst.J)``, cached on the core for
-    the H(K, n) table.  ``dim_S_mod_J`` is ``krull_dimension`` of J on both
+    Every check reads data the instance holds already, and none needs the
+    core.  Component dimensions come from ``inst.heights`` and the pairwise
+    sums from ``inst.pair_sums``, whose bases the intersection shares.
+    ``dimension_of_quotient`` (dim S/(core + J)) is the largest
+    dim S/(I_i + J), as V(core + J) is the union of the V(I_i + J), each
+    read off the component's tangent cone ``tangent_cone(I_i, inst.J)``,
+    cached on it.  ``components_cohen_macaulay`` reads two numbers off the
+    same cones: S/I_i is Cohen-Macaulay iff the colength
+    λ(S/(I_i + J)) = q_0 equals e_0(J, S/I_i) = Q_i(1) in dimension d
+    (Matsumura, Commutative Ring Theory, Thm 17.11).  A component that J
+    does not cut to finite length has neither (null in both witness
+    lists) and is left to ``parameters_cut_to_finite_length``.
+    ``dim_S_mod_J`` is ``krull_dimension`` of J on both
     parameter routes; for linear parameters J = (y_1, ..., y_k), whose
     basis is its generators.  ``generators_homogeneous`` always passes:
     ``Ideal`` refuses the input otherwise.
@@ -135,7 +152,15 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
         "witness": {"parameters": len(inst.parameters), "dimension": inst.d},
     })
 
-    sop_dim = tangent_cone(inst.core, inst.J).dimension_mod_parameters()
+    sop_dim, colengths, e0 = -1, [], []
+    for ideal in inst.ideals:
+        cone = tangent_cone(ideal, inst.J)
+        dim = cone.dimension_mod_parameters()
+        sop_dim = max(sop_dim, dim)
+        series = cone.series() if dim <= 0 else None
+        colengths.append(None if series is None else str(series.summed(1)))
+        e0.append(None if series is None
+                  else str(multiplicity(series, inst.d)))
     j_dim = krull_dimension(inst.J)
     checks.append({
         "name": "parameters_cut_to_finite_length",
@@ -147,6 +172,12 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
         "name": "parameters_form_regular_sequence",
         "passed": j_dim == inst.r - inst.d,
         "witness": {"dim_S_mod_J": j_dim, "expected": inst.r - inst.d},
+    })
+
+    checks.append({
+        "name": "components_cohen_macaulay",
+        "passed": colengths == e0,
+        "witness": {"colengths": colengths, "e0": e0},
     })
 
     return {

@@ -23,8 +23,8 @@ decimal strings so the report serializes without range surprises.
 from __future__ import annotations
 
 from . import graded, resolutions
-from .hilbert import (chern_sign, hilbert_samuel_values, samuel_polynomial,
-                      tangent_cone)
+from .hilbert import (chern_sign, hilbert_samuel_values, multiplicity,
+                      samuel_polynomial, tangent_cone)
 from .ideals import HilbertSeries
 from .instance import ProblemInstance, check_hypotheses
 
@@ -46,10 +46,10 @@ def e0_additivity_check(inst: ProblemInstance, e0: int) -> dict:
     the parameter multiplicities e_0(J, S/I_i).  Each is the e_0 of the
     Hilbert series of gr_J(S/I_i), read off the component's tangent cone
     along J (``hilbert.TangentCone.series``), in dimension d
-    (``hilbert.samuel_polynomial``): Q_i(1) when the pole order is d, and
-    0 when it is below d."""
-    component_e0 = [samuel_polynomial(tangent_cone(ideal, inst.J).series(),
-                                      inst.d)[0][0] for ideal in inst.ideals]
+    (``hilbert.multiplicity``): Q_i(1) when the pole order is d, and 0
+    when it is below d."""
+    component_e0 = [multiplicity(tangent_cone(ideal, inst.J).series(), inst.d)
+                    for ideal in inst.ideals]
     total = sum(component_e0)
     return {
         "name": "e0_additivity",

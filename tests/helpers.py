@@ -1,7 +1,9 @@
 """Shared machinery for the randomized tests: random invertible coordinate
 changes over F_p applied to the shipped plane configurations, random
-homogeneous ideals, and a Groebner-free length oracle."""
+homogeneous ideals, a Groebner-free length oracle, and problem files for
+the command line."""
 
+import json
 from itertools import combinations_with_replacement
 
 from chernlab import Ideal, Polynomial, RingContext, parse_polynomial
@@ -125,3 +127,16 @@ def brute_force_length(ideal, max_degree=40):
             return total
         total += dim
     raise AssertionError("quotient did not vanish within the degree budget")
+
+
+def write_problem(path, ctx, ideals, j):
+    """Write a problem file for the components ``ideals`` and the
+    parameter ideal ``j``; returns its path as a string."""
+    path.write_text(json.dumps({
+        "characteristic": ctx.characteristic,
+        "variables": list(ctx.variables),
+        "monomial_order": ctx.order,
+        "ideals": [[str(g) for g in ideal.generators] for ideal in ideals],
+        "parameters": [str(g) for g in j.generators],
+    }))
+    return str(path)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chernlab import binomial, check_hypotheses
+from chernlab import binomial, check_hypotheses, ring_series
 from chernlab.cli import (BETTI_D_LIMIT, BETTI_N_LIMIT, MAX_POWER_LIMIT,
                           build_instance, load_problem, main)
 from conftest import PROBLEM_DIR
@@ -472,12 +472,12 @@ def test_one_intersection_per_command(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command, path, cones", [
-    ("hilbert", E2, 1), ("hilbert", E4, 1), ("verify", E4, 5)])
+    ("hilbert", E2, 3), ("hilbert", E4, 4), ("verify", E4, 5)])
 def test_each_tangent_cone_built_once(monkeypatch, capsys, command, path,
                                       cones):
-    # the hypothesis checks and the H(K, n) table share the core's cone,
-    # cached on the core; verify on e4 builds one more for each of the 3
-    # components and one for the idealization
+    # the hypothesis checks read one cone per component, cached on it;
+    # hilbert adds the Rees cone of L ⊗ Sym(J) on e2 (g = 2) and the core's
+    # on e4 (g = 3), and verify on e4 adds the core's and the idealization's
     import chernlab.hilbert as hilbert_module
 
     built = []
@@ -493,13 +493,14 @@ def test_each_tangent_cone_built_once(monkeypatch, capsys, command, path,
     assert len(built) == cones
 
 
-@pytest.mark.parametrize("command, h_vectors", [("hilbert", 1),
+@pytest.mark.parametrize("command, h_vectors", [("hilbert", 4),
                                                 ("verify", 5)])
 def test_each_cone_series_built_once(monkeypatch, capsys, command, h_vectors):
     # verify on e4 reads the core's series four times (its H(K, n) table,
-    # its e, the torsion series and gr_J(L)) and each component's three
-    # times (its table, its e_0 and the torsion series): each of the 5
-    # cones, the idealization's included, builds its h-vector once
+    # its e, the torsion series and gr_J(L)) and each component's four
+    # times (the Cohen-Macaulay check, its table, its e_0 and the torsion
+    # series): each of the 5 cones, the idealization's included, builds its
+    # h-vector once; hilbert reads the 3 components' and the core's
     import chernlab.hilbert as hilbert_module
 
     built = []
@@ -631,14 +632,55 @@ def test_verify_non_cm_component_fails_the_torsion_identity(tmp_path,
     # vanish, but e_1 = -1, and (0, 0, 0) is not (0, e_1, e_2) + 0
     path = _write(tmp_path, "noncm.json",
                   dict(BASE, ideals=[["x*z", "x*w", "y*z", "y*w"]]))
-    code, out, _ = run(capsys, "verify", path, "--json")
+    code, out, err = run(capsys, "verify", path, "--json", "--force")
     assert code == 1
+    assert err == ("warning: hypothesis checks skipped by --force "
+                   "(failing: components_cohen_macaulay)\n")
     report = json.loads(out)
     assert report["overall"] == "fail"
     assert report["hilbert"]["e"] == ["2", "-1", "0"]
     torsion = _identity(report, "torsion_polynomial")
     assert torsion["status"] == "fail"
     assert torsion["witness"]["torsion_fit"] == ["0", "0"]
+
+
+NON_CM = ["x*z", "x*w", "y*z", "y*w"]
+
+
+@pytest.mark.parametrize("command", ["hilbert", "coeffs", "verify"])
+def test_non_cm_component_is_hypothesis_failure(tmp_path, capsys, command):
+    # (x, y) ∩ (z, w) as one component: λ(S/(I + J)) = 3 > e_0 = 2
+    path = _write(tmp_path, "noncm.json", dict(BASE, ideals=[NON_CM]))
+    code, out, err = run(capsys, command, path, "--json")
+    assert (code, err) == (3, "hypothesis failure: components_cohen_macaulay\n")
+    fragment = check_hypotheses(build_instance(load_problem(path)))
+    assert [c for c in fragment["checks"] if not c["passed"]] == [{
+        "name": "components_cohen_macaulay", "passed": False,
+        "witness": {"colengths": ["3"], "e0": ["2"]}}]
+    assert json.loads(out or "{}").get("overall") == (
+        "hypothesis_failure" if command == "verify" else None)
+
+
+def test_forced_non_cm_component_takes_the_core_route(tmp_path, capsys):
+    # (x, y)m ∩ (z, w) = (x, y) ∩ (z, w): the ring and J are e1's, so under
+    # --force hilbert and coeffs print e1's numbers, read off the core;
+    # L = S/((x, y)m + (z, w)) has length 3.  The Rees formula, which needs
+    # Tor_1(S/I_1, S/J^n) = 0, would give H(K, n) = 4, 10, 18, ...
+    path = _write(tmp_path, "noncm.json", dict(BASE, ideals=[
+        ["x^2", "x*y", "y^2", "x*z", "x*w", "y*z", "y*w"], ["z", "w"]]))
+    warning = ("warning: hypothesis checks skipped by --force "
+               "(failing: components_cohen_macaulay)\n")
+    golden = PROBLEM_DIR.parent / "tests" / "golden"
+    code, out, err = run(capsys, "hilbert", path, "--json", "--force")
+    assert (code, err) == (0, warning)
+    assert out == (golden / "e1_two_planes.hilbert.json").read_text()
+    code, out, err = run(capsys, "coeffs", path, "--json", "--force")
+    assert (code, err) == (0, warning)
+    expected = json.loads((golden / "e1_two_planes.coeffs.json").read_text())
+    assert json.loads(out) == dict(expected, lambda_L="3")
+    inst = build_instance(load_problem(path))
+    rees = ring_series(inst, True)
+    assert [rees.summed(n) for n in (1, 2, 3)] == [4, 10, 18]
 
 
 def test_verify_forced_extra_parameter_keeps_the_torsion_identity(tmp_path,

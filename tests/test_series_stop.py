@@ -14,12 +14,14 @@ import chernlab.groebner as groebner_module
 import chernlab.hilbert as hilbert_module
 import chernlab.ideals as ideals_module
 from chernlab import (GroebnerBasis, Ideal, Polynomial, ProblemInstance,
-                      RingContext, buchberger, hilbert_polynomial_value,
-                      hilbert_samuel_values, ideal_intersect, ideal_sum,
-                      intersect_all, quotient_hilbert_series)
+                      RingContext, buchberger, check_hypotheses,
+                      hilbert_polynomial_value, hilbert_samuel_values,
+                      ideal_intersect, ideal_sum, intersect_all,
+                      quotient_hilbert_series, tangent_cone)
 from chernlab.cli import main
 from conftest import PROBLEM_DIR
-from helpers import random_homogeneous_ideal, transformed_planes
+from helpers import (random_homogeneous_ideal, transformed_planes,
+                     write_problem)
 
 
 def record_targeted_runs(monkeypatch, compute):
@@ -41,8 +43,8 @@ def record_targeted_runs(monkeypatch, compute):
     return runs
 
 
-def record_cli_engines(monkeypatch, capsys, argv):
-    """Run the CLI on ``argv`` and return every engine it started."""
+def record_engines(monkeypatch, compute):
+    """Run ``compute`` and return every engine it started."""
     engines = []
 
     class Recording(groebner_module._Engine):
@@ -52,20 +54,17 @@ def record_cli_engines(monkeypatch, capsys, argv):
 
     with monkeypatch.context() as patch:
         patch.setattr(groebner_module, "_Engine", Recording)
-        assert main(argv) == 0
-    capsys.readouterr()
+        compute()
     return engines
 
 
-def write_problem(path, ctx, ideals, j):
-    path.write_text(json.dumps({
-        "characteristic": ctx.characteristic,
-        "variables": list(ctx.variables),
-        "monomial_order": ctx.order,
-        "ideals": [[str(g) for g in ideal.generators] for ideal in ideals],
-        "parameters": [str(g) for g in j.generators],
-    }))
-    return str(path)
+def record_cli_engines(monkeypatch, capsys, argv):
+    """Run the CLI on ``argv`` and return every engine it started."""
+    codes = []
+    engines = record_engines(monkeypatch, lambda: codes.append(main(argv)))
+    assert codes == [0]
+    capsys.readouterr()
+    return engines
 
 
 def engine_run(gens, ctx, series):
@@ -122,33 +121,58 @@ def test_dense_4_planes_zero_reductions(monkeypatch):
     assert stopped.zero_reductions < full.zero_reductions
 
 
-def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
-    # every ideal lives in the parameters' coordinates and the ydeg order:
-    # two component bases, one of their sum (shared by the intersection's
-    # target series and the pairwise hypothesis), the elimination basis,
-    # whose t-free part is the core's basis and so its tangent cone (shared
-    # by the hypotheses and H(K, n)), and J = (y1..y4)'s own, for dim S/J
-    path = write_problem(tmp_path / "p4.json",
-                         *two_4_planes(random.Random(601)))
+def record_orders(monkeypatch, capsys, argv):
+    """Run the CLI on ``argv`` and return the (order, number of variables)
+    of every basis that ``ideals`` and ``hilbert`` compute, and stdout."""
     orders = []
     original = groebner_module.buchberger
 
     def recording(gens, ctx=None, series=None):
         gens = list(gens)
-        orders.append((ctx or gens[0].ctx).order)
+        ctx = ctx or gens[0].ctx
+        orders.append((ctx.order, ctx.nvars))
         return original(gens, ctx, series)
 
     for module in (ideals_module, hilbert_module):
         monkeypatch.setattr(module, "buchberger", recording)
-    assert main(["hilbert", path, "--json", "--max-power", "4"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    # e = (2, -1, 1, -1, 0) for two transversal 4-planes, from n = 1 on
-    assert [row["length"] for row in rows] == [
-        str(hilbert_polynomial_value((2, -1, 1, -1, 0), n))
-        for n in range(1, 5)]
-    ydeg = ("ydeg", 4, "grevlex")
+    assert main(argv) == 0
+    return orders, capsys.readouterr().out
+
+
+# e = (2, -1, 1, -1, 0) for two transversal 4-planes, from n = 1 on
+FOUR_PLANE_LENGTHS = [str(hilbert_polynomial_value((2, -1, 1, -1, 0), n))
+                      for n in range(1, 5)]
+
+
+def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
+    # every ideal lives in the parameters' coordinates and the ydeg order:
+    # verify computes two component bases, one of their sum (shared by the
+    # intersection's target series and the pairwise hypothesis), J =
+    # (y1..y4)'s own, for dim S/J, and the elimination basis, whose t-free
+    # part is the core's basis and so its tangent cone
+    path = write_problem(tmp_path / "p4.json",
+                         *two_4_planes(random.Random(601)))
+    orders, out = record_orders(monkeypatch, capsys,
+                                ["verify", path, "--json", "--max-power", "4"])
+    assert [row["length"] for row in json.loads(out)["hilbert"]["values"]] \
+        == FOUR_PLANE_LENGTHS
+    ydeg = (("ydeg", 4, "grevlex"), 8)
     assert sorted(orders, key=str) == sorted(
-        [ydeg, ydeg, ydeg, ("elim", 1, ydeg), ydeg], key=str)
+        [ydeg, ydeg, ydeg, (("elim", 1, ydeg[0]), 9), ydeg], key=str)
+
+
+def test_dense_4_planes_rees_bases(monkeypatch, tmp_path, capsys):
+    # hilbert on g = 2 builds no intersection: the four ydeg bases that
+    # verify computes before its elimination, then one basis of
+    # (I_1 + I_2) + I_2(y; T) in F[T_1..T_4, ring], under
+    # ("ydeg", 4, grevlex) with T first
+    path = write_problem(tmp_path / "p4.json",
+                         *two_4_planes(random.Random(601)))
+    orders, out = record_orders(monkeypatch, capsys,
+                                ["hilbert", path, "--json", "--max-power", "4"])
+    assert [row["length"] for row in json.loads(out)] == FOUR_PLANE_LENGTHS
+    ydeg = ("ydeg", 4, "grevlex")
+    assert orders == [(ydeg, 8)] * 4 + [(ydeg, 12)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -162,7 +186,7 @@ def test_dense_three_3_planes_lex_elimination(monkeypatch, seed):
         ctx, ideals, j = three_3_planes_lex(seed, parameters)
         runs = record_targeted_runs(
             monkeypatch,
-            lambda: ProblemInstance(ctx, ideals, list(j.generators)))
+            lambda: ProblemInstance(ctx, ideals, list(j.generators)).core)
         eliminations = [engine for _, run_ctx, _, engine in runs
                         if run_ctx.order[0] == "elim"]
         assert [e.ctx.order for e in eliminations] == \
@@ -177,47 +201,84 @@ def test_dense_three_3_planes_lex_elimination(monkeypatch, seed):
 
 YDEG3_LEX = ("ydeg", 3, "lex")
 YDEG4 = ("ydeg", 4, "grevlex")
-# Every engine that `hilbert --max-power 4` starts, in order: its order,
-# basis size before interreduction, pairs popped, coprime skips, chain
-# skips, zero reductions and series stop.  Recorded with the generators
-# admitted reduced, lowest degree first; any change in the order of pairs
-# or reductions shows here.  The last engine is J = (y1..yk)'s basis, for
-# dim S/J in the hypothesis checks: k variables, every pair coprime.
+# Every engine of the core route, in order: the instance, its hypothesis
+# checks and the core's tangent cone, as `verify` computes them and as
+# `hilbert` does for g != 2.  Each engine's order, basis size before
+# interreduction, pairs popped, coprime skips, chain skips, zero reductions
+# and series stop.  Recorded with the generators admitted reduced, lowest
+# degree first; any change in the order of pairs or reductions shows here.
+# The component bases come first (the heights), then the pairwise sums and
+# J = (y1..yk)'s basis, for dim S/J (k variables, every pair coprime), and
+# last the intersection on first use of the core.
 THREE_3_PLANE_ENGINES = [
     (YDEG3_LEX, 6, 15, 15, 0, 0, False),
     (YDEG3_LEX, 6, 15, 15, 0, 0, False),
-    (YDEG3_LEX, 9, 36, 36, 0, 0, False),
-    (("elim", 1, YDEG3_LEX), 21, 30, 9, 7, 5, True),
     (YDEG3_LEX, 6, 15, 15, 0, 0, False),
     (YDEG3_LEX, 9, 36, 36, 0, 0, False),
-    (("elim", 1, YDEG3_LEX), 36, 25, 0, 3, 4, True),
     (YDEG3_LEX, 9, 36, 36, 0, 0, False),
     (YDEG3_LEX, 9, 36, 36, 0, 0, False),
     (YDEG3_LEX, 3, 3, 3, 0, 0, False),
+    (("elim", 1, YDEG3_LEX), 21, 30, 9, 7, 5, True),
+    (YDEG3_LEX, 9, 36, 36, 0, 0, False),
+    (("elim", 1, YDEG3_LEX), 36, 25, 0, 3, 4, True),
 ]
+FOUR_PLANE_CORE_ENGINES = [
+    (YDEG4, 4, 6, 6, 0, 0, False),
+    (YDEG4, 4, 6, 6, 0, 0, False),
+    (YDEG4, 8, 28, 28, 0, 0, False),
+    (YDEG4, 4, 6, 6, 0, 0, False),
+    (("elim", 1, YDEG4), 24, 25, 0, 3, 6, True),
+]
+PINNED_INSTANCES = {
+    "dense-4-planes": lambda: two_4_planes(random.Random(601)),
+    "three-3-planes-lex-a":
+        lambda: three_3_planes_lex(0, THREE_3_PLANE_PARAMETERS[0]),
+    "three-3-planes-lex-b":
+        lambda: three_3_planes_lex(0, THREE_3_PLANE_PARAMETERS[1]),
+}
+
+
+def engine_counters(engines):
+    return [(e.ctx.order, len(e.lms), e.pairs_popped, e.coprime_skips,
+             e.chain_skips, e.zero_reductions, e.series_stop)
+            for e in engines]
+
+
+def core_route(ctx, ideals, j):
+    inst = ProblemInstance(ctx, ideals, list(j.generators))
+    check_hypotheses(inst)
+    tangent_cone(inst.core, inst.J).series()
 
 
 @pytest.mark.parametrize("instance, expected", [
-    pytest.param(lambda: two_4_planes(random.Random(601)), [
-        (YDEG4, 4, 6, 6, 0, 0, False),
-        (YDEG4, 4, 6, 6, 0, 0, False),
-        (YDEG4, 8, 28, 28, 0, 0, False),
-        (("elim", 1, YDEG4), 24, 25, 0, 3, 6, True),
-        (YDEG4, 4, 6, 6, 0, 0, False),
-    ], id="dense-4-planes"),
-    pytest.param(lambda: three_3_planes_lex(0, THREE_3_PLANE_PARAMETERS[0]),
-                 THREE_3_PLANE_ENGINES, id="three-3-planes-lex-a"),
-    pytest.param(lambda: three_3_planes_lex(0, THREE_3_PLANE_PARAMETERS[1]),
-                 THREE_3_PLANE_ENGINES, id="three-3-planes-lex-b"),
-])
-def test_engine_counters_pinned(monkeypatch, tmp_path, capsys, instance,
-                                expected):
-    path = write_problem(tmp_path / "p.json", *instance())
+    ("dense-4-planes", FOUR_PLANE_CORE_ENGINES),
+    ("three-3-planes-lex-a", THREE_3_PLANE_ENGINES),
+    ("three-3-planes-lex-b", THREE_3_PLANE_ENGINES),
+], ids=["dense-4-planes", "three-3-planes-lex-a", "three-3-planes-lex-b"])
+def test_engine_counters_pinned(monkeypatch, instance, expected):
+    problem = PINNED_INSTANCES[instance]()
+    engines = record_engines(monkeypatch, lambda: core_route(*problem))
+    assert engine_counters(engines) == expected
+
+
+# `hilbert` on two dense 4-planes (g = 2) takes the Rees route: the four
+# engines of the core route before the elimination, then the basis of
+# (I_1 + I_2) + I_2(y; T) over 12 variables.  For transversal planes
+# I_1 + I_2 is the maximal ideal, whose basis is the 8 ring variables,
+# and every minor y_i T_j - y_j T_i reduces to 0 on admission.  On g = 3
+# it runs the core route's engines.
+@pytest.mark.parametrize("instance, expected", [
+    ("dense-4-planes", FOUR_PLANE_CORE_ENGINES[:4]
+     + [(YDEG4, 8, 28, 28, 0, 0, False)]),
+    ("three-3-planes-lex-a", THREE_3_PLANE_ENGINES),
+    ("three-3-planes-lex-b", THREE_3_PLANE_ENGINES),
+], ids=["dense-4-planes", "three-3-planes-lex-a", "three-3-planes-lex-b"])
+def test_hilbert_engine_counters_pinned(monkeypatch, tmp_path, capsys,
+                                        instance, expected):
+    path = write_problem(tmp_path / "p.json", *PINNED_INSTANCES[instance]())
     engines = record_cli_engines(monkeypatch, capsys,
                                  ["hilbert", path, "--max-power", "4"])
-    assert [(e.ctx.order, len(e.lms), e.pairs_popped, e.coprime_skips,
-             e.chain_skips, e.zero_reductions, e.series_stop)
-            for e in engines] == expected
+    assert engine_counters(engines) == expected
 
 
 @pytest.mark.parametrize("command, name", [
