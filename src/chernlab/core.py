@@ -144,8 +144,9 @@ class RingContext:
     - "lex": e_0, ..., e_(r-1);
     - ("ydeg", k, base): 1, -1_k, then the rows of base;
     - ("ydeg", k, base, w): w, -1_k, then the rows of base, for a weight
-      row w of integers >= 1 (the variables' degrees; ``tangent_cone``
-      gives the graph's u_i the degrees of the parameters they stand for);
+      row w of integers >= 1 (the variables' degrees; the graph's u_i and
+      the Rees ring's t_i in ``hilbert`` take the degrees of the
+      parameters they stand for);
     - ("elim", k, base): 1 - 1_k, 1_k, the rows of base on the kept
       variables (0 on the first k), then e_0, ..., e_(k-1).
 
@@ -186,10 +187,19 @@ class RingContext:
     while the weighted degree does.  The key is linear, so the
     key of a product of monomials is the sum of their keys.  ``degree`` is
     the linear form of the grading row.
+
+    Only this module reads inside a tag: ``eliminated`` is the k of an
+    ("elim", k, base) order and ``cone_rank`` the k of a ("ydeg", k, ...)
+    one, each 0 for other orders.  Every ring with more variables than the
+    problem's comes from ``adjoin``: the elimination ring of
+    ``ideals.ideal_intersect``, the graph and Rees rings of ``hilbert`` and
+    the idealization of ``graded``.  It keeps the characteristic and puts
+    the new variables first, or last, and a new name that is already taken
+    gets ``_`` appended until it is free.
     """
 
     __slots__ = ("variables", "characteristic", "order", "sort_key",
-                 "degree", "_var_index")
+                 "degree", "eliminated", "cone_rank", "_var_index")
 
     def __init__(self, variables, characteristic=32003, order="grevlex"):
         variables = tuple(variables)
@@ -212,6 +222,9 @@ class RingContext:
             weights = [(w << 64) + e for w, e in zip(weights, row)]
         self.sort_key = _linear_form(weights)
         self.degree = _linear_form(grading)
+        kind, k = order[:2] if isinstance(order, tuple) else (order, 0)
+        self.eliminated = k if kind == "elim" else 0
+        self.cone_rank = k if kind == "ydeg" else 0
         self._var_index = {name: i for i, name in enumerate(variables)}
 
     @property
@@ -226,6 +239,26 @@ class RingContext:
 
     def unit_monomial(self):
         return (0,) * len(self.variables)
+
+    def adjoin(self, names, order, last=False):
+        """(ring, include): this ring with the variables ``names`` adjoined
+        first, or after its own when ``last``, under ``order``, and the
+        inclusion of this ring's polynomials into it.  A name already taken
+        gets ``_`` appended until it is free."""
+        fresh = ()
+        for name in names:
+            while name in self.variables + fresh:
+                name += "_"
+            fresh += (name,)
+        pad = (0,) * len(fresh)
+        ring = RingContext(self.variables + fresh if last
+                           else fresh + self.variables,
+                           self.characteristic, order)
+
+        def include(f):
+            return Polynomial.trusted(ring, {(m + pad if last else pad + m): c
+                                             for m, c in f.terms.items()})
+        return ring, include
 
     def __eq__(self, other):
         if not isinstance(other, RingContext):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .core import ContextMismatchError, Polynomial, RingContext
+from .core import ContextMismatchError, Polynomial
 from .groebner import buchberger
 from .hilbert import tangent_cone
 from .ideals import (HilbertSeries, Ideal, NotFiniteLengthError,
@@ -91,25 +91,15 @@ def _idealization(model: Cokernel):
     T = ring[e_1..e_(g-1)], with e_g = -(e_1 + ... + e_(g-1)), and
     ``lift`` the inclusion of the ring's polynomials into T.
 
-    T takes the ring's order tag, so for a ("ydeg", k, base) ring the y
-    variables stay first and B's basis is its tangent cone's.  The e names
-    get underscores appended until none is a variable of the ring.  B's
-    basis is computed once, stopped by the target series
+    T adjoins the e last under the ring's order tag, so for a ("ydeg", k,
+    base) ring the y variables stay first and B's basis is its tangent
+    cone's.  B's basis is computed once, stopped by the target series
     HS(T/B) = HS(R) + t HS(L).
     """
     ring = model.core.ctx
-    g = len(model.ideals)
-    suffix = ""
-    while any(f"e{i}{suffix}" in ring.variables for i in range(1, g)):
-        suffix += "_"
-    names = tuple(f"e{i}{suffix}" for i in range(1, g))
-    T = RingContext(ring.variables + names, ring.characteristic, ring.order)
-    pad = (0,) * len(names)
-
-    def lift(f):
-        return Polynomial(T, {m + pad: c for m, c in f.terms.items()})
-
-    e = [Polynomial.variable(T, name) for name in names]
+    T, lift = ring.adjoin([f"e{i}" for i in range(1, len(model.ideals))],
+                          ring.order, last=True)
+    e = [Polynomial.variable(T, name) for name in T.variables[ring.nvars:]]
     e.append(-sum(e, Polynomial.zero(T)))
     gens = [lift(f) for f in model.core.groebner().elements]
     for ideal, e_i in zip(model.ideals, e):

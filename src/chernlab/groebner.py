@@ -242,15 +242,12 @@ class _Engine:
         self.target = None
         self.reached = False
         if series is not None:
-            order = ctx.order
-            self.eliminated = (order[1] if isinstance(order, tuple)
-                               and order[0] == "elim" else 0)
             # leading monomials free of the eliminated variables, without
             # them, the numerator of their quotient's Hilbert series, and
             # the target's numerator over the same (1-t)^r, trimmed
             self.free_leads = []
             self.numerator = [[1]]
-            self.target = _trimmed(series.lift(ctx.nvars - self.eliminated))
+            self.target = _trimmed(series.lift(ctx.nvars - ctx.eliminated))
         for g in sorted(gens, key=lambda g: max(map(ctx.degree, g.terms),
                                                 default=0)):
             self._admit(g.terms)
@@ -285,7 +282,7 @@ class _Engine:
         """Update HS(S'/in(G)), S' the ring of the variables that are kept,
         for a new leading monomial m: N(M + (m)) = N(M) - t^deg(m) N(M : m)
         for the numerators over (1-t)^nvars(S')."""
-        k = self.eliminated
+        k = self.ctx.eliminated
         if any(lm[:k]):
             return
         m = lm[k:]

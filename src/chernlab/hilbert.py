@@ -156,46 +156,50 @@ class TangentCone:
         return {n: series.summed(n) for n in range(1, max_power + 1)}
 
 
+def _parameter_ring(ring, parameters, name, base):
+    """(T, include, v): ``ring`` with a variable v_i = name + str(i) of
+    weight deg f_i adjoined first for each parameter f_i, under
+    ("ydeg", m, base), whose weight row (deg f_1..deg f_m, 1, ..., 1) is
+    left out when every weight is 1 (see ``core.RingContext``)."""
+    degrees = tuple(f.degree() for f in parameters)
+    order = ("ydeg", len(degrees), base)
+    if any(e > 1 for e in degrees):
+        order += (degrees + (1,) * ring.nvars,)
+    T, include = ring.adjoin([f"{name}{i}" for i in
+                              range(1, len(degrees) + 1)], order)
+    return T, include, [Polynomial.variable(T, v)
+                        for v in T.variables[:len(degrees)]]
+
+
 def _graph_cone(ideal: Ideal, parameters) -> TangentCone:
     """The tangent cone of the graph G = ideal + (u_i - f_i) of the
-    parameters f_1..f_m in T = F[u_1..u_m, x_1..x_r], along (u); the x_j
-    are the ring's variables, renamed so that no name clashes.
+    parameters f_1..f_m in T = ring[u_1..u_m], along (u).
 
     u_i ↦ f_i gives T/G ≅ S/ideal, taking (u)^n onto J^n, so
     length(S/(ideal + J^n)) = length(T/(G + (u)^n)): the u are linear
     parameters of T/G.  G is homogeneous for deg u_i = deg f_i, so its one
-    basis is in the ("ydeg", m, base, w) order with w = (deg f_1..deg f_m,
-    1, ..., 1).  When every weight is 1 the tag is ("ydeg", m, base) and
-    the run targets HS(S/ideal), the series of T/G; the engine's series
-    stop is standard-graded, so other weights take no target.
+    basis is in the ("ydeg", m, base, w) order of ``_parameter_ring``.
+    When every weight is 1 the tag is ("ydeg", m, base) and the run targets
+    HS(S/ideal), the series of T/G; the engine's series stop is
+    standard-graded, so other weights take no target.
     """
     for f in parameters:
         require_parameter(f)
-    ctx, m = ideal.ctx, len(parameters)
-    weights = tuple(f.degree() for f in parameters) + (1,) * ctx.nvars
-    standard = max(weights) == 1
-    names = ([f"u{i}" for i in range(1, m + 1)]
-             + [f"x{i}" for i in range(1, ctx.nvars + 1)])
-    T = RingContext(names, ctx.characteristic, ("ydeg", m, ctx.order)
-                    + (() if standard else (weights,)))
-    pad = (0,) * m
-
-    def lift(f):
-        return Polynomial(T, {pad + mono: c for mono, c in f.terms.items()})
-
-    graph = [lift(f) for f in ideal.groebner().elements]
-    graph += [Polynomial.variable(T, u) - lift(f)
-              for u, f in zip(names, parameters)]
+    T, include, u = _parameter_ring(ideal.ctx, parameters, "u",
+                                    ideal.ctx.order)
+    graph = [include(f) for f in ideal.groebner().elements]
+    graph += [u_i - include(f) for u_i, f in zip(u, parameters)]
+    standard = all(f.degree() == 1 for f in parameters)
     basis = buchberger(graph, T,
                        quotient_hilbert_series(ideal) if standard else None)
-    return TangentCone(T, m, basis.lead_monomials())
+    return TangentCone(T, len(u), basis.lead_monomials())
 
 
 def _first_variables(ctx, gens) -> bool:
-    """Whether ``gens`` are the first k variables of a ("ydeg", k, base)
+    """Whether ``gens`` are the first k variables of a ("ydeg", k, ...)
     ring, as J is in the ring of ``parameter_coordinates``."""
     k = len(gens)
-    return (ctx.order[:2] == ("ydeg", k) and len(ctx.order) == 3
+    return (ctx.cone_rank == k
             and gens == tuple(Polynomial.variable(ctx, y)
                               for y in ctx.variables[:k]))
 
@@ -258,38 +262,33 @@ def ring_series(inst, hypotheses_hold: bool) -> HilbertSeries:
     """HS(gr_J R) of a ``ProblemInstance``, R = S/(I_1 ∩ ... ∩ I_g): the
     series that ``hilbert`` and ``coeffs`` read H(K, n), e and n0 off.
 
-    When g = 2, the parameters are linear and ``hypotheses_hold`` (every
-    check of ``instance.check_hypotheses`` passed, so each S/I_i is
-    Cohen-Macaulay with J a system of parameters on it), no intersection
-    is built.  Then Tor_1(S/I_i, S/J^n) = 0, and tensoring
+    When g = 2 and ``hypotheses_hold`` (every check of
+    ``instance.check_hypotheses`` passed, so each S/I_i is Cohen-Macaulay
+    with J = (f_1..f_d) a system of parameters on it), no intersection is
+    built.  Then Tor_1(S/I_i, S/J^n) = 0, and tensoring
     0 -> R -> S/I_1 ⊕ S/I_2 -> L -> 0 with S/J^n, where
     Tor_1(L, S/J^n) = ker(L ⊗ J^n -> L), gives for n >= 1
 
         λ(R/J^n R) = e_0 C(n+d-1, d) - λ(L) + λ(L ⊗ J^n),
 
-    with e_0 = Σ e_0(J, S/I_i) off the components' cones.  J = (y) is
-    generated by a regular sequence, so ⊕_n J^n = Sym(J) =
-    S[T_1..T_d]/I_2(y; T), the 2x2 minors of the rows y and T (Huneke,
-    J. Algebra 62, 1980), and ⊕_n L ⊗ J^n is S[T]/(I_1 + I_2 + I_2(y; T))
-    for L = S/(I_1 + I_2).  That ideal is bihomogeneous, so one basis in
-    the ("ydeg", d, base) order, T first, gives A(t) = Σ λ(L ⊗ J^n) t^n as
-    its cone's series, and HS(gr_J R) = e_0/(1-t)^d + ((1-t)A - λ(L))/t.
+    with e_0 = Σ e_0(J, S/I_i) off the components' cones.  J is generated
+    by a regular sequence, so ⊕_n J^n = Sym(J) = S[T_1..T_d]/I_2(f; T),
+    the 2x2 minors f_i T_j - f_j T_i (Huneke, J. Algebra 62, 1980), and
+    ⊕_n L ⊗ J^n is S[T]/(I_1 + I_2 + I_2(f; T)) for L = S/(I_1 + I_2).
+    With deg T_i = deg f_i that ideal is homogeneous and, in the T, of
+    degree one per term, so one basis in the ("ydeg", d, base, w) order of
+    ``_parameter_ring``, T first, gives A(t) = Σ λ(L ⊗ J^n) t^n as its
+    cone's series, and HS(gr_J R) = e_0/(1-t)^d + ((1-t)A - λ(L))/t.
     Otherwise it is the series of the core's tangent cone.
     """
     J = inst.J
-    if not (hypotheses_hold and inst.g == 2
-            and _first_variables(inst.ring, J.generators)):
+    if not (hypotheses_hold and inst.g == 2):
         return tangent_cone(inst.core, J).series()
-    ring, d = inst.ring, len(J.generators)
-    names = tuple(f"t{i}" for i in range(1, d + 1))
-    rees = RingContext(names + ring.variables, ring.characteristic,
-                       ("ydeg", d, ring.order[2]))
-    pad = (0,) * d
-    gens = [Polynomial(rees, {pad + m: c for m, c in f.terms.items()})
-            for f in inst.pair_sums[(0, 1)].groebner().elements]
-    t = [Polynomial.variable(rees, name) for name in names]
-    y = [Polynomial.variable(rees, name) for name in ring.variables[:d]]
-    gens += [y[i] * t[j] - y[j] * t[i]
+    rees, include, t = _parameter_ring(inst.ring, J.generators, "t",
+                                       inst.ctx.order)
+    f, d = [include(g) for g in J.generators], len(t)
+    gens = [include(g) for g in inst.pair_sums[(0, 1)].groebner().elements]
+    gens += [f[i] * t[j] - f[j] * t[i]
              for i in range(d) for j in range(i + 1, d)]
     a = TangentCone(rees, d, buchberger(gens, rees).lead_monomials()).series()
     e0 = sum(multiplicity(tangent_cone(ideal, J).series(), d)

@@ -161,19 +161,10 @@ def ideal_intersect(a: Ideal, b: Ideal, total=None) -> Ideal:
     """
     _check_pair(a, b)
     ctx = a.ctx
-    tname = "t"
-    while tname in ctx.variables:
-        tname += "_"
-    ectx = RingContext((tname,) + ctx.variables, ctx.characteristic,
-                       ("elim", 1, ctx.order))
-
-    def lift(f, t_exp, scale=1):
-        return Polynomial(ectx, {(t_exp,) + m: c * scale
-                                 for m, c in f.terms.items()})
-
-    gens = [lift(f, 1) for f in a.generators]
-    for g in b.generators:
-        gens.append(lift(g, 0) + lift(g, 1, -1))
+    ectx, include = ctx.adjoin(("t",), ("elim", 1, ctx.order))
+    t = Polynomial.variable(ectx, ectx.variables[0])
+    gens = [t * include(f) for f in a.generators]
+    gens += [include(g) - t * include(g) for g in b.generators]
 
     if total is None:
         total = ideal_sum(a, b)

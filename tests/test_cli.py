@@ -698,10 +698,12 @@ def test_verify_forced_extra_parameter_keeps_the_torsion_identity(tmp_path,
 
 
 def test_verify_ring_named_like_the_idealization(tmp_path, capsys):
-    # the idealization ring adds variables e1, e2, ...; a ring that has
-    # those names already gets fresh ones, and the report is unchanged
+    # the idealization ring adds variables e1, e2, ... and the graph rings
+    # u1, u2; a ring that has those names already gets fresh ones, and the
+    # report is unchanged
     reports = []
-    for names in (["x", "y", "z", "w"], ["e1", "e2", "e3", "e4"]):
+    for names in (["x", "y", "z", "w"], ["e1", "e2", "e3", "e4"],
+                  ["u1", "e1", "u2", "w"]):
         x, y, z, w = names
         path = _write(tmp_path, f"{x}.json",
                       dict(BASE, variables=names,
@@ -712,7 +714,25 @@ def test_verify_ring_named_like_the_idealization(tmp_path, capsys):
         report = json.loads(out)
         assert report.pop("variables") == names
         reports.append(report)
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("command", ["hilbert", "coeffs"])
+def test_ring_named_like_the_rees_ring(tmp_path, capsys, command):
+    # quadric parameters adjoin u1, u2 for the components' graphs and
+    # t1, t2 for the Rees ring; a ring that has those names already gets
+    # fresh ones, and the output is unchanged
+    outputs = []
+    for names in (["x", "y", "z", "w"], ["t1", "u1", "t2", "u2"]):
+        x, y, z, w = names
+        path = _write(tmp_path, f"{x}.json",
+                      dict(BASE, variables=names, ideals=[[x, f"{y}^6"],
+                                                          [f"{z}^5", w]],
+                           parameters=[f"{x}^2 + {w}^2", f"{y} + {z}"]))
+        code, out, _ = run(capsys, command, path, "--json")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_passes_once_window_reaches_nu(tmp_path, capsys):
@@ -747,8 +767,8 @@ def test_verify_computes_core_table_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hilbert_module, "buchberger", counting)
     monkeypatch.setattr(hilbert_module, "hilbert_samuel", None)
-    graph = ("u1", "u2", "x1", "x2", "x3", "x4")
-    over_b = graph + ("x5",)
+    graph = ("u1", "u2", "x", "y", "z", "w")
+    over_b = graph + ("e1",)
     for max_power in (40, 4, None):
         problem = load_problem(path)
         problem["max_power"] = max_power

@@ -394,3 +394,30 @@ def test_substitute_matches_term_by_term_evaluation():
                     term = term * image ** e
                 expected = expected + term
             assert f.substitute(images) == expected
+
+
+@pytest.mark.parametrize("order, eliminated, cone_rank", [
+    ("grevlex", 0, 0), ("lex", 0, 0), (("elim", 1, "lex"), 1, 0),
+    (("elim", 2, ("ydeg", 1, "grevlex")), 2, 0),
+    (("ydeg", 2, "grevlex"), 0, 2),
+    (("ydeg", 3, "lex", (2, 3, 1, 1, 1)), 0, 3)])
+def test_order_tag_counts(order, eliminated, cone_rank):
+    ring = RingContext(["a", "b", "c", "d", "e"], order=order)
+    assert (ring.eliminated, ring.cone_rank) == (eliminated, cone_rank)
+
+
+def test_adjoin_names_order_and_inclusion(ctx4):
+    f = parse_polynomial("3*x^2*w - y + 5", ctx4)
+    ring, include = ctx4.adjoin(["t", "x", "x_"], ("elim", 3, "grevlex"))
+    # a taken name gets "_" until it is free, among the new names too
+    assert ring.variables == ("t", "x_", "x__", "x", "y", "z", "w")
+    assert (ring.characteristic, ring.order, ring.eliminated) == \
+        (P, ("elim", 3, "grevlex"), 3)
+    assert include(f) == parse_polynomial("3*x^2*w - y + 5", ring)
+    ring, include = ctx4.adjoin(["e1"], "lex", last=True)
+    assert ring.variables == ("x", "y", "z", "w", "e1")
+    assert include(f) == parse_polynomial("3*x^2*w - y + 5", ring)
+    # no new name: the same variables under another order
+    ring, include = ctx4.adjoin((), "lex")
+    assert ring == RingContext(ctx4.variables, P, "lex")
+    assert include(f).terms == f.terms

@@ -4,7 +4,11 @@ name of another module, and none reads a private attribute that another
 module defines, such as the basis format of ``GroebnerBasis`` (``_lead``,
 ``_tails``, ``_from_parts``) or the caches of ``Ideal`` (``_gb``,
 ``_series``).  ``Ideal.cone_cache``, which ``hilbert.tangent_cone`` fills,
-is public for that reason."""
+is public for that reason.
+
+Rings have one owner too.  ``core`` builds every ring with more variables
+than the problem's (``RingContext.adjoin``), and only it reads inside an
+order tag: elsewhere a ring's ``order`` is only passed on whole."""
 
 import ast
 import pathlib
@@ -83,3 +87,51 @@ def test_the_groebner_engine_does_not_import_ideals():
     imported = {node.module for node in ast.walk(MODULES["groebner"])
                 if isinstance(node, ast.ImportFrom) and node.level}
     assert "ideals" not in imported
+
+
+# the problem's ring, and the ring of the parameters' coordinates
+RING_BUILDERS = {("cli", "build_instance"),
+                 ("hilbert", "parameter_coordinates")}
+
+
+def _calls_of(tree, name):
+    """(innermost enclosing function or None, line) of every call of
+    ``name``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"core"}))
+def test_rings_are_built_by_core(module):
+    found = [(function, line)
+             for function, line in _calls_of(MODULES[module], "RingContext")
+             if (module, function) not in RING_BUILDERS]
+    assert found == []
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"core"}))
+def test_only_core_reads_inside_an_order_tag(module):
+    tree = MODULES[module]
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    passed_on = (ast.Tuple, ast.List, ast.Dict, ast.keyword)
+    found = [(node.lineno, ast.unparse(parent[node]))
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "order"
+             and not (isinstance(parent[node], passed_on)
+                      or (isinstance(parent[node], ast.Call)
+                          and node in parent[node].args))]
+    assert found == []

@@ -7,9 +7,11 @@ with the same exit code."""
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -27,9 +29,9 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
     os.environ.get("PYTHONPATH")])))
 
 
-def _child(*argv):
+def _child(*argv, timeout=120):
     return subprocess.run([sys.executable, *argv], env=ENV,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def _in_process(capsys, argv):
@@ -59,6 +61,43 @@ def test_module_entry_exit_codes_on_failures(tmp_path, capsys):
         child = _child("-m", "chernlab.cli", *argv)
         assert child.returncode == code
         assert _in_process(capsys, argv) == (code, child.stdout, child.stderr)
+
+
+def dense_quadric_problem(order):
+    """Two 3-planes in F_32003[a..f] and three seeded dense quadric
+    parameters, every one of the 21 monomials with a nonzero coefficient."""
+    rng = random.Random("dense-quadrics")
+    names = "abcdef"
+    quadrics = [" + ".join(f"{rng.randrange(1, 32003)}*{u}*{v}"
+                           for u, v in combinations_with_replacement(names, 2))
+                for _ in range(3)]
+    return {"characteristic": 32003, "variables": list(names),
+            "monomial_order": order, "ideals": [["a", "b", "c"],
+                                                ["d", "e", "f"]],
+            "parameters": quadrics}
+
+
+@pytest.mark.parametrize("command", ["hilbert", "coeffs", "verify"])
+def test_lex_dense_quadrics_finish_as_their_grevlex_twin(tmp_path, capsys,
+                                                         command):
+    # a lex basis of the three quadrics does not finish in minutes, and
+    # dim S/J, which the hypotheses read, does not need one
+    paths = {}
+    for order in ("lex", "grevlex"):
+        paths[order] = tmp_path / f"{order}.json"
+        paths[order].write_text(json.dumps(dense_quadric_problem(order)),
+                                encoding="utf-8")
+    child = _child("-m", "chernlab.cli", command, str(paths["lex"]),
+                   "--json", timeout=30)
+    twin = _in_process(capsys, [command, str(paths["grevlex"]), "--json"])
+    assert twin[0] == 0
+    if command == "verify":
+        assert json.loads(twin[1])["monomial_order"] == "grevlex"
+        twin = (0, twin[1].replace('"monomial_order": "grevlex"',
+                                   '"monomial_order": "lex"'), "")
+    assert (child.returncode, child.stdout, child.stderr) == twin
+    if command == "coeffs":
+        assert json.loads(child.stdout)["e"] == ["16", "-1", "1", "0"]
 
 
 # Reads the freeze count after the entry has exited, from an atexit hook

@@ -1,6 +1,6 @@
 """The Rees route of ``hilbert.ring_series``: for two Cohen-Macaulay
-components and linear parameters, HS(gr_J R) from one basis of
-(I_1 + I_2) + I_2(y; T), with no intersection.  Its series, and the
+components and parameters of any degree, HS(gr_J R) from one basis of
+(I_1 + I_2) + I_2(f; T), with no intersection.  Its series, and the
 ``hilbert`` and ``coeffs`` output built on it, must equal the core route's
 (the tangent cone of I_1 ∩ I_2), which ``verify`` still takes."""
 
@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import chernlab.hilbert as hilbert_module
 import chernlab.ideals as ideals_module
 from chernlab import (Ideal, Polynomial, ProblemInstance, RingContext,
                       chern_sign, check_hypotheses, diagonal_cokernel,
@@ -122,6 +123,74 @@ def test_random_two_component_instances(monkeypatch, capsys, tmp_path,
                                             list(j.generators)))["all_pass"]
     assert_routes_agree(monkeypatch, capsys,
                         write_problem(tmp_path / "p.json", *problem))
+
+
+def any_degree_instance(seed):
+    """Two complete intersections of generic forms, one in each half of 2d
+    variables, under a random invertible change of coordinates, and d
+    generic parameters of degree 1 to 3 in all variables, at least one of
+    them not linear.  d, the order and the prime run through every
+    combination as the seed does."""
+    rng = random.Random(f"rees-any-degree:{seed}")
+    d = 2 + seed % 2
+    r, p = 2 * d, (32003, 10007, 101)[seed % 3]
+    ctx = RingContext([f"x{i}" for i in range(1, r + 1)], p,
+                      ("grevlex", "lex")[seed // 2 % 2])
+    images = variable_images(ctx, random_invertible_matrix(rng, r, p))
+    ideals = []
+    for block in (list(range(d)), list(range(d, r))):
+        degrees = ([rng.randint(1, 2) for _ in range(2)] if d == 2
+                   else rng.choice([[1, 1, 1], [1, 1, 2]]))
+        ideals.append(Ideal(ctx, [generic_form(rng, ctx, block, e)
+                                  .substitute(images) for e in degrees]))
+    degrees = [rng.randint(1, 3) for _ in range(d)]
+    if max(degrees) == 1:
+        degrees[rng.randrange(d)] = rng.randint(2, 3)
+    parameters = [generic_form(rng, ctx, list(range(r)), e)
+                  for e in degrees]
+    return ProblemInstance(ctx, ideals, parameters)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_any_degree_parameters(monkeypatch, seed):
+    inst = any_degree_instance(seed)
+    assert inst.g == 2 and check_hypotheses(inst)["all_pass"]
+    assert max(f.degree() for f in inst.parameters) > 1
+    with monkeypatch.context() as patch:
+        patch.setattr(ideals_module, "ideal_intersect", None)
+        rees = ring_series(inst, True)
+    assert rees == ring_series(inst, False)
+
+
+def test_quadric_parameters_take_one_weighted_rees_basis(monkeypatch,
+                                                         capsys):
+    # e7: J = (x^2 + w^2, y + z).  hilbert builds the graph bases of the
+    # two components for the hypotheses and one basis of the Rees ring
+    # F[t1, t2, x, y, z, w] with deg t1 = 2, and no intersection
+    intersections, runs = [], []
+    original_intersect = ideals_module.ideal_intersect
+    original_buchberger = hilbert_module.buchberger
+
+    def counting_intersect(*args):
+        intersections.append(args)
+        return original_intersect(*args)
+
+    def recording(gens, ctx=None, series=None):
+        runs.append((ctx, series))
+        return original_buchberger(gens, ctx, series)
+
+    monkeypatch.setattr(ideals_module, "ideal_intersect", counting_intersect)
+    monkeypatch.setattr(hilbert_module, "buchberger", recording)
+    path = str(PROBLEM_DIR / "e7_quadric_parameters.json")
+    assert main(["hilbert", path, "--json"]) == 0
+    capsys.readouterr()
+    assert intersections == []
+    rees = [(ctx, series) for ctx, series in runs
+            if ctx.variables[:2] == ("t1", "t2")]
+    assert [(ctx.variables, ctx.order, series) for ctx, series in rees] == [
+        (("t1", "t2", "x", "y", "z", "w"),
+         ("ydeg", 2, "grevlex", (2, 1, 1, 1, 1, 1)), None)]
+    assert len(runs) == 3
 
 
 def dense_d3_row(a, b, seed=3, p=32003):
