@@ -14,7 +14,7 @@ _HOME = {name: module for module, names in {
                 "standard_monomials",
     "hilbert": "FitInstabilityError chern_sign fit_coefficients "
                "hilbert_polynomial_value hilbert_samuel "
-               "hilbert_samuel_values multiplicity ring_series tangent_cone",
+               "hilbert_samuel_values multiplicity rees_series tangent_cone",
     "ideals": "HilbertSeries Ideal NotFiniteLengthError ideal_intersect "
               "ideal_power ideal_product ideal_sum intersect_all "
               "krull_dimension monomial_hilbert_series "

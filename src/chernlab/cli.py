@@ -9,15 +9,17 @@ decimal strings.
 
 Exit codes: 0 success (verify: overall pass), 1 internal inconsistency
 (verify: an identity fails), 2 schema or usage error, 3 hypothesis failure.
-The CLI is the one gate on the hypotheses: a non-homogeneous generator or
+The CLI is the one gate on the hypotheses, and ``main`` passes every file
+command through it once (``_admit``): a non-homogeneous generator or
 parameter (``core.HypothesisError``, raised while the instance is built) is
-exit 3 always, and a failing ``check_hypotheses`` entry is exit 3 unless
---force, which proceeds with a warning.  The Hilbert coefficients and every
-identity are read off exact Hilbert series, for all n, so no exit code
-depends on the window --max-power: it sets only the tables of values that
-are printed.  Input above a documented cap is refused with exit 2 before
-any computation: a window outside 1..MAX_POWER_LIMIT (flag or key, one
-check), and betti's --d above BETTI_D_LIMIT or --n above BETTI_N_LIMIT.
+exit 3 always, and a failing check of the instance's ``hypotheses`` is
+exit 3 unless --force, which proceeds with a warning.  The Hilbert
+coefficients and every identity are read off exact Hilbert series, for all
+n, so no exit code depends on the window --max-power: it sets only the
+tables of values that are printed.  Input above a documented cap is
+refused with exit 2 before any computation: a window outside
+1..MAX_POWER_LIMIT (flag or key, one check), and betti's --d above
+BETTI_D_LIMIT or --n above BETTI_N_LIMIT.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from types import SimpleNamespace
 from . import graded, resolutions, verifier
 from .core import (PRIME_LIMIT, HypothesisError, ParseError, RingContext,
                    is_prime, parse_polynomial)
-from .hilbert import chern_sign, ring_series, samuel_polynomial
+from .hilbert import chern_sign, samuel_polynomial
 from .ideals import Ideal, NotFiniteLengthError, quotient_length
-from .instance import ProblemInstance, check_hypotheses
+from .instance import ProblemInstance
 
 __all__ = ["main", "run", "SchemaError", "load_problem", "build_instance"]
 
@@ -150,22 +152,11 @@ def _emit_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _gate_hypotheses(inst, force: bool):
-    """The one gate on ``check_hypotheses``: returns (fragment, exit code
-    or None).  Under force a failing check is a warning."""
-    fragment = check_hypotheses(inst)
-    if fragment["all_pass"]:
-        return fragment, None
-    failing = [c["name"] for c in fragment["checks"] if not c["passed"]]
-    if force:
-        print(f"warning: hypothesis checks skipped by --force "
-              f"(failing: {', '.join(failing)})", file=sys.stderr)
-        return fragment, None
-    print(f"hypothesis failure: {', '.join(failing)}", file=sys.stderr)
-    return fragment, EXIT_HYPOTHESIS
-
-
-def _load_and_build(args) -> ProblemInstance:
+def _admit(args) -> ProblemInstance:
+    """The instance of FILE under --max-power, once it passes the one gate
+    on its ``hypotheses``.  A failing check raises ``HypothesisError``
+    (exit 3), after ``verify --json`` prints the refusal report, unless
+    --force, which warns and admits the instance."""
     problem = load_problem(args.file)
     if args.max_power is not None:
         problem["max_power"] = args.max_power
@@ -173,15 +164,22 @@ def _load_and_build(args) -> ProblemInstance:
     if window is not None and not 1 <= window <= MAX_POWER_LIMIT:
         raise SchemaError(f"max_power must be in 1..MAX_POWER_LIMIT = "
                           f"{MAX_POWER_LIMIT}, not {window}")
-    return build_instance(problem)
+    inst = build_instance(problem)
+    failing = [c["name"] for c in inst.hypotheses["checks"]
+               if not c["passed"]]
+    if failing and args.force:
+        print(f"warning: hypothesis checks skipped by --force "
+              f"(failing: {', '.join(failing)})", file=sys.stderr)
+    elif failing:
+        if args.json and args.func is cmd_verify:
+            _emit_json({"hypotheses": inst.hypotheses,
+                        "overall": "hypothesis_failure"})
+        raise HypothesisError(", ".join(failing))
+    return inst
 
 
-def cmd_hilbert(args) -> int:
-    inst = _load_and_build(args)
-    fragment, gate = _gate_hypotheses(inst, args.force)
-    if gate is not None:
-        return gate
-    series = ring_series(inst, fragment["all_pass"])
+def cmd_hilbert(inst, args) -> int:
+    series = inst.ring_series()
     values = [(n, series.summed(n)) for n in range(1, inst.max_power + 1)]
     if args.json:
         _emit_json([{"n": n, "length": str(h)} for n, h in values])
@@ -192,12 +190,8 @@ def cmd_hilbert(args) -> int:
     return EXIT_OK
 
 
-def cmd_coeffs(args) -> int:
-    inst = _load_and_build(args)
-    fragment, gate = _gate_hypotheses(inst, args.force)
-    if gate is not None:
-        return gate
-    series = ring_series(inst, fragment["all_pass"])
+def cmd_coeffs(inst, args) -> int:
+    series = inst.ring_series()
     e, n0 = samuel_polynomial(series, inst.d)
     # for g = 2, L = (S/I_1 ⊕ S/I_2)/R is S/(I_1 + I_2)
     module_len = (quotient_length(inst.pair_sums[(0, 1)]) if inst.g == 2
@@ -220,15 +214,8 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    inst = _load_and_build(args)
-    fragment, gate = _gate_hypotheses(inst, args.force)
-    if gate is not None:
-        report = {"hypotheses": fragment, "overall": "hypothesis_failure"}
-        if args.json:
-            _emit_json(report)
-        return gate
-    report = verifier.run_verification(inst, hypotheses=fragment)
+def cmd_verify(inst, args) -> int:
+    report = verifier.run_verification(inst)
     if args.json:
         _emit_json(report)
     else:
@@ -393,7 +380,9 @@ def main(argv=None) -> int:
         (sys.stdout if code == 0 else sys.stderr).write(text)
         return code
     try:
-        return args.func(args)
+        if args.file is None:
+            return args.func(args)
+        return args.func(_admit(args), args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -26,7 +26,7 @@ __all__ = [
     "hilbert_samuel_values",
     "multiplicity",
     "parameter_coordinates",
-    "ring_series",
+    "rees_series",
     "TangentCone",
     "tangent_cone",
     "fit_coefficients",
@@ -54,19 +54,24 @@ def hilbert_samuel(core: Ideal, parameters: Ideal, n: int) -> int:
 
 
 def parameter_coordinates(ctx, parameters):
-    """The linear change of coordinates in which the parameters span
-    J = (y_1, ..., y_k), or None when some parameter is not a linear form.
+    """(ring, gens, move): the working ring of a problem over ``ctx`` with
+    these parameters, the generators of J in it, and the map ``move`` of
+    the polynomials of ``ctx`` into it.
 
-    Returns (ring, k, images).  The new variables are y_i = (rref row i) . x
-    followed by the x_c of the non-pivot columns c, which is invertible with
-    x_c = z_c and x_(pivot i) = y_i - sum_c row_i[c] z_c, so k is the rank
-    of the parameters and dependent parameters are handled too.  ``ring``
-    has the variables y1..yk, z1..z(r-k) and the order ("ydeg", k,
-    ctx.order), and ``images[c]`` is the image of x_c in it.
+    For linear parameters it is the linear change of coordinates in which
+    they span J = (y_1, ..., y_k).  The new variables are
+    y_i = (rref row i) . x followed by the x_c of the non-pivot columns c,
+    which is invertible with x_c = z_c and x_(pivot i) = y_i - sum_c
+    row_i[c] z_c, so k is the rank of the parameters and dependent
+    parameters are handled too.  ``ring`` has the variables y1..yk,
+    z1..z(r-k) and the order ("ydeg", k, ctx.order), and ``gens`` are
+    y1..yk.  Otherwise ``ring`` has the variables of ``ctx`` under grevlex
+    and ``gens`` are the parameters moved there.
     """
     r = ctx.nvars
     if any(f.degree() != 1 for f in parameters):
-        return None
+        ring, move = ctx.adjoin((), "grevlex")
+        return ring, [move(f) for f in parameters], move
     units = [tuple(int(j == i) for j in range(r)) for i in range(r)]
     rows = [[f.terms.get(unit, 0) for unit in units] for f in parameters]
     reduced, pivots = rref_mod_p(rows, ctx.characteristic)
@@ -83,7 +88,8 @@ def parameter_coordinates(ctx, parameters):
         for t, f in enumerate(free):
             terms[units[k + t]] = -row[f]
         images[c] = Polynomial(ring, terms)
-    return ring, k, images
+    return (ring, [Polynomial.variable(ring, y) for y in ring.variables[:k]],
+            lambda f: f.substitute(images))
 
 
 class TangentCone:
@@ -250,16 +256,16 @@ def multiplicity(series: HilbertSeries, d: int) -> int:
     return sum(series.numerator) if series.denominator_exponent == d else 0
 
 
-def ring_series(inst, hypotheses_hold: bool) -> HilbertSeries:
-    """HS(gr_J R) of a ``ProblemInstance``, R = S/(I_1 ∩ ... ∩ I_g): the
-    series that ``hilbert`` and ``coeffs`` read H(K, n), e and n0 off.
+def rees_series(pair_sum: Ideal, parameters: Ideal,
+                components) -> HilbertSeries:
+    """HS(gr_J R) for R = S/(I_1 ∩ I_2), from ``pair_sum`` = I_1 + I_2,
+    J = ``parameters`` = (f_1..f_d) and the two ``components``' tangent
+    cones, with no intersection: the Rees route.
 
-    When g = 2 and ``hypotheses_hold`` (every check of
-    ``instance.check_hypotheses`` passed, so each S/I_i is Cohen-Macaulay
-    with J = (f_1..f_d) a system of parameters on it), no intersection is
-    built.  Then Tor_1(S/I_i, S/J^n) = 0, and tensoring
-    0 -> R -> S/I_1 ⊕ S/I_2 -> L -> 0 with S/J^n, where
-    Tor_1(L, S/J^n) = ker(L ⊗ J^n -> L), gives for n >= 1
+    It holds when each S/I_i is Cohen-Macaulay with J a system of
+    parameters on it; the caller decides that.  Then
+    Tor_1(S/I_i, S/J^n) = 0, and tensoring 0 -> R -> S/I_1 ⊕ S/I_2 -> L -> 0
+    with S/J^n, where Tor_1(L, S/J^n) = ker(L ⊗ J^n -> L), gives for n >= 1
 
         λ(R/J^n R) = e_0 C(n+d-1, d) - λ(L) + λ(L ⊗ J^n),
 
@@ -268,23 +274,20 @@ def ring_series(inst, hypotheses_hold: bool) -> HilbertSeries:
     the 2x2 minors f_i T_j - f_j T_i (Huneke, J. Algebra 62, 1980), and
     ⊕_n L ⊗ J^n is S[T]/(I_1 + I_2 + I_2(f; T)) for L = S/(I_1 + I_2).
     With deg T_i = deg f_i that ideal is homogeneous and, in the T, of
-    degree one per term, so one basis in the ("ydeg", d, base, w) order of
-    ``_parameter_ring``, T first, gives A(t) = Σ λ(L ⊗ J^n) t^n as its
-    cone's series, and HS(gr_J R) = e_0/(1-t)^d + ((1-t)A - λ(L))/t.
-    Otherwise it is the series of the core's tangent cone.
+    degree one per term, so one basis in the ("ydeg", d, "grevlex", w)
+    order of ``_parameter_ring``, T first, whatever the problem's order,
+    gives A(t) = Σ λ(L ⊗ J^n) t^n as its cone's series, and
+    HS(gr_J R) = e_0/(1-t)^d + ((1-t)A - λ(L))/t.
     """
-    J = inst.J
-    if not (hypotheses_hold and inst.g == 2):
-        return tangent_cone(inst.core, J).series()
-    rees, include, t = _parameter_ring(inst.ring, J.generators, "t",
-                                       inst.ctx.order)
-    f, d = [include(g) for g in J.generators], len(t)
-    gens = [include(g) for g in inst.pair_sums[(0, 1)].groebner().elements]
+    rees, include, t = _parameter_ring(pair_sum.ctx, parameters.generators,
+                                       "t", "grevlex")
+    f, d = [include(g) for g in parameters.generators], len(t)
+    gens = [include(g) for g in pair_sum.groebner().elements]
     gens += [f[i] * t[j] - f[j] * t[i]
              for i in range(d) for j in range(i + 1, d)]
     a = TangentCone(rees, d, buchberger(gens, rees).lead_monomials()).series()
-    e0 = sum(multiplicity(tangent_cone(ideal, J).series(), d)
-             for ideal in inst.ideals)
+    e0 = sum(multiplicity(tangent_cone(ideal, parameters).series(), d)
+             for ideal in components)
     rest = HilbertSeries(a.lift(d), d - 1) - HilbertSeries([a.summed(1)], 0)
     return HilbertSeries([e0], d) + HilbertSeries(rest.numerator[1:],
                                                   rest.denominator_exponent)

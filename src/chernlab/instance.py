@@ -6,15 +6,19 @@ the instance is built and raise ``core.HypothesisError``: homogeneous
 generators (by ``Ideal``) and parameters that are nonzero homogeneous of
 degree >= 1 (by ``ProblemInstance``, through ``core.require_parameter``,
 which ``hilbert.tangent_cone`` also calls for a bare parameter ideal).  The
-others are named checks with witnesses (``check_hypotheses``), which a
-caller gates on; the command line maps both kinds of failure to exit 3.
+others are named checks with witnesses (``check_hypotheses``), run once per
+instance, on the first read of ``ProblemInstance.hypotheses``; every
+consumer reads that attribute, and the command line gates on it and maps
+both kinds of failure to exit 3.
 """
 
 from itertools import combinations
 
-from .core import Polynomial, require_parameter
-from .hilbert import multiplicity, parameter_coordinates, tangent_cone
-from .ideals import Ideal, ideal_sum, intersect_all, krull_dimension
+from .core import require_parameter
+from .hilbert import (multiplicity, parameter_coordinates, rees_series,
+                      tangent_cone)
+from .ideals import (HilbertSeries, Ideal, ideal_sum, intersect_all,
+                     krull_dimension)
 
 __all__ = ["ProblemInstance", "check_hypotheses"]
 
@@ -23,19 +27,22 @@ class ProblemInstance:
     """A quotient ring presented by component ideals plus parameter elements.
 
     Derived data (pairwise sums, dimension, heights) is computed eagerly
-    and once.  The intersection ``core`` is built on first use, and only
-    then: ``verify`` and the core route of ``hilbert.ring_series`` take it
-    instead of intersecting the ideals again, and the hypothesis checks
-    and the Rees route never need it.  d = dim S/core is the largest
-    component dimension, as V(core) is the union of the V(I_i).
+    and once.  Two attributes are built on first read, and only then: the
+    intersection ``core``, which ``verify`` and the core route of
+    ``ring_series`` take instead of intersecting the ideals again, and
+    ``hypotheses``, the ``check_hypotheses`` fragment, which the command
+    line's gate, ``ring_series``'s route choice and ``verify``'s report
+    read.  The hypothesis checks and the Rees route never need the core.
+    d = dim S/core is the largest component dimension, as V(core) is the
+    union of the V(I_i).
 
     Two rings.  ``ctx`` is the problem's ring, and ``parameters`` are the
     given elements in it.  ``ring`` is the ring every derived ideal lives
     in: ``ideals`` (the components), ``J``, ``pair_sums``, ``core``, and so
     the cokernel L read from them; its idealization ring extends ``ring``.
-    For linear parameters ``ring`` is the ring of
-    ``hilbert.parameter_coordinates``: the components are mapped there
-    once, J = (y_1, ..., y_k), and the order is ("ydeg", k, base), so each
+    ``hilbert.parameter_coordinates`` picks it, J's generators and the map
+    the components take there once.  For linear parameters
+    J = (y_1, ..., y_k) and the order is ("ydeg", k, base), so each
     ideal's one reduced basis is also its tangent cone's, and
     ``hilbert.tangent_cone`` caches the cone on the ideal, so the hypothesis
     checks and the H(K, n) table share the components'.
@@ -55,7 +62,8 @@ class ProblemInstance:
     """
 
     __slots__ = ("ctx", "ring", "ideals", "parameters", "J", "pair_sums",
-                 "_core", "g", "r", "d", "heights", "max_power")
+                 "_core", "_hypotheses", "g", "r", "d", "heights",
+                 "max_power")
 
     def __init__(self, ctx, ideals, parameters, max_power=None):
         ideals = list(ideals)
@@ -66,16 +74,7 @@ class ProblemInstance:
             raise ValueError("need at least one parameter element")
         for f in parameters:
             require_parameter(f)
-        coordinates = parameter_coordinates(ctx, parameters)
-        if coordinates is None:
-            ring, move = ctx.adjoin((), "grevlex")
-            J = [move(f) for f in parameters]
-        else:
-            ring, k, images = coordinates
-            J = [Polynomial.variable(ring, y) for y in ring.variables[:k]]
-
-            def move(f):
-                return f.substitute(images)
+        ring, J, move = parameter_coordinates(ctx, parameters)
         ideals = [Ideal(ring, [move(g) for g in ideal.generators])
                   for ideal in ideals]
         J = Ideal(ring, J)
@@ -87,6 +86,7 @@ class ProblemInstance:
         self.pair_sums = {(i, j): ideal_sum(ideals[i], ideals[j])
                           for i, j in combinations(range(len(ideals)), 2)}
         self._core = None
+        self._hypotheses = None
         self.g = len(ideals)
         self.r = ctx.nvars
         self.heights = [self.r - krull_dimension(ideal) for ideal in ideals]
@@ -101,6 +101,24 @@ class ProblemInstance:
         if self._core is None:
             self._core = intersect_all(self.ideals, self.pair_sums.get((0, 1)))
         return self._core
+
+    @property
+    def hypotheses(self) -> dict:
+        """The ``check_hypotheses`` fragment, checked on first read."""
+        if self._hypotheses is None:
+            self._hypotheses = check_hypotheses(self)
+        return self._hypotheses
+
+    def ring_series(self) -> HilbertSeries:
+        """HS(gr_J R), R = S/(I_1 ∩ ... ∩ I_g): the series that ``hilbert``
+        and ``coeffs`` read H(K, n), e and n0 off.  When g = 2 and every
+        hypothesis check passes, so each S/I_i is Cohen-Macaulay with J a
+        system of parameters on it, it is ``hilbert.rees_series``, which
+        builds no intersection; otherwise the series of the core's tangent
+        cone."""
+        if self.g == 2 and self.hypotheses["all_pass"]:
+            return rees_series(self.pair_sums[(0, 1)], self.J, self.ideals)
+        return tangent_cone(self.core, self.J).series()
 
 
 def check_hypotheses(inst: ProblemInstance) -> dict:

@@ -39,9 +39,8 @@ def tor1_via_lengths(core_values, component_values, colength, n: int) -> int:
 
     ``core_values`` is the Hilbert-Samuel table {n: length(R/K^n)} and
     ``component_values`` holds one table {n: length(S/(I_i + J^n))} per
-    component (``hilbert_samuel_values`` gives both); each covers n.
-    ``colength`` is length(L/J^n L), the n-th partial sum of
-    ``graded.gr_series``.
+    component; each covers n.  ``colength`` is length(L/J^n L), the n-th
+    partial sum of ``graded.gr_series``.
     """
     total = core_values[n] - sum(table[n] for table in component_values)
     return total + colength

@@ -14,10 +14,12 @@ values and that series' partial sums term by term
 
 Every check lands in a structured report fragment with witnesses; failures
 are report entries, not exceptions.  The verifier does not gate on the
-hypotheses: it records ``instance.check_hypotheses`` in the report and runs
+hypotheses: it records the instance's ``hypotheses`` in the report and runs
 the pipeline, and the caller decides whether a failing hypothesis stops it
 (the command line does, unless --force).  Big integer payloads are encoded as
 decimal strings so the report serializes without range surprises.
+``instance.check_hypotheses`` is re-exported here, where the benchmark's
+tracer (``perfbench/traced_cli.py``) wraps it.
 """
 
 from __future__ import annotations
@@ -191,19 +193,19 @@ def negativity_check(inst, e, colength) -> dict:
     }
 
 
-def run_verification(inst: ProblemInstance, hypotheses=None) -> dict:
+def run_verification(inst: ProblemInstance) -> dict:
     """Full pipeline; returns the JSON-ready report.
 
-    ``hypotheses`` may carry the fragment of an earlier
-    check_hypotheses(inst) (the CLI has it before it gets here); it is
+    The instance's ``hypotheses`` (checked once, on its first read) are
     recorded, not gated on, so an instance whose parameters do not cut the
     core to finite length raises ``NotFiniteLengthError``.
 
-    The Hilbert polynomial of K, its (e_0..e_d) and n0, is read off the
-    core's tangent cone along J (``hilbert.samuel_polynomial``), whatever
-    the window.  Every length(L/J^n L), nu and whether J annihilates L
-    are read off one Hilbert series of gr_J(L) (``graded.gr_series``), from
-    the tangent cone of one Groebner basis of the idealization of L.  The
+    The Hilbert polynomial of K, its (e_0..e_d) and n0, and the printed
+    H(K, n), are read off the series of the core's tangent cone along J
+    (``hilbert.samuel_polynomial``), whatever the window.  Every
+    length(L/J^n L), nu and whether J annihilates L are read off one
+    Hilbert series of gr_J(L) (``graded.gr_series``), from the tangent cone
+    of one Groebner basis of the idealization of L.  The
     torsion lengths are the partial sums of one ``torsion_series``, built
     from the same cones and that series, and every identity is decided on its
     exact polynomial or on e alone, for every n: the window max_power
@@ -222,12 +224,12 @@ def run_verification(inst: ProblemInstance, hypotheses=None) -> dict:
         "heights": inst.heights,
         "max_power": inst.max_power,
     }
-    report["hypotheses"] = hypotheses or check_hypotheses(inst)
+    report["hypotheses"] = inst.hypotheses
 
     model = graded.diagonal_cokernel(inst.ideals, inst.core)
     module_len = model.length
-    values = hilbert_samuel_values(inst.core, inst.J, inst.max_power)
     core_series = tangent_cone(inst.core, inst.J).series()
+    values = {n: core_series.summed(n) for n in range(1, inst.max_power + 1)}
     e, n0 = samuel_polynomial(core_series, inst.d)
     gr = graded.gr_series(model, inst.J)
     nu = len(gr.numerator)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from chernlab import binomial, check_hypotheses, ring_series
+import chernlab.instance as instance_module
+from chernlab import (binomial, check_hypotheses, rees_series,
+                      tangent_cone)
 from chernlab.cli import (BETTI_D_LIMIT, BETTI_N_LIMIT, MAX_POWER_LIMIT,
                           build_instance, load_problem, main)
 from conftest import PROBLEM_DIR
@@ -645,6 +647,9 @@ def test_verify_non_cm_component_fails_the_torsion_identity(tmp_path,
 
 
 NON_CM = ["x*z", "x*w", "y*z", "y*w"]
+# (x, y)m ∩ (z, w) = (x, y) ∩ (z, w): e1's ring, with a non-CM component
+MAXIMAL_TIMES_PLANE = dict(BASE, ideals=[
+    ["x^2", "x*y", "y^2", "x*z", "x*w", "y*z", "y*w"], ["z", "w"]])
 
 
 @pytest.mark.parametrize("command", ["hilbert", "coeffs", "verify"])
@@ -666,8 +671,7 @@ def test_forced_non_cm_component_takes_the_core_route(tmp_path, capsys):
     # --force hilbert and coeffs print e1's numbers, read off the core;
     # L = S/((x, y)m + (z, w)) has length 3.  The Rees formula, which needs
     # Tor_1(S/I_1, S/J^n) = 0, would give H(K, n) = 4, 10, 18, ...
-    path = _write(tmp_path, "noncm.json", dict(BASE, ideals=[
-        ["x^2", "x*y", "y^2", "x*z", "x*w", "y*z", "y*w"], ["z", "w"]]))
+    path = _write(tmp_path, "noncm.json", MAXIMAL_TIMES_PLANE)
     warning = ("warning: hypothesis checks skipped by --force "
                "(failing: components_cohen_macaulay)\n")
     golden = PROBLEM_DIR.parent / "tests" / "golden"
@@ -679,8 +683,39 @@ def test_forced_non_cm_component_takes_the_core_route(tmp_path, capsys):
     expected = json.loads((golden / "e1_two_planes.coeffs.json").read_text())
     assert json.loads(out) == dict(expected, lambda_L="3")
     inst = build_instance(load_problem(path))
-    rees = ring_series(inst, True)
+    rees = rees_series(inst.pair_sums[(0, 1)], inst.J, inst.ideals)
     assert [rees.summed(n) for n in (1, 2, 3)] == [4, 10, 18]
+
+
+def test_route_choice_reads_the_instance_verdict(tmp_path):
+    # the instance of the test above: nothing a caller passes can send it
+    # down the Rees route, as the route reads the instance's own verdict
+    path = _write(tmp_path, "noncm.json", MAXIMAL_TIMES_PLANE)
+    inst = build_instance(load_problem(path))
+    assert not inst.hypotheses["all_pass"]
+    assert inst.ring_series() == tangent_cone(inst.core, inst.J).series()
+
+
+@pytest.mark.parametrize("command", ["hilbert", "coeffs", "verify"])
+@pytest.mark.parametrize("force", [False, True])
+def test_hypotheses_checked_once(monkeypatch, tmp_path, capsys, command,
+                                 force):
+    # the gate, the route choice and verify's report read one verdict
+    calls = []
+    original = instance_module.check_hypotheses
+
+    def counting(inst):
+        calls.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(instance_module, "check_hypotheses", counting)
+    path = E1
+    if force:
+        path = _write(tmp_path, "noncm.json", MAXIMAL_TIMES_PLANE)
+    code, _, _ = run(capsys, command, path, "--json",
+                     *(["--force"] if force else []))
+    assert code == (1 if force and command == "verify" else 0)
+    assert len(calls) == 1
 
 
 def test_verify_forced_extra_parameter_keeps_the_torsion_identity(tmp_path,

@@ -1,5 +1,6 @@
-"""The Rees route of ``hilbert.ring_series``: for two Cohen-Macaulay
-components and parameters of any degree, HS(gr_J R) from one basis of
+"""The Rees route, ``hilbert.rees_series``, which
+``ProblemInstance.ring_series`` takes for two Cohen-Macaulay components and
+parameters of any degree: HS(gr_J R) from one basis of
 (I_1 + I_2) + I_2(f; T), with no intersection.  Its series, and the
 ``hilbert`` and ``coeffs`` output built on it, must equal the core route's
 (the tangent cone of I_1 ∩ I_2), which ``verify`` still takes."""
@@ -14,7 +15,7 @@ import chernlab.ideals as ideals_module
 from chernlab import (Ideal, Polynomial, ProblemInstance, RingContext,
                       chern_sign, check_hypotheses, diagonal_cokernel,
                       hilbert_polynomial_value, parse_polynomial,
-                      quotient_length, ring_series, tangent_cone)
+                      quotient_length, rees_series, tangent_cone)
 from chernlab.cli import build_instance, load_problem, main
 from chernlab.hilbert import samuel_polynomial
 from conftest import PROBLEM_DIR
@@ -59,8 +60,8 @@ def cli_outputs(monkeypatch, capsys, path):
 def assert_routes_agree(monkeypatch, capsys, path):
     inst = build_instance(load_problem(path))
     assert inst.g == 2 and check_hypotheses(inst)["all_pass"]
-    assert ring_series(inst, True) == tangent_cone(inst.core, inst.J).series()
-    assert ring_series(inst, False) == tangent_cone(inst.core, inst.J).series()
+    rees = rees_series(inst.pair_sums[(0, 1)], inst.J, inst.ideals)
+    assert rees == tangent_cone(inst.core, inst.J).series()
     assert cli_outputs(monkeypatch, capsys, path) == \
         core_route_outputs(build_instance(load_problem(path)))
 
@@ -158,8 +159,9 @@ def test_any_degree_parameters(monkeypatch, seed):
     assert max(f.degree() for f in inst.parameters) > 1
     with monkeypatch.context() as patch:
         patch.setattr(ideals_module, "ideal_intersect", None)
-        rees = ring_series(inst, True)
-    assert rees == ring_series(inst, False)
+        rees = rees_series(inst.pair_sums[(0, 1)], inst.J, inst.ideals)
+        assert inst.ring_series() == rees
+    assert rees == tangent_cone(inst.core, inst.J).series()
 
 
 def test_quadric_parameters_take_one_weighted_rees_basis(monkeypatch,
