@@ -16,10 +16,11 @@ exit 3 always, and a failing check of the instance's ``hypotheses`` is
 exit 3 unless --force, which proceeds with a warning.  The Hilbert
 coefficients and every identity are read off exact Hilbert series, for all
 n, so no exit code depends on the window --max-power: it sets only the
-tables of values that are printed.  Input above a documented cap is
-refused with exit 2 before any computation: a window outside
-1..MAX_POWER_LIMIT (flag or key, one check), and betti's --d above
-BETTI_D_LIMIT or --n above BETTI_N_LIMIT.
+tables of values that are printed, and it is resolved here alone (flag,
+else the file's key, else 2d + 4) and passed to the commands that print.
+Input above a documented cap is refused with exit 2 before any
+computation: a window outside 1..MAX_POWER_LIMIT (flag or key, one check),
+and betti's --d above BETTI_D_LIMIT or --n above BETTI_N_LIMIT.
 """
 
 from __future__ import annotations
@@ -144,8 +145,7 @@ def build_instance(problem: dict) -> ProblemInstance:
         raise SchemaError("polynomial syntax: expression nested too "
                           "deeply") from None
     ideals = [Ideal(ctx, block) for block in ideal_polys]
-    return ProblemInstance(ctx, ideals, parameters,
-                           max_power=problem["max_power"])
+    return ProblemInstance(ctx, ideals, parameters)
 
 
 def _emit_json(payload) -> None:
@@ -153,18 +153,20 @@ def _emit_json(payload) -> None:
 
 
 def _admit(args) -> ProblemInstance:
-    """The instance of FILE under --max-power, once it passes the one gate
-    on its ``hypotheses``.  A failing check raises ``HypothesisError``
-    (exit 3), after ``verify --json`` prints the refusal report, unless
-    --force, which warns and admits the instance."""
+    """The instance of FILE, once it passes the one gate on its
+    ``hypotheses``, with ``args.max_power`` set to the window 1..N of the
+    printed tables: the flag, else the file's key, else 2d + 4.  A window
+    outside 1..MAX_POWER_LIMIT is refused before the instance is built.  A
+    failing check raises ``HypothesisError`` (exit 3), after ``verify
+    --json`` prints the refusal report, unless --force, which warns and
+    admits the instance."""
     problem = load_problem(args.file)
-    if args.max_power is not None:
-        problem["max_power"] = args.max_power
-    window = problem["max_power"]
+    window = problem["max_power"] if args.max_power is None else args.max_power
     if window is not None and not 1 <= window <= MAX_POWER_LIMIT:
         raise SchemaError(f"max_power must be in 1..MAX_POWER_LIMIT = "
                           f"{MAX_POWER_LIMIT}, not {window}")
     inst = build_instance(problem)
+    args.max_power = 2 * inst.d + 4 if window is None else window
     failing = [c["name"] for c in inst.hypotheses["checks"]
                if not c["passed"]]
     if failing and args.force:
@@ -180,7 +182,7 @@ def _admit(args) -> ProblemInstance:
 
 def cmd_hilbert(inst, args) -> int:
     series = inst.ring_series()
-    values = [(n, series.summed(n)) for n in range(1, inst.max_power + 1)]
+    values = [(n, series.summed(n)) for n in range(1, args.max_power + 1)]
     if args.json:
         _emit_json([{"n": n, "length": str(h)} for n, h in values])
     else:
@@ -215,7 +217,7 @@ def cmd_coeffs(inst, args) -> int:
 
 
 def cmd_verify(inst, args) -> int:
-    report = verifier.run_verification(inst)
+    report = verifier.run_verification(inst, args.max_power)
     if args.json:
         _emit_json(report)
     else:

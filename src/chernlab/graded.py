@@ -72,7 +72,7 @@ def diagonal_cokernel(ideals, core: Ideal) -> Cokernel:
         raise ValueError("need at least one ideal")
     for ideal in ideals:
         if ideal.ctx != core.ctx:
-            raise ValueError("ideals come from different ring contexts")
+            raise ContextMismatchError("ideals come from different ring contexts")
     series = quotient_hilbert_series(ideals[0])
     for ideal in ideals[1:]:
         series = series + quotient_hilbert_series(ideal)

@@ -57,15 +57,13 @@ class ProblemInstance:
 
     ``pair_sums`` maps (i, j), i < j, to I_i + I_j; the first intersection
     takes the sum of the first two components from it, so one basis of that
-    sum serves both its target series and the pairwise hypothesis.  The
-    default window size for Hilbert-Samuel sampling is 2d + 4.
+    sum serves both its target series and the pairwise hypothesis.
     """
 
     __slots__ = ("ctx", "ring", "ideals", "parameters", "J", "pair_sums",
-                 "_core", "_hypotheses", "g", "r", "d", "heights",
-                 "max_power")
+                 "_core", "_hypotheses", "g", "r", "d", "heights")
 
-    def __init__(self, ctx, ideals, parameters, max_power=None):
+    def __init__(self, ctx, ideals, parameters):
         ideals = list(ideals)
         parameters = list(parameters)
         if not ideals:
@@ -91,9 +89,6 @@ class ProblemInstance:
         self.r = ctx.nvars
         self.heights = [self.r - krull_dimension(ideal) for ideal in ideals]
         self.d = self.r - min(self.heights)
-        self.max_power = max_power if max_power is not None else 2 * self.d + 4
-        if self.max_power < 1:
-            raise ValueError("max_power must be at least 1")
 
     @property
     def core(self) -> Ideal:

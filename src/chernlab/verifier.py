@@ -8,8 +8,9 @@ cone's series (``hilbert.samuel_polynomial``): K's, each component's, or
 the one torsion series (``torsion_series``) whose partial sums are the
 lengths of Tor_1(L, S/J^n).  L enters only through the Hilbert series of
 gr_J(L) (``graded.gr_series``): nu is its length.  No verdict depends on
-the window max_power.  The printed torsion table sums the same cones'
-values and that series' partial sums term by term
+the window 1..max_power, which the caller passes: it sets only how many
+rows the printed tables have.  The printed torsion table sums the same
+cones' values and that series' partial sums term by term
 (``resolutions.tor1_via_lengths``).
 
 Every check lands in a structured report fragment with witnesses; failures
@@ -193,8 +194,9 @@ def negativity_check(inst, e, colength) -> dict:
     }
 
 
-def run_verification(inst: ProblemInstance) -> dict:
-    """Full pipeline; returns the JSON-ready report.
+def run_verification(inst: ProblemInstance, max_power: int) -> dict:
+    """Full pipeline; returns the JSON-ready report, with the printed
+    H(K, n) and torsion tables for n = 1..max_power.
 
     The instance's ``hypotheses`` (checked once, on its first read) are
     recorded, not gated on, so an instance whose parameters do not cut the
@@ -222,14 +224,14 @@ def run_verification(inst: ProblemInstance) -> dict:
         "r": inst.r,
         "d": inst.d,
         "heights": inst.heights,
-        "max_power": inst.max_power,
+        "max_power": max_power,
     }
     report["hypotheses"] = inst.hypotheses
 
     model = graded.diagonal_cokernel(inst.ideals, inst.core)
     module_len = model.length
     core_series = tangent_cone(inst.core, inst.J).series()
-    values = {n: core_series.summed(n) for n in range(1, inst.max_power + 1)}
+    values = {n: core_series.summed(n) for n in range(1, max_power + 1)}
     e, n0 = samuel_polynomial(core_series, inst.d)
     gr = graded.gr_series(model, inst.J)
     nu = len(gr.numerator)
@@ -254,12 +256,12 @@ def run_verification(inst: ProblemInstance) -> dict:
     report["chern_sign"] = chern_sign(e[1] if len(e) > 1 else 0)
 
     torsion = samuel_polynomial(torsion_series(inst, gr), inst.d)
-    component_values = [hilbert_samuel_values(ideal, inst.J, inst.max_power)
+    component_values = [hilbert_samuel_values(ideal, inst.J, max_power)
                         for ideal in inst.ideals]
     report["torsion_hilbert"] = {
         "values": [{"n": n, "length": str(resolutions.tor1_via_lengths(
             values, component_values, gr.summed(n), n))}
-                   for n in range(1, inst.max_power + 1)],
+                   for n in range(1, max_power + 1)],
     }
 
     identities = [

@@ -82,7 +82,8 @@ def test_membership_route_agrees_with_verify():
         ideals = [Ideal(ctx, block) for block in blocks]
         expected = annihilated_by_membership(ctx, ideals, parameters)
         inst = ProblemInstance(ctx, ideals, parameters)
-        assert run_verification(inst)["annihilates"] == expected, label
+        report = run_verification(inst, 2 * inst.d + 4)
+        assert report["annihilates"] == expected, label
         outcomes.add((len(blocks), expected))
     assert outcomes >= {(2, True), (2, False), (3, True), (3, False)}
 

@@ -188,6 +188,24 @@ def test_window_cap_on_flag_and_key(tmp_path, capsys):
                "--max-power", "3", "--json")[0] == 0
 
 
+@pytest.mark.parametrize("command", ["hilbert", "verify"])
+def test_window_from_flag_key_or_default(tmp_path, capsys, command):
+    # e2 has d = 3: 2d + 4 = 10 rows by default, the file's key sets the
+    # window, and the flag beats the key
+    with open(E2, encoding="utf-8") as handle:
+        keyed = _write(tmp_path, "keyed.json",
+                       dict(json.load(handle), max_power=5))
+    for argv, rows in (([E2], 10), ([keyed], 5),
+                       ([keyed, "--max-power", "3"], 3)):
+        code, out, err = run(capsys, command, *argv, "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        if command == "verify":
+            assert payload["max_power"] == rows
+            payload = payload["hilbert"]["values"]
+        assert [row["n"] for row in payload] == list(range(1, rows + 1))
+
+
 FILE_HELP = ["problem file (JSON)", "override the sampling window 1..N",
              "emit machine-readable JSON",
              "proceed despite hypothesis failures"]
@@ -804,12 +822,11 @@ def test_verify_computes_core_table_once(tmp_path, monkeypatch):
     monkeypatch.setattr(hilbert_module, "hilbert_samuel", None)
     graph = ("u1", "u2", "x", "y", "z", "w")
     over_b = graph + ("e1",)
-    for max_power in (40, 4, None):
-        problem = load_problem(path)
-        problem["max_power"] = max_power
-        inst = build_instance(problem)
+    # 8 = 2d + 4 is the command line's default window
+    for max_power in (40, 4, 8):
+        inst = build_instance(load_problem(path))
         rings.clear()
-        report = run_verification(inst)
+        report = run_verification(inst, max_power)
         assert sorted(rings) == [graph] * 3 + [over_b]
         assert inst.core.cone_cache[1].ctx.variables == graph
     # the report of the default window, as on the per-n route before

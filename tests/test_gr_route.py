@@ -34,7 +34,7 @@ def assert_routes_agree(ideals, parameters, max_power):
                                   "e3_cm_baseline", "e4_three_planes"])
 def test_shipped_problems(name):
     inst = build_instance(load_problem(str(PROBLEM_DIR / f"{name}.json")))
-    window = inst.max_power if inst.d < 3 else 7
+    window = 2 * inst.d + 4 if inst.d < 3 else 7
     assert_routes_agree(inst.ideals, inst.J, window)
 
 

@@ -37,6 +37,13 @@ def test_e1_cokernel(e1, ctx6):
         annihilates(I(ctx6, "x1", "x2"), model)
 
 
+def test_cokernel_of_ideals_from_two_rings(e1, ctx6):
+    _, ideals, _ = e1
+    with pytest.raises(ContextMismatchError):
+        diagonal_cokernel([ideals[0], I(ctx6, "x1", "x2")],
+                          intersect_all(ideals))
+
+
 def test_e2_cokernel(e2):
     ctx, ideals, j = e2
     model = diagonal_cokernel(ideals, intersect_all(ideals))

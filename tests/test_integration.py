@@ -9,10 +9,11 @@ from chernlab import (Ideal, ProblemInstance, RingContext, check_hypotheses,
                       run_verification)
 
 
-def _report(ctx, blocks, params, **kw):
+def _report(ctx, blocks, params):
     ideals = [Ideal.from_strings(ctx, block) for block in blocks]
     parameters = list(Ideal.from_strings(ctx, params).generators)
-    return run_verification(ProblemInstance(ctx, ideals, parameters, **kw))
+    inst = ProblemInstance(ctx, ideals, parameters)
+    return run_verification(inst, 2 * inst.d + 4)
 
 
 def test_fat_component(ctx4):

@@ -29,11 +29,12 @@ def emitted(payload):
 
 def core_route_outputs(inst):
     """``hilbert --json`` and ``coeffs --json`` as read off the core's
-    tangent cone and the cokernel model of I_1 ∩ I_2."""
+    tangent cone and the cokernel model of I_1 ∩ I_2, at the command
+    line's default window 1..2d + 4."""
     series = tangent_cone(inst.core, inst.J).series()
     e, n0 = samuel_polynomial(series, inst.d)
     hilbert = [{"n": n, "length": str(series.summed(n))}
-               for n in range(1, inst.max_power + 1)]
+               for n in range(1, 2 * inst.d + 4 + 1)]
     coeffs = {"e": [str(c) for c in e], "n0": n0,
               "cm": e[0] == series.summed(1),
               "chern_sign": chern_sign(e[1]),

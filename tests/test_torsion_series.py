@@ -62,11 +62,8 @@ def _torsion(inst):
             torsion)
 
 
-def _shipped(name, max_power=None):
-    problem = load_problem(str(PROBLEM_DIR / f"{name}.json"))
-    if max_power is not None:
-        problem["max_power"] = max_power
-    return build_instance(problem)
+def _shipped(name):
+    return build_instance(load_problem(str(PROBLEM_DIR / f"{name}.json")))
 
 
 def test_a_wrong_module_length_fails_both_torsion_identities():
@@ -108,14 +105,14 @@ def test_without_annihilation_the_closed_forms_do_not_apply(name):
 def _random_two_planes():
     rng = random.Random("torsion-series")
     ctx, ideals, j = e1_family(rng, rng.choice(PRIME_POOL))
-    return ProblemInstance(ctx, ideals, list(j.generators), max_power=12)
+    return ProblemInstance(ctx, ideals, list(j.generators))
 
 
 @pytest.mark.parametrize("name", [*SHIPPED, "random_two_planes"])
 def test_torsion_lengths_match_the_per_n_four_term_sum(name):
     inst = (_random_two_planes() if name == "random_two_planes"
-            else _shipped(name, max_power=12))
-    report = run_verification(inst)
+            else _shipped(name))
+    report = run_verification(inst, 12)
     assert report["overall"] == "pass"
     values = {row["n"]: int(row["length"])
               for row in report["torsion_hilbert"]["values"]}

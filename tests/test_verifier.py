@@ -19,9 +19,9 @@ def I(ctx, *texts):
     return Ideal.from_strings(ctx, texts)
 
 
-def _instance(e, max_power=None):
+def _instance(e):
     ctx, ideals, j = e
-    return ProblemInstance(ctx, ideals, list(j.generators), max_power=max_power)
+    return ProblemInstance(ctx, ideals, list(j.generators))
 
 
 def _check(fragment, name):
@@ -91,7 +91,7 @@ def test_instance_rejects_inhomogeneous_parameters(e1):
 
 
 def test_full_report_e1(e1):
-    report = run_verification(_instance(e1))
+    report = run_verification(_instance(e1), 8)
     assert report["overall"] == "pass"
     assert report["hilbert"]["e"] == ["2", "-1", "0"]
     assert report["lambda_L"] == "1"
@@ -112,24 +112,38 @@ def test_full_report_e1(e1):
 def test_torsion_polynomial_hand_values(e1):
     # both sides evaluate to n + 1 for the two-plane configuration
     inst = _instance(e1)
-    report = run_verification(inst)
+    window = 2 * inst.d + 4
+    report = run_verification(inst, window)
     values = {row["n"]: int(row["length"])
               for row in report["torsion_hilbert"]["values"]}
-    assert values == {n: n + 1 for n in range(1, inst.max_power + 1)}
+    assert values == {n: n + 1 for n in range(1, window + 1)}
 
 
 def test_full_report_e2(e2):
-    report = run_verification(_instance(e2, max_power=5))
+    report = run_verification(_instance(e2), 5)
     assert report["overall"] == "pass"
     assert report["hilbert"]["e"] == ["2", "-1", "1", "0"]
     statuses = {i["name"]: i["status"] for i in report["identities"]}
     assert statuses["coefficient_collapse"] == "pass"
 
 
+def test_the_caller_sets_the_window(e2):
+    report = run_verification(_instance(e2), 5)
+    assert report["max_power"] == 5
+    assert len(report["hilbert"]["values"]) == 5
+    assert len(report["torsion_hilbert"]["values"]) == 5
+
+
+def test_the_instance_holds_no_window(e2):
+    ctx, ideals, j = e2
+    with pytest.raises(TypeError):
+        ProblemInstance(ctx, ideals, list(j.generators), max_power=5)
+
+
 def test_full_report_cm_baseline(ctx4):
     inst = ProblemInstance(ctx4, [I(ctx4, "x", "y")],
                            list(I(ctx4, "z", "w").generators))
-    report = run_verification(inst)
+    report = run_verification(inst, 8)
     assert report["overall"] == "pass"
     assert report["hilbert"]["e"] == ["1", "0", "0"]
     assert report["cm"]["is_cm"] is True
@@ -140,7 +154,7 @@ def test_full_report_cm_baseline(ctx4):
 
 
 def test_full_report_e4(e4):
-    report = run_verification(_instance(e4))
+    report = run_verification(_instance(e4), 8)
     assert report["overall"] == "pass"
     assert report["lambda_L"] == "4"
     assert report["annihilates"] is False
@@ -157,7 +171,7 @@ def test_forced_run_propagates_length_error(e1):
     ctx, ideals, _ = e1
     inst = ProblemInstance(ctx, ideals, list(I(ctx, "x", "y").generators))
     with pytest.raises(NotFiniteLengthError):
-        run_verification(inst)
+        run_verification(inst, 8)
 
 
 def test_coefficients_invariant_under_symmetry(e1):
@@ -165,14 +179,14 @@ def test_coefficients_invariant_under_symmetry(e1):
     ideal (hence the coefficients) unchanged."""
     ctx, ideals, j = e1
     rng = random.Random(41)
-    base = run_verification(_instance(e1))["hilbert"]["e"]
+    base = run_verification(_instance(e1), 8)["hilbert"]["e"]
     p = ctx.characteristic
     for _ in range(3):
         scalars = [rng.randrange(1, p) for _ in j.generators]
         rescaled = Ideal(ctx, [g * c for g, c in zip(j.generators, scalars)])
         assert rescaled == j                       # ideal equality first
         inst = ProblemInstance(ctx, ideals, list(rescaled.generators))
-        assert run_verification(inst)["hilbert"]["e"] == base
+        assert run_verification(inst, 8)["hilbert"]["e"] == base
 
 
 def test_pipeline_order_independent(ctx4):
@@ -184,7 +198,7 @@ def test_pipeline_order_independent(ctx4):
         i2 = I(ctx, "z", "w")
         j = I(ctx, "x + z", "y + w")
         inst = ProblemInstance(ctx, [i1, i2], list(j.generators))
-        report = run_verification(inst)
+        report = run_verification(inst, 8)
         assert report["overall"] == "pass"
         assert report["hilbert"]["e"] == ["2", "-1", "0"]
 
@@ -196,10 +210,10 @@ def test_random_plane_pair_collapse():
     for _ in range(3):
         p = PRIME_POOL[rng.randrange(len(PRIME_POOL))]
         ctx, ideals, j = e1_family(rng, p)
-        inst = ProblemInstance(ctx, ideals, list(j.generators), max_power=4)
+        inst = ProblemInstance(ctx, ideals, list(j.generators))
         model = diagonal_cokernel(inst.ideals, inst.core)
         values = {n: hilbert_samuel(inst.core, inst.J, n)
-                  for n in range(1, inst.max_power + 1)}
+                  for n in range(1, 5)}
         coeffs, _ = fit_coefficients(values, inst.d)
         lam = model.length
         assert coeffs[1:] == (-lam, 0)
@@ -342,7 +356,7 @@ def test_staircases_in_random_coordinates(seed):
         rng, rng.choice(PRIME_POOL), ["x", "y", "z", "w"],
         [["x", f"y^{a}"], [f"z^{b}", "w"]], parameters)
     report = run_verification(ProblemInstance(ctx, ideals,
-                                              list(J.generators)))
+                                              list(J.generators)), 8)
     assert report["overall"] == "pass", (a, b, ctx.characteristic)
     nu = report["top_degree"] + 1
     torsion = next(i for i in report["identities"]
