@@ -34,7 +34,7 @@ from . import graded, resolutions, verifier
 from .core import (PRIME_LIMIT, HypothesisError, ParseError, RingContext,
                    is_prime, parse_polynomial)
 from .hilbert import chern_sign, samuel_polynomial
-from .ideals import Ideal, NotFiniteLengthError, quotient_length
+from .ideals import Ideal, NotFiniteLengthError
 from .instance import ProblemInstance
 
 __all__ = ["main", "run", "SchemaError", "load_problem", "build_instance"]
@@ -195,9 +195,7 @@ def cmd_hilbert(inst, args) -> int:
 def cmd_coeffs(inst, args) -> int:
     series = inst.ring_series()
     e, n0 = samuel_polynomial(series, inst.d)
-    # for g = 2, L = (S/I_1 ⊕ S/I_2)/R is S/(I_1 + I_2)
-    module_len = (quotient_length(inst.pair_sums[(0, 1)]) if inst.g == 2
-                  else graded.diagonal_cokernel(inst.ideals, inst.core).length)
+    module_len = graded.gr_series(inst.ideals, inst.J).total()
     payload = {
         "e": [str(c) for c in e],
         "n0": n0,

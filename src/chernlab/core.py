@@ -193,9 +193,9 @@ class RingContext:
     one, each 0 for other orders.  Every ring with more variables than the
     problem's comes from ``adjoin``: the elimination ring of
     ``ideals.ideal_intersect``, the graph and Rees rings of ``hilbert`` and
-    the idealization of ``graded``.  It keeps the characteristic and puts
-    the new variables first, or last, and a new name that is already taken
-    gets ``_`` appended until it is free.
+    the presentation of L in ``graded``.  It keeps the characteristic and
+    puts the new variables first, or last, and a new name that is already
+    taken gets ``_`` appended until it is free.
     """
 
     __slots__ = ("variables", "characteristic", "order", "sort_key",

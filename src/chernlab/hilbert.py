@@ -15,7 +15,7 @@ the command line, as a fit on a short window can accept a wrong polynomial.
 from __future__ import annotations
 
 from .core import Polynomial, RingContext, binomial, require_parameter
-from .groebner import buchberger, minimalize, series_numerator
+from .groebner import add_shifted, buchberger, minimalize, series_numerator
 from .ideals import (HilbertSeries, Ideal, ideal_power, ideal_sum,
                      quotient_hilbert_series, quotient_length)
 from .linalg import rref_mod_p
@@ -102,18 +102,19 @@ class TangentCone:
     ("ydeg", k, base) or ("ydeg", k, base, w) order ``ctx`` carries: on
     homogeneous input they generate the initial ideal of the tangent cone.
     Counting monomials by y-degree and z-degree does not depend on the
-    weights w.  The cone keeps ``numerator``, the
-    numerator of HS(S/in(ideal)) over (1-t)^k (1-s)^(r-k), with weight t on
-    the y and s on the z variables, indexed [t-degree][s-degree], and its
-    ``series`` once built.
+    weights w.  The cone keeps ``leads``, the minimal generators of that
+    initial ideal, ``numerator``, the numerator of HS(S/in(ideal)) over
+    (1-t)^k (1-s)^(r-k), with weight t on the y and s on the z variables,
+    indexed [t-degree][s-degree], and its ``series`` once built.
     """
 
-    __slots__ = ("ctx", "k", "numerator", "_gr")
+    __slots__ = ("ctx", "k", "leads", "numerator", "_gr")
 
     def __init__(self, ctx, k, leads):
         self.ctx = ctx
         self.k = k
-        self.numerator = series_numerator(minimalize(leads), ctx.nvars, k)
+        self.leads = minimalize(leads)
+        self.numerator = series_numerator(self.leads, ctx.nvars, k)
         self._gr = None
 
     def dimension_mod_parameters(self) -> int:
@@ -143,6 +144,25 @@ class TangentCone:
         # when it does not divide, which row 0, first, decides
         return [HilbertSeries(row, self.ctx.nvars - self.k).total()
                 for row in self.numerator]
+
+    def submodule_series(self, m) -> HilbertSeries:
+        """The Hilbert series of gr_J(M), M the submodule of S/ideal that
+        the last m variables e generate, for an ideal homogeneous in the e.
+
+        S/ideal is then S/(ideal + (e)) ⊕ M as graded vector spaces, its
+        parts of e-degree 0 and above, and in(ideal + (e)) = in(ideal) + (e),
+        so the first summand's numerator is read off the cone's own leading
+        monomials.  It is subtracted from the cone's before the rows are
+        reduced as in ``h_vector``: the first summand need not have finite
+        length modulo J, but M must.  Raises NotFiniteLengthError when it
+        does not.
+        """
+        r = self.ctx.nvars
+        e = [tuple(int(j == i) for j in range(r)) for i in range(r - m, r)]
+        rows = add_shifted(self.numerator, series_numerator(
+            minimalize(self.leads + e), r, self.k), 0, 0, -1)
+        return HilbertSeries([HilbertSeries(row, r - self.k).total()
+                              for row in rows], self.k)
 
     def series(self) -> HilbertSeries:
         """The Hilbert series Q(t)/(1-t)^k of gr_J(S/ideal), in lowest

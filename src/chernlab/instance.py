@@ -32,14 +32,15 @@ class ProblemInstance:
     ``ring_series`` take instead of intersecting the ideals again, and
     ``hypotheses``, the ``check_hypotheses`` fragment, which the command
     line's gate, ``ring_series``'s route choice and ``verify``'s report
-    read.  The hypothesis checks and the Rees route never need the core.
+    read.  The hypothesis checks, the Rees route and the series of gr_J(L)
+    (``graded.gr_series``) never need the core.
     d = dim S/core is the largest component dimension, as V(core) is the
     union of the V(I_i).
 
     Two rings.  ``ctx`` is the problem's ring, and ``parameters`` are the
     given elements in it.  ``ring`` is the ring every derived ideal lives
-    in: ``ideals`` (the components), ``J``, ``pair_sums``, ``core``, and so
-    the cokernel L read from them; its idealization ring extends ``ring``.
+    in: ``ideals`` (the components), ``J``, ``pair_sums`` and ``core``; the
+    ring of L's presentation (``graded.gr_series``) extends ``ring``.
     ``hilbert.parameter_coordinates`` picks it, J's generators and the map
     the components take there once.  For linear parameters
     J = (y_1, ..., y_k) and the order is ("ydeg", k, base), so each

@@ -7,7 +7,9 @@ Each identity is decided on an exact Hilbert polynomial, read off a tangent
 cone's series (``hilbert.samuel_polynomial``): K's, each component's, or
 the one torsion series (``torsion_series``) whose partial sums are the
 lengths of Tor_1(L, S/J^n).  L enters only through the Hilbert series of
-gr_J(L) (``graded.gr_series``): nu is its length.  No verdict depends on
+gr_J(L) (``graded.gr_series``), which needs no core: nu is its length, and
+its total, length(L), is checked against the core's second route
+(``graded.diagonal_cokernel``).  No verdict depends on
 the window 1..max_power, which the caller passes: it sets only how many
 rows the printed tables have.  The printed torsion table sums the same
 cones' values and that series' partial sums term by term
@@ -200,14 +202,17 @@ def run_verification(inst: ProblemInstance, max_power: int) -> dict:
 
     The instance's ``hypotheses`` (checked once, on its first read) are
     recorded, not gated on, so an instance whose parameters do not cut the
-    core to finite length raises ``NotFiniteLengthError``.
+    core to finite length, or whose L has infinite length, raises
+    ``NotFiniteLengthError``.
 
     The Hilbert polynomial of K, its (e_0..e_d) and n0, and the printed
     H(K, n), are read off the series of the core's tangent cone along J
     (``hilbert.samuel_polynomial``), whatever the window.  Every
     length(L/J^n L), nu and whether J annihilates L are read off one
     Hilbert series of gr_J(L) (``graded.gr_series``), from the tangent cone
-    of one Groebner basis of the idealization of L.  The
+    of one Groebner basis of the presentation of L, which needs no core.
+    Its total must equal length(L) off ``graded.diagonal_cokernel``, which
+    reads the core's series, else ValueError is raised.  The
     torsion lengths are the partial sums of one ``torsion_series``, built
     from the same cones and that series, and every identity is decided on its
     exact polynomial or on e alone, for every n: the window max_power
@@ -228,13 +233,15 @@ def run_verification(inst: ProblemInstance, max_power: int) -> dict:
     }
     report["hypotheses"] = inst.hypotheses
 
+    gr = graded.gr_series(inst.ideals, inst.J)
+    module_len, nu = gr.total(), len(gr.numerator)
     model = graded.diagonal_cokernel(inst.ideals, inst.core)
-    module_len = model.length
+    if model.length != module_len:
+        raise ValueError(f"gr_J(L) has length {module_len}, "
+                         f"but L has length {model.length}")
     core_series = tangent_cone(inst.core, inst.J).series()
     values = {n: core_series.summed(n) for n in range(1, max_power + 1)}
     e, n0 = samuel_polynomial(core_series, inst.d)
-    gr = graded.gr_series(model, inst.J)
-    nu = len(gr.numerator)
     annihilated = nu <= 1
     report["lambda_L"] = str(module_len)
     report["top_degree"] = model.top_degree

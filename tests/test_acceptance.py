@@ -102,7 +102,7 @@ def test_criterion_4_tor1_equivalence():
             component_values = [
                 hilbert_samuel_values(ideal, inst.J, window)
                 for ideal in inst.ideals]
-            gr = gr_series(model, inst.J)
+            gr = gr_series(inst.ideals, inst.J)
             for n in range(1, window + 1):
                 via = tor1_via_lengths(core_values, component_values,
                                        gr.summed(n), n)

@@ -1,5 +1,5 @@
-"""Whether J annihilates L, by a second route that never builds the
-idealization: the images of the unit vectors e_i generate L, and f e_i
+"""Whether J annihilates L, by a second route that never builds L's
+presentation B': the images of the unit vectors e_i generate L, and f e_i
 lies in the image of R exactly when some r = f mod I_i lies in every other
 I_j.  So J L = 0 iff every parameter lies in I_i + ∩_(j≠i) I_j for every i,
 which ``normal_form`` decides in the problem's own ring.  It must agree

@@ -13,6 +13,7 @@ E1 = str(PROBLEM_DIR / "e1_two_planes.json")
 E2 = str(PROBLEM_DIR / "e2_two_3planes.json")
 E3 = str(PROBLEM_DIR / "e3_cm_baseline.json")
 E4 = str(PROBLEM_DIR / "e4_three_planes.json")
+E7 = str(PROBLEM_DIR / "e7_quadric_parameters.json")
 
 
 def run(capsys, *argv):
@@ -473,7 +474,9 @@ def test_json_byte_determinism(capsys):
 
 def test_one_intersection_per_command(monkeypatch, capsys):
     # g = 3: intersect_all makes two pairwise intersections, and every
-    # consumer takes the instance's core instead of intersecting again
+    # consumer takes the instance's core instead of intersecting again;
+    # coeffs on two components, with linear or quadric parameters, reads
+    # K off the Rees route and L off its presentation, and makes none
     import chernlab.ideals as ideals_module
 
     calls = []
@@ -484,11 +487,13 @@ def test_one_intersection_per_command(monkeypatch, capsys):
         return original(*args)
 
     monkeypatch.setattr(ideals_module, "ideal_intersect", counting)
-    for command in ("coeffs", "verify"):
+    for command, path, intersections in [
+            ("coeffs", E4, 2), ("verify", E4, 2), ("coeffs", E1, 0),
+            ("coeffs", E2, 0), ("coeffs", E7, 0)]:
         calls.clear()
-        code, _, _ = run(capsys, command, E4, "--json")
+        code, _, _ = run(capsys, command, path, "--json")
         assert code == 0
-        assert len(calls) == 2, command
+        assert len(calls) == intersections, (command, path)
 
 
 @pytest.mark.parametrize("command, path, cones", [
@@ -497,7 +502,8 @@ def test_each_tangent_cone_built_once(monkeypatch, capsys, command, path,
                                       cones):
     # the hypothesis checks read one cone per component, cached on it;
     # hilbert adds the Rees cone of L ⊗ Sym(J) on e2 (g = 2) and the core's
-    # on e4 (g = 3), and verify on e4 adds the core's and the idealization's
+    # on e4 (g = 3), and verify on e4 adds the core's and that of L's
+    # presentation B'
     import chernlab.hilbert as hilbert_module
 
     built = []
@@ -516,21 +522,22 @@ def test_each_tangent_cone_built_once(monkeypatch, capsys, command, path,
 @pytest.mark.parametrize("command, h_vectors", [("hilbert", 4),
                                                 ("verify", 5)])
 def test_each_cone_series_built_once(monkeypatch, capsys, command, h_vectors):
-    # verify on e4 reads the core's series four times (its H(K, n) table,
-    # its e, the torsion series and gr_J(L)) and each component's four
-    # times (the Cohen-Macaulay check, its table, its e_0 and the torsion
-    # series): each of the 5 cones, the idealization's included, builds its
-    # h-vector once; hilbert reads the 3 components' and the core's
+    # verify on e4 reads the core's series three times (its H(K, n) table,
+    # its e and the torsion series) and each component's four times (the
+    # Cohen-Macaulay check, its table, its e_0 and the torsion series):
+    # each of the 5 cones builds its series once, the one of L's
+    # presentation B' by ``submodule_series``, the others by their
+    # h-vector; hilbert reads the 3 components' and the core's
     import chernlab.hilbert as hilbert_module
 
     built = []
-    original = hilbert_module.TangentCone.h_vector
+    cone = hilbert_module.TangentCone
+    for name in ("h_vector", "submodule_series"):
+        def counting(self, *args, original=getattr(cone, name)):
+            built.append(1)
+            return original(self, *args)
 
-    def counting(self):
-        built.append(1)
-        return original(self)
-
-    monkeypatch.setattr(hilbert_module.TangentCone, "h_vector", counting)
+        monkeypatch.setattr(cone, name, counting)
     code, _, _ = run(capsys, command, E4, "--json")
     assert code == 0
     assert len(built) == h_vectors
@@ -705,6 +712,29 @@ def test_forced_non_cm_component_takes_the_core_route(tmp_path, capsys):
     assert [rees.summed(n) for n in (1, 2, 3)] == [4, 10, 18]
 
 
+def test_forced_infinite_cokernel_has_one_message(tmp_path, capsys):
+    # (a, b) ∩ (c, d): the pairwise sum is not m-primary, so L = F[e] has
+    # infinite length.  Under --force hilbert prints K's table, read off
+    # the core; coeffs and verify both stop at gr_J(L) with one line
+    path = _write(tmp_path, "infinite.json", {
+        "variables": ["a", "b", "c", "d", "e"],
+        "ideals": [["a", "b"], ["c", "d"]],
+        "parameters": ["a + c", "b + d", "e"]})
+    warning = ("warning: hypothesis checks skipped by --force "
+               "(failing: pairwise_sums_mprimary)\n")
+    code, out, err = run(capsys, "hilbert", path, "--json", "--force",
+                         "--max-power", "5")
+    assert (code, err) == (0, warning)
+    assert [row["length"] for row in json.loads(out)] == \
+        ["3", "11", "26", "50", "85"]
+    refusal = ("internal inconsistency: L has infinite length: some "
+               "pairwise sum I_i + I_j is not m-primary (see "
+               "pairwise_sums_mprimary)\n")
+    for command in ("coeffs", "verify"):
+        assert run(capsys, command, path, "--json", "--force") == \
+            (1, "", warning + refusal)
+
+
 def test_route_choice_reads_the_instance_verdict(tmp_path):
     # the instance of the test above: nothing a caller passes can send it
     # down the Rees route, as the route reads the instance's own verdict
@@ -751,9 +781,9 @@ def test_verify_forced_extra_parameter_keeps_the_torsion_identity(tmp_path,
 
 
 def test_verify_ring_named_like_the_idealization(tmp_path, capsys):
-    # the idealization ring adds variables e1, e2, ... and the graph rings
-    # u1, u2; a ring that has those names already gets fresh ones, and the
-    # report is unchanged
+    # the ring of L's presentation adds variables e1, e2, ... and the graph
+    # rings u1, u2; a ring that has those names already gets fresh ones,
+    # and the report is unchanged
     reports = []
     for names in (["x", "y", "z", "w"], ["e1", "e2", "e3", "e4"],
                   ["u1", "e1", "u2", "w"]):
@@ -802,8 +832,8 @@ def test_verify_passes_once_window_reaches_nu(tmp_path, capsys):
 def test_verify_computes_core_table_once(tmp_path, monkeypatch):
     # a quadratic J takes one basis of its graph per ideal, whatever the
     # window: one for the core, whose cone serves the hypotheses, the
-    # report, e and n0 and gr_series alike, one for the idealization
-    # B, and one for each of the two components (e_0 additivity)
+    # report, e and n0 alike, one for L's presentation B', and one for
+    # each of the two components (e_0 additivity)
     import chernlab.hilbert as hilbert_module
     from chernlab.cli import build_instance, load_problem
     from chernlab.verifier import run_verification

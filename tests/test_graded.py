@@ -9,8 +9,10 @@ from chernlab import (ContextMismatchError, Ideal, NotFiniteLengthError,
                       quotient_hilbert_series, standard_monomials)
 from chernlab.cli import build_instance, load_problem, main
 from chernlab.linalg import rref_mod_p
+from chernlab.verifier import run_verification
 from conftest import PROBLEM_DIR
 from helpers import transformed_planes
+from test_rees_route import any_degree_instance, dense_d3_row
 
 
 def I(ctx, *texts):
@@ -22,8 +24,8 @@ def test_single_component_gives_zero_module(ctx4):
     model = diagonal_cokernel([ideal], ideal)
     assert model.length == 0
     assert model.top_degree is None
-    assert annihilates(I(ctx4, "x + z", "y + w"), model)
-    assert power_colength(model, I(ctx4, "z", "w"), 3) == 0
+    assert annihilates(I(ctx4, "x + z", "y + w"), [ideal])
+    assert power_colength([ideal], I(ctx4, "z", "w"), 3) == 0
 
 
 def test_e1_cokernel(e1, ctx6):
@@ -32,9 +34,9 @@ def test_e1_cokernel(e1, ctx6):
     assert model.length == 1
     assert model.top_degree == 0
     assert model.dims == (1,)
-    assert annihilates(j, model)
+    assert annihilates(j, ideals)
     with pytest.raises(ContextMismatchError):
-        annihilates(I(ctx6, "x1", "x2"), model)
+        annihilates(I(ctx6, "x1", "x2"), ideals)
 
 
 def test_cokernel_of_ideals_from_two_rings(e1, ctx6):
@@ -48,14 +50,33 @@ def test_e2_cokernel(e2):
     ctx, ideals, j = e2
     model = diagonal_cokernel(ideals, intersect_all(ideals))
     assert model.length == 1
-    assert annihilates(j, model)
+    assert annihilates(j, ideals)
+
+
+@pytest.mark.parametrize("name", ["e3_cm_baseline", "e1_two_planes",
+                                  "e4_three_planes",
+                                  "e7_quadric_parameters"])
+def test_gr_series_builds_no_intersection(monkeypatch, name):
+    # g = 1, 2 and 3, and a quadric parameter: L is presented by the
+    # components alone
+    import chernlab.ideals as ideals_module
+
+    inst = build_instance(load_problem(str(PROBLEM_DIR / f"{name}.json")))
+    monkeypatch.setattr(ideals_module, "ideal_intersect", None)
+    series = gr_series(inst.ideals, inst.J)
+    monkeypatch.undo()
+    assert series.total() == diagonal_cokernel(inst.ideals,
+                                               inst.core).length
 
 
 def test_infinite_length_detected(ctx4):
+    # L = S/(x, y, z) = k[w]: both routes refuse it, gr_series naming L
     ideals = [I(ctx4, "x", "y"), I(ctx4, "x", "z")]
     core = intersect_all(ideals)
     with pytest.raises(NotFiniteLengthError):
         diagonal_cokernel(ideals, core)
+    with pytest.raises(NotFiniteLengthError, match="L has infinite length"):
+        gr_series(ideals, I(ctx4, "y + z", "w"))
 
 
 def test_e4_dimensions_against_rank_oracle(e4):
@@ -92,15 +113,19 @@ def test_e4_length_engine_value(e4):
     model = diagonal_cokernel(ideals, intersect_all(ideals))
     assert model.length == 4
     assert model.dims == (2, 2)
-    assert not annihilates(j, model)
+    assert not annihilates(j, ideals)
 
 
 @pytest.fixture
-def staircase_model(ctx4):
+def staircase(ctx4):
     """I1 = (x, y^3), I2 = (z, w): the cokernel has dimension 1 in each of
     degrees 0, 1, 2 and multiplication by y walks up the chain."""
-    ideals = [I(ctx4, "x", "y^3"), I(ctx4, "z", "w")]
-    return diagonal_cokernel(ideals, intersect_all(ideals))
+    return [I(ctx4, "x", "y^3"), I(ctx4, "z", "w")]
+
+
+@pytest.fixture
+def staircase_model(staircase):
+    return diagonal_cokernel(staircase, intersect_all(staircase))
 
 
 def test_staircase_dimensions(staircase_model):
@@ -115,11 +140,10 @@ def test_annihilates_by_hand_linear_algebra(ctx4):
     ideals = [I(ctx4, "x", "y^2"), I(ctx4, "z", "w")]
     model = diagonal_cokernel(ideals, intersect_all(ideals))
     assert model.dims == (1, 1)
-    assert annihilates(I(ctx4, "x + z", "y^2 + w^2"), model)
-    assert not annihilates(I(ctx4, "x + w", "y + z"), model)
-    # only parameter ideals: R/(y) has infinite length
-    with pytest.raises(NotFiniteLengthError):
-        annihilates(I(ctx4, "y"), model)
+    assert annihilates(I(ctx4, "x + z", "y^2 + w^2"), ideals)
+    assert not annihilates(I(ctx4, "x + w", "y + z"), ideals)
+    # R/(y) has infinite length, but L/yL does not: gr_J(L) needs no more
+    assert not annihilates(I(ctx4, "y"), ideals)
 
 
 def test_dims_match_series(e4):
@@ -137,23 +161,23 @@ def test_dims_match_series(e4):
 def test_power_colength_basics(e1, ctx4):
     _, ideals, j = e1
     model = diagonal_cokernel(ideals, intersect_all(ideals))
-    assert power_colength(model, j, 0) == 0
-    assert power_colength(model, j, 1) == 1      # J annihilates L
-    assert power_colength(model, j, model.top_degree + 2) == model.length
+    assert power_colength(ideals, j, 0) == 0
+    assert power_colength(ideals, j, 1) == 1      # J annihilates L
+    assert power_colength(ideals, j, model.top_degree + 2) == model.length
 
 
-def test_power_colength_monotone(staircase_model, ctx4):
+def test_power_colength_monotone(staircase, staircase_model, ctx4):
     # (x + w, y + z) acts on L = k[y]/(y^3) as y, (x + w, y^2 + z^2) as y^2;
     # the values are read off one series, as each power_colength call
-    # builds the idealization's basis again
+    # builds the basis of L's presentation again
     cases = [(("x + w", "y + z"), [0, 1, 2, 3, 3, 3]),
              (("x + w", "y^2 + z^2"), [0, 2, 3, 3, 3, 3])]
     for gens, expected in cases:
         j = I(ctx4, *gens)
-        series = gr_series(staircase_model, j)
+        series = gr_series(staircase, j)
         values = [series.summed(n) for n in range(6)]
         assert values == expected
-        assert power_colength(staircase_model, j, 1) == values[1]
+        assert power_colength(staircase, j, 1) == values[1]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] == staircase_model.length
 
@@ -165,7 +189,7 @@ def test_power_colengths_one_walk(ctx4, a, b):
     ideals = [I(ctx4, "x", f"y^{a}"), I(ctx4, f"z^{b}", "w")]
     model = diagonal_cokernel(ideals, intersect_all(ideals))
     j = I(ctx4, "x + w", "y + z")
-    series = gr_series(model, j)
+    series = gr_series(ideals, j)
     colengths = [series.summed(n) for n in range(max(9, a + b))]
     nu = a + b - 1
     assert model.length == a * b
@@ -175,22 +199,21 @@ def test_power_colengths_one_walk(ctx4, a, b):
     assert colengths.index(model.length) == nu
     assert colengths[nu:] == [a * b] * (len(colengths) - nu)
     assert all(u < v for u, v in zip(colengths[:nu], colengths[1:nu + 1]))
-    assert [power_colength(model, j, n) for n in (0, 1, 8)] == \
+    assert [power_colength(ideals, j, n) for n in (0, 1, 8)] == \
         [colengths[0], colengths[1], colengths[8]]
     # verify reads annihilation off the series; annihilates is the same test
-    assert annihilates(j, model) == (nu <= 1)
+    assert annihilates(j, ideals) == (nu <= 1)
 
 
 def test_power_colength_refuses_a_negative_power(e1):
     _, ideals, j = e1
-    model = diagonal_cokernel(ideals, intersect_all(ideals))
     with pytest.raises(ValueError, match="nonnegative"):
-        power_colength(model, j, -1)
+        power_colength(ideals, j, -1)
 
 
-def test_gr_series_refuses_a_wrong_cokernel_length(monkeypatch, capsys, e4):
+def test_gr_series_refuses_a_wrong_cokernel_length(monkeypatch, capsys):
     # a cokernel whose length is off by one no longer matches the series of
-    # gr_J(L): gr_series names both lengths, and verify exits 1
+    # gr_J(L): run_verification names both lengths, and verify exits 1
     import chernlab.graded as graded_module
 
     original = graded_module.diagonal_cokernel
@@ -200,11 +223,9 @@ def test_gr_series_refuses_a_wrong_cokernel_length(monkeypatch, capsys, e4):
         return model._replace(length=model.length + 1)
 
     monkeypatch.setattr(graded_module, "diagonal_cokernel", off_by_one)
-    _, ideals, j = e4
-    model = graded_module.diagonal_cokernel(ideals, intersect_all(ideals))
-    with pytest.raises(ValueError, match="length 4, but L has length 5"):
-        gr_series(model, j)
     path = str(PROBLEM_DIR / "e4_three_planes.json")
+    with pytest.raises(ValueError, match="length 4, but L has length 5"):
+        run_verification(build_instance(load_problem(path)), 4)
     assert main(["verify", path, "--json"]) == 1
     assert "length 4, but L has length 5" in capsys.readouterr().err
 
@@ -232,37 +253,69 @@ ORACLE_CASES = {
 }
 
 
+def _three_3planes():
+    """Three pairwise transversal 3-planes in six variables with three
+    linear parameters, in seeded dense coordinates."""
+    names = [f"x{i}" for i in range(1, 7)]
+    ctx, ideals, j = transformed_planes(
+        random.Random("three-3-planes"), 32003, names,
+        [names[:3], names[3:], [f"{a} + {b}" for a, b in
+                                zip(names[:3], names[3:])]],
+        ["x1 + x6", "x2 - x4", "x3 + x5"])
+    return ProblemInstance(ctx, ideals, list(j.generators))
+
+
+def _dense_d3(a, b):
+    ctx, ideals, j = dense_d3_row(a, b)
+    return ProblemInstance(ctx, ideals, list(j.generators))
+
+
+# beyond ORACLE_CASES: λ(L) = 8 and nu = 4 for the (1,2,2)/(1,1,2) row;
+# seed 0 of the mixed-degree instances has parameters of degrees 2 and 1
+MORE_CASES = {
+    "dense_122_112": lambda: _dense_d3((1, 2, 2), (1, 1, 2)),
+    "three_3planes_dense": _three_3planes,
+    "any_degree_0": lambda: any_degree_instance(0),
+}
+
+
 def _oracle_instance(ctx4, name):
-    """The ORACLE_CASES instance of that name, or a shipped problem."""
+    """The ORACLE_CASES or MORE_CASES instance of that name, or a shipped
+    problem."""
     if name in ORACLE_CASES:
         *blocks, params = ORACLE_CASES[name]
         return ProblemInstance(ctx4, [I(ctx4, *b) for b in blocks],
                                list(I(ctx4, *params).generators))
+    if name in MORE_CASES:
+        return MORE_CASES[name]()
     return build_instance(load_problem(str(PROBLEM_DIR / f"{name}.json")))
 
 
-@pytest.mark.parametrize("name", [*ORACLE_CASES, "e2_two_3planes"])
+@pytest.mark.parametrize("name", [*ORACLE_CASES, "e2_two_3planes",
+                                  *MORE_CASES])
 def test_power_colengths_against_right_exactness(ctx4, name):
-    # the idealization route against the oracle at every n up to nu; at
+    # the series of gr_J(L) against the oracle at every n up to nu; at
     # n = 1 the oracle is a second route to the annihilation verdict
     inst = _oracle_instance(ctx4, name)
     model = diagonal_cokernel(inst.ideals, inst.core)
-    series = gr_series(model, inst.J)
+    series = gr_series(inst.ideals, inst.J)
     nu = len(series.numerator)
     assert [series.summed(n) for n in range(1, nu + 1)] == \
         [_oracle_colength(inst.ideals, inst.J, n) for n in range(1, nu + 1)]
-    assert annihilates(inst.J, model) == (
+    assert annihilates(inst.J, inst.ideals) == (
         _oracle_colength(inst.ideals, inst.J, 1) == model.length)
 
 
-@pytest.mark.parametrize("name", [*ORACLE_CASES, "e2_two_3planes"])
+@pytest.mark.parametrize("name", [*ORACLE_CASES, "e2_two_3planes",
+                                  *MORE_CASES])
 def test_graded_cokernel_length_is_the_cokernel_length(ctx4, name):
-    # the dimensions of gr_J(L), read off the tangent cones of B and of the
-    # core, add up to length(L) read off the degree-graded series; nu is
-    # the length of the gr_J(L) series, and no earlier colength is length(L)
+    # the dimensions of gr_J(L), read off the presentation of L with no
+    # core, add up to length(L) read off the core's degree-graded series;
+    # nu is the length of the gr_J(L) series, and no earlier colength is
+    # length(L)
     inst = _oracle_instance(ctx4, name)
     model = diagonal_cokernel(inst.ideals, inst.core)
-    series = gr_series(model, inst.J)
+    series = gr_series(inst.ideals, inst.J)
     nu = len(series.numerator)
     assert series.total() == series.summed(nu) == model.length
     assert all(series.summed(n) < model.length for n in range(nu))

@@ -2,9 +2,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from chernlab import (Ideal, binomial, diagonal_cokernel, en_betti,
-                      gr_series, hilbert_samuel_values, ideal_intersect,
-                      ideal_power, parse_polynomial, tor1_via_lengths)
+from chernlab import (Ideal, binomial, en_betti, gr_series,
+                      hilbert_samuel_values, ideal_intersect, ideal_power,
+                      parse_polynomial, tor1_via_lengths)
 from en_complexes import en_matrix, maximal_minors, tor1_closed_form
 
 
@@ -88,10 +88,9 @@ def test_tor1_closed_form_values():
 def test_tor1_via_lengths_e1(e1):
     ctx, ideals, j = e1
     core = ideal_intersect(*ideals)
-    model = diagonal_cokernel(ideals, core)
     core_values = hilbert_samuel_values(core, j, 3)
     component_values = [hilbert_samuel_values(i, j, 3) for i in ideals]
-    gr = gr_series(model, j)
+    gr = gr_series(ideals, j)
     # n = 1: 3 - 1 - 1 + 1, agreeing with the closed form C(2, 1)
     assert tor1_via_lengths(core_values, component_values, gr.summed(1),
                             1) == 2
@@ -102,8 +101,7 @@ def test_tor1_via_lengths_e1(e1):
 def test_tor1_vanishes_for_single_component(ctx4):
     ideals = [Ideal.from_strings(ctx4, ["x", "y"])]
     j = Ideal.from_strings(ctx4, ["z", "w"])
-    model = diagonal_cokernel(ideals, ideals[0])
     values = hilbert_samuel_values(ideals[0], j, 5)
-    gr = gr_series(model, j)
+    gr = gr_series(ideals, j)
     for n in range(1, 6):
         assert tor1_via_lengths(values, [values], gr.summed(n), n) == 0

@@ -146,8 +146,9 @@ def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
     # every ideal lives in the parameters' coordinates and the ydeg order:
     # verify computes two component bases, one of their sum (shared by the
     # intersection's target series and the pairwise hypothesis), J =
-    # (y1..y4)'s own, for dim S/J, and the elimination basis, whose t-free
-    # part is the core's basis and so its tangent cone
+    # (y1..y4)'s own, for dim S/J, the elimination basis, whose t-free
+    # part is the core's basis and so its tangent cone, and the basis of
+    # L's presentation B' in the 9 variables of ring[e1]
     path = write_problem(tmp_path / "p4.json",
                          *two_4_planes(random.Random(601)))
     orders, out = record_orders(monkeypatch, capsys,
@@ -156,7 +157,8 @@ def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
         == FOUR_PLANE_LENGTHS
     ydeg = (("ydeg", 4, "grevlex"), 8)
     assert sorted(orders, key=str) == sorted(
-        [ydeg, ydeg, ydeg, (("elim", 1, ydeg[0]), 9), ydeg], key=str)
+        [ydeg, ydeg, ydeg, (("elim", 1, ydeg[0]), 9), ydeg,
+         (ydeg[0], 9)], key=str)
 
 
 def test_dense_4_planes_rees_bases(monkeypatch, tmp_path, capsys):

@@ -54,7 +54,7 @@ def _torsion(inst):
     """(e, length(L), nu, annihilated, torsion polynomial) of an instance,
     as ``run_verification`` computes them."""
     model = diagonal_cokernel(inst.ideals, inst.core)
-    gr = gr_series(model, inst.J)
+    gr = gr_series(inst.ideals, inst.J)
     e, _ = samuel_polynomial(tangent_cone(inst.core, inst.J).series(),
                              inst.d)
     torsion = samuel_polynomial(torsion_series(inst, gr), inst.d)
@@ -120,8 +120,7 @@ def test_torsion_lengths_match_the_per_n_four_term_sum(name):
     core_values = {n: hilbert_samuel(inst.core, inst.J, n) for n in powers}
     component_values = [{n: hilbert_samuel(ideal, inst.J, n) for n in powers}
                         for ideal in inst.ideals]
-    model = diagonal_cokernel(inst.ideals, inst.core)
-    gr = gr_series(model, inst.J)
+    gr = gr_series(inst.ideals, inst.J)
     assert values == {n: tor1_via_lengths(core_values, component_values,
                                           gr.summed(n), n) for n in powers}
     series = torsion_series(inst, gr)
