@@ -14,8 +14,10 @@ every e of degree 1, by the ideal
 
     B' = sum_(i<g) I_i e_i + I_g (e_1 + ... + e_(g-1)) + (e_i e_j : i <= j)
 
-with T/B' ≅ S ⊕ L(-1) as S-modules.  The Hilbert series of gr_J(L) is read
-off the tangent cone of B' along J, less the summand S
+with T/B' ≅ S ⊕ L(-1) as S-modules.  ``hilbert.cokernel_presentation``
+builds B', and the Rees route (``hilbert.rees_series``) reads L ⊗ Sym(J)
+off the same B'.  The Hilbert series of gr_J(L) is read off the tangent
+cone of B' along J, less the summand S
 (``hilbert.TangentCone.submodule_series``): for linear parameters from the
 one basis of B', for other parameters from one basis of J's graph over it.
 Callers read that one series (``gr_series``): length(L) is its total,
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .core import ContextMismatchError, Polynomial
-from .hilbert import tangent_cone
+from .core import ContextMismatchError
+from .hilbert import cokernel_presentation, tangent_cone
 from .ideals import (HilbertSeries, Ideal, NotFiniteLengthError,
                      quotient_hilbert_series)
 
@@ -85,20 +87,13 @@ def diagonal_cokernel(ideals, core: Ideal) -> Cokernel:
 
 def gr_series(ideals, ideal: Ideal) -> HilbertSeries:
     """The Hilbert series of gr_J(L) for J = ``ideal``, from one basis of
-    the presentation of L, with no intersection.
+    L's presentation B' in T = ring[e_1..e_(g-1)], with no intersection.
 
-    L = S^(g-1)/(I_i e_i (i < g), I_g (e_1 + ... + e_(g-1))), as the image
-    of R in ⊕ S/I_i is generated by e_1 + ... + e_g.  So in
-    T = ring[e_1..e_(g-1)], the e of degree 1 and adjoined last under the
-    ring's order tag (for a ("ydeg", k, base) ring the y stay first), the
-    ideal
-
-        B' = sum_(i<g) I_i e_i + I_g (e_1 + ... + e_(g-1)) + (e_i e_j)
-
-    has T/B' ≅ S ⊕ L(-1) as S-modules, with L(-1) the submodule that the e
-    generate.  gr_J(L)'s series is that submodule's, read off the tangent
-    cone of B' along J (``hilbert.TangentCone.submodule_series``).  L has
-    finite length, so the series is a polynomial whose coefficients are
+    T/B' ≅ S ⊕ L(-1) as S-modules, with L(-1) the submodule that the e
+    generate (``hilbert.cokernel_presentation``).  gr_J(L)'s series is that
+    submodule's, read off the tangent cone of B' along J
+    (``hilbert.TangentCone.submodule_series``).  L has finite length, so
+    the series is a polynomial whose coefficients are
     dim J^n L / J^(n+1) L.  By Nakayama they vanish exactly from
     nu = min{n : J^n L = 0} on, so nu is the length of its numerator,
     length(L) its total and length(L / J^n L) ``series.summed(n)``.
@@ -107,17 +102,8 @@ def gr_series(ideals, ideal: Ideal) -> HilbertSeries:
     some pairwise sum I_i + I_j is not m-primary.  Each call builds the
     basis of B' anew, so read every number wanted off one series.
     """
-    ring = ideal.ctx
-    if any(component.ctx != ring for component in ideals):
-        raise ContextMismatchError("ideals come from different ring contexts")
-    T, lift = ring.adjoin([f"e{i}" for i in range(1, len(ideals))],
-                          ring.order, last=True)
-    e = [Polynomial.variable(T, name) for name in T.variables[ring.nvars:]]
-    gens = [a * b for i, a in enumerate(e) for b in e[i:]]
-    for component, e_i in zip(ideals, e + [sum(e, Polynomial.zero(T))]):
-        gens += [lift(f) * e_i for f in component.groebner().elements]
-    cone = tangent_cone(Ideal(T, gens),
-                        Ideal(T, [lift(f) for f in ideal.generators]))
+    T, e, gens, f = cokernel_presentation(ideals, ideal)
+    cone = tangent_cone(Ideal(T, gens), Ideal(T, f))
     try:
         series = cone.submodule_series(len(e))
         series.total()      # raises unless the series is a polynomial

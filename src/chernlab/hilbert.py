@@ -14,7 +14,8 @@ the command line, as a fit on a short window can accept a wrong polynomial.
 
 from __future__ import annotations
 
-from .core import Polynomial, RingContext, binomial, require_parameter
+from .core import (ContextMismatchError, Polynomial, RingContext, binomial,
+                   require_parameter)
 from .groebner import add_shifted, buchberger, minimalize, series_numerator
 from .ideals import (HilbertSeries, Ideal, ideal_power, ideal_sum,
                      quotient_hilbert_series, quotient_length)
@@ -22,6 +23,7 @@ from .linalg import rref_mod_p
 
 __all__ = [
     "FitInstabilityError",
+    "cokernel_presentation",
     "hilbert_samuel",
     "hilbert_samuel_values",
     "multiplicity",
@@ -276,41 +278,75 @@ def multiplicity(series: HilbertSeries, d: int) -> int:
     return sum(series.numerator) if series.denominator_exponent == d else 0
 
 
-def rees_series(pair_sum: Ideal, parameters: Ideal,
-                components) -> HilbertSeries:
-    """HS(gr_J R) for R = S/(I_1 ∩ I_2), from ``pair_sum`` = I_1 + I_2,
-    J = ``parameters`` = (f_1..f_d) and the two ``components``' tangent
-    cones, with no intersection: the Rees route.
+def cokernel_presentation(ideals, parameters: Ideal):
+    """(T, e, gens, f): the one presentation of L, the cokernel of
+    R = S/(I_1 ∩ ... ∩ I_g) >--> ⊕ S/I_i.  T = ring[e_1..e_(g-1)] extends
+    the ring of the components ``ideals`` and of J = ``parameters``, ``e``
+    are the e_i in T, ``gens`` generate
+
+        B' = sum_(i<g) I_i e_i + I_g (e_1 + ... + e_(g-1)) + (e_i e_j)
+
+    in T, and ``f`` are J's generators moved there.
+
+    L = S^(g-1)/(I_i e_i (i < g), I_g (e_1 + ... + e_(g-1))), as the image
+    of R is generated by e_1 + ... + e_g, so T/B' ≅ S ⊕ L(-1) as S-modules,
+    with L(-1) the submodule that the e generate.  The e have degree 1 and
+    are adjoined last under the ring's order tag: for a ("ydeg", k, base)
+    ring the y stay first, and B' is homogeneous in the e, as
+    ``TangentCone.submodule_series`` needs.  No intersection is built.
+    """
+    if any(component.ctx != parameters.ctx for component in ideals):
+        raise ContextMismatchError("ideals come from different ring contexts")
+    T, lift = parameters.ctx.adjoin([f"e{i}" for i in range(1, len(ideals))],
+                                    parameters.ctx.order, last=True)
+    e = [Polynomial.variable(T, v) for v in T.variables[parameters.ctx.nvars:]]
+    gens = [a * b for i, a in enumerate(e) for b in e[i:]]
+    for component, e_i in zip(ideals, e + [sum(e, Polynomial.zero(T))]):
+        gens += [lift(f) * e_i for f in component.groebner().elements]
+    return T, e, gens, [lift(f) for f in parameters.generators]
+
+
+def rees_series(ideals, parameters: Ideal) -> HilbertSeries:
+    """HS(gr_J R) for R = S/(I_1 ∩ ... ∩ I_g), from the components
+    ``ideals`` and J = ``parameters`` = (f_1..f_d), with no intersection:
+    the Rees route, for every g.
 
     It holds when each S/I_i is Cohen-Macaulay with J a system of
     parameters on it; the caller decides that.  Then
-    Tor_1(S/I_i, S/J^n) = 0, and tensoring 0 -> R -> S/I_1 ⊕ S/I_2 -> L -> 0
+    Tor_1(S/I_i, S/J^n) = 0, and tensoring 0 -> R -> ⊕ S/I_i -> L -> 0
     with S/J^n, where Tor_1(L, S/J^n) = ker(L ⊗ J^n -> L), gives for n >= 1
 
-        λ(R/J^n R) = e_0 C(n+d-1, d) - λ(L) + λ(L ⊗ J^n),
+        λ(R/J^n R) = Σ λ(S/(I_i + J^n)) - λ(L) + λ(L ⊗ J^n),
 
-    with e_0 = Σ e_0(J, S/I_i) off the components' cones.  J is generated
-    by a regular sequence, so ⊕_n J^n = Sym(J) = S[T_1..T_d]/I_2(f; T),
-    the 2x2 minors f_i T_j - f_j T_i (Huneke, J. Algebra 62, 1980), and
-    ⊕_n L ⊗ J^n is S[T]/(I_1 + I_2 + I_2(f; T)) for L = S/(I_1 + I_2).
-    With deg T_i = deg f_i that ideal is homogeneous and, in the T, of
-    degree one per term, so one basis in the ("ydeg", d, "grevlex", w)
-    order of ``_parameter_ring``, T first, whatever the problem's order,
-    gives A(t) = Σ λ(L ⊗ J^n) t^n as its cone's series, and
-    HS(gr_J R) = e_0/(1-t)^d + ((1-t)A - λ(L))/t.
+    and the sum is read off the components' cones, which the hypothesis
+    checks built; it is e_0 C(n+d-1, d), e_0 = Σ e_0(J, S/I_i).  J is
+    generated by a regular sequence, so ⊕_n J^n = Sym(J) =
+    S[t_1..t_d]/I_2(f; t), the 2x2 minors f_i t_j - f_j t_i (Huneke,
+    J. Algebra 62, 1980).  With L's presentation B' in T = S[e]
+    (``cokernel_presentation``), the ideal B' + I_2(f; t)(e) of T[t] lies
+    in (e), so the quotient is S[t] ⊕ (L ⊗ Sym(J))(-1): its e-degree-0
+    part is S[t], and its e-degree-1 part is
+    S^(g-1)/B'_1 ⊗ S[t]/I_2(f; t) = ⊕_n L ⊗ J^n.  The minors enter times
+    each e, so the run never builds a basis of Sym(J) alone: for g = 2 the
+    ideal is (I_1 + I_2 + I_2(f; t)) e_1 + (e_1^2).  With deg t_i = deg f_i
+    it is homogeneous and, in the t, of degree zero or one per term, so
+    one basis in the ("ydeg", d, "grevlex", w) order of
+    ``_parameter_ring``, t first, e last, whatever the problem's order,
+    gives A(t) = Σ λ(L ⊗ J^n) t^n as its cone's e-generated part
+    (``TangentCone.submodule_series``, which subtracts S[t]), and
+    HS(gr_J R) = Σ HS(gr_J S/I_i) + ((1-t)A - λ(L))/t.
     """
-    rees, include, t = _parameter_ring(pair_sum.ctx, parameters.generators,
-                                       "t", "grevlex")
-    f, d = [include(g) for g in parameters.generators], len(t)
-    gens = [include(g) for g in pair_sum.groebner().elements]
-    gens += [f[i] * t[j] - f[j] * t[i]
-             for i in range(d) for j in range(i + 1, d)]
-    a = TangentCone(rees, d, buchberger(gens, rees).lead_monomials()).series()
-    e0 = sum(multiplicity(tangent_cone(ideal, parameters).series(), d)
-             for ideal in components)
+    T, e, gens, f = cokernel_presentation(ideals, parameters)
+    rees, include, t = _parameter_ring(T, f, "t", "grevlex")
+    f, d = [include(g) for g in f], len(t)
+    gens = [include(g) for g in gens] + [
+        (f[i] * t[j] - f[j] * t[i]) * include(v)
+        for v in e for i in range(d) for j in range(i + 1, d)]
+    a = TangentCone(rees, d, buchberger(gens, rees).lead_monomials()
+                    ).submodule_series(len(e))
     rest = HilbertSeries(a.lift(d), d - 1) - HilbertSeries([a.summed(1)], 0)
-    return HilbertSeries([e0], d) + HilbertSeries(rest.numerator[1:],
-                                                  rest.denominator_exponent)
+    rest = HilbertSeries(rest.numerator[1:], rest.denominator_exponent)
+    return sum((tangent_cone(c, parameters).series() for c in ideals), rest)
 
 
 def hilbert_polynomial_value(coefficients, n: int) -> int:

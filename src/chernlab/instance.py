@@ -33,14 +33,18 @@ class ProblemInstance:
     ``hypotheses``, the ``check_hypotheses`` fragment, which the command
     line's gate, ``ring_series``'s route choice and ``verify``'s report
     read.  The hypothesis checks, the Rees route and the series of gr_J(L)
-    (``graded.gr_series``) never need the core.
+    (``graded.gr_series``) never need the core, so on an instance that
+    passes every check, for any number g of components, only ``verify``
+    builds it, as its cross-check; ``hilbert`` and ``coeffs`` build it
+    only under ``--force``.
     d = dim S/core is the largest component dimension, as V(core) is the
     union of the V(I_i).
 
     Two rings.  ``ctx`` is the problem's ring, and ``parameters`` are the
     given elements in it.  ``ring`` is the ring every derived ideal lives
     in: ``ideals`` (the components), ``J``, ``pair_sums`` and ``core``; the
-    ring of L's presentation (``graded.gr_series``) extends ``ring``.
+    ring of L's presentation (``hilbert.cokernel_presentation``), which
+    ``graded.gr_series`` and the Rees route read, extends ``ring``.
     ``hilbert.parameter_coordinates`` picks it, J's generators and the map
     the components take there once.  For linear parameters
     J = (y_1, ..., y_k) and the order is ("ydeg", k, base), so each
@@ -107,13 +111,14 @@ class ProblemInstance:
 
     def ring_series(self) -> HilbertSeries:
         """HS(gr_J R), R = S/(I_1 ∩ ... ∩ I_g): the series that ``hilbert``
-        and ``coeffs`` read H(K, n), e and n0 off.  When g = 2 and every
-        hypothesis check passes, so each S/I_i is Cohen-Macaulay with J a
-        system of parameters on it, it is ``hilbert.rees_series``, which
-        builds no intersection; otherwise the series of the core's tangent
-        cone."""
-        if self.g == 2 and self.hypotheses["all_pass"]:
-            return rees_series(self.pair_sums[(0, 1)], self.J, self.ideals)
+        and ``coeffs`` read H(K, n), e and n0 off.  When every hypothesis
+        check passes, so each S/I_i is Cohen-Macaulay with J a system of
+        parameters on it, it is ``hilbert.rees_series``, which builds no
+        intersection, for any number g of components; otherwise, which
+        the command line reaches only under ``--force``, the series of the
+        core's tangent cone."""
+        if self.hypotheses["all_pass"]:
+            return rees_series(self.ideals, self.J)
         return tangent_cone(self.core, self.J).series()
 
 

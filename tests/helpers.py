@@ -66,6 +66,20 @@ def transformed_planes(rng, p, names, blocks, parameters, order="grevlex"):
     return ctx, ideals, j
 
 
+def three_3_planes_lex(seed, parameters):
+    """Three 3-planes in 9 variables under lex, pairwise transversal, in
+    seeded dense coordinates, with one of ``THREE_3_PLANE_PARAMETERS``."""
+    names = [f"x{i}" for i in range(9)]
+    blocks = [names[3:], names[:3] + names[6:], names[:6]]
+    return transformed_planes(random.Random(seed), 32003, names, blocks,
+                              parameters, "lex")
+
+
+THREE_3_PLANE_PARAMETERS = (
+    [f"x{i} + x{3 + i} + x{6 + i}" for i in range(3)],
+    [f"x{i} + x{3 + (i + 1) % 3} + x{6 + (i + 2) % 3}" for i in range(3)])
+
+
 def e1_family(rng, p):
     return transformed_planes(
         rng, p, ["x", "y", "z", "w"],

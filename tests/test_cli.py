@@ -473,9 +473,9 @@ def test_json_byte_determinism(capsys):
 
 
 def test_one_intersection_per_command(monkeypatch, capsys):
-    # g = 3: intersect_all makes two pairwise intersections, and every
-    # consumer takes the instance's core instead of intersecting again;
-    # coeffs on two components, with linear or quadric parameters, reads
+    # verify on g = 3: intersect_all makes two pairwise intersections, and
+    # every consumer takes the instance's core instead of intersecting
+    # again; coeffs, on any g and with linear or quadric parameters, reads
     # K off the Rees route and L off its presentation, and makes none
     import chernlab.ideals as ideals_module
 
@@ -488,7 +488,7 @@ def test_one_intersection_per_command(monkeypatch, capsys):
 
     monkeypatch.setattr(ideals_module, "ideal_intersect", counting)
     for command, path, intersections in [
-            ("coeffs", E4, 2), ("verify", E4, 2), ("coeffs", E1, 0),
+            ("coeffs", E4, 0), ("verify", E4, 2), ("coeffs", E1, 0),
             ("coeffs", E2, 0), ("coeffs", E7, 0)]:
         calls.clear()
         code, _, _ = run(capsys, command, path, "--json")
@@ -501,8 +501,8 @@ def test_one_intersection_per_command(monkeypatch, capsys):
 def test_each_tangent_cone_built_once(monkeypatch, capsys, command, path,
                                       cones):
     # the hypothesis checks read one cone per component, cached on it;
-    # hilbert adds the Rees cone of L ⊗ Sym(J) on e2 (g = 2) and the core's
-    # on e4 (g = 3), and verify on e4 adds the core's and that of L's
+    # hilbert adds the Rees cone of L ⊗ Sym(J) on e2 (g = 2) and on e4
+    # (g = 3), and verify on e4 adds the core's and that of L's
     # presentation B'
     import chernlab.hilbert as hilbert_module
 
@@ -527,7 +527,8 @@ def test_each_cone_series_built_once(monkeypatch, capsys, command, h_vectors):
     # Cohen-Macaulay check, its table, its e_0 and the torsion series):
     # each of the 5 cones builds its series once, the one of L's
     # presentation B' by ``submodule_series``, the others by their
-    # h-vector; hilbert reads the 3 components' and the core's
+    # h-vector; hilbert reads the 3 components' and, by
+    # ``submodule_series``, the Rees cone's
     import chernlab.hilbert as hilbert_module
 
     built = []
@@ -543,10 +544,13 @@ def test_each_cone_series_built_once(monkeypatch, capsys, command, h_vectors):
     assert len(built) == h_vectors
 
 
-@pytest.mark.parametrize("command", ["hilbert", "verify"])
-def test_intersection_keeps_its_target_series(monkeypatch, capsys, command):
+@pytest.mark.parametrize("command, series", [("hilbert", 7), ("verify", 8)],
+                         ids=["hilbert", "verify"])
+def test_intersection_keeps_its_target_series(monkeypatch, capsys, command,
+                                              series):
     # e4: one series for each of the 3 components, the 3 pairwise sums and
-    # the fresh sum (I_1 ∩ I_2) + I_3, and J's for dim S/J; each
+    # J's for dim S/J; verify also forms the fresh sum (I_1 ∩ I_2) + I_3
+    # for the core, which hilbert, on the Rees route, does not.  Each
     # intersection keeps the series it targeted, so neither I_1 ∩ I_2 nor
     # the core is read again from a basis
     import chernlab.ideals as ideals_module
@@ -561,7 +565,7 @@ def test_intersection_keeps_its_target_series(monkeypatch, capsys, command):
     monkeypatch.setattr(ideals_module, "monomial_hilbert_series", counting)
     code, _, _ = run(capsys, command, E4, "--json")
     assert code == 0
-    assert len(calls) == 8
+    assert len(calls) == series
 
 
 def test_hilbert_quadratic_parameter(tmp_path, capsys):
@@ -695,7 +699,8 @@ def test_forced_non_cm_component_takes_the_core_route(tmp_path, capsys):
     # (x, y)m ∩ (z, w) = (x, y) ∩ (z, w): the ring and J are e1's, so under
     # --force hilbert and coeffs print e1's numbers, read off the core;
     # L = S/((x, y)m + (z, w)) has length 3.  The Rees formula, which needs
-    # Tor_1(S/I_1, S/J^n) = 0, would give H(K, n) = 4, 10, 18, ...
+    # Tor_1(S/I_1, S/J^n) = 0, would give H(K, n) = 6, 12, 20 where e1 has
+    # 3, 8, 15
     path = _write(tmp_path, "noncm.json", MAXIMAL_TIMES_PLANE)
     warning = ("warning: hypothesis checks skipped by --force "
                "(failing: components_cohen_macaulay)\n")
@@ -708,8 +713,34 @@ def test_forced_non_cm_component_takes_the_core_route(tmp_path, capsys):
     expected = json.loads((golden / "e1_two_planes.coeffs.json").read_text())
     assert json.loads(out) == dict(expected, lambda_L="3")
     inst = build_instance(load_problem(path))
-    rees = rees_series(inst.pair_sums[(0, 1)], inst.J, inst.ideals)
-    assert [rees.summed(n) for n in (1, 2, 3)] == [4, 10, 18]
+    rees = rees_series(inst.ideals, inst.J)
+    assert [rees.summed(n) for n in (1, 2, 3)] == [6, 12, 20]
+
+
+def test_forced_non_cm_component_of_three_takes_the_core_route(tmp_path,
+                                                               capsys):
+    # (x, y)m ∩ (z, w) ∩ (x + z, y + w) is e4's core, as (x, y) ∩ (z, w)
+    # lies in m^2, so under --force hilbert prints e4's table and coeffs
+    # e4's e, read off the core; L has length 6, against e4's 4.  The
+    # Rees formula, which needs Tor_1(S/I_i, S/J^n) = 0 for every i, would
+    # give H(K, n) = 9, 19, 32 where e4 has 5, 13, 24
+    e4 = json.loads((PROBLEM_DIR / "e4_three_planes.json").read_text())
+    path = _write(tmp_path, "noncm3.json", dict(e4, ideals=[
+        MAXIMAL_TIMES_PLANE["ideals"][0]] + e4["ideals"][1:]))
+    warning = ("warning: hypothesis checks skipped by --force "
+               "(failing: components_cohen_macaulay)\n")
+    golden = PROBLEM_DIR.parent / "tests" / "golden"
+    code, out, err = run(capsys, "hilbert", path, "--json", "--force")
+    assert (code, err) == (0, warning)
+    assert out == (golden / "e4_three_planes.hilbert.json").read_text()
+    code, out, err = run(capsys, "coeffs", path, "--json", "--force")
+    assert (code, err) == (0, warning)
+    expected = json.loads((golden / "e4_three_planes.coeffs.json").read_text())
+    assert json.loads(out) == dict(expected, lambda_L="6")
+    inst = build_instance(load_problem(path))
+    assert inst.g == 3
+    rees = rees_series(inst.ideals, inst.J)
+    assert [rees.summed(n) for n in (1, 2, 3)] == [9, 19, 32]
 
 
 def test_forced_infinite_cokernel_has_one_message(tmp_path, capsys):
@@ -802,11 +833,12 @@ def test_verify_ring_named_like_the_idealization(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["hilbert", "coeffs"])
 def test_ring_named_like_the_rees_ring(tmp_path, capsys, command):
-    # quadric parameters adjoin u1, u2 for the components' graphs and
-    # t1, t2 for the Rees ring; a ring that has those names already gets
-    # fresh ones, and the output is unchanged
+    # quadric parameters adjoin u1, u2 for the components' graphs, e1 for
+    # L's presentation and t1, t2 for the Rees ring; a ring that has those
+    # names already gets fresh ones, and the output is unchanged
     outputs = []
-    for names in (["x", "y", "z", "w"], ["t1", "u1", "t2", "u2"]):
+    for names in (["x", "y", "z", "w"], ["t1", "u1", "t2", "u2"],
+                  ["t1", "e1", "t2", "u1"]):
         x, y, z, w = names
         path = _write(tmp_path, f"{x}.json",
                       dict(BASE, variables=names, ideals=[[x, f"{y}^6"],
@@ -815,7 +847,7 @@ def test_ring_named_like_the_rees_ring(tmp_path, capsys, command):
         code, out, _ = run(capsys, command, path, "--json")
         assert code == 0
         outputs.append(out)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_verify_passes_once_window_reaches_nu(tmp_path, capsys):

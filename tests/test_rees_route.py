@@ -1,9 +1,11 @@
 """The Rees route, ``hilbert.rees_series``, which
-``ProblemInstance.ring_series`` takes for two Cohen-Macaulay components and
-parameters of any degree: HS(gr_J R) from one basis of
-(I_1 + I_2) + I_2(f; T), with no intersection.  Its series, and the
+``ProblemInstance.ring_series`` takes whenever every hypothesis check
+passes, for any number g of Cohen-Macaulay components and parameters of
+any degree: HS(gr_J R) from one basis of B' + I_2(f; t)(e), that is L's
+presentation ``hilbert.cokernel_presentation`` and the minors
+f_i t_j - f_j t_i times each e, with no intersection.  Its series, and the
 ``hilbert`` and ``coeffs`` output built on it, must equal the core route's
-(the tangent cone of I_1 ∩ I_2), which ``verify`` still takes."""
+(the tangent cone of I_1 ∩ ... ∩ I_g), which ``verify`` still takes."""
 
 import json
 import random
@@ -19,8 +21,9 @@ from chernlab import (Ideal, Polynomial, ProblemInstance, RingContext,
 from chernlab.cli import build_instance, load_problem, main
 from chernlab.hilbert import samuel_polynomial
 from conftest import PROBLEM_DIR
-from helpers import (monomials_of_degree, random_invertible_matrix,
-                     variable_images, write_problem)
+from helpers import (THREE_3_PLANE_PARAMETERS, monomials_of_degree,
+                     random_invertible_matrix, three_3_planes_lex,
+                     transformed_planes, variable_images, write_problem)
 
 
 def emitted(payload):
@@ -29,7 +32,7 @@ def emitted(payload):
 
 def core_route_outputs(inst):
     """``hilbert --json`` and ``coeffs --json`` as read off the core's
-    tangent cone and the cokernel model of I_1 ∩ I_2, at the command
+    tangent cone and the cokernel model of I_1 ∩ ... ∩ I_g, at the command
     line's default window 1..2d + 4."""
     series = tangent_cone(inst.core, inst.J).series()
     e, n0 = samuel_polynomial(series, inst.d)
@@ -60,18 +63,53 @@ def cli_outputs(monkeypatch, capsys, path):
 
 def assert_routes_agree(monkeypatch, capsys, path):
     inst = build_instance(load_problem(path))
-    assert inst.g == 2 and check_hypotheses(inst)["all_pass"]
-    rees = rees_series(inst.pair_sums[(0, 1)], inst.J, inst.ideals)
+    assert check_hypotheses(inst)["all_pass"]
+    rees = rees_series(inst.ideals, inst.J)
     assert rees == tangent_cone(inst.core, inst.J).series()
     assert cli_outputs(monkeypatch, capsys, path) == \
         core_route_outputs(build_instance(load_problem(path)))
 
 
-@pytest.mark.parametrize("name", ["e1_two_planes", "e2_two_3planes",
-                                  "e5_staircase", "e6_short_window"])
+@pytest.mark.parametrize("name", [
+    "e1_two_planes", "e2_two_3planes", "e3_cm_baseline", "e4_three_planes",
+    "e5_staircase", "e6_short_window", "e7_quadric_parameters"])
 def test_shipped_instances(monkeypatch, capsys, name):
     assert_routes_agree(monkeypatch, capsys,
                         str(PROBLEM_DIR / f"{name}.json"))
+
+
+def four_2_planes(seed):
+    """Four 2-planes in 8 variables, the i-th cut out by every variable but
+    x(2i-1), x(2i), so any two meet only at the origin, with two linear
+    parameters, in seeded dense coordinates: g = 4, d = 2."""
+    names = [f"x{i}" for i in range(1, 9)]
+    blocks = [names[:2 * i] + names[2 * i + 2:] for i in range(4)]
+    return transformed_planes(random.Random(seed), 32003, names, blocks,
+                              ["x1 + x3 + x5 + x7", "x2 + x4 + x6 + x8"])
+
+
+MORE_COMPONENTS = {
+    "three-3-planes-seed0-a":
+        lambda: three_3_planes_lex(0, THREE_3_PLANE_PARAMETERS[0]),
+    "three-3-planes-seed0-b":
+        lambda: three_3_planes_lex(0, THREE_3_PLANE_PARAMETERS[1]),
+    "three-3-planes-seed1-a":
+        lambda: three_3_planes_lex(1, THREE_3_PLANE_PARAMETERS[0]),
+    "three-3-planes-seed1-b":
+        lambda: three_3_planes_lex(1, THREE_3_PLANE_PARAMETERS[1]),
+    "four-2-planes": lambda: four_2_planes(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MORE_COMPONENTS))
+def test_dense_instances_of_more_components(monkeypatch, capsys, tmp_path,
+                                            name):
+    # g = 3 (d = 3) and g = 4 (d = 2): the Rees route reads L ⊗ Sym(J) off
+    # B' in ring[e_1..e_(g-1)], as for g = 2
+    ctx, ideals, j = MORE_COMPONENTS[name]()
+    assert len(ideals) in (3, 4)
+    assert_routes_agree(monkeypatch, capsys,
+                        write_problem(tmp_path / "p.json", ctx, ideals, j))
 
 
 def generic_form(rng, ctx, block, degree):
@@ -160,7 +198,7 @@ def test_any_degree_parameters(monkeypatch, seed):
     assert max(f.degree() for f in inst.parameters) > 1
     with monkeypatch.context() as patch:
         patch.setattr(ideals_module, "ideal_intersect", None)
-        rees = rees_series(inst.pair_sums[(0, 1)], inst.J, inst.ideals)
+        rees = rees_series(inst.ideals, inst.J)
         assert inst.ring_series() == rees
     assert rees == tangent_cone(inst.core, inst.J).series()
 
@@ -169,7 +207,8 @@ def test_quadric_parameters_take_one_weighted_rees_basis(monkeypatch,
                                                          capsys):
     # e7: J = (x^2 + w^2, y + z).  hilbert builds the graph bases of the
     # two components for the hypotheses and one basis of the Rees ring
-    # F[t1, t2, x, y, z, w] with deg t1 = 2, and no intersection
+    # F[t1, t2, x, y, z, w, e1] with deg t1 = 2, e1 last, and no
+    # intersection
     intersections, runs = [], []
     original_intersect = ideals_module.ideal_intersect
     original_buchberger = hilbert_module.buchberger
@@ -191,8 +230,8 @@ def test_quadric_parameters_take_one_weighted_rees_basis(monkeypatch,
     rees = [(ctx, series) for ctx, series in runs
             if ctx.variables[:2] == ("t1", "t2")]
     assert [(ctx.variables, ctx.order, series) for ctx, series in rees] == [
-        (("t1", "t2", "x", "y", "z", "w"),
-         ("ydeg", 2, "grevlex", (2, 1, 1, 1, 1, 1)), None)]
+        (("t1", "t2", "x", "y", "z", "w", "e1"),
+         ("ydeg", 2, "grevlex", (2, 1, 1, 1, 1, 1, 1)), None)]
     assert len(runs) == 3
 
 

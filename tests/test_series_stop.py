@@ -20,8 +20,9 @@ from chernlab import (GroebnerBasis, Ideal, Polynomial, ProblemInstance,
                       quotient_hilbert_series, tangent_cone)
 from chernlab.cli import main
 from conftest import PROBLEM_DIR
-from helpers import (contains, random_homogeneous_ideal, transformed_planes,
-                     write_problem)
+from helpers import (THREE_3_PLANE_PARAMETERS, contains,
+                     random_homogeneous_ideal, three_3_planes_lex,
+                     transformed_planes, write_problem)
 
 
 def record_targeted_runs(monkeypatch, compute):
@@ -83,18 +84,6 @@ def two_4_planes(rng, p=32003):
     return transformed_planes(
         rng, p, names, [names[:4], names[4:]],
         [f"{a} + {b}" for a, b in zip(names[:4], names[4:])])
-
-
-def three_3_planes_lex(seed, parameters):
-    names = [f"x{i}" for i in range(9)]
-    blocks = [names[3:], names[:3] + names[6:], names[:6]]
-    return transformed_planes(random.Random(seed), 32003, names, blocks,
-                              parameters, "lex")
-
-
-THREE_3_PLANE_PARAMETERS = (
-    [f"x{i} + x{3 + i} + x{6 + i}" for i in range(3)],
-    [f"x{i} + x{3 + (i + 1) % 3} + x{6 + (i + 2) % 3}" for i in range(3)])
 
 
 def test_dense_4_planes_zero_reductions(monkeypatch):
@@ -164,15 +153,15 @@ def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
 def test_dense_4_planes_rees_bases(monkeypatch, tmp_path, capsys):
     # hilbert on g = 2 builds no intersection: the four ydeg bases that
     # verify computes before its elimination, then one basis of
-    # (I_1 + I_2) + I_2(y; T) in F[T_1..T_4, ring], under
-    # ("ydeg", 4, grevlex) with T first
+    # B' + I_2(y; t) e1, B' = (I_1 + I_2) e1 + (e1^2), in
+    # F[t_1..t_4, ring, e1], under ("ydeg", 4, grevlex) with t first
     path = write_problem(tmp_path / "p4.json",
                          *two_4_planes(random.Random(601)))
     orders, out = record_orders(monkeypatch, capsys,
                                 ["hilbert", path, "--json", "--max-power", "4"])
     assert [row["length"] for row in json.loads(out)] == FOUR_PLANE_LENGTHS
     ydeg = ("ydeg", 4, "grevlex")
-    assert orders == [(ydeg, 8)] * 4 + [(ydeg, 12)]
+    assert orders == [(ydeg, 8)] * 4 + [(ydeg, 13)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -202,8 +191,8 @@ def test_dense_three_3_planes_lex_elimination(monkeypatch, seed):
 YDEG3_LEX = ("ydeg", 3, "lex")
 YDEG4 = ("ydeg", 4, "grevlex")
 # Every engine of the core route, in order: the instance, its hypothesis
-# checks and the core's tangent cone, as `verify` computes them and as
-# `hilbert` does for g != 2.  Each engine's order, basis size before
+# checks and the core's tangent cone, as `verify` computes them.  Each
+# engine's order, basis size before
 # interreduction, pairs popped, coprime skips, chain skips, zero reductions
 # and series stop.  Recorded with the generators admitted reduced, lowest
 # degree first; any change in the order of pairs or reductions shows here.
@@ -261,17 +250,26 @@ def test_engine_counters_pinned(monkeypatch, instance, expected):
     assert engine_counters(engines) == expected
 
 
-# `hilbert` on two dense 4-planes (g = 2) takes the Rees route: the four
-# engines of the core route before the elimination, then the basis of
-# (I_1 + I_2) + I_2(y; T) over 12 variables.  For transversal planes
-# I_1 + I_2 is the maximal ideal, whose basis is the 8 ring variables,
-# and every minor y_i T_j - y_j T_i reduces to 0 on admission.  On g = 3
-# it runs the core route's engines.
+# `hilbert` takes the Rees route on every g: the engines of the core route
+# before its first elimination, then one basis of B' + I_2(y; t)(e) in
+# F[t, ring, e], under ("ydeg", d, grevlex) whatever the problem's order.
+# On two dense 4-planes (13 variables) I_1 + I_2 is the maximal ideal, so
+# the basis is the 8 leads x e1 and e1^2: each minor times e1 reduces to 0
+# on admission, and so do the 36 pairs, none of them coprime, as every
+# lead holds e1.  On three 3-planes (14 variables) it makes 110 zero
+# reductions in 210 pairs.
+REES_ENGINES = {
+    "dense-4-planes": FOUR_PLANE_CORE_ENGINES[:4]
+    + [(YDEG4, 9, 36, 0, 0, 36, False)],
+    "three-3-planes": THREE_3_PLANE_ENGINES[:7]
+    + [(("ydeg", 3, "grevlex"), 21, 210, 91, 9, 110, False)],
+}
+
+
 @pytest.mark.parametrize("instance, expected", [
-    ("dense-4-planes", FOUR_PLANE_CORE_ENGINES[:4]
-     + [(YDEG4, 8, 28, 28, 0, 0, False)]),
-    ("three-3-planes-lex-a", THREE_3_PLANE_ENGINES),
-    ("three-3-planes-lex-b", THREE_3_PLANE_ENGINES),
+    ("dense-4-planes", REES_ENGINES["dense-4-planes"]),
+    ("three-3-planes-lex-a", REES_ENGINES["three-3-planes"]),
+    ("three-3-planes-lex-b", REES_ENGINES["three-3-planes"]),
 ], ids=["dense-4-planes", "three-3-planes-lex-a", "three-3-planes-lex-b"])
 def test_hilbert_engine_counters_pinned(monkeypatch, tmp_path, capsys,
                                         instance, expected):
