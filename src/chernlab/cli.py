@@ -30,7 +30,7 @@ import json
 import sys
 from types import SimpleNamespace
 
-from . import graded, resolutions, verifier
+from . import resolutions, verifier
 from .core import (PRIME_LIMIT, HypothesisError, ParseError, RingContext,
                    is_prime, parse_polynomial)
 from .hilbert import chern_sign, samuel_polynomial
@@ -181,7 +181,7 @@ def _admit(args) -> ProblemInstance:
 
 
 def cmd_hilbert(inst, args) -> int:
-    series = inst.ring_series()
+    series, _ = inst.ring_series()
     values = [(n, series.summed(n)) for n in range(1, args.max_power + 1)]
     if args.json:
         _emit_json([{"n": n, "length": str(h)} for n, h in values])
@@ -193,15 +193,14 @@ def cmd_hilbert(inst, args) -> int:
 
 
 def cmd_coeffs(inst, args) -> int:
-    series = inst.ring_series()
+    series, module_length = inst.ring_series()
     e, n0 = samuel_polynomial(series, inst.d)
-    module_len = graded.gr_series(inst.ideals, inst.J).total()
     payload = {
         "e": [str(c) for c in e],
         "n0": n0,
         "cm": e[0] == series.summed(1),
         "chern_sign": chern_sign(e[1] if len(e) > 1 else 0),
-        "lambda_L": str(module_len),
+        "lambda_L": str(module_length()),
     }
     if args.json:
         _emit_json(payload)

@@ -8,7 +8,9 @@ When the pairwise sums I_i + I_j are m-primary, L has finite length.  Its
 Hilbert series is the difference of the component series and the series of
 the intersection (``diagonal_cokernel``), and that difference being a
 polynomial certifies the exact top degree; ``verify`` keeps it as the
-cross-check of length(L).  The series of gr_J(L) needs no intersection: L
+cross-check of length(L), and the core route of
+``instance.ProblemInstance.ring_series``, taken only under ``--force``,
+reads length(L) off it.  The series of gr_J(L) needs no intersection: L
 is presented by the components alone, in T = S[e_1, ..., e_(g-1)] with
 every e of degree 1, by the ideal
 
@@ -20,9 +22,11 @@ off the same B'.  The Hilbert series of gr_J(L) is read off the tangent
 cone of B' along J, less the summand S
 (``hilbert.TangentCone.submodule_series``): for linear parameters from the
 one basis of B', for other parameters from one basis of J's graph over it.
-Callers read that one series (``gr_series``): length(L) is its total,
+``verify`` reads that one series (``gr_series``): length(L) is its total,
 nu = min{n : J^n L = 0} its length, and length(L / J^n L) its n-th partial
-sum.
+sum.  ``coeffs`` needs only length(L), which comes with K's series
+(``instance.ProblemInstance.ring_series``), so it runs nothing here on an
+instance that passes every hypothesis check.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ __all__ = [
     "annihilates",
     "power_colength",
 ]
+
+
+# the one refusal of an L of infinite length, whichever route finds it
+_INFINITE_LENGTH = ("L has infinite length: some pairwise sum I_i + I_j is "
+                   "not m-primary (see pairwise_sums_mprimary)")
 
 
 class Cokernel(NamedTuple):
@@ -64,7 +73,7 @@ def diagonal_cokernel(ideals, core: Ideal) -> Cokernel:
 
     Raises NotFiniteLengthError when the series difference is not a
     polynomial, which signals that some pairwise sum I_i + I_j fails to be
-    m-primary and L has infinite length.
+    m-primary and L has infinite length, with ``gr_series``' message.
     """
     ideals = tuple(ideals)
     if not ideals:
@@ -77,9 +86,7 @@ def diagonal_cokernel(ideals, core: Ideal) -> Cokernel:
         series = series + quotient_hilbert_series(ideal)
     series = series - quotient_hilbert_series(core)
     if not series.is_polynomial():
-        raise NotFiniteLengthError(
-            "cokernel of the diagonal map has infinite length; "
-            "some pairwise sum of the ideals is not m-primary")
+        raise NotFiniteLengthError(_INFINITE_LENGTH)
     dims = series.numerator
     top = len(dims) - 1 if dims else None
     return Cokernel(sum(dims), top, dims)
@@ -108,9 +115,7 @@ def gr_series(ideals, ideal: Ideal) -> HilbertSeries:
         series = cone.submodule_series(len(e))
         series.total()      # raises unless the series is a polynomial
     except NotFiniteLengthError:
-        raise NotFiniteLengthError(
-            "L has infinite length: some pairwise sum I_i + I_j is not "
-            "m-primary (see pairwise_sums_mprimary)") from None
+        raise NotFiniteLengthError(_INFINITE_LENGTH) from None
     return series
 
 

@@ -6,7 +6,11 @@ the lcm and then on the two leading monomials, so output is deterministic
 for fixed input.  ``ctx.degree`` is the total degree, except for the
 ("elim", k, base) order, where it is the degree in the kept variables: the
 first k variables have weight 0 (see ``RingContext``).  Pairs are pruned
-with the coprime (product) criterion and the chain criterion; the
+with the chain criterion and the generalized product criterion: with c the
+gcd of the two elements' contents, the monomials that divide every term,
+f = c f' and g = c g', and S(f, g) = c S(f', g') reduces to zero when the
+leading monomials of f' and g' are coprime (Buchberger's first criterion
+applied to f' and g'); c = 1 is the plain coprime criterion.  The
 Buchberger S-polynomial property test in the suite guards both.
 
 Every element enters the engine by one step (Gebauer and Moeller, "On an
@@ -207,8 +211,9 @@ def _reduce_terms(terms, key, lms, lead_keys, degs, tails, p, reducer_of):
 class _Engine:
     """Incremental Buchberger run over term dicts.
 
-    Basis elements are stored monic, as their leading monomials and keys
-    and their tails of keyed triples sorted largest first.  ``_admit``
+    Basis elements are stored monic, as their leading monomials and keys,
+    their tails of keyed triples sorted largest first and their contents,
+    the componentwise minimum of their monomials.  ``_admit``
     appends each element, generator (lowest ``ctx.degree`` first) or
     S-polynomial, only as its nonzero remainder modulo the earlier ones, so
     no leading monomial is divisible by an earlier one and ``lms`` holds no
@@ -217,9 +222,10 @@ class _Engine:
     reaches it (see the module docstring).
 
     The counters are plain ints for tests and profiling: pairs popped, pairs
-    skipped by the coprime and chain criteria, pairs whose S-polynomial
-    reduced to zero (a generator that reduces to zero is not counted), and
-    whether the series stop dropped queued pairs.
+    skipped by the product criterion (``coprime_skips``, generalized as in
+    the module docstring) and by the chain criterion, pairs whose
+    S-polynomial reduced to zero (a generator that reduces to zero is not
+    counted), and whether the series stop dropped queued pairs.
     """
 
     def __init__(self, gens, ctx, series=None):
@@ -232,6 +238,7 @@ class _Engine:
         self.lead_keys = []
         self.degs = []
         self.tails = []
+        self.contents = []
         self.pairs = []
         self.pending = set()
         self.pairs_popped = 0
@@ -268,6 +275,7 @@ class _Engine:
         self.lead_keys.append(lm_key)
         self.degs.append(sum(lm))
         self.tails.append(terms[1:])
+        self.contents.append(tuple(map(min, zip(*(m for m, _, _ in terms)))))
         for i in range(j):
             lcm = _mono_lcm(self.lms[i], lm)
             entry = ((self.degree(lcm), self.key(lcm), self.lead_keys[i],
@@ -298,6 +306,7 @@ class _Engine:
         pairs = self.pairs
         pending = self.pending
         lms = self.lms
+        contents = self.contents
         while pairs:
             if self.reached:
                 self.series_stop = True
@@ -309,7 +318,8 @@ class _Engine:
             pending.discard((i, j))
             lm_i = lms[i]
             lm_j = lms[j]
-            if not any(map(min, lm_i, lm_j)):
+            if (tuple(map(min, lm_i, lm_j))
+                    == tuple(map(min, contents[i], contents[j]))):
                 self.coprime_skips += 1
                 continue
             lcm = _mono_lcm(lm_i, lm_j)

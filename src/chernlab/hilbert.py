@@ -306,8 +306,8 @@ def cokernel_presentation(ideals, parameters: Ideal):
     return T, e, gens, [lift(f) for f in parameters.generators]
 
 
-def rees_series(ideals, parameters: Ideal) -> HilbertSeries:
-    """HS(gr_J R) for R = S/(I_1 ∩ ... ∩ I_g), from the components
+def rees_series(ideals, parameters: Ideal):
+    """(HS(gr_J R), λ(L)) for R = S/(I_1 ∩ ... ∩ I_g), from the components
     ``ideals`` and J = ``parameters`` = (f_1..f_d), with no intersection:
     the Rees route, for every g.
 
@@ -334,7 +334,8 @@ def rees_series(ideals, parameters: Ideal) -> HilbertSeries:
     ``_parameter_ring``, t first, e last, whatever the problem's order,
     gives A(t) = Σ λ(L ⊗ J^n) t^n as its cone's e-generated part
     (``TangentCone.submodule_series``, which subtracts S[t]), and
-    HS(gr_J R) = Σ HS(gr_J S/I_i) + ((1-t)A - λ(L))/t.
+    HS(gr_J R) = Σ HS(gr_J S/I_i) + ((1-t)A - λ(L))/t.  λ(L) = A(0), the
+    t^0 part L ⊗ S, comes with the series at no cost.
     """
     T, e, gens, f = cokernel_presentation(ideals, parameters)
     rees, include, t = _parameter_ring(T, f, "t", "grevlex")
@@ -344,9 +345,11 @@ def rees_series(ideals, parameters: Ideal) -> HilbertSeries:
         for v in e for i in range(d) for j in range(i + 1, d)]
     a = TangentCone(rees, d, buchberger(gens, rees).lead_monomials()
                     ).submodule_series(len(e))
-    rest = HilbertSeries(a.lift(d), d - 1) - HilbertSeries([a.summed(1)], 0)
+    length = a.summed(1)
+    rest = HilbertSeries(a.lift(d), d - 1) - HilbertSeries([length], 0)
     rest = HilbertSeries(rest.numerator[1:], rest.denominator_exponent)
-    return sum((tangent_cone(c, parameters).series() for c in ideals), rest)
+    return sum((tangent_cone(c, parameters).series() for c in ideals),
+               rest), length
 
 
 def hilbert_polynomial_value(coefficients, n: int) -> int:

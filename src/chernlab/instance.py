@@ -14,11 +14,11 @@ both kinds of failure to exit 3.
 
 from itertools import combinations
 
+from . import graded
 from .core import require_parameter
 from .hilbert import (multiplicity, parameter_coordinates, rees_series,
                       tangent_cone)
-from .ideals import (HilbertSeries, Ideal, ideal_sum, intersect_all,
-                     krull_dimension)
+from .ideals import Ideal, ideal_sum, intersect_all, krull_dimension
 
 __all__ = ["ProblemInstance", "check_hypotheses"]
 
@@ -32,11 +32,12 @@ class ProblemInstance:
     ``ring_series`` take instead of intersecting the ideals again, and
     ``hypotheses``, the ``check_hypotheses`` fragment, which the command
     line's gate, ``ring_series``'s route choice and ``verify``'s report
-    read.  The hypothesis checks, the Rees route and the series of gr_J(L)
-    (``graded.gr_series``) never need the core, so on an instance that
-    passes every check, for any number g of components, only ``verify``
-    builds it, as its cross-check; ``hilbert`` and ``coeffs`` build it
-    only under ``--force``.
+    read.  The hypothesis checks, the Rees route, which gives K's series
+    and λ(L) together, and the series of gr_J(L) (``graded.gr_series``,
+    which only ``verify`` reads) never need the core, so on an instance
+    that passes every check, for any number g of components, only
+    ``verify`` builds it, as its cross-check; ``hilbert`` and ``coeffs``
+    build it only under ``--force``.
     d = dim S/core is the largest component dimension, as V(core) is the
     union of the V(I_i).
 
@@ -44,7 +45,7 @@ class ProblemInstance:
     given elements in it.  ``ring`` is the ring every derived ideal lives
     in: ``ideals`` (the components), ``J``, ``pair_sums`` and ``core``; the
     ring of L's presentation (``hilbert.cokernel_presentation``), which
-    ``graded.gr_series`` and the Rees route read, extends ``ring``.
+    the Rees route and ``graded.gr_series`` read, extends ``ring``.
     ``hilbert.parameter_coordinates`` picks it, J's generators and the map
     the components take there once.  For linear parameters
     J = (y_1, ..., y_k) and the order is ("ydeg", k, base), so each
@@ -109,17 +110,23 @@ class ProblemInstance:
             self._hypotheses = check_hypotheses(self)
         return self._hypotheses
 
-    def ring_series(self) -> HilbertSeries:
-        """HS(gr_J R), R = S/(I_1 ∩ ... ∩ I_g): the series that ``hilbert``
-        and ``coeffs`` read H(K, n), e and n0 off.  When every hypothesis
-        check passes, so each S/I_i is Cohen-Macaulay with J a system of
-        parameters on it, it is ``hilbert.rees_series``, which builds no
-        intersection, for any number g of components; otherwise, which
-        the command line reaches only under ``--force``, the series of the
-        core's tangent cone."""
+    def ring_series(self):
+        """(series, length) for R = S/(I_1 ∩ ... ∩ I_g): HS(gr_J R), the
+        series that ``hilbert`` and ``coeffs`` read H(K, n), e and n0 off,
+        and a function of no arguments that returns λ(L), the length of the
+        cokernel L, which ``coeffs`` prints.  When every hypothesis check passes, so
+        each S/I_i is Cohen-Macaulay with J a system of parameters on it,
+        both come from the one basis of ``hilbert.rees_series``, which
+        builds no intersection, for any number g of components.  Otherwise,
+        which the command line reaches only under ``--force``, the series
+        is the core's tangent cone's and λ(L) is read off the core's series
+        (``graded.diagonal_cokernel``) on the call, which raises
+        NotFiniteLengthError when L has infinite length."""
         if self.hypotheses["all_pass"]:
-            return rees_series(self.ideals, self.J)
-        return tangent_cone(self.core, self.J).series()
+            series, length = rees_series(self.ideals, self.J)
+            return series, lambda: length
+        return (tangent_cone(self.core, self.J).series(), lambda:
+                graded.diagonal_cokernel(self.ideals, self.core).length)
 
 
 def check_hypotheses(inst: ProblemInstance) -> dict:

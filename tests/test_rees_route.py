@@ -1,17 +1,20 @@
 """The Rees route, ``hilbert.rees_series``, which
 ``ProblemInstance.ring_series`` takes whenever every hypothesis check
 passes, for any number g of Cohen-Macaulay components and parameters of
-any degree: HS(gr_J R) from one basis of B' + I_2(f; t)(e), that is L's
-presentation ``hilbert.cokernel_presentation`` and the minors
-f_i t_j - f_j t_i times each e, with no intersection.  Its series, and the
-``hilbert`` and ``coeffs`` output built on it, must equal the core route's
-(the tangent cone of I_1 ∩ ... ∩ I_g), which ``verify`` still takes."""
+any degree: HS(gr_J R) and λ(L) from one basis of B' + I_2(f; t)(e), that
+is L's presentation ``hilbert.cokernel_presentation`` and the minors
+f_i t_j - f_j t_i times each e, with no intersection.  Its series and
+λ(L), and the ``hilbert`` and ``coeffs`` output built on them, must equal
+the core route's (the tangent cone of I_1 ∩ ... ∩ I_g and
+``graded.diagonal_cokernel``), which ``verify`` still takes."""
 
 import json
 import random
 
 import pytest
 
+import chernlab.graded as graded_module
+import chernlab.groebner as groebner_module
 import chernlab.hilbert as hilbert_module
 import chernlab.ideals as ideals_module
 from chernlab import (Ideal, Polynomial, ProblemInstance, RingContext,
@@ -21,6 +24,7 @@ from chernlab import (Ideal, Polynomial, ProblemInstance, RingContext,
 from chernlab.cli import build_instance, load_problem, main
 from chernlab.hilbert import samuel_polynomial
 from conftest import PROBLEM_DIR
+from test_bench_outputs import bench  # noqa: F401  (the fixture)
 from helpers import (THREE_3_PLANE_PARAMETERS, monomials_of_degree,
                      random_invertible_matrix, three_3_planes_lex,
                      transformed_planes, variable_images, write_problem)
@@ -64,8 +68,9 @@ def cli_outputs(monkeypatch, capsys, path):
 def assert_routes_agree(monkeypatch, capsys, path):
     inst = build_instance(load_problem(path))
     assert check_hypotheses(inst)["all_pass"]
-    rees = rees_series(inst.ideals, inst.J)
+    rees, length = rees_series(inst.ideals, inst.J)
     assert rees == tangent_cone(inst.core, inst.J).series()
+    assert length == diagonal_cokernel(inst.ideals, inst.core).length
     assert cli_outputs(monkeypatch, capsys, path) == \
         core_route_outputs(build_instance(load_problem(path)))
 
@@ -198,9 +203,11 @@ def test_any_degree_parameters(monkeypatch, seed):
     assert max(f.degree() for f in inst.parameters) > 1
     with monkeypatch.context() as patch:
         patch.setattr(ideals_module, "ideal_intersect", None)
-        rees = rees_series(inst.ideals, inst.J)
-        assert inst.ring_series() == rees
+        rees, length = rees_series(inst.ideals, inst.J)
+        series, module_length = inst.ring_series()
+        assert (series, module_length()) == (rees, length)
     assert rees == tangent_cone(inst.core, inst.J).series()
+    assert length == diagonal_cokernel(inst.ideals, inst.core).length
 
 
 def test_quadric_parameters_take_one_weighted_rees_basis(monkeypatch,
@@ -285,3 +292,55 @@ def test_dense_d3_rows(capsys, tmp_path, a, b, e):
     n0 = report["n0"]
     assert [int(row["length"]) for row in rows[n0 - 1:]] == \
         [hilbert_polynomial_value(e, n) for n in range(n0, 13)]
+
+
+SHIPPED = ["e1_two_planes", "e2_two_3planes", "e3_cm_baseline",
+           "e4_three_planes", "e5_staircase", "e6_short_window",
+           "e7_quadric_parameters"]
+
+
+def coeffs_on_one_presentation(monkeypatch, capsys, path):
+    """``coeffs --json`` on the problem file, with ``graded.gr_series``
+    refused, and the rings of the bases that extend L's presentation
+    T = ring[e]: exactly one, the Rees run in T[t], must be built."""
+    def refused(*args):
+        raise AssertionError("coeffs reads λ(L) off the Rees run")
+
+    rings = []
+
+    class Recording(groebner_module._Engine):
+        def __init__(self, gens, ctx, series=None):
+            super().__init__(gens, ctx, series)
+            rings.append(ctx.variables)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graded_module, "gr_series", refused)
+        patch.setattr(groebner_module, "_Engine", Recording)
+        assert main(["coeffs", path, "--json"]) == 0
+    presentations = [names for names in rings
+                     if "e1" in names or names[0] == "t1"]
+    assert len(presentations) == 1 and presentations[0][0] == "t1"
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_coeffs_builds_one_basis_of_the_shipped_presentations(
+        monkeypatch, capsys, name):
+    golden = PROBLEM_DIR.parent / "tests" / "golden" / f"{name}.coeffs.json"
+    path = str(PROBLEM_DIR / f"{name}.json")
+    assert coeffs_on_one_presentation(monkeypatch, capsys, path) == \
+        golden.read_text()
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("workload", ["ladder", "dense-hilbert",
+                                      "family-sweep"])
+def test_coeffs_builds_one_basis_of_the_workload_presentations(
+        bench, monkeypatch, capsys, tmp_path, workload, seed):
+    # every instance of the workload, whatever command it runs there, is
+    # checked against its family's closed forms through coeffs
+    workloads, check = bench
+    for command in workloads.generate(workload, seed, tmp_path):
+        command = command._replace(subcommand="coeffs")
+        out = coeffs_on_one_presentation(monkeypatch, capsys, command.path)
+        assert check.check_output(command, 0, out) == [], command.path

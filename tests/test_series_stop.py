@@ -255,14 +255,15 @@ def test_engine_counters_pinned(monkeypatch, instance, expected):
 # F[t, ring, e], under ("ydeg", d, grevlex) whatever the problem's order.
 # On two dense 4-planes (13 variables) I_1 + I_2 is the maximal ideal, so
 # the basis is the 8 leads x e1 and e1^2: each minor times e1 reduces to 0
-# on admission, and so do the 36 pairs, none of them coprime, as every
-# lead holds e1.  On three 3-planes (14 variables) it makes 110 zero
-# reductions in 210 pairs.
+# on admission.  No two leads are coprime, as every lead holds e1, but
+# e1 divides every term of every element, so the generalized product
+# criterion skips all 36 pairs and none reduces to 0.  On three 3-planes
+# (14 variables) it skips 174 of the 210 pairs, and 27 reduce to 0.
 REES_ENGINES = {
     "dense-4-planes": FOUR_PLANE_CORE_ENGINES[:4]
-    + [(YDEG4, 9, 36, 0, 0, 36, False)],
+    + [(YDEG4, 9, 36, 36, 0, 0, False)],
     "three-3-planes": THREE_3_PLANE_ENGINES[:7]
-    + [(("ydeg", 3, "grevlex"), 21, 210, 91, 9, 110, False)],
+    + [(("ydeg", 3, "grevlex"), 21, 210, 174, 9, 27, False)],
 }
 
 

@@ -58,11 +58,13 @@ def _probe(*argv):
 @pytest.mark.parametrize("command, idle", [
     ("hilbert", {"chernlab.graded", "chernlab.resolutions",
                  "chernlab.verifier"}),
-    ("coeffs", {"chernlab.resolutions", "chernlab.verifier"}),
+    ("coeffs", {"chernlab.graded", "chernlab.resolutions",
+                "chernlab.verifier"}),
     ("verify", set()),
 ])
 def test_subcommand_runs_only_its_modules(command, idle):
-    # coeffs reads length(L) off the series of gr_J(L) for every g
+    # coeffs reads length(L) off the Rees run that gives K's series, so
+    # only verify reads the series of gr_J(L)
     ran = _probe(command, E2, "--json")["ran"]
     assert {"chernlab.graded", "chernlab.resolutions",
             "chernlab.verifier", "chernlab.instance"} <= set(ran)
