@@ -115,11 +115,6 @@ def _order_rows(order, r):
             raise ValueError(f"ydeg weights must be {r} integers >= 1")
         return ([weights, (-1,) * k + (0,) * (r - k)]
                 + _order_rows(order[2], r)[0]), weights
-    if isinstance(order, tuple) and len(order) == 3 and order[0] == "elim":
-        k = order[1]
-        kept = (0,) * k + (1,) * (r - k)
-        base = [(0,) * k + row for row in _order_rows(order[2], r - k)[0]]
-        return [kept, (1,) * k + (0,) * (r - k)] + base + units[:k], kept
     raise ValueError(f"unknown monomial order {order!r}")
 
 
@@ -146,24 +141,7 @@ class RingContext:
     - ("ydeg", k, base, w): w, -1_k, then the rows of base, for a weight
       row w of integers >= 1 (the variables' degrees; the graph's u_i and
       the Rees ring's t_i in ``hilbert`` take the degrees of the
-      parameters they stand for);
-    - ("elim", k, base): 1 - 1_k, 1_k, the rows of base on the kept
-      variables (0 on the first k), then e_0, ..., e_(k-1).
-
-    ("elim", k, base) gives the first k variables weight 0: it compares the
-    degree in the kept variables first, then the degree in the first k,
-    then base on the kept variables alone, then the exponents of the first
-    k lexicographically.  base is an order of the ring of the kept
-    variables, so a ("ydeg", k', ·) base counts its k' variables from the
-    first kept one.  For k = 1 the degree in the first variable fixes its
-    exponent, so on a grevlex or lex base the order is the same as that
-    base applied to all variables after the two degrees.  It eliminates
-    the first k variables only for ideals homogeneous in the kept
-    variables: such an ideal has a basis of such polynomials, and one whose
-    leading monomial is free of the first k variables is free of them
-    altogether.  ``ideals.ideal_intersect`` is its only caller.  ``degree``
-    is the degree in the kept variables, which the Buchberger engine queues
-    pairs by, so the run is graded.
+      parameters they stand for).
 
     ("ydeg", k, base) compares total degree first, then ranks the *lower*
     degree in the first k variables higher, then breaks ties by base.  It is
@@ -188,18 +166,18 @@ class RingContext:
     key of a product of monomials is the sum of their keys.  ``degree`` is
     the linear form of the grading row.
 
-    Only this module reads inside a tag: ``eliminated`` is the k of an
-    ("elim", k, base) order and ``cone_rank`` the k of a ("ydeg", k, ...)
-    one, each 0 for other orders.  Every ring with more variables than the
-    problem's comes from ``adjoin``: the elimination ring of
-    ``ideals.ideal_intersect``, the graph and Rees rings of ``hilbert`` and
-    the presentation of L in ``graded``.  It keeps the characteristic and
-    puts the new variables first, or last, and a new name that is already
-    taken gets ``_`` appended until it is free.
+    Only this module reads inside a tag: ``cone_rank`` is the k of a
+    ("ydeg", k, ...) order, 0 for the others.  Every ring with more
+    variables than the problem's comes from ``adjoin``: the ring of
+    ``ideals.ideal_intersect`` (``diagonal_ring``), the graph and Rees
+    rings of ``hilbert`` and the presentation of L in ``graded``.  It keeps
+    the characteristic and puts new variables before the ring's own, after
+    them, or both, and a new name that is already taken gets ``_`` appended
+    until it is free.
     """
 
     __slots__ = ("variables", "characteristic", "order", "sort_key",
-                 "degree", "eliminated", "cone_rank", "_var_index")
+                 "degree", "cone_rank", "_var_index")
 
     def __init__(self, variables, characteristic=32003, order="grevlex"):
         variables = tuple(variables)
@@ -222,9 +200,7 @@ class RingContext:
             weights = [(w << 64) + e for w, e in zip(weights, row)]
         self.sort_key = _linear_form(weights)
         self.degree = _linear_form(grading)
-        kind, k = order[:2] if isinstance(order, tuple) else (order, 0)
-        self.eliminated = k if kind == "elim" else 0
-        self.cone_rank = k if kind == "ydeg" else 0
+        self.cone_rank = order[1] if isinstance(order, tuple) else 0
         self._var_index = {name: i for i, name in enumerate(variables)}
 
     @property
@@ -240,25 +216,44 @@ class RingContext:
     def unit_monomial(self):
         return (0,) * len(self.variables)
 
-    def adjoin(self, names, order, last=False):
-        """(ring, include): this ring with the variables ``names`` adjoined
-        first, or after its own when ``last``, under ``order``, and the
+    def adjoin(self, first, order, last=()):
+        """(ring, include): this ring with the variables ``first`` adjoined
+        before its own and ``last`` after them, under ``order``, and the
         inclusion of this ring's polynomials into it.  A name already taken
         gets ``_`` appended until it is free."""
-        fresh = ()
-        for name in names:
-            while name in self.variables + fresh:
+        names = self.variables
+        for name in (*first, *last):
+            while name in names:
                 name += "_"
-            fresh += (name,)
-        pad = (0,) * len(fresh)
-        ring = RingContext(self.variables + fresh if last
-                           else fresh + self.variables,
+            names += (name,)
+        r, k = self.nvars, len(first)
+        ring = RingContext(names[r:r + k] + self.variables + names[r + k:],
                            self.characteristic, order)
+        head, tail = (0,) * k, (0,) * len(last)
 
         def include(f):
-            return Polynomial.trusted(ring, {(m + pad if last else pad + m): c
+            return Polynomial.trusted(ring, {head + m + tail: c
                                              for m, c in f.terms.items()})
         return ring, include
+
+    def diagonal_ring(self, g):
+        """(ring, include): this ring with v adjoined first and e2..eg last,
+        under ("ydeg", 1, ("ydeg", k + 1, base)) for this ring's tag
+        ("ydeg", k, base), or k = 0 for a bare base, grevlex or lex.  All
+        variables have degree 1.  At equal degree a term of lower degree
+        in v ranks higher, so a homogeneous polynomial linear in v and the
+        e whose leading term holds v is f v.  On v S the order is this
+        ring's own within each degree, as every row sees v and the e there
+        at fixed exponents: the k + 1 first variables are v and the y.
+        ``ideals.ideal_intersect`` reads the core's reduced basis off such
+        elements."""
+        order = (self.order if isinstance(self.order, tuple)
+                 else ("ydeg", 0, self.order))
+        if len(order) != 3 or order[2] not in ("grevlex", "lex"):
+            raise ValueError(f"no diagonal ring over the order {self.order!r}")
+        return self.adjoin(("v",), ("ydeg", 1, ("ydeg", order[1] + 1,
+                                                 order[2])),
+                           [f"e{i}" for i in range(2, g + 1)])
 
     def __eq__(self, other):
         if not isinstance(other, RingContext):

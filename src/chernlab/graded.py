@@ -31,7 +31,7 @@ instance that passes every hypothesis check.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .core import ContextMismatchError
 from .hilbert import cokernel_presentation, tangent_cone
@@ -52,24 +52,23 @@ _INFINITE_LENGTH = ("L has infinite length: some pairwise sum I_i + I_j is "
                    "not m-primary (see pairwise_sums_mprimary)")
 
 
-class Cokernel(NamedTuple):
+class Cokernel(namedtuple("Cokernel", "length top_degree dims")):
     """L = (⊕ S/I_i) / R by its Hilbert series.
 
     dims[s] is the dimension of L in degree s (s = 0..top_degree);
     top_degree is None exactly when L is zero.
     """
 
-    length: int
-    top_degree: Optional[int]
-    dims: tuple
+    __slots__ = ()
 
 
 def diagonal_cokernel(ideals, core: Ideal) -> Cokernel:
     """L = (⊕ S/I_i) / S/(∩ I_i) from sum_i HS(S/I_i) - HS(S/core).
 
     ``core`` is the intersection of the ideals, computed once by the caller
-    (``ProblemInstance.core`` holds it).  No basis is built beyond the ones
-    the series read.
+    (``ProblemInstance.core`` holds it), and its series is read off its own
+    basis, so the difference checks that basis.  No basis is built beyond
+    the ones the series read.
 
     Raises NotFiniteLengthError when the series difference is not a
     polynomial, which signals that some pairwise sum I_i + I_j fails to be

@@ -3,15 +3,15 @@
 The engine processes critical pairs in nondecreasing S-degree, the degree
 ``ctx.degree`` of the pair's lcm, with ties broken by the monomial order on
 the lcm and then on the two leading monomials, so output is deterministic
-for fixed input.  ``ctx.degree`` is the total degree, except for the
-("elim", k, base) order, where it is the degree in the kept variables: the
-first k variables have weight 0 (see ``RingContext``).  Pairs are pruned
-with the chain criterion and the generalized product criterion: with c the
-gcd of the two elements' contents, the monomials that divide every term,
-f = c f' and g = c g', and S(f, g) = c S(f', g') reduces to zero when the
-leading monomials of f' and g' are coprime (Buchberger's first criterion
-applied to f' and g'); c = 1 is the plain coprime criterion.  The
-Buchberger S-polynomial property test in the suite guards both.
+for fixed input.  ``ctx.degree`` is the total degree, or the weighted
+degree of a ("ydeg", k, base, w) order (see ``RingContext``).  Pairs are
+pruned with the chain criterion and the generalized product criterion:
+with c the gcd of the two elements' contents, the monomials that divide
+every term, f = c f' and g = c g', and S(f, g) = c S(f', g') reduces to
+zero when the leading monomials of f' and g' are coprime (Buchberger's
+first criterion applied to f' and g'); c = 1 is the plain coprime
+criterion.  The Buchberger S-polynomial property test in the suite guards
+both.
 
 Every element enters the engine by one step (Gebauer and Moeller, "On an
 installation of Buchberger's algorithm", J. Symbolic Comput. 6, 1988): it
@@ -38,12 +38,6 @@ enforces: in(G) is contained in in(I), both are monomial ideals, and
 dim S_s/in(I)_s = dim S_s/I_s in every degree s, so equal series force
 in(G) = in(I) degree by degree.  G is then already a Groebner basis, every
 dropped pair would have reduced to zero, and the reduced basis is the same.
-For an ("elim", k, base) order the series is that of the elimination ideal
-I ∩ F[x_(k+1), ...], which must be homogeneous (I is homogeneous in the
-kept variables only), and only the leading monomials free of the first k
-variables count: they are those of the basis elements lying in that ideal,
-so the same argument applies to them, and only those elements of the
-result are guaranteed.
 
 The numerators of the Hilbert series of monomial ideals
 (``series_numerator``) are computed here, next to the engine that stops
@@ -249,12 +243,10 @@ class _Engine:
         self.target = None
         self.reached = False
         if series is not None:
-            # leading monomials free of the eliminated variables, without
-            # them, the numerator of their quotient's Hilbert series, and
-            # the target's numerator over the same (1-t)^r, trimmed
-            self.free_leads = []
+            # the numerator of HS(S/in(G)) and the target's over the same
+            # (1-t)^r, trimmed
             self.numerator = [[1]]
-            self.target = _trimmed(series.lift(ctx.nvars - ctx.eliminated))
+            self.target = _trimmed(series.lift(ctx.nvars))
         for g in sorted(gens, key=lambda g: max(map(ctx.degree, g.terms),
                                                 default=0)):
             self._admit(g.terms)
@@ -286,17 +278,12 @@ class _Engine:
             self._add_to_series(lm)
         return terms
 
-    def _add_to_series(self, lm):
-        """Update HS(S'/in(G)), S' the ring of the variables that are kept,
-        for a new leading monomial m: N(M + (m)) = N(M) - t^deg(m) N(M : m)
-        for the numerators over (1-t)^nvars(S')."""
-        k = self.ctx.eliminated
-        if any(lm[:k]):
-            return
-        m = lm[k:]
+    def _add_to_series(self, m):
+        """Update HS(S/in(G)) for a new leading monomial m, the last in
+        ``lms``: N(M + (m)) = N(M) - t^deg(m) N(M : m) for the numerators
+        over (1-t)^nvars."""
         colon = minimalize([tuple(map(sub, _mono_lcm(g, m), m))
-                            for g in self.free_leads])
-        self.free_leads.append(m)
+                            for g in self.lms[:-1]])
         self.numerator = add_shifted(self.numerator,
                                      series_numerator(colon, len(m)),
                                      0, sum(m), -1)
@@ -420,27 +407,6 @@ class GroebnerBasis:
             for lm, tail in zip(leads, tails))
         return basis
 
-    def eliminate(self, ctx):
-        """The elements free of the first k variables, k = self.ctx.nvars -
-        ctx.nvars, as a basis in ``ctx``, the ring of the other variables.
-
-        For the reduced basis of a homogeneous ideal I in an ("elim", k,
-        base) order with the target series of I ∩ F[x_(k+1), ...] (see
-        ``buchberger``) and ``ctx`` of order base, this is the reduced basis
-        of that intersection.  Its leads are sorted again in the base order
-        (the elimination order sorts by degree first, which differs for
-        lex); each element is homogeneous, so its tail is already sorted in
-        the base order too.
-        """
-        k = self.ctx.nvars - ctx.nvars
-        key = ctx.sort_key
-        kept = sorted(((lm[k:], [(m[k:], c, key(m[k:])) for m, c, _ in tail])
-                       for lm, tail in zip(self._lead, self._tails)
-                       if not any(lm[:k])),
-                      key=lambda part: key(part[0]))
-        return GroebnerBasis._from_parts(ctx, [lm for lm, _ in kept],
-                                         [tail for _, tail in kept])
-
     def lead_monomials(self):
         return self._lead
 
@@ -465,9 +431,8 @@ def buchberger(gens, ctx, series=None) -> GroebnerBasis:
     by gens, which must all lie in ``ctx``.
 
     ``series``, when given, is the HilbertSeries of S/I for the homogeneous
-    ideal I = (gens); for an ("elim", k, base) order it is the series of the
-    elimination ideal's quotient in the remaining variables.  The run then
-    stops once the leading monomials reach it (see the module docstring).
+    ideal I = (gens).  The run then stops once the leading monomials reach
+    it (see the module docstring).
     """
     gens = list(gens)
     for g in gens:

@@ -297,8 +297,8 @@ def cokernel_presentation(ideals, parameters: Ideal):
     """
     if any(component.ctx != parameters.ctx for component in ideals):
         raise ContextMismatchError("ideals come from different ring contexts")
-    T, lift = parameters.ctx.adjoin([f"e{i}" for i in range(1, len(ideals))],
-                                    parameters.ctx.order, last=True)
+    T, lift = parameters.ctx.adjoin((), parameters.ctx.order,
+                                    [f"e{i}" for i in range(1, len(ideals))])
     e = [Polynomial.variable(T, v) for v in T.variables[parameters.ctx.nvars:]]
     gens = [a * b for i, a in enumerate(e) for b in e[i:]]
     for component, e_i in zip(ideals, e + [sum(e, Polynomial.zero(T))]):

@@ -42,7 +42,8 @@ class Ideal:
     its tangent cone along the latest parameters asked for, as (parameter
     generators, cone), which ``hilbert.tangent_cone`` reads and fills.
 
-    Each cache is filled on first use, or at once by ``from_basis``.
+    Each cache is filled on first use, the basis at once by
+    ``from_basis``.
     """
 
     __slots__ = ("ctx", "generators", "_gb", "_series", "cone_cache")
@@ -64,14 +65,13 @@ class Ideal:
         self.cone_cache = None
 
     @classmethod
-    def from_basis(cls, basis: GroebnerBasis, series) -> "Ideal":
+    def from_basis(cls, basis: GroebnerBasis) -> "Ideal":
         """The ideal generated by a reduced basis, which it keeps as its
-        own, with ``series``, the Hilbert series of its quotient, which the
-        caller knows.  The basis of a homogeneous ideal is homogeneous, so
-        its elements are not checked again."""
+        own.  The basis of a homogeneous ideal is homogeneous, so its
+        elements are not checked again."""
         ideal = cls(basis.ctx, ())
         ideal.generators = basis.elements
-        ideal._gb, ideal._series = basis, series
+        ideal._gb = basis
         return ideal
 
     @classmethod
@@ -132,55 +132,56 @@ def ideal_power(a: Ideal, n: int) -> Ideal:
     return power
 
 
-def ideal_intersect(a: Ideal, b: Ideal, total=None) -> Ideal:
-    """Intersection via the single auxiliary variable t:
+def ideal_intersect(*ideals) -> Ideal:
+    """I_1 ∩ ... ∩ I_g, the annihilator of the diagonal of ⊕ S/I_i, from
+    one basis of
 
-    A ∩ B = (t*A + (1-t)*B) ∩ k[x], computed in the ("elim", 1, base)
-    order.  t has weight 0 there, so the generators t*a and (1-t)*b are
-    homogeneous in x, the order compares the x-degree first, then the
-    t-degree, then base, and the engine runs degree by degree in x.  A
-    basis element whose leading monomial is free of t is then free of t, so
-    the t-free part of the basis (``GroebnerBasis.eliminate``) is a basis
-    of A ∩ B.  On t-free monomials of one degree the order is base, so that
-    part is the reduced base basis of A ∩ B, for lex too: A ∩ B is
-    homogeneous, and on homogeneous polynomials degree-then-lex and lex
-    pick the same leading terms.
+        M = I_1 (v - e_2 - ... - e_g) + sum_(i>=2) I_i e_i + (v, e_2..e_g)^2
 
-    The elimination run has the target series
-    HS(S/(A ∩ B)) = HS(S/A) + HS(S/B) - HS(S/(A + B)), from the exact
-    sequence 0 -> S/(A ∩ B) -> S/A ⊕ S/B -> S/(A + B) -> 0, and stops once
-    its t-free leading monomials reach it.  HS(S/A) and HS(S/B) come from
-    the bases of A and B, and HS(S/(A + B)) from the basis of ``total``, the
-    ideal A + B, which a caller that holds it already passes so that one
-    basis serves both (``ProblemInstance.pair_sums``); without it a fresh
-    A + B is built.  The result keeps that series as its own.
+    in T = S[v, e_2..e_g] (``RingContext.diagonal_ring``).  In degree 1 in
+    v and the e, T/M is ⊕ S/I_i, with u_1 = v - e_2 - ... - e_g and
+    u_i = e_i the summands' generators, and v = u_1 + ... + u_g the
+    diagonal, so f v lies in M exactly when f lies in every I_i.  M is
+    homogeneous in v and the e, so its reduced basis is; an element of
+    degree 1 there whose leading term holds v is f v, and these f are the
+    core's reduced basis, in the ring's order, which the order of T is on
+    v S.  It is sorted again by leading monomial, as T compares the degree
+    first and a lex ring does not.
+
+    T/M ≅ S ⊕ (⊕ S/I_i)(-1) as graded vector spaces, so the run stops on
+    HS(T/M) = HS(S) + t sum_i HS(S/I_i), read off the components' bases.
     """
-    _check_pair(a, b)
-    ctx = a.ctx
-    ectx, include = ctx.adjoin(("t",), ("elim", 1, ctx.order))
-    t = Polynomial.variable(ectx, ectx.variables[0])
-    gens = [t * include(f) for f in a.generators]
-    gens += [include(g) - t * include(g) for g in b.generators]
+    ctx = ideals[0].ctx
+    for other in ideals[1:]:
+        _check_pair(ideals[0], other)
+    r = ctx.nvars
+    T, include = ctx.diagonal_ring(len(ideals))
+    new = [Polynomial.variable(T, name)
+           for name in T.variables[:1] + T.variables[r + 1:]]
+    v, *e = new
+    gens = [a * b for i, a in enumerate(new) for b in new[i:]]
+    gens += [include(f) * shift for ideal, shift in
+             zip(ideals, [v - sum(e, Polynomial.zero(T))] + e)
+             for f in ideal.generators]
+    summands = sum(map(quotient_hilbert_series, ideals), HilbertSeries((), 0))
+    series = HilbertSeries([1], r) + HilbertSeries(
+        (0,) + summands.numerator, summands.denominator_exponent)
+    basis = buchberger(gens, T, series)
+    core = [Polynomial.trusted(ctx, {m[1:r + 1]: c
+                                     for m, c in f.terms.items()})
+            for lm, f in zip(basis.lead_monomials(), basis)
+            if lm[0] == 1 and not any(lm[r + 1:])]
+    core.sort(key=lambda f: ctx.sort_key(f.leading_monomial()))
+    return Ideal.from_basis(GroebnerBasis(ctx, core))
 
-    if total is None:
-        total = ideal_sum(a, b)
-    series = (quotient_hilbert_series(a) + quotient_hilbert_series(b)
-              - quotient_hilbert_series(total))
-    return Ideal.from_basis(buchberger(gens, ectx, series).eliminate(ctx),
-                            series)
 
-
-def intersect_all(ideals, first_sum=None) -> Ideal:
-    """I_1 ∩ ... ∩ I_g, one pairwise intersection at a time.  ``first_sum``
-    is I_1 + I_2 when the caller holds it (see ``ideal_intersect``)."""
+def intersect_all(ideals) -> Ideal:
+    """I_1 ∩ ... ∩ I_g by one ``ideal_intersect``; a single ideal is its
+    own intersection."""
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
-    acc = ideals[0]
-    for other in ideals[1:]:
-        acc = ideal_intersect(acc, other, first_sum)
-        first_sum = None
-    return acc
+    return ideals[0] if len(ideals) == 1 else ideal_intersect(*ideals)
 
 
 def krull_dimension(a: Ideal) -> int:
@@ -290,8 +291,7 @@ def monomial_hilbert_series(lead_monomials, ctx: RingContext) -> HilbertSeries:
 
 def quotient_hilbert_series(a: Ideal) -> HilbertSeries:
     """Hilbert series of S/a via the initial ideal of the reduced basis,
-    computed once per ideal; an intersection comes with the target series
-    of its elimination."""
+    computed once per ideal."""
     if a._series is None:
         a._series = monomial_hilbert_series(a.lead_monomials(), a.ctx)
     return a._series

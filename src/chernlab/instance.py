@@ -54,16 +54,15 @@ class ProblemInstance:
     checks and the H(K, n) table share the components'.
     Otherwise ``ring`` has the variables of ``ctx`` under grevlex, J is
     generated by the parameters, and each tangent cone is that of J's graph.
-    Every order a command's bases are built in (grevlex, and the "ydeg" and
-    "elim" orders over it or over ``ctx.order``) compares the degree
+    Every order a command's bases are built in (grevlex, and the "ydeg"
+    orders over it or over ``ctx.order``) compares the degree
     first, so none is a pure-lex basis: in lex, J's basis of three dense
     quadrics in 6 variables did not finish in 30 s, where grevlex takes
     milliseconds.  Lengths, dimensions and series do not depend on the
     coordinates or the order.
 
-    ``pair_sums`` maps (i, j), i < j, to I_i + I_j; the first intersection
-    takes the sum of the first two components from it, so one basis of that
-    sum serves both its target series and the pairwise hypothesis.
+    ``pair_sums`` maps (i, j), i < j, to I_i + I_j, for the pairwise
+    hypothesis.
     """
 
     __slots__ = ("ctx", "ring", "ideals", "parameters", "J", "pair_sums",
@@ -98,9 +97,10 @@ class ProblemInstance:
 
     @property
     def core(self) -> Ideal:
-        """I_1 ∩ ... ∩ I_g, intersected on first use."""
+        """I_1 ∩ ... ∩ I_g, intersected on first use by one basis
+        (``ideals.ideal_intersect``) for any g."""
         if self._core is None:
-            self._core = intersect_all(self.ideals, self.pair_sums.get((0, 1)))
+            self._core = intersect_all(self.ideals)
         return self._core
 
     @property
@@ -134,7 +134,7 @@ def check_hypotheses(inst: ProblemInstance) -> dict:
 
     Every check reads data the instance holds already, and none needs the
     core.  Component dimensions come from ``inst.heights`` and the pairwise
-    sums from ``inst.pair_sums``, whose bases the intersection shares.
+    sums from ``inst.pair_sums``.
     ``dimension_of_quotient`` (dim S/(core + J)) is the largest
     dim S/(I_i + J), as V(core + J) is the union of the V(I_i + J), each
     read off the component's tangent cone ``tangent_cone(I_i, inst.J)``,

@@ -473,8 +473,8 @@ def test_json_byte_determinism(capsys):
 
 
 def test_one_intersection_per_command(monkeypatch, capsys):
-    # verify on g = 3: intersect_all makes two pairwise intersections, and
-    # every consumer takes the instance's core instead of intersecting
+    # verify on g = 3: intersect_all builds the core by one intersection,
+    # and every consumer takes the instance's core instead of intersecting
     # again; coeffs, on any g and with linear or quadric parameters, reads
     # K off the Rees route and L off its presentation, and makes none
     import chernlab.ideals as ideals_module
@@ -488,7 +488,7 @@ def test_one_intersection_per_command(monkeypatch, capsys):
 
     monkeypatch.setattr(ideals_module, "ideal_intersect", counting)
     for command, path, intersections in [
-            ("coeffs", E4, 0), ("verify", E4, 2), ("coeffs", E1, 0),
+            ("coeffs", E4, 0), ("verify", E4, 1), ("coeffs", E1, 0),
             ("coeffs", E2, 0), ("coeffs", E7, 0)]:
         calls.clear()
         code, _, _ = run(capsys, command, path, "--json")
@@ -549,10 +549,10 @@ def test_each_cone_series_built_once(monkeypatch, capsys, command, h_vectors):
 def test_intersection_keeps_its_target_series(monkeypatch, capsys, command,
                                               series):
     # e4: one series for each of the 3 components, the 3 pairwise sums and
-    # J's for dim S/J; verify also forms the fresh sum (I_1 ∩ I_2) + I_3
-    # for the core, which hilbert, on the Rees route, does not.  Each
-    # intersection keeps the series it targeted, so neither I_1 ∩ I_2 nor
-    # the core is read again from a basis
+    # J's for dim S/J; verify also reads the core's once off its own basis,
+    # which hilbert, on the Rees route, does not build.  The core's run
+    # stops on a series summed from the components' own, so no sum of
+    # components is formed for it
     import chernlab.ideals as ideals_module
 
     calls = []
@@ -913,9 +913,9 @@ def test_verify_computes_core_table_once(tmp_path, monkeypatch):
                                   "e3_cm_baseline", "e4_three_planes",
                                   "e5_staircase"])
 def test_verify_computes_each_basis_once(monkeypatch, capsys, name):
-    # one basis per distinct (ring, generator set): the intersection shares
-    # the pairwise sums with the hypotheses, and one component's core
-    # shares its tangent cone
+    # one basis per distinct (ring, generator set): the core's run reads
+    # the components' series, and one component's core shares its
+    # tangent cone
     import chernlab.groebner as groebner_module
     import chernlab.hilbert as hilbert_module
     import chernlab.ideals as ideals_module

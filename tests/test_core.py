@@ -234,8 +234,8 @@ def test_field_axioms_randomized():
     "grevlex", "lex",
     pytest.param(("ydeg", 2, "grevlex"), id="ydeg-grevlex"),
     pytest.param(("ydeg", 2, "lex"), id="ydeg-lex"),
-    pytest.param(("elim", 1, ("ydeg", 2, "grevlex")), id="elim-ydeg"),
-    pytest.param(("elim", 2, "lex"), id="elim2-lex"),
+    pytest.param(("ydeg", 1, ("ydeg", 3, "grevlex")), id="diagonal-ydeg"),
+    pytest.param(("ydeg", 1, ("ydeg", 1, "lex")), id="diagonal-lex"),
     pytest.param(("ydeg", 2, "grevlex", (2, 3, 1, 1)), id="ydeg-weighted")])
 def test_monomial_order_axioms(order):
     ctx = RingContext(["x", "y", "z", "w"], order=order)
@@ -257,17 +257,27 @@ def test_monomial_order_axioms(order):
                     assert key(shifted_a) < key(shifted_b)  # multiplicative
 
 
-@pytest.mark.parametrize("base", ["grevlex", "lex"])
-def test_elim_order_with_one_eliminated_variable(base):
-    # the base sees only the kept variables; with one eliminated variable
-    # that is the base on all variables after the two degrees
-    names = ["t", "x", "y", "z"]
-    full = RingContext(names, order=base).sort_key
-    elim = RingContext(names, order=("elim", 1, base))
-    rng = random.Random(23)
+@pytest.mark.parametrize("order", [
+    "grevlex", "lex",
+    pytest.param(("ydeg", 2, "grevlex"), id="ydeg-grevlex"),
+    pytest.param(("ydeg", 2, "lex"), id="ydeg-lex")])
+def test_diagonal_order_on_v_times_S(order):
+    # on v S the order of the diagonal ring is the ring's own, after the
+    # degree, and at equal degree a term in an e outranks one in v: the
+    # core's basis is read off the elements f v
+    ctx = RingContext(["x", "y", "z", "w"], order=order)
+    ring, include = ctx.diagonal_ring(3)
+    assert ring.variables == ("v", "x", "y", "z", "w", "e2", "e3")
+    key = ring.sort_key
+    rng = random.Random(f"diagonal:{order}")
     monos = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(80)]
-    assert sorted(monos, key=elim.sort_key) == \
-        sorted(monos, key=lambda m: (sum(m[1:]), m[0], full(m)))
+    assert sorted(monos, key=lambda m: key((1,) + m + (0, 0))) == \
+        sorted(monos, key=lambda m: (sum(m), ctx.sort_key(m)))
+    for a in monos[:20]:
+        for b in monos[:20]:
+            if sum(a) == sum(b):
+                assert key((0,) + a + (1, 0)) > key((1,) + b + (0, 0))
+                assert key((0,) + a + (0, 1)) > key((1,) + b + (0, 0))
 
 
 def _tuple_key(order, r):
@@ -277,10 +287,7 @@ def _tuple_key(order, r):
         return lambda m: (sum(m), tuple(-e for e in reversed(m)))
     if order == "lex":
         return lambda m: m
-    tag, k, base = order[:3]
-    if tag == "elim":
-        base_key = _tuple_key(base, r - k)
-        return lambda m: (sum(m[k:]), sum(m[:k]), base_key(m[k:]), m[:k])
+    _, k, base = order[:3]
     base_key = _tuple_key(base, r)
     weights = (order + ((1,) * r,))[3]
     return lambda m: (sum(w * e for w, e in zip(weights, m)), -sum(m[:k]),
@@ -291,10 +298,9 @@ def _tuple_key(order, r):
     "grevlex", "lex",
     pytest.param(("ydeg", 2, "grevlex"), id="ydeg-grevlex"),
     pytest.param(("ydeg", 2, "lex"), id="ydeg-lex"),
-    pytest.param(("elim", 1, "grevlex"), id="elim-grevlex"),
-    pytest.param(("elim", 1, ("ydeg", 2, "lex")), id="elim-ydeg-lex"),
-    pytest.param(("elim", 1, ("ydeg", 2, "grevlex")), id="elim-ydeg"),
-    pytest.param(("elim", 2, "lex"), id="elim2-lex"),
+    pytest.param(("ydeg", 1, ("ydeg", 1, "grevlex")), id="diagonal-grevlex"),
+    pytest.param(("ydeg", 1, ("ydeg", 3, "lex")), id="diagonal-ydeg-lex"),
+    pytest.param(("ydeg", 1, ("ydeg", 3, "grevlex")), id="diagonal-ydeg"),
     pytest.param(("ydeg", 2, "lex", (2, 3, 1, 1, 1)), id="ydeg-weighted")])
 def test_linear_key_sorts_like_tuple_key(order):
     # random exponent vectors of degree up to just below the input cap, the
@@ -396,27 +402,41 @@ def test_substitute_matches_term_by_term_evaluation():
             assert f.substitute(images) == expected
 
 
-@pytest.mark.parametrize("order, eliminated, cone_rank", [
-    ("grevlex", 0, 0), ("lex", 0, 0), (("elim", 1, "lex"), 1, 0),
-    (("elim", 2, ("ydeg", 1, "grevlex")), 2, 0),
-    (("ydeg", 2, "grevlex"), 0, 2),
-    (("ydeg", 3, "lex", (2, 3, 1, 1, 1)), 0, 3)])
-def test_order_tag_counts(order, eliminated, cone_rank):
+@pytest.mark.parametrize("order, cone_rank", [
+    ("grevlex", 0), ("lex", 0), (("ydeg", 1, ("ydeg", 3, "lex")), 1),
+    (("ydeg", 2, "grevlex"), 2),
+    (("ydeg", 3, "lex", (2, 3, 1, 1, 1)), 3)])
+def test_order_tag_counts(order, cone_rank):
     ring = RingContext(["a", "b", "c", "d", "e"], order=order)
-    assert (ring.eliminated, ring.cone_rank) == (eliminated, cone_rank)
+    assert ring.cone_rank == cone_rank
 
 
 def test_adjoin_names_order_and_inclusion(ctx4):
     f = parse_polynomial("3*x^2*w - y + 5", ctx4)
-    ring, include = ctx4.adjoin(["t", "x", "x_"], ("elim", 3, "grevlex"))
+    ring, include = ctx4.adjoin(["t", "x", "x_"], ("ydeg", 3, "grevlex"))
     # a taken name gets "_" until it is free, among the new names too
     assert ring.variables == ("t", "x_", "x__", "x", "y", "z", "w")
-    assert (ring.characteristic, ring.order, ring.eliminated) == \
-        (P, ("elim", 3, "grevlex"), 3)
+    assert (ring.characteristic, ring.order, ring.cone_rank) == \
+        (P, ("ydeg", 3, "grevlex"), 3)
     assert include(f) == parse_polynomial("3*x^2*w - y + 5", ring)
-    ring, include = ctx4.adjoin(["e1"], "lex", last=True)
+    ring, include = ctx4.adjoin((), "lex", ["e1"])
     assert ring.variables == ("x", "y", "z", "w", "e1")
     assert include(f) == parse_polynomial("3*x^2*w - y + 5", ring)
+    # new names before and after the ring's own, each made free
+    ring, include = ctx4.adjoin(["w"], "grevlex", ["w", "e"])
+    assert ring.variables == ("w_", "x", "y", "z", "w", "w__", "e")
+    assert include(f) == parse_polynomial("3*x^2*w - y + 5", ring)
+    # the diagonal ring: v first, e2..eg last, under the nested tag
+    ring, include = RingContext(["v", "e2", "x"], P, ("ydeg", 1, "lex")) \
+        .diagonal_ring(3)
+    assert ring.variables == ("v_", "v", "e2", "x", "e2_", "e3")
+    assert ring.order == ("ydeg", 1, ("ydeg", 2, "lex"))
+    assert ctx4.diagonal_ring(2)[0].order == \
+        ("ydeg", 1, ("ydeg", 1, "grevlex"))
+    for order in [("ydeg", 1, "grevlex", (1, 2, 1, 1)),
+                  ("ydeg", 1, ("ydeg", 2, "lex"))]:
+        with pytest.raises(ValueError):
+            RingContext(ctx4.variables, P, order).diagonal_ring(2)
     # no new name: the same variables under another order
     ring, include = ctx4.adjoin((), "lex")
     assert ring == RingContext(ctx4.variables, P, "lex")

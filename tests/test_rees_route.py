@@ -117,6 +117,37 @@ def test_dense_instances_of_more_components(monkeypatch, capsys, tmp_path,
                         write_problem(tmp_path / "p.json", ctx, ideals, j))
 
 
+def test_verify_on_four_components(monkeypatch, capsys, tmp_path):
+    # verify on g = 4 passes, and its e and λ(L), read off the core, equal
+    # coeffs', read off the Rees route; the core comes from one call of
+    # ideal_intersect, which runs one engine
+    path = write_problem(tmp_path / "four.json", *four_2_planes(4))
+    assert main(["coeffs", path, "--json"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)
+    engines, core_runs = [], []
+    original = ideals_module.ideal_intersect
+
+    class Recording(groebner_module._Engine):
+        def __init__(self, gens, ctx, series=None):
+            engines.append(ctx)
+            super().__init__(gens, ctx, series)
+
+    def counting(*ideals):
+        before = len(engines)
+        core = original(*ideals)
+        core_runs.append((len(ideals), len(engines) - before))
+        return core
+
+    monkeypatch.setattr(groebner_module, "_Engine", Recording)
+    monkeypatch.setattr(ideals_module, "ideal_intersect", counting)
+    assert main(["verify", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["g"], report["overall"]) == (4, "pass")
+    assert report["hilbert"]["e"] == coeffs["e"]
+    assert report["lambda_L"] == coeffs["lambda_L"]
+    assert core_runs == [(4, 1)]
+
+
 def generic_form(rng, ctx, block, degree):
     """A form of the given degree in the variables ``block``, every
     monomial with a random nonzero coefficient."""

@@ -24,8 +24,9 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
     os.environ.get("PYTHONPATH")])))
 
 # Stdlib modules that the CLI does without: argparse with the gettext and
-# locale it loads, and fractions with the decimal it loads.
-UNUSED_STDLIB = {"argparse", "gettext", "locale", "fractions", "decimal"}
+# locale it loads, fractions with the decimal it loads, and typing.
+UNUSED_STDLIB = {"argparse", "gettext", "locale", "fractions", "decimal",
+                 "typing"}
 
 # A lazy module's type is a ModuleType subclass until it has run.
 PROBE = """

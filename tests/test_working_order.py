@@ -1,8 +1,8 @@
 """No command builds a pure-lex basis.  Non-linear parameters get a grevlex
 working ring and linear ones a ("ydeg", k, base) ring, and every ring a
-command adjoins variables to (elimination, graph, Rees, L's presentation)
-keeps a degree-first order, so a problem written under ``lex`` runs no
-engine under a bare ``"lex"`` tag."""
+command adjoins variables to (the core's diagonal ring, graph, Rees, L's
+presentation) keeps a degree-first order, so a problem written under
+``lex`` runs no engine under a bare ``"lex"`` tag."""
 
 import json
 
