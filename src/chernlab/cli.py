@@ -20,7 +20,10 @@ tables of values that are printed, and it is resolved here alone (flag,
 else the file's key, else 2d + 4) and passed to the commands that print.
 Input above a documented cap is refused with exit 2 before any
 computation: a window outside 1..MAX_POWER_LIMIT (flag or key, one check),
-and betti's --d above BETTI_D_LIMIT or --n above BETTI_N_LIMIT.
+and betti's --d above BETTI_D_LIMIT or --n above BETTI_N_LIMIT.  So is
+input past the product budget ``core.POWER_PRODUCT_LIMIT``: a power or
+product while it is parsed, and a generator's move into the parameters'
+coordinates while the instance is built (a ``core.ParseError``).
 """
 
 from __future__ import annotations
@@ -127,7 +130,10 @@ def build_instance(problem: dict) -> ProblemInstance:
     Inhomogeneous generators or parameters raise ``core.HypothesisError``
     from ``Ideal`` and ``ProblemInstance`` (the graded machinery cannot run
     on them), before any basis is computed.  Input nested too deeply for
-    the recursive parser is a schema error.
+    the recursive parser is a schema error.  A generator whose move into
+    the parameters' coordinates takes more term products than the parser's
+    budget raises ParseError (``core.Polynomial.substitute``), which
+    ``main`` reports as a schema error.
     """
     try:
         ctx = RingContext(problem["variables"], problem["characteristic"],
@@ -382,7 +388,7 @@ def main(argv=None) -> int:
         if args.file is None:
             return args.func(args)
         return args.func(_admit(args), args)
-    except SchemaError as exc:
+    except (SchemaError, ParseError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except HypothesisError as exc:

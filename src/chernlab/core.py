@@ -169,17 +169,28 @@ class RingContext:
     Only this module reads inside a tag: ``cone_rank`` is the k of a
     ("ydeg", k, ...) order, 0 for the others.  Every ring with more
     variables than the problem's comes from ``adjoin``: the ring of
-    ``ideals.ideal_intersect`` (``diagonal_ring``), the graph and Rees
-    rings of ``hilbert`` and the presentation of L in ``graded``.  It keeps
-    the characteristic and puts new variables before the ring's own, after
-    them, or both, and a new name that is already taken gets ``_`` appended
-    until it is free.
+    ``ideals.direct_sum`` (``diagonal_ring`` for the core), the graph and
+    Rees rings of ``hilbert``.  It keeps the characteristic and puts new
+    variables before the ring's own, after them, or both, and a new name
+    that is already taken gets ``_`` appended until it is free.
+
+    Module positions.  ``positions`` is None for a plain ring.  A module
+    ring holds a free module F = ⊕ S' p over the ring S' of its other
+    variables: ``positions`` is the tuple of the indices of the variables
+    p, which may be empty (rank 0).  Its polynomials are linear in the
+    positions, so each monomial m p holds one position; ``strip`` drops
+    the positions' exponents, leaving m, in the ``base_nvars`` variables
+    of S'.  The engine pairs only leads at the same position, and the
+    Hilbert series of F/N sums the stripped parts
+    (``groebner.lead_numerator``), each position of degree 1.
     """
 
     __slots__ = ("variables", "characteristic", "order", "sort_key",
-                 "degree", "cone_rank", "_var_index")
+                 "degree", "cone_rank", "positions", "base_nvars", "_key",
+                 "_var_index")
 
-    def __init__(self, variables, characteristic=32003, order="grevlex"):
+    def __init__(self, variables, characteristic=32003, order="grevlex",
+                 positions=None):
         variables = tuple(variables)
         if not variables:
             raise ValueError("at least one variable is required")
@@ -201,6 +212,9 @@ class RingContext:
         self.sort_key = _linear_form(weights)
         self.degree = _linear_form(grading)
         self.cone_rank = order[1] if isinstance(order, tuple) else 0
+        self.positions = positions
+        self.base_nvars = len(variables) - len(positions or ())
+        self._key = (variables, characteristic, order, positions)
         self._var_index = {name: i for i, name in enumerate(variables)}
 
     @property
@@ -216,33 +230,45 @@ class RingContext:
     def unit_monomial(self):
         return (0,) * len(self.variables)
 
-    def adjoin(self, first, order, last=()):
+    def strip(self, m):
+        """m without the exponents of the positions."""
+        return tuple(e for i, e in enumerate(m)
+                     if i not in (self.positions or ()))
+
+    def adjoin(self, first, order, last=(), module=False):
         """(ring, include): this ring with the variables ``first`` adjoined
         before its own and ``last`` after them, under ``order``, and the
         inclusion of this ring's polynomials into it.  A name already taken
-        gets ``_`` appended until it is free."""
+        gets ``_`` appended until it is free.  The ring's own positions stay
+        positions, and with ``module`` every new variable is one too.
+        ``include`` refuses a polynomial of another ring with
+        ContextMismatchError."""
         names = self.variables
         for name in (*first, *last):
             while name in names:
                 name += "_"
             names += (name,)
         r, k = self.nvars, len(first)
+        positions = None if self.positions is None and not module else \
+            tuple(sorted([i + k for i in self.positions or ()] + [
+                *range(k), *range(k + r, len(names))] * module))
         ring = RingContext(names[r:r + k] + self.variables + names[r + k:],
-                           self.characteristic, order)
+                           self.characteristic, order, positions)
         head, tail = (0,) * k, (0,) * len(last)
 
         def include(f):
+            _check_ctx(f.ctx, self)
             return Polynomial.trusted(ring, {head + m + tail: c
                                              for m, c in f.terms.items()})
         return ring, include
 
     def diagonal_ring(self, g):
-        """(ring, include): this ring with v adjoined first and e2..eg last,
-        under ("ydeg", 1, ("ydeg", k + 1, base)) for this ring's tag
-        ("ydeg", k, base), or k = 0 for a bare base, grevlex or lex.  All
-        variables have degree 1.  At equal degree a term of lower degree
-        in v ranks higher, so a homogeneous polynomial linear in v and the
-        e whose leading term holds v is f v.  On v S the order is this
+        """(ring, include): this ring with the positions v adjoined first
+        and e1..e(g-1) last, under ("ydeg", 1, ("ydeg", k + 1, base)) for
+        this ring's tag ("ydeg", k, base), or k = 0 for a bare base,
+        grevlex or lex.  All variables have degree 1.  At equal degree a
+        term at v ranks below one at an e, so an element of the module
+        whose leading term is at v is f v.  On v S the order is this
         ring's own within each degree, as every row sees v and the e there
         at fixed exponents: the k + 1 first variables are v and the y.
         ``ideals.ideal_intersect`` reads the core's reduced basis off such
@@ -253,17 +279,15 @@ class RingContext:
             raise ValueError(f"no diagonal ring over the order {self.order!r}")
         return self.adjoin(("v",), ("ydeg", 1, ("ydeg", order[1] + 1,
                                                  order[2])),
-                           [f"e{i}" for i in range(2, g + 1)])
+                           [f"e{i}" for i in range(1, g)], module=True)
 
     def __eq__(self, other):
         if not isinstance(other, RingContext):
             return NotImplemented
-        return (self.variables == other.variables
-                and self.characteristic == other.characteristic
-                and self.order == other.order)
+        return self._key == other._key
 
     def __hash__(self):
-        return hash((self.variables, self.characteristic, self.order))
+        return hash(self._key)
 
     def __repr__(self):
         return (f"RingContext({list(self.variables)}, "
@@ -284,8 +308,8 @@ def _mul_terms(a, b, p):
     return out
 
 
-def _check_ctx(a: "Polynomial", b: "Polynomial"):
-    if a.ctx != b.ctx:
+def _check_ctx(a: RingContext, b: RingContext):
+    if a != b:
         raise ContextMismatchError("operands come from different ring contexts")
 
 
@@ -376,7 +400,7 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        _check_ctx(self, other)
+        _check_ctx(self.ctx, other.ctx)
         p = self.ctx.characteristic
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -402,7 +426,7 @@ class Polynomial:
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        _check_ctx(self, other)
+        _check_ctx(self.ctx, other.ctx)
         return Polynomial.trusted(self.ctx, _mul_terms(
             self.terms, other.terms, self.ctx.characteristic))
 
@@ -429,24 +453,35 @@ class Polynomial:
         """Evaluate at variable images (a list of polynomials, one per variable).
 
         Every term's image goes into one dict, and each power of an image is
-        computed once, from the power below it.
+        computed once, from the power below it.  The products of terms are
+        counted against the parser's budget: more than
+        ``POWER_PRODUCT_LIMIT`` raise ParseError before they are made.
         """
         if len(images) != self.ctx.nvars:
             raise ValueError("need one image per variable")
         for g in images:
-            _check_ctx(images[0], g)
+            _check_ctx(images[0].ctx, g.ctx)
         target = images[0].ctx
         p = target.characteristic
         unit = target.unit_monomial()
         powers = [[{unit: 1}] for _ in images]
         out = {}
+        budget = [POWER_PRODUCT_LIMIT]
+
+        def product(a, b):
+            budget[0] -= len(a) * len(b)
+            if budget[0] < 0:
+                raise ParseError("coordinate change: over the budget of "
+                                 f"{POWER_PRODUCT_LIMIT} term products")
+            return _mul_terms(a, b, p)
+
         for mono, coeff in self.terms.items():
             prod = {unit: coeff}
             for image, cache, e in zip(images, powers, mono):
                 if e:
                     while len(cache) <= e:
-                        cache.append(_mul_terms(cache[-1], image.terms, p))
-                    prod = _mul_terms(prod, cache[e], p)
+                        cache.append(product(cache[-1], image.terms))
+                    prod = product(prod, cache[e])
             for m, c in prod.items():
                 v = (out.get(m, 0) + c) % p
                 if v:

@@ -11,17 +11,17 @@ polynomial certifies the exact top degree; ``verify`` keeps it as the
 cross-check of length(L), and the core route of
 ``instance.ProblemInstance.ring_series``, taken only under ``--force``,
 reads length(L) off it.  The series of gr_J(L) needs no intersection: L
-is presented by the components alone, in T = S[e_1, ..., e_(g-1)] with
-every e of degree 1, by the ideal
+is presented by the components alone, as a module over S, by the
+submodule
 
-    B' = sum_(i<g) I_i e_i + I_g (e_1 + ... + e_(g-1)) + (e_i e_j : i <= j)
+    B' = sum_(i<g) I_i e_i - I_g (e_1 + ... + e_(g-1))
 
-with T/B' ≅ S ⊕ L(-1) as S-modules.  ``hilbert.cokernel_presentation``
-builds B', and the Rees route (``hilbert.rees_series``) reads L ⊗ Sym(J)
-off the same B'.  The Hilbert series of gr_J(L) is read off the tangent
-cone of B' along J, less the summand S
-(``hilbert.TangentCone.submodule_series``): for linear parameters from the
-one basis of B', for other parameters from one basis of J's graph over it.
+of the free module on the positions e_1, ..., e_(g-1), each of degree 1,
+with F/B' ≅ L(-1).  ``hilbert.cokernel_presentation`` builds B', and the
+Rees route (``hilbert.rees_series``) reads L ⊗ Sym(J) off the same B'.
+The Hilbert series of gr_J(L) is the series of B''s tangent cone along J
+(``hilbert.TangentCone``): for linear parameters from the one basis of
+B', for other parameters from one basis of J's graph over it.
 ``verify`` reads that one series (``gr_series``): length(L) is its total,
 nu = min{n : J^n L = 0} its length, and length(L / J^n L) its n-th partial
 sum.  ``coeffs`` needs only length(L), which comes with K's series
@@ -93,12 +93,12 @@ def diagonal_cokernel(ideals, core: Ideal) -> Cokernel:
 
 def gr_series(ideals, ideal: Ideal) -> HilbertSeries:
     """The Hilbert series of gr_J(L) for J = ``ideal``, from one basis of
-    L's presentation B' in T = ring[e_1..e_(g-1)], with no intersection.
+    L's presentation B' in the module ring T = ring[e_1..e_(g-1)], with no
+    intersection.
 
-    T/B' ≅ S ⊕ L(-1) as S-modules, with L(-1) the submodule that the e
-    generate (``hilbert.cokernel_presentation``).  gr_J(L)'s series is that
-    submodule's, read off the tangent cone of B' along J
-    (``hilbert.TangentCone.submodule_series``).  L has finite length, so
+    F/B' ≅ L(-1) (``hilbert.cokernel_presentation``), so gr_J(L)'s series
+    is that of the tangent cone of B' along J (``hilbert.TangentCone``),
+    and 0 for g = 1, where L = 0.  L has finite length, so
     the series is a polynomial whose coefficients are
     dim J^n L / J^(n+1) L.  By Nakayama they vanish exactly from
     nu = min{n : J^n L = 0} on, so nu is the length of its numerator,
@@ -108,10 +108,10 @@ def gr_series(ideals, ideal: Ideal) -> HilbertSeries:
     some pairwise sum I_i + I_j is not m-primary.  Each call builds the
     basis of B' anew, so read every number wanted off one series.
     """
-    T, e, gens, f = cokernel_presentation(ideals, ideal)
+    T, gens, f = cokernel_presentation(ideals, ideal)
     cone = tangent_cone(Ideal(T, gens), Ideal(T, f))
     try:
-        series = cone.submodule_series(len(e))
+        series = cone.series()
         series.total()      # raises unless the series is a polynomial
     except NotFiniteLengthError:
         raise NotFiniteLengthError(_INFINITE_LENGTH) from None

@@ -25,24 +25,35 @@ For input homogeneous in that degree the schedule makes the basis exact
 degree by degree: once every pair of S-degree <= s has been processed, the
 leading terms of degree <= s are final.
 
+Modules.  In a ring with positions (``core.RingContext``) the input is a
+submodule N of the free module F on the positions, each element linear in
+them, and the engine keeps each lead's position: it queues a pair only
+when both leads sit at the same position, or, in a plain ring, where no
+lead has one (module Groebner bases: Kreuzer-Robbiano, Computational
+Commutative Algebra 1, ch. 2).  Leads at two positions have no
+S-polynomial in F, and the elements' products with positions, of degree 2
+in them, are not elements of N.
+
 Hilbert-driven stop (Traverso, "Hilbert functions and the Buchberger
 algorithm", J. Symbolic Comput. 22, 1996).  ``buchberger`` may be given the
-Hilbert series of S/I, known in advance.  After each new basis element G the
-engine compares HS(S/in(G)) with it and, once they are equal, drops the
-pairs still queued.  The two are compared as integer lists, numerators
-over (1-t)^r with r the number of variables the series counts: the engine
-keeps the numerator of HS(S/in(G)) up to date, one leading monomial at a
-time, and lifts the target's numerator to (1-t)^r once
-(``HilbertSeries.lift``).  This is exact for homogeneous I, which ``Ideal``
-enforces: in(G) is contained in in(I), both are monomial ideals, and
-dim S_s/in(I)_s = dim S_s/I_s in every degree s, so equal series force
-in(G) = in(I) degree by degree.  G is then already a Groebner basis, every
-dropped pair would have reduced to zero, and the reduced basis is the same.
+Hilbert series of S/I, or of F/N in a module ring, known in advance.  After
+each new basis element G the engine compares HS(S/in(G)) with it and, once
+they are equal, drops the pairs still queued.  The two are compared as
+integer lists, numerators over (1-t)^r with r the number of variables that
+are not positions: the engine keeps the numerator of HS(S/in(G)) up to
+date, one leading monomial at a time, and lifts the target's numerator to
+(1-t)^r once (``HilbertSeries.lift``).  The count is per position: a new
+lead m p takes its colon over the leads at p, stripped of p.  This is
+exact for homogeneous I, which ``Ideal`` enforces: in(G) is contained in
+in(I), both are monomial, and dim S_s/in(I)_s = dim S_s/I_s in every
+degree s, so equal series force in(G) = in(I) degree by degree.  G is then
+already a Groebner basis, every dropped pair would have reduced to zero,
+and the reduced basis is the same.
 
-The numerators of the Hilbert series of monomial ideals
-(``series_numerator``) are computed here, next to the engine that stops
-on them; ``ideals`` and ``hilbert`` import them, and this module imports
-only ``core``.
+The numerators of the Hilbert series of monomial ideals and submodules
+(``series_numerator``, ``lead_numerator``) are computed here, next to the
+engine that stops on them; ``ideals`` and ``hilbert`` import them, and
+this module imports only ``core``.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ __all__ = [
     "GroebnerBasis",
     "add_shifted",
     "buchberger",
+    "lead_numerator",
     "minimalize",
     "normal_form",
     "s_polynomial",
@@ -144,6 +156,21 @@ def series_numerator(gens, r, k=0):
                        *((1, 0) if u < k else (0, 1)), 1)
 
 
+def lead_numerator(leads, ctx, k=0):
+    """``series_numerator`` of the monomial ideal that ``leads`` generate,
+    or in a ring with positions of the monomial submodule: the sum over the
+    positions of the numerators of the leads there, stripped of the
+    position, each times s, the position's degree.  It is over
+    (1-t)^k (1-s)^(n-k), n = ``ctx.base_nvars``; rank 0 gives 0."""
+    if ctx.positions is None:
+        return series_numerator(minimalize(leads), ctx.nvars, k)
+    num, r = [[]], ctx.base_nvars
+    for i in ctx.positions:
+        part = minimalize([ctx.strip(m) for m in leads if m[i]])
+        num = add_shifted(num, series_numerator(part, r, k), 0, 1, 1)
+    return num
+
+
 def _reduce_terms(terms, key, lms, lead_keys, degs, tails, p, reducer_of):
     """Full normal form of a term dict against monic reducers, as
     (monomial, coefficient, key) triples, largest first.
@@ -207,11 +234,13 @@ class _Engine:
 
     Basis elements are stored monic, as their leading monomials and keys,
     their tails of keyed triples sorted largest first and their contents,
-    the componentwise minimum of their monomials.  ``_admit``
-    appends each element, generator (lowest ``ctx.degree`` first) or
-    S-polynomial, only as its nonzero remainder modulo the earlier ones, so
-    no leading monomial is divisible by an earlier one and ``lms`` holds no
-    duplicate.  ``run()`` processes the queued pairs until none is left.
+    the componentwise minimum of their monomials; ``at`` maps each
+    position, None in a plain ring, to the elements whose leads sit there.
+    ``_admit`` appends each element, generator (lowest ``ctx.degree``
+    first) or S-polynomial, only as its nonzero remainder modulo the
+    earlier ones, so no leading monomial is divisible by an earlier one and
+    ``lms`` holds no duplicate, and pairs it with the elements at its
+    position.  ``run()`` processes the queued pairs until none is left.
     With a target ``series`` the queue is dropped as soon as HS(S/in(G))
     reaches it (see the module docstring).
 
@@ -233,6 +262,7 @@ class _Engine:
         self.degs = []
         self.tails = []
         self.contents = []
+        self.at = {}
         self.pairs = []
         self.pending = set()
         self.pairs_popped = 0
@@ -245,8 +275,8 @@ class _Engine:
         if series is not None:
             # the numerator of HS(S/in(G)) and the target's over the same
             # (1-t)^r, trimmed
-            self.numerator = [[1]]
-            self.target = _trimmed(series.lift(ctx.nvars))
+            self.numerator = lead_numerator((), ctx)
+            self.target = _trimmed(series.lift(ctx.base_nvars))
         for g in sorted(gens, key=lambda g: max(map(ctx.degree, g.terms),
                                                 default=0)):
             self._admit(g.terms)
@@ -268,25 +298,29 @@ class _Engine:
         self.degs.append(sum(lm))
         self.tails.append(terms[1:])
         self.contents.append(tuple(map(min, zip(*(m for m, _, _ in terms)))))
-        for i in range(j):
+        same = self.at.setdefault(
+            next((i for i in self.ctx.positions or () if lm[i]), None), [])
+        for i in same:
             lcm = _mono_lcm(self.lms[i], lm)
             entry = ((self.degree(lcm), self.key(lcm), self.lead_keys[i],
                       lm_key), i, j)
             heappush(self.pairs, entry)
             self.pending.add((i, j))
         if self.target is not None:
-            self._add_to_series(lm)
+            self._add_to_series(lm, same)
+        same.append(j)
         return terms
 
-    def _add_to_series(self, m):
+    def _add_to_series(self, m, same):
         """Update HS(S/in(G)) for a new leading monomial m, the last in
-        ``lms``: N(M + (m)) = N(M) - t^deg(m) N(M : m) for the numerators
-        over (1-t)^nvars."""
-        colon = minimalize([tuple(map(sub, _mono_lcm(g, m), m))
-                            for g in self.lms[:-1]])
-        self.numerator = add_shifted(self.numerator,
-                                     series_numerator(colon, len(m)),
-                                     0, sum(m), -1)
+        ``lms``, at the position of the elements ``same``:
+        N(M + (m)) = N(M) - t^deg(m) N(M : m) for the numerators over
+        (1-t)^base_nvars, the colon over the leads at m's position with the
+        position stripped."""
+        colon = minimalize([self.ctx.strip(tuple(map(sub, _mono_lcm(
+            self.lms[i], m), m))) for i in same])
+        self.numerator = add_shifted(self.numerator, series_numerator(
+            colon, self.ctx.base_nvars), 0, sum(m), -1)
         self.reached = _trimmed(self.numerator[0]) == self.target
 
     def run(self):
@@ -431,8 +465,9 @@ def buchberger(gens, ctx, series=None) -> GroebnerBasis:
     by gens, which must all lie in ``ctx``.
 
     ``series``, when given, is the HilbertSeries of S/I for the homogeneous
-    ideal I = (gens).  The run then stops once the leading monomials reach
-    it (see the module docstring).
+    ideal I = (gens), or of F/N for the submodule N = (gens) of a module
+    ring.  The run then stops once the leading monomials reach it (see the
+    module docstring).
     """
     gens = list(gens)
     for g in gens:

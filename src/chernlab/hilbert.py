@@ -14,11 +14,10 @@ the command line, as a fit on a short window can accept a wrong polynomial.
 
 from __future__ import annotations
 
-from .core import (ContextMismatchError, Polynomial, RingContext, binomial,
-                   require_parameter)
-from .groebner import add_shifted, buchberger, minimalize, series_numerator
-from .ideals import (HilbertSeries, Ideal, ideal_power, ideal_sum,
-                     quotient_hilbert_series, quotient_length)
+from .core import Polynomial, RingContext, binomial, require_parameter
+from .groebner import buchberger, lead_numerator
+from .ideals import (HilbertSeries, Ideal, direct_sum, ideal_power,
+                     ideal_sum, quotient_hilbert_series, quotient_length)
 from .linalg import rref_mod_p
 
 __all__ = [
@@ -96,7 +95,7 @@ def parameter_coordinates(ctx, parameters):
 
 class TangentCone:
     """The bigraded Hilbert series of an ideal's tangent cone along linear
-    parameters.
+    parameters, or of a submodule's in a module ring.
 
     The parameters span J = (y_1, ..., y_k), the first k variables of
     ``ctx``, and the other variables are z_1, ..., z_(r-k).  ``leads`` are
@@ -104,19 +103,22 @@ class TangentCone:
     ("ydeg", k, base) or ("ydeg", k, base, w) order ``ctx`` carries: on
     homogeneous input they generate the initial ideal of the tangent cone.
     Counting monomials by y-degree and z-degree does not depend on the
-    weights w.  The cone keeps ``leads``, the minimal generators of that
-    initial ideal, ``numerator``, the numerator of HS(S/in(ideal)) over
-    (1-t)^k (1-s)^(r-k), with weight t on the y and s on the z variables,
-    indexed [t-degree][s-degree], and its ``series`` once built.
+    weights w.  The cone keeps ``numerator``, the numerator of
+    HS(S/in(ideal)) over (1-t)^k (1-s)^(r-k), with weight t on the y and s
+    on the z variables, indexed [t-degree][s-degree], and its ``series``
+    once built.  In a module ring, whose positions come after the y, r
+    counts the variables that are not positions, and the leads are read
+    position by position: each part's numerator is that of its leads with
+    the position stripped, and the parts are summed
+    (``groebner.lead_numerator``), so a module of rank 0 reads as 0.
     """
 
-    __slots__ = ("ctx", "k", "leads", "numerator", "_gr")
+    __slots__ = ("ctx", "k", "numerator", "_gr")
 
     def __init__(self, ctx, k, leads):
         self.ctx = ctx
         self.k = k
-        self.leads = minimalize(leads)
-        self.numerator = series_numerator(self.leads, ctx.nvars, k)
+        self.numerator = lead_numerator(leads, ctx, k)
         self._gr = None
 
     def dimension_mod_parameters(self) -> int:
@@ -128,7 +130,7 @@ class TangentCone:
         in(ideal|_(y=0)), and so has the dimension of S/(ideal + J).
         """
         return HilbertSeries(self.numerator[0],
-                             self.ctx.nvars - self.k).dimension()
+                             self.ctx.base_nvars - self.k).dimension()
 
     def h_vector(self) -> list:
         """The coefficients q_0, q_1, ... of the h-polynomial Q(t) of
@@ -144,27 +146,8 @@ class TangentCone:
         """
         # total() divides out (1-s)^(r-k) and raises NotFiniteLengthError
         # when it does not divide, which row 0, first, decides
-        return [HilbertSeries(row, self.ctx.nvars - self.k).total()
+        return [HilbertSeries(row, self.ctx.base_nvars - self.k).total()
                 for row in self.numerator]
-
-    def submodule_series(self, m) -> HilbertSeries:
-        """The Hilbert series of gr_J(M), M the submodule of S/ideal that
-        the last m variables e generate, for an ideal homogeneous in the e.
-
-        S/ideal is then S/(ideal + (e)) ⊕ M as graded vector spaces, its
-        parts of e-degree 0 and above, and in(ideal + (e)) = in(ideal) + (e),
-        so the first summand's numerator is read off the cone's own leading
-        monomials.  It is subtracted from the cone's before the rows are
-        reduced as in ``h_vector``: the first summand need not have finite
-        length modulo J, but M must.  Raises NotFiniteLengthError when it
-        does not.
-        """
-        r = self.ctx.nvars
-        e = [tuple(int(j == i) for j in range(r)) for i in range(r - m, r)]
-        rows = add_shifted(self.numerator, series_numerator(
-            minimalize(self.leads + e), r, self.k), 0, 0, -1)
-        return HilbertSeries([HilbertSeries(row, r - self.k).total()
-                              for row in rows], self.k)
 
     def series(self) -> HilbertSeries:
         """The Hilbert series Q(t)/(1-t)^k of gr_J(S/ideal), in lowest
@@ -189,9 +172,17 @@ def _parameter_ring(ring, parameters, name, base):
                         for v in T.variables[:len(degrees)]]
 
 
+def _positions(ring):
+    """The generators of a module ring's free module, its positions, or
+    [1] for a plain ring."""
+    return [1] if ring.positions is None else [
+        Polynomial.variable(ring, ring.variables[i]) for i in ring.positions]
+
+
 def _graph_cone(ideal: Ideal, parameters) -> TangentCone:
     """The tangent cone of the graph G = ideal + (u_i - f_i) of the
-    parameters f_1..f_m in T = ring[u_1..u_m], along (u).
+    parameters f_1..f_m in T = ring[u_1..u_m], along (u); in a module ring
+    the u_i - f_i enter times each position.
 
     u_i ↦ f_i gives T/G ≅ S/ideal, taking (u)^n onto J^n, so
     length(S/(ideal + J^n)) = length(T/(G + (u)^n)): the u are linear
@@ -206,7 +197,8 @@ def _graph_cone(ideal: Ideal, parameters) -> TangentCone:
     T, include, u = _parameter_ring(ideal.ctx, parameters, "u",
                                     ideal.ctx.order)
     graph = [include(f) for f in ideal.groebner().elements]
-    graph += [u_i - include(f) for u_i, f in zip(u, parameters)]
+    graph += [(u_i - include(f)) * e for u_i, f in zip(u, parameters)
+              for e in _positions(T)]
     standard = all(f.degree() == 1 for f in parameters)
     basis = buchberger(graph, T,
                        quotient_hilbert_series(ideal) if standard else None)
@@ -279,31 +271,21 @@ def multiplicity(series: HilbertSeries, d: int) -> int:
 
 
 def cokernel_presentation(ideals, parameters: Ideal):
-    """(T, e, gens, f): the one presentation of L, the cokernel of
-    R = S/(I_1 ∩ ... ∩ I_g) >--> ⊕ S/I_i.  T = ring[e_1..e_(g-1)] extends
-    the ring of the components ``ideals`` and of J = ``parameters``, ``e``
-    are the e_i in T, ``gens`` generate
+    """(T, gens, f): the one presentation of L, the cokernel of
+    R = S/(I_1 ∩ ... ∩ I_g) >--> ⊕ S/I_i, in the module ring
+    T = ring[e_1..e_(g-1)] over the ring of the components ``ideals`` and
+    of J = ``parameters``: ``gens`` generate
 
-        B' = sum_(i<g) I_i e_i + I_g (e_1 + ... + e_(g-1)) + (e_i e_j)
+        B' = sum_(i<g) I_i e_i - I_g (e_1 + ... + e_(g-1))
 
-    in T, and ``f`` are J's generators moved there.
-
-    L = S^(g-1)/(I_i e_i (i < g), I_g (e_1 + ... + e_(g-1))), as the image
-    of R is generated by e_1 + ... + e_g, so T/B' ≅ S ⊕ L(-1) as S-modules,
-    with L(-1) the submodule that the e generate.  The e have degree 1 and
-    are adjoined last under the ring's order tag: for a ("ydeg", k, base)
-    ring the y stay first, and B' is homogeneous in the e, as
-    ``TangentCone.submodule_series`` needs.  No intersection is built.
+    (``ideals.direct_sum`` with v = 0), so F/B' ≅ L(-1), and ``f`` are J's
+    generators moved there.  The positions e have degree 1 and are
+    adjoined last under the ring's order tag: for a ("ydeg", k, base) ring
+    the y stay first.  No intersection is built.  Components and parameters
+    of two rings raise ContextMismatchError.
     """
-    if any(component.ctx != parameters.ctx for component in ideals):
-        raise ContextMismatchError("ideals come from different ring contexts")
-    T, lift = parameters.ctx.adjoin((), parameters.ctx.order,
-                                    [f"e{i}" for i in range(1, len(ideals))])
-    e = [Polynomial.variable(T, v) for v in T.variables[parameters.ctx.nvars:]]
-    gens = [a * b for i, a in enumerate(e) for b in e[i:]]
-    for component, e_i in zip(ideals, e + [sum(e, Polynomial.zero(T))]):
-        gens += [lift(f) * e_i for f in component.groebner().elements]
-    return T, e, gens, [lift(f) for f in parameters.generators]
+    T, include, gens = direct_sum(ideals, diagonal=False)
+    return T, gens, [include(f) for f in parameters.generators]
 
 
 def rees_series(ideals, parameters: Ideal):
@@ -322,29 +304,26 @@ def rees_series(ideals, parameters: Ideal):
     checks built; it is e_0 C(n+d-1, d), e_0 = Σ e_0(J, S/I_i).  J is
     generated by a regular sequence, so ⊕_n J^n = Sym(J) =
     S[t_1..t_d]/I_2(f; t), the 2x2 minors f_i t_j - f_j t_i (Huneke,
-    J. Algebra 62, 1980).  With L's presentation B' in T = S[e]
-    (``cokernel_presentation``), the ideal B' + I_2(f; t)(e) of T[t] lies
-    in (e), so the quotient is S[t] ⊕ (L ⊗ Sym(J))(-1): its e-degree-0
-    part is S[t], and its e-degree-1 part is
-    S^(g-1)/B'_1 ⊗ S[t]/I_2(f; t) = ⊕_n L ⊗ J^n.  The minors enter times
-    each e, so the run never builds a basis of Sym(J) alone: for g = 2 the
-    ideal is (I_1 + I_2 + I_2(f; t)) e_1 + (e_1^2).  With deg t_i = deg f_i
-    it is homogeneous and, in the t, of degree zero or one per term, so
-    one basis in the ("ydeg", d, "grevlex", w) order of
+    J. Algebra 62, 1980).  With L's presentation B' in the module ring
+    T = S[e] (``cokernel_presentation``), the submodule B' + I_2(f; t)(e)
+    of the free T[t]-module on the e has the quotient
+    S^(g-1)/B' ⊗ S[t]/I_2(f; t) = ⊕_n L ⊗ J^n, shifted by the e's degree.
+    The minors enter times each e, so the run never builds a basis of
+    Sym(J) alone: for g = 2 the module is (I_1 + I_2 + I_2(f; t)) e_1.
+    With deg t_i = deg f_i it is homogeneous and, in the t, of degree zero
+    or one per term, so one basis in the ("ydeg", d, "grevlex", w) order of
     ``_parameter_ring``, t first, e last, whatever the problem's order,
-    gives A(t) = Σ λ(L ⊗ J^n) t^n as its cone's e-generated part
-    (``TangentCone.submodule_series``, which subtracts S[t]), and
+    gives A(t) = Σ λ(L ⊗ J^n) t^n as its cone's series, and
     HS(gr_J R) = Σ HS(gr_J S/I_i) + ((1-t)A - λ(L))/t.  λ(L) = A(0), the
     t^0 part L ⊗ S, comes with the series at no cost.
     """
-    T, e, gens, f = cokernel_presentation(ideals, parameters)
+    T, gens, f = cokernel_presentation(ideals, parameters)
     rees, include, t = _parameter_ring(T, f, "t", "grevlex")
     f, d = [include(g) for g in f], len(t)
     gens = [include(g) for g in gens] + [
-        (f[i] * t[j] - f[j] * t[i]) * include(v)
-        for v in e for i in range(d) for j in range(i + 1, d)]
-    a = TangentCone(rees, d, buchberger(gens, rees).lead_monomials()
-                    ).submodule_series(len(e))
+        (f[i] * t[j] - f[j] * t[i]) * e for e in _positions(rees)
+        for i in range(d) for j in range(i + 1, d)]
+    a = TangentCone(rees, d, buchberger(gens, rees).lead_monomials()).series()
     length = a.summed(1)
     rest = HilbertSeries(a.lift(d), d - 1) - HilbertSeries([length], 0)
     rest = HilbertSeries(rest.numerator[1:], rest.denominator_exponent)

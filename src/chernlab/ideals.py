@@ -13,8 +13,7 @@ from itertools import combinations_with_replacement
 
 from .core import (ContextMismatchError, HypothesisError, Polynomial,
                    RingContext, binomial, parse_polynomial)
-from .groebner import (GroebnerBasis, buchberger, minimalize,
-                       series_numerator)
+from .groebner import GroebnerBasis, buchberger, lead_numerator
 
 __all__ = [
     "Ideal",
@@ -23,6 +22,7 @@ __all__ = [
     "ideal_sum",
     "ideal_product",
     "ideal_power",
+    "direct_sum",
     "ideal_intersect",
     "intersect_all",
     "krull_dimension",
@@ -132,45 +132,53 @@ def ideal_power(a: Ideal, n: int) -> Ideal:
     return power
 
 
+def direct_sum(ideals, diagonal=True):
+    """(T, include, gens): ⊕ S/I_i as the quotient of a free module of the
+    module ring T over the ring S of the ``ideals``, by the submodule
+
+        N = sum_(i<g) I_i e_i + I_g (v - e_1 - ... - e_(g-1))
+
+    that ``gens`` generate, ``include`` taking S into T.  With
+    ``diagonal``, T is ``RingContext.diagonal_ring(g)``, whose positions are
+    v and e_1..e_(g-1); F/N is ⊕ S/I_i, with u_i = e_i (i < g) and
+    u_g = v - e_1 - ... - e_(g-1) the summands' generators, and
+    v = u_1 + ... + u_g the diagonal.  Without, T is S with the positions
+    e_1..e_(g-1) adjoined last under S's order and v = 0: F/N is then L,
+    the cokernel of R = S/(I_1 ∩ ... ∩ I_g) >--> ⊕ S/I_i, whose image the
+    diagonal generates.  The I_i enter by their reduced bases, and
+    ContextMismatchError refuses components of two rings.
+    """
+    ctx, g = ideals[0].ctx, len(ideals)
+    T, include = (ctx.diagonal_ring(g) if diagonal else ctx.adjoin(
+        (), ctx.order, [f"e{i}" for i in range(1, g)], module=True))
+    e = [Polynomial.variable(T, T.variables[i]) for i in T.positions]
+    v = e.pop(0) if diagonal else Polynomial.zero(T)
+    return T, include, [
+        include(f) * u for ideal, u in zip(ideals, e + [v - sum(
+            e, Polynomial.zero(T))]) for f in ideal.groebner().elements]
+
+
 def ideal_intersect(*ideals) -> Ideal:
-    """I_1 ∩ ... ∩ I_g, the annihilator of the diagonal of ⊕ S/I_i, from
-    one basis of
+    """I_1 ∩ ... ∩ I_g, the annihilator of the diagonal v of ⊕ S/I_i, from
+    one basis of its presentation N in the diagonal ring T
+    (``direct_sum``): f v lies in N exactly when f lies in every I_i.  N is
+    homogeneous, so its reduced basis is; an element whose leading term
+    sits at v is f v, and these f are the core's reduced basis, in the
+    ring's order, which the order of T is on v S.  It is sorted again by
+    leading monomial, as T compares the degree first and a lex ring does
+    not.
 
-        M = I_1 (v - e_2 - ... - e_g) + sum_(i>=2) I_i e_i + (v, e_2..e_g)^2
-
-    in T = S[v, e_2..e_g] (``RingContext.diagonal_ring``).  In degree 1 in
-    v and the e, T/M is ⊕ S/I_i, with u_1 = v - e_2 - ... - e_g and
-    u_i = e_i the summands' generators, and v = u_1 + ... + u_g the
-    diagonal, so f v lies in M exactly when f lies in every I_i.  M is
-    homogeneous in v and the e, so its reduced basis is; an element of
-    degree 1 there whose leading term holds v is f v, and these f are the
-    core's reduced basis, in the ring's order, which the order of T is on
-    v S.  It is sorted again by leading monomial, as T compares the degree
-    first and a lex ring does not.
-
-    T/M ≅ S ⊕ (⊕ S/I_i)(-1) as graded vector spaces, so the run stops on
-    HS(T/M) = HS(S) + t sum_i HS(S/I_i), read off the components' bases.
+    F/N ≅ (⊕ S/I_i)(-1) as graded vector spaces, so the run stops on
+    HS(F/N) = t sum_i HS(S/I_i), read off the components' bases.
     """
     ctx = ideals[0].ctx
-    for other in ideals[1:]:
-        _check_pair(ideals[0], other)
-    r = ctx.nvars
-    T, include = ctx.diagonal_ring(len(ideals))
-    new = [Polynomial.variable(T, name)
-           for name in T.variables[:1] + T.variables[r + 1:]]
-    v, *e = new
-    gens = [a * b for i, a in enumerate(new) for b in new[i:]]
-    gens += [include(f) * shift for ideal, shift in
-             zip(ideals, [v - sum(e, Polynomial.zero(T))] + e)
-             for f in ideal.generators]
+    T, _, gens = direct_sum(ideals)
     summands = sum(map(quotient_hilbert_series, ideals), HilbertSeries((), 0))
-    series = HilbertSeries([1], r) + HilbertSeries(
-        (0,) + summands.numerator, summands.denominator_exponent)
-    basis = buchberger(gens, T, series)
-    core = [Polynomial.trusted(ctx, {m[1:r + 1]: c
+    basis = buchberger(gens, T, HilbertSeries(
+        (0,) + summands.numerator, summands.denominator_exponent))
+    core = [Polynomial.trusted(ctx, {m[1:ctx.nvars + 1]: c
                                      for m, c in f.terms.items()})
-            for lm, f in zip(basis.lead_monomials(), basis)
-            if lm[0] == 1 and not any(lm[r + 1:])]
+            for lm, f in zip(basis.lead_monomials(), basis) if lm[0]]
     core.sort(key=lambda f: ctx.sort_key(f.leading_monomial()))
     return Ideal.from_basis(GroebnerBasis(ctx, core))
 
@@ -283,10 +291,10 @@ class HilbertSeries:
 
 
 def monomial_hilbert_series(lead_monomials, ctx: RingContext) -> HilbertSeries:
-    """Exact Hilbert series of S/(monomial ideal)."""
-    r = ctx.nvars
-    gens = minimalize(lead_monomials)
-    return HilbertSeries(series_numerator(gens, r)[0], r)
+    """Exact Hilbert series of S/(monomial ideal), or in a module ring of
+    F/(monomial submodule) (``groebner.lead_numerator``)."""
+    return HilbertSeries(lead_numerator(lead_monomials, ctx)[0],
+                         ctx.base_nvars)
 
 
 def quotient_hilbert_series(a: Ideal) -> HilbertSeries:

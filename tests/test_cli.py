@@ -396,6 +396,25 @@ def test_schema_error_product_budget(tmp_path, capsys):
     assert "schema error" in err and "POWER_PRODUCT_LIMIT" in err
 
 
+def test_schema_error_coordinate_change_budget(tmp_path, capsys,
+                                              monkeypatch):
+    # the move of (x+y+z+w)^6, 84 terms, into the parameters' coordinates
+    # takes more than 600 term products, though its parse takes at most
+    # 4 C(9, 4) = 504: refused with exit 2 and one line naming the stage and
+    # the budget.  At the default budget (x+y+z+w)^60 here parses within
+    # it and ran 21 s in the coordinate change before exiting 3.
+    import chernlab.core as core_module
+
+    monkeypatch.setattr(core_module, "POWER_PRODUCT_LIMIT", 600)
+    bad = dict(BASE, ideals=[["(x+y+z+w)^6", "y"], ["z", "w"]])
+    for command in ("hilbert", "coeffs", "verify"):
+        code, out, err = run(capsys, command,
+                             _write(tmp_path, "p.json", bad), "--json")
+        assert (code, out) == (2, "")
+        assert err == ("schema error: coordinate change: over the budget "
+                       "of 600 term products\n")
+
+
 def test_long_coefficient_literal_is_read_mod_p(tmp_path, capsys):
     # a literal of 5000 digits is past int()'s 4300; N = 10^4999 + k with
     # N = 1 mod p, so N*x + z is x + z over F_p
@@ -525,20 +544,20 @@ def test_each_cone_series_built_once(monkeypatch, capsys, command, h_vectors):
     # verify on e4 reads the core's series three times (its H(K, n) table,
     # its e and the torsion series) and each component's four times (the
     # Cohen-Macaulay check, its table, its e_0 and the torsion series):
-    # each of the 5 cones builds its series once, the one of L's
-    # presentation B' by ``submodule_series``, the others by their
-    # h-vector; hilbert reads the 3 components' and, by
-    # ``submodule_series``, the Rees cone's
+    # each of the 5 cones builds its series once, by its h-vector, the
+    # module cone of L's presentation B' as the ideals' do; hilbert reads
+    # the 3 components' and the Rees module's cone
     import chernlab.hilbert as hilbert_module
 
     built = []
     cone = hilbert_module.TangentCone
-    for name in ("h_vector", "submodule_series"):
-        def counting(self, *args, original=getattr(cone, name)):
-            built.append(1)
-            return original(self, *args)
+    original = cone.h_vector
 
-        monkeypatch.setattr(cone, name, counting)
+    def counting(self):
+        built.append(1)
+        return original(self)
+
+    monkeypatch.setattr(cone, "h_vector", counting)
     code, _, _ = run(capsys, command, E4, "--json")
     assert code == 0
     assert len(built) == h_vectors

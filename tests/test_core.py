@@ -267,7 +267,8 @@ def test_diagonal_order_on_v_times_S(order):
     # core's basis is read off the elements f v
     ctx = RingContext(["x", "y", "z", "w"], order=order)
     ring, include = ctx.diagonal_ring(3)
-    assert ring.variables == ("v", "x", "y", "z", "w", "e2", "e3")
+    assert ring.variables == ("v", "x", "y", "z", "w", "e1", "e2")
+    assert ring.positions == (0, 5, 6) and ring.base_nvars == 4
     key = ring.sort_key
     rng = random.Random(f"diagonal:{order}")
     monos = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(80)]
@@ -402,6 +403,34 @@ def test_substitute_matches_term_by_term_evaluation():
             assert f.substitute(images) == expected
 
 
+def test_substitute_budget_is_checked_before_multiplying(ctx4, monkeypatch):
+    # (x + y)^3 under x -> x + z, y -> y + w, every product of terms counted:
+    # at a budget of that count it passes, one below it stops before the
+    # product that would pass the budget
+    f = parse_polynomial("(x + y)^3", ctx4)
+    images = [parse_polynomial(t, ctx4) for t in ("x + z", "y + w", "z", "w")]
+    products = []
+    original = core_module._mul_terms
+
+    def counting(a, b, p):
+        products.append(len(a) * len(b))
+        return original(a, b, p)
+
+    monkeypatch.setattr(core_module, "_mul_terms", counting)
+    expected = f.substitute(images)
+    spent = sum(products)
+    assert expected == parse_polynomial("(x + y + z + w)^3", ctx4)
+    monkeypatch.setattr(core_module, "POWER_PRODUCT_LIMIT", spent)
+    assert f.substitute(images) == expected
+    monkeypatch.setattr(core_module, "POWER_PRODUCT_LIMIT", spent - 1)
+    products.clear()
+    with pytest.raises(ParseError, match=f"coordinate change: over the "
+                                         f"budget of {spent - 1} term "
+                                         "products"):
+        f.substitute(images)
+    assert sum(products) < spent
+
+
 @pytest.mark.parametrize("order, cone_rank", [
     ("grevlex", 0), ("lex", 0), (("ydeg", 1, ("ydeg", 3, "lex")), 1),
     (("ydeg", 2, "grevlex"), 2),
@@ -421,15 +450,29 @@ def test_adjoin_names_order_and_inclusion(ctx4):
     assert include(f) == parse_polynomial("3*x^2*w - y + 5", ring)
     ring, include = ctx4.adjoin((), "lex", ["e1"])
     assert ring.variables == ("x", "y", "z", "w", "e1")
+    assert ring.positions is None
     assert include(f) == parse_polynomial("3*x^2*w - y + 5", ring)
+    # a module ring: the new variables are positions, and a ring adjoined
+    # to it keeps them, shifted; with no new variable it has rank 0
+    module, _ = ctx4.adjoin((), "lex", ["e1", "e2"], module=True)
+    assert (module.positions, module.base_nvars) == ((4, 5), 4)
+    assert module != RingContext(module.variables, P, "lex")
+    over, _ = module.adjoin(["t"], ("ydeg", 1, "grevlex"))
+    assert (over.variables, over.positions) == \
+        (("t", "x", "y", "z", "w", "e1", "e2"), (5, 6))
+    assert over.strip((1, 2, 0, 0, 3, 0, 1)) == (1, 2, 0, 0, 3)
+    assert ctx4.strip((1, 2, 0, 3)) == (1, 2, 0, 3)
+    assert ctx4.adjoin((), "lex", (), module=True)[0].positions == ()
     # new names before and after the ring's own, each made free
     ring, include = ctx4.adjoin(["w"], "grevlex", ["w", "e"])
     assert ring.variables == ("w_", "x", "y", "z", "w", "w__", "e")
     assert include(f) == parse_polynomial("3*x^2*w - y + 5", ring)
-    # the diagonal ring: v first, e2..eg last, under the nested tag
+    # the diagonal ring: the positions v first and e1..e(g-1) last, under
+    # the nested tag
     ring, include = RingContext(["v", "e2", "x"], P, ("ydeg", 1, "lex")) \
         .diagonal_ring(3)
-    assert ring.variables == ("v_", "v", "e2", "x", "e2_", "e3")
+    assert ring.variables == ("v_", "v", "e2", "x", "e1", "e2_")
+    assert ring.positions == (0, 4, 5)
     assert ring.order == ("ydeg", 1, ("ydeg", 2, "lex"))
     assert ctx4.diagonal_ring(2)[0].order == \
         ("ydeg", 1, ("ydeg", 1, "grevlex"))

@@ -18,11 +18,12 @@ from chernlab import (GroebnerBasis, Ideal, Polynomial, ProblemInstance,
                       hilbert_polynomial_value, hilbert_samuel_values,
                       ideal_intersect, ideal_sum, intersect_all,
                       quotient_hilbert_series, tangent_cone)
-from chernlab.cli import main
+from chernlab.cli import build_instance, load_problem, main
 from conftest import PROBLEM_DIR
 from helpers import (THREE_3_PLANE_PARAMETERS, contains,
                      random_homogeneous_ideal, three_3_planes_lex,
                      transformed_planes, write_problem)
+from test_rees_route import dense_d3_row
 
 
 def record_targeted_runs(monkeypatch, compute):
@@ -98,8 +99,8 @@ def test_dense_4_planes_zero_reductions(monkeypatch):
     assert (stopped.zero_reductions, full.zero_reductions) == (0, 48)
     assert stopped.pairs_popped < full.pairs_popped
 
-    # the core: M is homogeneous, so its leads arrive with their degree;
-    # measured 19 zero reductions in 37 popped pairs, against 76 in 351
+    # the core: N is homogeneous, so its leads arrive with their degree;
+    # measured 3 zero reductions in 19 popped pairs, against 54 in 148
     # without the stop
     stopped = engine_run(*by_ring[True])
     full = engine_run(*by_ring[True][:2], None)
@@ -134,7 +135,7 @@ def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
     # every ideal lives in the parameters' coordinates and the ydeg order:
     # verify computes two component bases, one of their sum, for the
     # pairwise hypothesis, J = (y1..y4)'s own, for dim S/J, the basis of
-    # M in the 10 variables of the diagonal ring ring[v, e2], whose
+    # N in the 10 variables of the diagonal ring ring[v, e1], whose
     # elements f v give the core's basis and so its tangent cone, and the
     # basis of L's presentation B' in the 9 variables of ring[e1]
     path = write_problem(tmp_path / "p4.json",
@@ -152,7 +153,7 @@ def test_dense_4_planes_hilbert_bases(monkeypatch, tmp_path, capsys):
 def test_dense_4_planes_rees_bases(monkeypatch, tmp_path, capsys):
     # hilbert on g = 2 builds no intersection: the four ydeg bases that
     # verify computes before the core's, then one basis of
-    # B' + I_2(y; t) e1, B' = (I_1 + I_2) e1 + (e1^2), in
+    # B' + I_2(y; t) e1, B' = (I_1 + I_2) e1, in
     # F[t_1..t_4, ring, e1], under ("ydeg", 4, grevlex) with t first
     path = write_problem(tmp_path / "p4.json",
                          *two_4_planes(random.Random(601)))
@@ -177,10 +178,10 @@ def test_dense_three_3_planes_lex_elimination(monkeypatch, seed):
         [(_, run_ctx, _, core)] = runs
         assert run_ctx.order == ("ydeg", 1, ("ydeg", 4, "lex"))
         assert core.series_stop
-        # measured: 36 zero reductions in 73 popped pairs on every seed and
+        # measured: 6 zero reductions in 33 popped pairs on every seed and
         # parameter set
-        assert core.zero_reductions <= 36
-        assert core.pairs_popped <= 73
+        assert core.zero_reductions <= 6
+        assert core.pairs_popped <= 33
 
 
 YDEG3_LEX = ("ydeg", 3, "lex")
@@ -202,14 +203,14 @@ THREE_3_PLANE_ENGINES = [
     (YDEG3_LEX, 9, 36, 36, 0, 0, False),
     (YDEG3_LEX, 9, 36, 36, 0, 0, False),
     (YDEG3_LEX, 3, 3, 3, 0, 0, False),
-    (("ydeg", 1, ("ydeg", 4, "lex")), 51, 73, 7, 3, 36, True),
+    (("ydeg", 1, ("ydeg", 4, "lex")), 45, 33, 0, 0, 6, True),
 ]
 FOUR_PLANE_CORE_ENGINES = [
     (YDEG4, 4, 6, 6, 0, 0, False),
     (YDEG4, 4, 6, 6, 0, 0, False),
     (YDEG4, 8, 28, 28, 0, 0, False),
     (YDEG4, 4, 6, 6, 0, 0, False),
-    (("ydeg", 1, ("ydeg", 5, "grevlex")), 27, 33, 2, 0, 15, True),
+    (("ydeg", 1, ("ydeg", 5, "grevlex")), 24, 19, 0, 0, 3, True),
 ]
 PINNED_INSTANCES = {
     "dense-4-planes": lambda: two_4_planes(random.Random(601)),
@@ -243,20 +244,48 @@ def test_engine_counters_pinned(monkeypatch, instance, expected):
     assert engine_counters(engines) == expected
 
 
+# The core's one run in the diagonal ring, a module ring whose positions
+# are v and the e: a pair is queued only when both leads sit at one
+# position.
+CORE_INSTANCES = {
+    "e4": lambda: build_instance(load_problem(
+        str(PROBLEM_DIR / "e4_three_planes.json"))),
+    "dense-222": lambda: ProblemInstance(*dense_222()),
+}
+CORE_ENGINES = {
+    "e4": (("ydeg", 1, ("ydeg", 3, "grevlex")), 15, 16, 2, 0, 5, True),
+    "dense-222": (("ydeg", 1, ("ydeg", 4, "grevlex")), 103, 1759, 28, 1351,
+                  286, True),
+}
+
+
+def dense_222():
+    ctx, ideals, j = dense_d3_row((2, 2, 2), (2, 2, 2))
+    return ctx, ideals, list(j.generators)
+
+
+@pytest.mark.parametrize("instance", sorted(CORE_ENGINES))
+def test_core_engine_counters_pinned(monkeypatch, instance):
+    inst = CORE_INSTANCES[instance]()
+    engines = record_engines(monkeypatch, lambda: inst.core)
+    assert engine_counters(engines) == [CORE_ENGINES[instance]]
+
+
 # `hilbert` takes the Rees route on every g: the engines of the core route
-# before the core's, then one basis of B' + I_2(y; t)(e) in
-# F[t, ring, e], under ("ydeg", d, grevlex) whatever the problem's order.
-# On two dense 4-planes (13 variables) I_1 + I_2 is the maximal ideal, so
-# the basis is the 8 leads x e1 and e1^2: each minor times e1 reduces to 0
-# on admission.  No two leads are coprime, as every lead holds e1, but
-# e1 divides every term of every element, so the generalized product
-# criterion skips all 36 pairs and none reduces to 0.  On three 3-planes
-# (14 variables) it skips 174 of the 210 pairs, and 27 reduce to 0.
+# before the core's, then one basis of the submodule B' + I_2(y; t)(e) in
+# the module ring F[t, ring, e], under ("ydeg", d, grevlex) whatever the
+# problem's order.  On two dense 4-planes (13 variables) I_1 + I_2 is the
+# maximal ideal, so the basis is the 8 leads x e1: each minor times e1
+# reduces to 0 on admission.  No two leads are coprime, as every lead
+# holds e1, but e1 divides every term of every element, so the generalized
+# product criterion skips all 28 pairs and none reduces to 0.  On three
+# 3-planes (14 variables, positions e1 and e2) 72 pairs sit at one
+# position; the criterion skips 51 of them, and 21 reduce to 0.
 REES_ENGINES = {
     "dense-4-planes": FOUR_PLANE_CORE_ENGINES[:4]
-    + [(YDEG4, 9, 36, 36, 0, 0, False)],
+    + [(YDEG4, 8, 28, 28, 0, 0, False)],
     "three-3-planes": THREE_3_PLANE_ENGINES[:7]
-    + [(("ydeg", 3, "grevlex"), 21, 210, 174, 9, 27, False)],
+    + [(("ydeg", 3, "grevlex"), 18, 72, 51, 0, 21, False)],
 }
 
 
