@@ -16,9 +16,9 @@ _HOME = {name: module for module, names in {
                "hilbert_polynomial_value hilbert_samuel "
                "hilbert_samuel_values multiplicity rees_series tangent_cone",
     "ideals": "HilbertSeries Ideal NotFiniteLengthError ideal_intersect "
-              "ideal_power ideal_product ideal_sum intersect_all "
-              "krull_dimension monomial_hilbert_series "
-              "quotient_hilbert_series quotient_length",
+              "ideal_power ideal_product ideal_sum krull_dimension "
+              "monomial_hilbert_series quotient_hilbert_series "
+              "quotient_length",
     "instance": "ProblemInstance check_hypotheses",
     "resolutions": "en_betti tor1_via_lengths",
     "verifier": "e0_additivity_check negativity_check run_verification "

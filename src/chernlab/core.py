@@ -164,7 +164,10 @@ class RingContext:
     a monomial is the monomial's weighted degree, so it stays below 2^64
     while the weighted degree does.  The key is linear, so the
     key of a product of monomials is the sum of their keys.  ``degree`` is
-    the linear form of the grading row.
+    the linear form of the grading row, and the tag is the one statement
+    of a ring's grading: ``Polynomial.is_homogeneous`` tests homogeneity
+    in ``degree``, so ``ideals.Ideal`` admits the weighted generators of
+    the graph and Rees rings.
 
     Only this module reads inside a tag: ``cone_rank`` is the k of a
     ("ydeg", k, ...) order, 0 for the others.  Every ring with more
@@ -370,8 +373,10 @@ class Polynomial:
         return max(sum(m) for m in self.terms)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
+        """Whether every term has one ``ctx.degree``: the total degree in a
+        standard ring, the weighted degree under a ("ydeg", k, base, w)
+        order."""
+        return len(set(map(self.ctx.degree, self.terms))) <= 1
 
     def leading_monomial(self):
         if not self.terms:

@@ -95,13 +95,15 @@ def parameter_coordinates(ctx, parameters):
 
 class TangentCone:
     """The bigraded Hilbert series of an ideal's tangent cone along linear
-    parameters, or of a submodule's in a module ring.
+    parameters, or of a submodule's in a module ring.  ``tangent_cone``
+    builds every one, each from an ``Ideal``'s own basis.
 
     The parameters span J = (y_1, ..., y_k), the first k variables of
-    ``ctx``, and the other variables are z_1, ..., z_(r-k).  ``leads`` are
-    the leading monomials of the ideal's Groebner basis in the
-    ("ydeg", k, base) or ("ydeg", k, base, w) order ``ctx`` carries: on
-    homogeneous input they generate the initial ideal of the tangent cone.
+    ``ctx``, k its ``cone_rank``, and the other variables are
+    z_1, ..., z_(r-k).  ``leads`` are the leading monomials of the ideal's
+    Groebner basis in the ("ydeg", k, base) or ("ydeg", k, base, w) order
+    ``ctx`` carries: on input homogeneous in that order's grading they
+    generate the initial ideal of the tangent cone.
     Counting monomials by y-degree and z-degree does not depend on the
     weights w.  The cone keeps ``numerator``, the numerator of
     HS(S/in(ideal)) over (1-t)^k (1-s)^(r-k), with weight t on the y and s
@@ -113,12 +115,11 @@ class TangentCone:
     (``groebner.lead_numerator``), so a module of rank 0 reads as 0.
     """
 
-    __slots__ = ("ctx", "k", "numerator", "_gr")
+    __slots__ = ("ctx", "numerator", "_gr")
 
-    def __init__(self, ctx, k, leads):
+    def __init__(self, ctx, leads):
         self.ctx = ctx
-        self.k = k
-        self.numerator = lead_numerator(leads, ctx, k)
+        self.numerator = lead_numerator(leads, ctx, ctx.cone_rank)
         self._gr = None
 
     def dimension_mod_parameters(self) -> int:
@@ -129,8 +130,8 @@ class TangentCone:
         is k[z]/in(ideal|_(y=0)) since in_ydeg(ideal) ∩ k[z] =
         in(ideal|_(y=0)), and so has the dimension of S/(ideal + J).
         """
-        return HilbertSeries(self.numerator[0],
-                             self.ctx.base_nvars - self.k).dimension()
+        return HilbertSeries(self.numerator[0], self.ctx.base_nvars
+                             - self.ctx.cone_rank).dimension()
 
     def h_vector(self) -> list:
         """The coefficients q_0, q_1, ... of the h-polynomial Q(t) of
@@ -146,28 +147,27 @@ class TangentCone:
         """
         # total() divides out (1-s)^(r-k) and raises NotFiniteLengthError
         # when it does not divide, which row 0, first, decides
-        return [HilbertSeries(row, self.ctx.base_nvars - self.k).total()
+        return [HilbertSeries(row, self.ctx.base_nvars
+                              - self.ctx.cone_rank).total()
                 for row in self.numerator]
 
     def series(self) -> HilbertSeries:
         """The Hilbert series Q(t)/(1-t)^k of gr_J(S/ideal), in lowest
         terms (see ``h_vector``), built on the first call."""
         if self._gr is None:
-            self._gr = HilbertSeries(self.h_vector(), self.k)
+            self._gr = HilbertSeries(self.h_vector(), self.ctx.cone_rank)
         return self._gr
 
 
 def _parameter_ring(ring, parameters, name, base):
     """(T, include, v): ``ring`` with a variable v_i = name + str(i) of
     weight deg f_i adjoined first for each parameter f_i, under
-    ("ydeg", m, base), whose weight row (deg f_1..deg f_m, 1, ..., 1) is
-    left out when every weight is 1 (see ``core.RingContext``)."""
+    ("ydeg", m, base, w), w = (deg f_1..deg f_m, 1, ..., 1)
+    (see ``core.RingContext``)."""
     degrees = tuple(f.degree() for f in parameters)
-    order = ("ydeg", len(degrees), base)
-    if any(e > 1 for e in degrees):
-        order += (degrees + (1,) * ring.nvars,)
-    T, include = ring.adjoin([f"{name}{i}" for i in
-                              range(1, len(degrees) + 1)], order)
+    T, include = ring.adjoin(
+        [f"{name}{i}" for i in range(1, len(degrees) + 1)],
+        ("ydeg", len(degrees), base, degrees + (1,) * ring.nvars))
     return T, include, [Polynomial.variable(T, v)
                         for v in T.variables[:len(degrees)]]
 
@@ -186,11 +186,12 @@ def _graph_cone(ideal: Ideal, parameters) -> TangentCone:
 
     u_i ↦ f_i gives T/G ≅ S/ideal, taking (u)^n onto J^n, so
     length(S/(ideal + J^n)) = length(T/(G + (u)^n)): the u are linear
-    parameters of T/G.  G is homogeneous for deg u_i = deg f_i, so its one
-    basis is in the ("ydeg", m, base, w) order of ``_parameter_ring``.
-    When every weight is 1 the tag is ("ydeg", m, base) and the run targets
-    HS(S/ideal), the series of T/G; the engine's series stop is
-    standard-graded, so other weights take no target.
+    parameters of T/G.  G is homogeneous for deg u_i = deg f_i, the
+    grading of the ("ydeg", m, base, w) order of ``_parameter_ring``, so
+    its one basis is G's own as an ``Ideal``, and ``tangent_cone`` reads
+    the cone off it along (u), the first m variables.  When every weight
+    is 1 the run targets HS(S/ideal), the series of T/G; the engine's
+    series stop is standard-graded, so other weights take no target.
     """
     for f in parameters:
         require_parameter(f)
@@ -202,7 +203,7 @@ def _graph_cone(ideal: Ideal, parameters) -> TangentCone:
     standard = all(f.degree() == 1 for f in parameters)
     basis = buchberger(graph, T,
                        quotient_hilbert_series(ideal) if standard else None)
-    return TangentCone(T, len(u), basis.lead_monomials())
+    return tangent_cone(Ideal.from_basis(basis), Ideal(T, u))
 
 
 def _first_variables(ctx, gens) -> bool:
@@ -216,14 +217,18 @@ def _first_variables(ctx, gens) -> bool:
 
 def tangent_cone(ideal: Ideal, parameters: Ideal) -> TangentCone:
     """The TangentCone of the ideal along the parameters, built once and
-    cached on the ideal with the parameters' generators.
+    cached on the ideal with the parameters' generators: the one place a
+    TangentCone is built.
 
-    When the ideal's ring has a ("ydeg", k, base) order and the parameters
-    are its first k variables (as for every ideal of a ``ProblemInstance``
-    with linear parameters, which lives in the ring of
-    ``parameter_coordinates``), its own basis is the tangent cone's.  Any
-    other homogeneous parameters, linear ones in other coordinates
-    included, take one basis of their graph (``_graph_cone``).
+    When the ideal's ring has a ("ydeg", k, ...) order and the parameters
+    are its first k variables, its own basis is the tangent cone's: so for
+    every ideal of a ``ProblemInstance`` with linear parameters, which
+    lives in the ring of ``parameter_coordinates``, and for the graph and
+    the Rees module, which are ``Ideal``s of weighted rings whose
+    generators are homogeneous in the ring's grading.  Any other
+    homogeneous parameters, linear ones in other coordinates included,
+    take one basis of their graph (``_graph_cone``), whose cone is then
+    its own.
 
     Raises core.HypothesisError for a parameter that is not nonzero
     homogeneous of degree >= 1 (``core.require_parameter``).
@@ -231,7 +236,7 @@ def tangent_cone(ideal: Ideal, parameters: Ideal) -> TangentCone:
     gens = parameters.generators
     if ideal.cone_cache is None or ideal.cone_cache[0] != gens:
         if _first_variables(ideal.ctx, gens):
-            cone = TangentCone(ideal.ctx, len(gens), ideal.lead_monomials())
+            cone = TangentCone(ideal.ctx, ideal.lead_monomials())
         else:
             cone = _graph_cone(ideal, gens)
         ideal.cone_cache = (gens, cone)
@@ -310,12 +315,13 @@ def rees_series(ideals, parameters: Ideal):
     S^(g-1)/B' ⊗ S[t]/I_2(f; t) = ⊕_n L ⊗ J^n, shifted by the e's degree.
     The minors enter times each e, so the run never builds a basis of
     Sym(J) alone: for g = 2 the module is (I_1 + I_2 + I_2(f; t)) e_1.
-    With deg t_i = deg f_i it is homogeneous and, in the t, of degree zero
-    or one per term, so one basis in the ("ydeg", d, "grevlex", w) order of
-    ``_parameter_ring``, t first, e last, whatever the problem's order,
-    gives A(t) = Σ λ(L ⊗ J^n) t^n as its cone's series, and
-    HS(gr_J R) = Σ HS(gr_J S/I_i) + ((1-t)A - λ(L))/t.  λ(L) = A(0), the
-    t^0 part L ⊗ S, comes with the series at no cost.
+    With deg t_i = deg f_i, the grading of the ("ydeg", d, "grevlex", w)
+    order of ``_parameter_ring``, t first, e last, whatever the problem's
+    order, it is homogeneous and, in the t, of degree zero or one per term.
+    So it is an ``Ideal`` of that ring, and ``tangent_cone`` reads its cone
+    along (t) off its one basis: A(t) = Σ λ(L ⊗ J^n) t^n is the cone's
+    series, and HS(gr_J R) = Σ HS(gr_J S/I_i) + ((1-t)A - λ(L))/t.
+    λ(L) = A(0), the t^0 part L ⊗ S, comes with the series at no cost.
     """
     T, gens, f = cokernel_presentation(ideals, parameters)
     rees, include, t = _parameter_ring(T, f, "t", "grevlex")
@@ -323,7 +329,7 @@ def rees_series(ideals, parameters: Ideal):
     gens = [include(g) for g in gens] + [
         (f[i] * t[j] - f[j] * t[i]) * e for e in _positions(rees)
         for i in range(d) for j in range(i + 1, d)]
-    a = TangentCone(rees, d, buchberger(gens, rees).lead_monomials()).series()
+    a = tangent_cone(Ideal(rees, gens), Ideal(rees, t)).series()
     length = a.summed(1)
     rest = HilbertSeries(a.lift(d), d - 1) - HilbertSeries([length], 0)
     rest = HilbertSeries(rest.numerator[1:], rest.denominator_exponent)

@@ -24,7 +24,6 @@ __all__ = [
     "ideal_power",
     "direct_sum",
     "ideal_intersect",
-    "intersect_all",
     "krull_dimension",
     "monomial_hilbert_series",
     "quotient_hilbert_series",
@@ -40,10 +39,16 @@ class Ideal:
     """A homogeneous ideal: generator list plus a cached reduced Groebner
     basis, the cached Hilbert series of its quotient, and ``cone_cache``,
     its tangent cone along the latest parameters asked for, as (parameter
-    generators, cone), which ``hilbert.tangent_cone`` reads and fills.
+    generators, cone), which ``hilbert.tangent_cone``, where every cone is
+    built, reads and fills.
 
     Each cache is filled on first use, the basis at once by
-    ``from_basis``.
+    ``from_basis``.  Homogeneity is checked in the grading of the ring's
+    order tag (``core.Polynomial.is_homogeneous``): the total degree in a
+    standard ring, the weighted degree in the graph and Rees rings of
+    ``hilbert``.  ``quotient_hilbert_series`` counts in the standard
+    grading, and no path asks a weighted ideal for it: those ideals serve
+    only their tangent cones.
     """
 
     __slots__ = ("ctx", "generators", "_gb", "_series", "cone_cache")
@@ -159,7 +164,11 @@ def direct_sum(ideals, diagonal=True):
 
 
 def ideal_intersect(*ideals) -> Ideal:
-    """I_1 ∩ ... ∩ I_g, the annihilator of the diagonal v of ⊕ S/I_i, from
+    """I_1 ∩ ... ∩ I_g, for any g >= 1: a single ideal is its own
+    intersection and comes back itself, with its basis and cone.  Raises
+    ValueError for no ideals.
+
+    For g >= 2 it is the annihilator of the diagonal v of ⊕ S/I_i, from
     one basis of its presentation N in the diagonal ring T
     (``direct_sum``): f v lies in N exactly when f lies in every I_i.  N is
     homogeneous, so its reduced basis is; an element whose leading term
@@ -171,6 +180,10 @@ def ideal_intersect(*ideals) -> Ideal:
     F/N ≅ (⊕ S/I_i)(-1) as graded vector spaces, so the run stops on
     HS(F/N) = t sum_i HS(S/I_i), read off the components' bases.
     """
+    if not ideals:
+        raise ValueError("need at least one ideal")
+    if len(ideals) == 1:
+        return ideals[0]
     ctx = ideals[0].ctx
     T, _, gens = direct_sum(ideals)
     summands = sum(map(quotient_hilbert_series, ideals), HilbertSeries((), 0))
@@ -181,15 +194,6 @@ def ideal_intersect(*ideals) -> Ideal:
             for lm, f in zip(basis.lead_monomials(), basis) if lm[0]]
     core.sort(key=lambda f: ctx.sort_key(f.leading_monomial()))
     return Ideal.from_basis(GroebnerBasis(ctx, core))
-
-
-def intersect_all(ideals) -> Ideal:
-    """I_1 ∩ ... ∩ I_g by one ``ideal_intersect``; a single ideal is its
-    own intersection."""
-    ideals = list(ideals)
-    if not ideals:
-        raise ValueError("need at least one ideal")
-    return ideals[0] if len(ideals) == 1 else ideal_intersect(*ideals)
 
 
 def krull_dimension(a: Ideal) -> int:

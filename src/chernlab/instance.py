@@ -14,11 +14,11 @@ both kinds of failure to exit 3.
 
 from itertools import combinations
 
-from . import graded
+from . import graded, ideals
 from .core import require_parameter
 from .hilbert import (multiplicity, parameter_coordinates, rees_series,
                       tangent_cone)
-from .ideals import Ideal, ideal_sum, intersect_all, krull_dimension
+from .ideals import Ideal, ideal_sum, krull_dimension
 
 __all__ = ["ProblemInstance", "check_hypotheses"]
 
@@ -97,10 +97,10 @@ class ProblemInstance:
 
     @property
     def core(self) -> Ideal:
-        """I_1 ∩ ... ∩ I_g, intersected on first use by one basis
-        (``ideals.ideal_intersect``) for any g."""
+        """I_1 ∩ ... ∩ I_g on first use (``ideals.ideal_intersect``): the
+        component itself for g = 1, else one basis."""
         if self._core is None:
-            self._core = intersect_all(self.ideals)
+            self._core = ideals.ideal_intersect(*self.ideals)
         return self._core
 
     @property

@@ -13,8 +13,8 @@ import pytest
 from chernlab import (Ideal, RingContext, binomial,
                       buchberger, diagonal_cokernel, en_betti,
                       fit_coefficients, gr_series, hilbert_polynomial_value,
-                      hilbert_samuel, hilbert_samuel_values, ideal_power,
-                      intersect_all, normal_form, parse_polynomial,
+                      hilbert_samuel, hilbert_samuel_values, ideal_intersect,
+                      ideal_power, normal_form, parse_polynomial,
                       quotient_hilbert_series, run_verification,
                       s_polynomial, standard_monomials, tor1_via_lengths)
 from chernlab.cli import main
@@ -218,7 +218,7 @@ def test_criterion_9_randomized_negativity():
         for maker in makers:
             p = PRIME_POOL[rng.randrange(len(PRIME_POOL))]
             ctx, ideals, j = maker(rng, p)
-            core = intersect_all(ideals)
+            core = ideal_intersect(*ideals)
             d = len(j.generators)
             values = {n: hilbert_samuel(core, j, n) for n in range(1, d + 3)}
             coeffs, _ = fit_coefficients(values, d)

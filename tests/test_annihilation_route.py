@@ -9,7 +9,7 @@ import random
 from itertools import combinations_with_replacement
 
 from chernlab import (Ideal, Polynomial, ProblemInstance, RingContext,
-                      ideal_sum, intersect_all, parse_polynomial)
+                      ideal_intersect, ideal_sum, parse_polynomial)
 from chernlab.cli import load_problem
 from chernlab.verifier import run_verification
 from conftest import PROBLEM_DIR
@@ -23,7 +23,7 @@ def annihilated_by_membership(ctx, ideals, parameters) -> bool:
     unit = Ideal(ctx, [Polynomial.constant(ctx, 1)])
     for i, ideal in enumerate(ideals):
         rest = ideals[:i] + ideals[i + 1:]
-        ambient = ideal_sum(ideal, intersect_all(rest) if rest else unit)
+        ambient = ideal_sum(ideal, ideal_intersect(*rest) if rest else unit)
         if not all(contains(ambient, f) for f in parameters):
             return False
     return True

@@ -492,7 +492,7 @@ def test_json_byte_determinism(capsys):
 
 
 def test_one_intersection_per_command(monkeypatch, capsys):
-    # verify on g = 3: intersect_all builds the core by one intersection,
+    # verify on g = 3: ideal_intersect builds the core by one run,
     # and every consumer takes the instance's core instead of intersecting
     # again; coeffs, on any g and with linear or quadric parameters, reads
     # K off the Rees route and L off its presentation, and makes none

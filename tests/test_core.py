@@ -440,6 +440,18 @@ def test_order_tag_counts(order, cone_rank):
     assert ring.cone_rank == cone_rank
 
 
+@pytest.mark.parametrize("order, verdicts", [
+    (("ydeg", 1, "grevlex", (2, 1, 1)), (True, False, True, True)),
+    (("ydeg", 1, "grevlex"), (False, True, False, True)),
+    ("grevlex", (False, True, False, True))])
+def test_homogeneity_is_in_the_tags_grading(order, verdicts):
+    # u - x^2 and u*y - x^3 are homogeneous for deg u = 2, u - x for
+    # deg u = 1, and x*y - y^2 in both
+    ring = RingContext(["u", "x", "y"], order=order)
+    assert tuple(parse_polynomial(text, ring).is_homogeneous() for text in
+                 ("u - x^2", "u - x", "u*y - x^3", "x*y - y^2")) == verdicts
+
+
 def test_adjoin_names_order_and_inclusion(ctx4):
     f = parse_polynomial("3*x^2*w - y + 5", ctx4)
     ring, include = ctx4.adjoin(["t", "x", "x_"], ("ydeg", 3, "grevlex"))

@@ -4,8 +4,8 @@ import pytest
 
 from chernlab import (ContextMismatchError, Ideal, NotFiniteLengthError,
                       Polynomial, ProblemInstance, annihilates,
-                      diagonal_cokernel, gr_series, ideal_power, ideal_sum,
-                      intersect_all, normal_form, power_colength,
+                      diagonal_cokernel, gr_series, ideal_intersect,
+                      ideal_power, ideal_sum, normal_form, power_colength,
                       quotient_hilbert_series, standard_monomials)
 from chernlab.cli import build_instance, load_problem, main
 from chernlab.linalg import rref_mod_p
@@ -30,7 +30,7 @@ def test_single_component_gives_zero_module(ctx4):
 
 def test_e1_cokernel(e1, ctx6):
     ctx, ideals, j = e1
-    model = diagonal_cokernel(ideals, intersect_all(ideals))
+    model = diagonal_cokernel(ideals, ideal_intersect(*ideals))
     assert model.length == 1
     assert model.top_degree == 0
     assert model.dims == (1,)
@@ -43,12 +43,12 @@ def test_cokernel_of_ideals_from_two_rings(e1, ctx6):
     _, ideals, _ = e1
     with pytest.raises(ContextMismatchError):
         diagonal_cokernel([ideals[0], I(ctx6, "x1", "x2")],
-                          intersect_all(ideals))
+                          ideal_intersect(*ideals))
 
 
 def test_e2_cokernel(e2):
     ctx, ideals, j = e2
-    model = diagonal_cokernel(ideals, intersect_all(ideals))
+    model = diagonal_cokernel(ideals, ideal_intersect(*ideals))
     assert model.length == 1
     assert annihilates(j, ideals)
 
@@ -72,7 +72,7 @@ def test_gr_series_builds_no_intersection(monkeypatch, name):
 def test_infinite_length_detected(ctx4):
     # L = S/(x, y, z) = k[w]: both routes refuse it, gr_series naming L
     ideals = [I(ctx4, "x", "y"), I(ctx4, "x", "z")]
-    core = intersect_all(ideals)
+    core = ideal_intersect(*ideals)
     with pytest.raises(NotFiniteLengthError):
         diagonal_cokernel(ideals, core)
     with pytest.raises(NotFiniteLengthError, match="L has infinite length"):
@@ -83,7 +83,7 @@ def test_e4_dimensions_against_rank_oracle(e4):
     """Independent route: per-degree cokernel dimension by explicit rank
     computation must match the Hilbert-series route used by the model."""
     ctx, ideals, j = e4
-    core = intersect_all(ideals)
+    core = ideal_intersect(*ideals)
     model = diagonal_cokernel(ideals, core)
     gbs = [ideal.groebner() for ideal in ideals]
     top = model.top_degree
@@ -110,7 +110,7 @@ def test_e4_dimensions_against_rank_oracle(e4):
 def test_e4_length_engine_value(e4):
     # no hand value asserted upstream: freeze the doubly-checked engine value
     ctx, ideals, j = e4
-    model = diagonal_cokernel(ideals, intersect_all(ideals))
+    model = diagonal_cokernel(ideals, ideal_intersect(*ideals))
     assert model.length == 4
     assert model.dims == (2, 2)
     assert not annihilates(j, ideals)
@@ -125,7 +125,7 @@ def staircase(ctx4):
 
 @pytest.fixture
 def staircase_model(staircase):
-    return diagonal_cokernel(staircase, intersect_all(staircase))
+    return diagonal_cokernel(staircase, ideal_intersect(*staircase))
 
 
 def test_staircase_dimensions(staircase_model):
@@ -138,7 +138,7 @@ def test_annihilates_by_hand_linear_algebra(ctx4):
     # I1 = (x, y^2), I2 = (z, w): L = k[y]/(y^2) has dims (1, 1); x, z, w
     # and y^2 act as zero while y carries degree 0 onto degree 1.
     ideals = [I(ctx4, "x", "y^2"), I(ctx4, "z", "w")]
-    model = diagonal_cokernel(ideals, intersect_all(ideals))
+    model = diagonal_cokernel(ideals, ideal_intersect(*ideals))
     assert model.dims == (1, 1)
     assert annihilates(I(ctx4, "x + z", "y^2 + w^2"), ideals)
     assert not annihilates(I(ctx4, "x + w", "y + z"), ideals)
@@ -148,7 +148,7 @@ def test_annihilates_by_hand_linear_algebra(ctx4):
 
 def test_dims_match_series(e4):
     ctx, ideals, _ = e4
-    core = intersect_all(ideals)
+    core = ideal_intersect(*ideals)
     model = diagonal_cokernel(ideals, core)
     series = quotient_hilbert_series(ideals[0])
     for ideal in ideals[1:]:
@@ -160,7 +160,7 @@ def test_dims_match_series(e4):
 
 def test_power_colength_basics(e1, ctx4):
     _, ideals, j = e1
-    model = diagonal_cokernel(ideals, intersect_all(ideals))
+    model = diagonal_cokernel(ideals, ideal_intersect(*ideals))
     assert power_colength(ideals, j, 0) == 0
     assert power_colength(ideals, j, 1) == 1      # J annihilates L
     assert power_colength(ideals, j, model.top_degree + 2) == model.length
@@ -187,7 +187,7 @@ def test_power_colengths_one_walk(ctx4, a, b):
     # (x, y^a) ∩ (z^b, w): L = k[y, z]/(y^a, z^b), on which J = (x + w, y + z)
     # acts as y + z, so length(L) = ab and nu = min{n : J^n L = 0} = a + b - 1
     ideals = [I(ctx4, "x", f"y^{a}"), I(ctx4, f"z^{b}", "w")]
-    model = diagonal_cokernel(ideals, intersect_all(ideals))
+    model = diagonal_cokernel(ideals, ideal_intersect(*ideals))
     j = I(ctx4, "x + w", "y + z")
     series = gr_series(ideals, j)
     colengths = [series.summed(n) for n in range(max(9, a + b))]
@@ -237,7 +237,7 @@ def _oracle_colength(ideals, j, n):
     would compute every basis again, four times slower here."""
     cut = [ideal_sum(ideal, ideal_power(j, n)) for ideal in ideals]
     return (sum(quotient_hilbert_series(c).total() for c in cut)
-            - quotient_hilbert_series(intersect_all(cut)).total())
+            - quotient_hilbert_series(ideal_intersect(*cut)).total())
 
 
 ORACLE_CASES = {

@@ -4,8 +4,8 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from chernlab import (HypothesisError, Ideal, NotFiniteLengthError,
-                      Polynomial, RingContext, ideal_intersect, ideal_power,
-                      ideal_product, ideal_sum, intersect_all,
+                      Polynomial, ProblemInstance, RingContext,
+                      ideal_intersect, ideal_power, ideal_product, ideal_sum,
                       krull_dimension, monomial_hilbert_series,
                       parse_polynomial, quotient_hilbert_series,
                       quotient_length, standard_monomials)
@@ -89,6 +89,18 @@ def test_intersect_transversal_planes(ctx4):
 def test_intersect_idempotent(ctx4):
     a = I(ctx4, "x*z", "y^2")
     assert ideal_intersect(a, a) == a
+
+
+def test_intersect_of_one_ideal_is_that_ideal(ctx4):
+    # g = 1 comes back as the ideal itself, with its basis and cone, and
+    # no ideals at all are refused
+    a = I(ctx4, "x*z", "y^2")
+    assert ideal_intersect(a) is a
+    with pytest.raises(ValueError, match="^need at least one ideal$"):
+        ideal_intersect()
+    inst = ProblemInstance(ctx4, [I(ctx4, "x", "y")],
+                           I(ctx4, "z", "w").generators)
+    assert inst.core is inst.ideals[0]
 
 
 def test_intersect_principal_single_variable():
@@ -246,7 +258,7 @@ def test_length_unit_ideal(ctx4):
 
 def test_serre_dimension_bound(e1, e2, e4):
     for ctx, ideals, j in (e1, e2, e4):
-        core = intersect_all(ideals)
+        core = ideal_intersect(*ideals)
         assert krull_dimension(core) + krull_dimension(j) <= ctx.nvars
 
 

@@ -10,7 +10,7 @@ oracle uses the pairwise lcm description, valid exactly for monomial ideals.
 import random
 
 from chernlab import (Ideal, Polynomial, RingContext, ideal_intersect,
-                      ideal_power, ideal_sum, intersect_all, quotient_length)
+                      ideal_power, ideal_sum, quotient_length)
 from helpers import brute_force_length, monomials_of_degree
 
 
@@ -24,8 +24,8 @@ def test_length_oracle_on_running_example(ctx4):
 
 
 def test_length_oracle_on_fat_component(ctx4):
-    core = intersect_all([Ideal.from_strings(ctx4, ["x", "y"]),
-                          Ideal.from_strings(ctx4, ["z^2", "w"])])
+    core = ideal_intersect(Ideal.from_strings(ctx4, ["x", "y"]),
+                           Ideal.from_strings(ctx4, ["z^2", "w"]))
     j = Ideal.from_strings(ctx4, ["x + z", "y + w"])
     for n in range(1, 3):
         power = ideal_sum(core, ideal_power(j, n))

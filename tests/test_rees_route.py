@@ -243,13 +243,14 @@ def test_any_degree_parameters(monkeypatch, seed):
 
 def test_quadric_parameters_take_one_weighted_rees_basis(monkeypatch,
                                                          capsys):
-    # e7: J = (x^2 + w^2, y + z).  hilbert builds the graph bases of the
-    # two components for the hypotheses and one basis of the Rees ring
+    # e7: J = (x^2 + w^2, y + z).  Beyond its bases in the working ring,
+    # hilbert builds the graph bases of the two components for the
+    # hypotheses and one basis of the Rees module, an Ideal of the ring
     # F[t1, t2, x, y, z, w, e1] with deg t1 = 2, e1 last, and no
     # intersection
     intersections, runs = [], []
     original_intersect = ideals_module.ideal_intersect
-    original_buchberger = hilbert_module.buchberger
+    original_buchberger = ideals_module.buchberger
 
     def counting_intersect(*args):
         intersections.append(args)
@@ -260,7 +261,8 @@ def test_quadric_parameters_take_one_weighted_rees_basis(monkeypatch,
         return original_buchberger(gens, ctx, series)
 
     monkeypatch.setattr(ideals_module, "ideal_intersect", counting_intersect)
-    monkeypatch.setattr(hilbert_module, "buchberger", recording)
+    for module in (ideals_module, hilbert_module):
+        monkeypatch.setattr(module, "buchberger", recording)
     path = str(PROBLEM_DIR / "e7_quadric_parameters.json")
     assert main(["hilbert", path, "--json"]) == 0
     capsys.readouterr()
@@ -270,7 +272,8 @@ def test_quadric_parameters_take_one_weighted_rees_basis(monkeypatch,
     assert [(ctx.variables, ctx.order, series) for ctx, series in rees] == [
         (("t1", "t2", "x", "y", "z", "w", "e1"),
          ("ydeg", 2, "grevlex", (2, 1, 1, 1, 1, 1, 1)), None)]
-    assert len(runs) == 3
+    assert [ctx.variables[0] for ctx, _ in runs if ctx.nvars > 4] == \
+        ["u1", "u1", "t1"]
 
 
 def dense_d3_row(a, b, seed=3, p=32003):

@@ -16,7 +16,7 @@ import chernlab.ideals as ideals_module
 from chernlab import (GroebnerBasis, Ideal, Polynomial, ProblemInstance,
                       RingContext, buchberger, check_hypotheses,
                       hilbert_polynomial_value, hilbert_samuel_values,
-                      ideal_intersect, ideal_sum, intersect_all,
+                      ideal_intersect, ideal_sum,
                       quotient_hilbert_series, tangent_cone)
 from chernlab.cli import build_instance, load_problem, main
 from conftest import PROBLEM_DIR
@@ -86,7 +86,7 @@ def test_dense_4_planes_zero_reductions(monkeypatch):
     _, ideals, j = two_4_planes(random.Random(601))
     runs = record_targeted_runs(
         monkeypatch,
-        lambda: hilbert_samuel_values(intersect_all(ideals), j, 4))
+        lambda: hilbert_samuel_values(ideal_intersect(*ideals), j, 4))
     # the core's run in the diagonal ring, whose first variable is v, and
     # the core's tangent cone
     by_ring = {ctx.variables[0] == "v": (gens, ctx, series)
@@ -154,14 +154,15 @@ def test_dense_4_planes_rees_bases(monkeypatch, tmp_path, capsys):
     # hilbert on g = 2 builds no intersection: the four ydeg bases that
     # verify computes before the core's, then one basis of
     # B' + I_2(y; t) e1, B' = (I_1 + I_2) e1, in
-    # F[t_1..t_4, ring, e1], under ("ydeg", 4, grevlex) with t first
+    # F[t_1..t_4, ring, e1], under ("ydeg", 4, grevlex, w) with t first
+    # and every weight 1
     path = write_problem(tmp_path / "p4.json",
                          *two_4_planes(random.Random(601)))
     orders, out = record_orders(monkeypatch, capsys,
                                 ["hilbert", path, "--json", "--max-power", "4"])
     assert [row["length"] for row in json.loads(out)] == FOUR_PLANE_LENGTHS
     ydeg = ("ydeg", 4, "grevlex")
-    assert orders == [(ydeg, 8)] * 4 + [(ydeg, 13)]
+    assert orders == [(ydeg, 8)] * 4 + [(ydeg + ((1,) * 13,), 13)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -273,19 +274,19 @@ def test_core_engine_counters_pinned(monkeypatch, instance):
 
 # `hilbert` takes the Rees route on every g: the engines of the core route
 # before the core's, then one basis of the submodule B' + I_2(y; t)(e) in
-# the module ring F[t, ring, e], under ("ydeg", d, grevlex) whatever the
-# problem's order.  On two dense 4-planes (13 variables) I_1 + I_2 is the
-# maximal ideal, so the basis is the 8 leads x e1: each minor times e1
-# reduces to 0 on admission.  No two leads are coprime, as every lead
+# the module ring F[t, ring, e], under ("ydeg", d, grevlex, w) whatever the
+# problem's order, every weight 1 for linear parameters.  On two dense
+# 4-planes (13 variables) I_1 + I_2 is the maximal ideal, so the basis is
+# the 8 leads x e1: each minor times e1 reduces to 0 on admission.  No two leads are coprime, as every lead
 # holds e1, but e1 divides every term of every element, so the generalized
 # product criterion skips all 28 pairs and none reduces to 0.  On three
 # 3-planes (14 variables, positions e1 and e2) 72 pairs sit at one
 # position; the criterion skips 51 of them, and 21 reduce to 0.
 REES_ENGINES = {
     "dense-4-planes": FOUR_PLANE_CORE_ENGINES[:4]
-    + [(YDEG4, 8, 28, 28, 0, 0, False)],
+    + [(YDEG4 + ((1,) * 13,), 8, 28, 28, 0, 0, False)],
     "three-3-planes": THREE_3_PLANE_ENGINES[:7]
-    + [(("ydeg", 3, "grevlex"), 18, 72, 51, 0, 21, False)],
+    + [(("ydeg", 3, "grevlex", (1,) * 14), 18, 72, 51, 0, 21, False)],
 }
 
 
@@ -392,7 +393,7 @@ def pipeline(ideals, j, window):
     """The intersection's reduced basis and the H(K, n) tables of the core
     and of every component, from fresh ideals (no cached bases)."""
     ideals = [Ideal(i.ctx, i.generators) for i in ideals]
-    core = intersect_all(ideals)
+    core = ideal_intersect(*ideals)
     tables = [hilbert_samuel_values(ideal, j, window)
               for ideal in [core] + ideals]
     return list(core.groebner()), tables
@@ -438,11 +439,11 @@ def test_stop_on_random_homogeneous_ideals(monkeypatch, order, p):
             quotient_hilbert_series(a) + quotient_hilbert_series(b) \
             - quotient_hilbert_series(ideal_sum(a, b))
         assert list(buchberger(stopped, ctx)) == stopped
-        stopped3 = list(intersect_all([a, b, c]).groebner())
+        stopped3 = list(ideal_intersect(a, b, c).groebner())
         target = quotient_hilbert_series(a)
         with unstopped(monkeypatch):
             assert list(ideal_intersect(a, b).groebner()) == stopped
-            assert list(intersect_all([a, b, c]).groebner()) == stopped3
+            assert list(ideal_intersect(a, b, c).groebner()) == stopped3
             assert buchberger(a.generators, ctx) == \
                 buchberger(a.generators, ctx, target)
     assert fired > 0
